@@ -21,7 +21,6 @@ it deterministic.)
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -146,19 +145,20 @@ def _optim_config(cfg: dict, cost: str, mu: float, seed) -> optim.OptimConfig:
     )
 
 
-def _choi_program(proc: ProcessorMap, chi_e: np.ndarray) -> np.ndarray:
-    label = proc.label
-    if label.startswith("teleportation") or proc.program_domain == "choi":
-        return chi_e
-    if label.startswith("pbt["):
-        n = proc.d_prog
+def _choi_program(kind: str, proc: ProcessorMap, n_ports: int,
+                  chi_e: np.ndarray) -> np.ndarray:
+    """The channel's-Choi program of a processor kind: chi, or chi^(tensor N) for PBT."""
+    if kind in ("teleportation", "pbt_reduced"):
         out = chi_e
-        while out.shape[0] < n:
+    elif kind == "pbt":
+        out = chi_e
+        for _ in range(n_ports - 1):
             out = np.kron(out, chi_e)
-        if out.shape[0] != n:
-            raise ConfigError("choi_baseline: program dimension mismatch")
-        return out
-    raise ConfigError(f"choi_baseline is not defined for processor {label!r}")
+    else:
+        raise ConfigError(f"choi_baseline is not defined for processor kind {kind!r}")
+    if out.shape[0] != proc.d_prog:
+        raise ConfigError("choi_baseline: program dimension mismatch")
+    return out
 
 
 @dataclass
@@ -243,7 +243,7 @@ def _run_point(cfg: dict, method: str, proc: ProcessorMap, n_ports: int,
         row.program = prog.matrix  # type: ignore[attr-defined]
         return row
     if method == "choi_baseline":
-        prog = _choi_program(proc, chi_e)
+        prog = _choi_program(cfg.get("processor", {}).get("kind"), proc, n_ports, chi_e)
         if cost_kind == "Cdiamond":
             val = sdp.diamond_distance(chi_e - proc.apply_matrix(prog), proc.d_in, tol=tol)
         else:
@@ -342,30 +342,18 @@ def cmd_benchmark(args) -> int:
 
     procs = {n: _build_processor(cfg.get("processor", {}), n_override=n) for n in n_list}
 
-    def work(point):
-        n, v, mth = point
-        try:
-            return _run_point(cfg, mth, procs[n], n, cfg["channel"], v, args.tol, seed)
-        except (ConfigError, CapacityError):
-            raise
-        except Exception as exc:  # recorded per-row, run continues
-            return exc
-
-    jobs = max(1, int(args.jobs))
-    rows: List[object]
-    if jobs == 1:
-        rows = [work(pt) for pt in points]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(work, points))
-
     lines = [CSV_HEADER]
     ok_rows = []
     failures = 0
-    for pt, row in zip(points, rows):
-        if isinstance(row, Exception):
+    for pt in points:
+        n, v, mth = pt
+        try:
+            row = _run_point(cfg, mth, procs[n], n, cfg["channel"], v, args.tol, seed)
+        except (ConfigError, CapacityError):
+            raise
+        except Exception as exc:  # recorded per-row, run continues
             failures += 1
-            print(f"point {pt}: failed: {row}", file=sys.stderr)
+            print(f"point {pt}: failed: {exc}", file=sys.stderr)
             continue
         lines.append(row.csv())
         ok_rows.append(row)
@@ -402,7 +390,7 @@ def cmd_channels(_args) -> int:
 
 def cmd_processors(_args) -> int:
     caps = {
-        "teleportation": "any d >= 2",
+        "teleportation": f"2 <= d <= {processors.TELEPORTATION_MAX_D}",
         "pbt": f"program dim d^(2N) <= {processors.PBT_FULL_MAX_PROG_DIM}",
         "pbt_reduced": f"N <= {processors.PBT_REDUCED_MAX_PORTS}",
         "pqc": f"N <= {processors.PQC_MAX_GATES}",
@@ -464,7 +452,9 @@ def _verify_checks(level: str):
 
     tele = processors.teleportation_processor(2)
     x = qr.random_hermitian(4, rng)
-    forward = np.einsum("kij,jl,kml->im", tele.kraus, x, tele.kraus.conj())
+    # independent Kraus reference K_w = (W_w^* (x) W_w)/2
+    forward = sum(k @ x @ k.conj().T for k in
+                  (np.kron(w.conj(), w) / 2 for w in processors.weyl_unitaries(2)))
     yield ("teleportation self-dual", float(np.abs(forward - tele.dual(x)).max()), 1e-10)
     pi = qr.random_density(4, rng).matrix
     xx = qr.random_hermitian(4, rng)
@@ -569,7 +559,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--gnuplot", default=None,
                        help="two-column (param, cost) export path")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--tol", type=float, default=1e-8)
     p = sub.add_parser("verify")
     p.add_argument("level", nargs="?", default="fast", choices=["fast", "full"])

@@ -24,9 +24,7 @@ __all__ = [
     "matrix_sqrt",
     "matrix_inv_sqrt",
     "matrix_sign",
-    "matrix_log2",
     "kron",
-    "kron_all",
     "partial_trace",
     "permute_subsystems",
     "embed_operator",
@@ -50,8 +48,8 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^dag) / 2."""
-    return 0.5 * (a + a.conj().T)
+    """Hermitian part (A + A^dag) / 2, over the last two axes of a stack."""
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def is_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
@@ -178,27 +176,9 @@ def matrix_sign(m: np.ndarray, zero_tol: float = 1e-10, cluster_gap: float = 1e-
     return (dec.eigenvectors * signs) @ dec.eigenvectors.conj().T
 
 
-def matrix_log2(m: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
-    """log2 on the support of a PSD Hermitian matrix (kernel mapped to 0)."""
-    dec = herm_eig(m)
-    vals = dec.eigenvalues
-    scale = np.abs(vals).max() if vals.size else 0.0
-    out = np.zeros_like(vals)
-    support = vals > rcond * scale
-    out[support] = np.log2(vals[support])
-    return (dec.eigenvectors * out) @ dec.eigenvectors.conj().T
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, (A kron B)[i*rB+k, j*cB+l] = A[i,j] B[k,l]."""
     return np.kron(a, b)
-
-
-def kron_all(*ops: np.ndarray) -> np.ndarray:
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, op)
-    return out
 
 
 def _check_shape(m: np.ndarray, dims: Sequence[int], who: str) -> None:

@@ -1,7 +1,9 @@
-"""Programmable-processor families as explicit Kraus maps.
+"""Programmable-processor families as linear maps on program states.
 
 A processor is a CPTP map from program states to the Choi matrix of the
-simulated channel.  Three families are provided:
+simulated channel, stored as one transfer (superoperator) matrix; see
+``ProcessorMap`` for the conventions (Wood, Biamonte, Cory,
+arXiv:1111.6950).  Three families are provided:
 
 * ``teleportation_processor`` -- generalized teleportation over a
   d^2-dimensional program (Bell measurement + correction unitaries).
@@ -59,6 +61,7 @@ __all__ = [
 PROCESSOR_CPTP_TOL = 1e-8
 
 # Size caps, enforced with CapacityError rather than silent slowness.
+TELEPORTATION_MAX_D = 5  # the transfer matrix has d^8 entries
 PBT_FULL_MAX_PROG_DIM = 64  # full PBT: d^(2N) <= 64, i.e. N <= 3 for qubits
 PBT_REDUCED_MAX_PORTS = 8
 PQC_MAX_GATES = 6
@@ -100,14 +103,17 @@ def _program_matrix(pi: ProgramLike) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProcessorMap:
-    """CPTP map from program space (dim d_prog) to Choi space (dim d_in*d_out).
+    """CPTP map Lambda from program space (dim d_prog) to Choi space (dim d_in*d_out).
 
-    Kraus operators are stored stacked as one array of shape
-    (n_kraus, d_in*d_out, d_prog).  The dual map is Kraus-adjoint
-    conjugation and is generally not trace preserving.
+    The map is stored as its transfer matrix S of shape (d_choi^2, d_prog^2):
+    vec(Lambda(pi)) = S vec(pi) with the row-major vec(M)[i*n + j] = M[i, j],
+    and the dual is vec(Lambda*(X)) = S^dag vec(X).  The dual is generally
+    not trace preserving.  Construction checks trace preservation as
+    Lambda*(I) = I and complete positivity on the map's Choi operator
+    J[(m, r), (n, c)] = S[(r, c), (m, n)].
     """
 
-    kraus: np.ndarray
+    transfer: np.ndarray
     d_prog: int
     d_in: int
     d_out: int
@@ -118,23 +124,26 @@ class ProcessorMap:
     program_domain: str = "states"
 
     def __post_init__(self):
-        k = np.asarray(self.kraus, dtype=complex)
-        dc = self.d_in * self.d_out
-        if k.ndim != 3 or k.shape[1:] != (dc, self.d_prog):
+        s = np.asarray(self.transfer, dtype=complex)
+        dc, dp = self.d_choi, self.d_prog
+        if s.shape != (dc * dc, dp * dp):
             raise ValueError(
-                f"ProcessorMap: kraus shape {k.shape}, expected (*, {dc}, {self.d_prog})"
+                f"ProcessorMap: transfer shape {s.shape}, expected ({dc * dc}, {dp * dp})"
             )
-        comp = np.einsum("kij,kil->jl", k.conj(), k)
-        dev = float(np.abs(comp - np.eye(self.d_prog)).max())
+        object.__setattr__(self, "transfer", s)
+        dev = float(np.abs(self.dual(np.eye(dc)) - np.eye(dp)).max())
         if dev > PROCESSOR_CPTP_TOL:
             raise ValueError(
-                f"ProcessorMap {self.label!r}: sum K^dag K deviates from I by {dev:.3e}"
+                f"ProcessorMap {self.label!r}: dual(I) deviates from I by {dev:.3e}"
             )
-        object.__setattr__(self, "kraus", k)
-
-    @property
-    def kraus_ops(self) -> tuple:
-        return tuple(self.kraus)
+        j = s.reshape(dc, dc, dp, dp).transpose(2, 0, 3, 1).reshape(dp * dc, dp * dc)
+        vals = np.linalg.eigvalsh(hermitize(j))
+        scale = float(np.abs(vals).max())
+        if vals[0] < -1e-8 * max(scale, 1.0):
+            raise ValueError(
+                f"ProcessorMap {self.label!r}: map is not completely positive "
+                f"(lambda_min = {vals[0]:.3e})"
+            )
 
     @property
     def d_choi(self) -> int:
@@ -148,20 +157,35 @@ class ProcessorMap:
                 f"ProcessorMap {self.label!r}: program shape {m.shape}, "
                 f"expected ({self.d_prog}, {self.d_prog})"
             )
-        return hermitize(np.einsum("kij,jl,kml->im", self.kraus, m, self.kraus.conj()))
+        dc = self.d_choi
+        return hermitize((self.transfer @ m.ravel()).reshape(dc, dc))
 
     def apply(self, pi: ProgramLike) -> ChoiMatrix:
         return ChoiMatrix.from_matrix(self.apply_matrix(pi), self.d_in, self.d_out)
 
     def dual(self, x: np.ndarray) -> np.ndarray:
-        """Adjoint map on Choi-space observables: sum_k K^dag X K."""
+        """Adjoint map on Choi-space observables, vec(Lambda*(X)) = S^dag vec(X).
+
+        ``x`` is one (d_choi, d_choi) observable or a stack of shape
+        (k, d_choi, d_choi); the result has the matching shape over d_prog.
+        """
         x = np.asarray(x, dtype=complex)
-        if x.shape != (self.d_choi, self.d_choi):
+        dc, dp = self.d_choi, self.d_prog
+        if x.shape[-2:] != (dc, dc) or x.ndim not in (2, 3):
             raise ValueError(
                 f"ProcessorMap {self.label!r}: observable shape {x.shape}, "
-                f"expected ({self.d_choi}, {self.d_choi})"
+                f"expected ([k,] {dc}, {dc})"
             )
-        return np.einsum("kij,im,kml->jl", self.kraus.conj(), x, self.kraus)
+        # X S^* = (X^* S)^*, which spares a conjugated copy of S per call
+        flat = np.conj(x.reshape(-1, dc * dc).conj() @ self.transfer)
+        return flat.reshape(x.shape[:-2] + (dp, dp))
+
+
+def _transfer_from_kraus(kraus: np.ndarray) -> np.ndarray:
+    """Transfer matrix sum_k K_k (x) K_k^* of a stack of Kraus operators (n, d_c, d_p)."""
+    _, dc, dp = kraus.shape
+    return np.einsum("kij,kmn->imjn", kraus, kraus.conj(),
+                     optimize=True).reshape(dc * dc, dp * dp)
 
 
 # --- teleportation ----------------------------------------------------------
@@ -203,9 +227,14 @@ def teleportation_processor(d: int = 2) -> ProcessorMap:
     The map conjugates the program with (W_i^* (x) W_i)/d for the d^2
     teleportation unitaries; it is self-dual.
     """
+    if d > TELEPORTATION_MAX_D:
+        raise CapacityError(
+            f"teleportation_processor: d = {d} exceeds cap {TELEPORTATION_MAX_D}"
+        )
     ws = weyl_unitaries(d)
     kraus = np.stack([kron(w.conj(), w) / d for w in ws])
-    return ProcessorMap(kraus, d_prog=d * d, d_in=d, d_out=d, label=f"teleportation[d={d}]")
+    return ProcessorMap(_transfer_from_kraus(kraus), d_prog=d * d, d_in=d, d_out=d,
+                        label=f"teleportation[d={d}]")
 
 
 # --- port-based teleportation ----------------------------------------------
@@ -252,28 +281,8 @@ def _interleave_perm(n_ports: int) -> list:
     return perm
 
 
-def _kraus_from_transfer(transfer: np.ndarray, d_prog: int, d_choi: int,
-                         label: str) -> np.ndarray:
-    """Factor a completely positive transfer tensor T[r, c, m, n] into Kraus form.
-
-    Works via the eigendecomposition of the map's own Choi operator
-    J[(m, r), (n, c)] = T[r, c, m, n].
-    """
-    j = transfer.transpose(2, 0, 3, 1).reshape(d_prog * d_choi, d_prog * d_choi)
-    j = hermitize(j)
-    vals, vecs = np.linalg.eigh(j)
-    scale = float(np.abs(vals).max())
-    if vals[0] < -1e-8 * max(scale, 1.0):
-        raise ValueError(f"{label}: transfer is not completely positive (lambda_min = {vals[0]:.3e})")
-    keep = vals > 1e-14 * max(scale, 1.0)
-    ops = []
-    for w, v in zip(vals[keep], vecs[:, keep].T):
-        ops.append(math.sqrt(w) * v.reshape(d_prog, d_choi).T)
-    return np.stack(ops)
-
-
 def _pbt_full_transfer(n_ports: int, d: int, povm: list) -> np.ndarray:
-    """Transfer tensor T[r, c, m, n] of the full PBT program-to-Choi map.
+    """Transfer matrix S[(r, c), (m, n)] of the full PBT program-to-Choi map.
 
     Program basis indices m, n run over the interleaved (A_1, B_1, ...)
     ordering.
@@ -311,7 +320,7 @@ def _pbt_full_transfer(n_ports: int, d: int, povm: list) -> np.ndarray:
     for i in range(n):
         n_order.extend([base + 2 * n + i, base + 3 * n + i])
     out = out.transpose([0, 1, 2, 3] + m_order + n_order)
-    return out.reshape(dc, dc, dp, dp)
+    return out.reshape(dc * dc, dp * dp)
 
 
 def pbt_processor(n_ports: int, d: int = 2, singlet: bool = False) -> ProcessorMap:
@@ -322,10 +331,8 @@ def pbt_processor(n_ports: int, d: int = 2, singlet: bool = False) -> ProcessorM
             f"pbt_processor: program dim {d_prog} exceeds cap {PBT_FULL_MAX_PROG_DIM} "
             f"(use pbt_reduced_map for larger N)"
         )
-    povm = pbt_povm(n_ports, d, singlet)
-    transfer = _pbt_full_transfer(n_ports, d, povm)
-    kraus = _kraus_from_transfer(transfer, d_prog, d * d, "pbt_processor")
-    return ProcessorMap(kraus, d_prog=d_prog, d_in=d, d_out=d,
+    transfer = _pbt_full_transfer(n_ports, d, pbt_povm(n_ports, d, singlet))
+    return ProcessorMap(transfer, d_prog=d_prog, d_in=d, d_out=d,
                         label=f"pbt[N={n_ports},d={d}]")
 
 
@@ -352,9 +359,8 @@ def pbt_reduced_map(n_ports: int, d: int = 2, singlet: bool = False) -> Processo
     coef = n_ports / d**n_ports
     transfer = coef * np.einsum(
         "uqvp,yb,zc->pbqcvyuz", p4, eye, eye
-    ).reshape(d * d, d * d, d * d, d * d)
-    kraus = _kraus_from_transfer(transfer, d * d, d * d, "pbt_reduced_map")
-    return ProcessorMap(kraus, d_prog=d * d, d_in=d, d_out=d,
+    ).reshape(d**4, d**4)
+    return ProcessorMap(transfer, d_prog=d * d, d_in=d, d_out=d,
                         label=f"pbt_reduced[N={n_ports},d={d}]",
                         program_domain="choi")
 
@@ -449,7 +455,7 @@ def _circuit_processor(n_gates: int, h0, h1, reg_dim: int, label: str) -> Proces
     u4 = u_hat.reshape(d_a, d_reg, d_a, d_reg)
     # K_m[(b, a'), r] = U[(a', m), (b, r)] / sqrt(d_A), Choi ordered (B, A)
     kraus = u4.transpose(1, 2, 0, 3).reshape(d_reg, d_a * d_a, d_reg) / math.sqrt(d_a)
-    return ProcessorMap(np.ascontiguousarray(kraus), d_prog=d_reg,
+    return ProcessorMap(_transfer_from_kraus(kraus), d_prog=d_reg,
                         d_in=d_a, d_out=d_a, label=label)
 
 

@@ -11,7 +11,6 @@ from .processors import ProcessorMap, ProgramState
 __all__ = [
     "random_hermitian",
     "random_density",
-    "random_pure",
     "random_channel",
     "random_choi",
     "random_program",
@@ -28,11 +27,6 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return DensityMatrix(hermitize(m / np.trace(m).real))
-
-
-def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
 
 
 def random_channel(d_in: int, d_out: int | None = None, kraus_rank: int | None = None,

@@ -535,23 +535,7 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     if spectral_norm(chi) < 1e-14:
         return 0.0
 
-    bld = _ComplexSdpBuilder()
-    z_blk = bld.add_complex_block(n)
-    w_blk = bld.add_complex_block(n)
-    v_blk = bld.add_complex_block(d_in)
-    t_blk = bld.add_real_block(1)
-    bld.objective_real(t_blk, np.array([[2.0]]))
-    eye_out = np.eye(d_out, dtype=complex)
-    for e in hermitian_basis(n):
-        # W = Z - d * chi
-        bld.constraint({w_blk: e, z_blk: -e}, -d_in * _herm_inner(e, chi))
-    for f in hermitian_basis(d_in):
-        # V = t I - Tr_out Z
-        bld.constraint(
-            {v_blk: f, z_blk: kron(f, eye_out)},
-            0.0,
-            real_terms={t_blk: np.array([[-float(np.real(np.trace(f)))]])},
-        )
+    bld, z_blk, _ = _watrous_builder(chi, d_in, d_out)
     sol = solve_sdp(bld.build(), tol=tol)
     _warn_if_failed(sol, "diamond_distance", tol)
     z = bld.recover(sol, z_blk)
@@ -563,8 +547,8 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     return 2.0 * spectral_norm(partial_trace(z, [d_in, d_out], keep=[0]))
 
 
-def _lambda_dual_on_basis(proc: ProcessorMap, basis) -> List[np.ndarray]:
-    return [hermitize(proc.dual(e)) for e in basis]
+def _lambda_dual_on_basis(proc: ProcessorMap, basis) -> np.ndarray:
+    return hermitize(proc.dual(np.stack(basis)))
 
 
 def _add_program_constraints(bld: "_ComplexSdpBuilder", pi_blk: int,
@@ -623,42 +607,48 @@ def optimize_program_trace(proc: ProcessorMap, chi_target,
     return program, value
 
 
-def _diamond_program_builder(proc: ProcessorMap, chi_e: np.ndarray):
-    n = proc.d_choi
-    d_in = proc.d_in
-    d_out = proc.d_out
-    dp = proc.d_prog
-    basis = hermitian_basis(n)
-    duals = _lambda_dual_on_basis(proc, basis)
+def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
+                     proc: Optional[ProcessorMap] = None):
+    """Watrous's diamond-norm program (arXiv:1207.5726) for Delta = chi - Lambda(pi):
 
+        min 2t  s.t.  W = Z - d_in Delta >= 0,  V = t I - Tr_out Z >= 0,  Z >= 0.
+
+    Without a processor Delta = chi is fixed; with one, the program block pi
+    is added (its feasibility constraints are left to the caller).  Returns
+    the builder and the Z and pi block indices (pi is None without one).
+    """
+    n = d_in * d_out
+    basis = hermitian_basis(n)
     bld = _ComplexSdpBuilder()
     z_blk = bld.add_complex_block(n)
     w_blk = bld.add_complex_block(n)
     v_blk = bld.add_complex_block(d_in)
     t_blk = bld.add_real_block(1)
-    pi_blk = bld.add_complex_block(dp)
+    pi_blk = None if proc is None else bld.add_complex_block(proc.d_prog)
     bld.objective_real(t_blk, np.array([[2.0]]))
+    duals = None if proc is None else _lambda_dual_on_basis(proc, basis)
+    for i, e in enumerate(basis):
+        # W = Z - d (chi - Lambda(pi))
+        terms = {w_blk: e, z_blk: -e}
+        if duals is not None:
+            terms[pi_blk] = -d_in * duals[i]
+        bld.constraint(terms, -d_in * _herm_inner(e, chi))
     eye_out = np.eye(d_out, dtype=complex)
-    for e, le in zip(basis, duals):
-        # W = Z - d (chi_target - Lambda(pi))
-        bld.constraint(
-            {w_blk: e, z_blk: -e, pi_blk: -d_in * le},
-            -d_in * _herm_inner(e, chi_e),
-        )
     for f in hermitian_basis(d_in):
+        # V = t I - Tr_out Z
         bld.constraint(
             {v_blk: f, z_blk: kron(f, eye_out)},
             0.0,
             real_terms={t_blk: np.array([[-float(np.real(np.trace(f)))]])},
         )
-    return bld, pi_blk
+    return bld, z_blk, pi_blk
 
 
 def optimize_program_diamond(proc: ProcessorMap, chi_target,
                              tol: float = DEFAULT_TOL) -> Tuple[ProgramState, float]:
     """Joint minimization of the diamond cost over program states."""
     chi_e = hermitize(as_matrix(chi_target))
-    bld, pi_blk = _diamond_program_builder(proc, chi_e)
+    bld, _, pi_blk = _watrous_builder(chi_e, proc.d_in, proc.d_out, proc)
     _add_program_constraints(bld, pi_blk, proc)
     sol = solve_sdp(bld.build(), tol=tol)
     _warn_if_failed(sol, "optimize_program_diamond", tol)

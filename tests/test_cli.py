@@ -85,7 +85,7 @@ def test_benchmark_grid_with_baseline(tmp_path):
     }
     out = tmp_path / "bench.csv"
     code = main(["benchmark", "--config", _write(tmp_path, cfg),
-                 "--out", str(out), "--jobs", "2"])
+                 "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "param,method,N,cost_kind,cost,iterations"
@@ -234,6 +234,15 @@ def test_choi_sdp_requires_reduced_processor(tmp_path):
         "processor": {"kind": "teleportation", "d": 2},
         "channel": {"kind": "amplitude_damping", "p": 0.5},
         "method": "choi_sdp",
+    }
+    assert main(["optimize", "--config", _write(tmp_path, cfg)]) == 1
+
+
+def test_choi_baseline_requires_teleportation_or_pbt(tmp_path):
+    cfg = {
+        "processor": {"kind": "pqc", "N": 1},
+        "channel": {"kind": "amplitude_damping", "p": 0.5},
+        "method": "choi_baseline",
     }
     assert main(["optimize", "--config", _write(tmp_path, cfg)]) == 1
 

@@ -54,8 +54,12 @@ def _all_processors():
 def test_processor_cptp_and_choi_outputs():
     rng = np.random.default_rng(11)
     for proc, n_programs in _all_processors():
-        comp = np.einsum("kij,kil->jl", proc.kraus.conj(), proc.kraus)
-        assert np.abs(comp - np.eye(proc.d_prog)).max() <= 1e-8
+        dc, dp = proc.d_choi, proc.d_prog
+        # Choi operator of the map, J[(m, r), (n, c)] = Lambda(|m><n|)[r, c]
+        j = proc.transfer.reshape(dc, dc, dp, dp).transpose(2, 0, 3, 1)
+        assert np.linalg.eigvalsh(j.reshape(dp * dc, dp * dc)).min() >= -1e-8
+        # trace preservation: the partial trace over the Choi factor is I
+        assert np.abs(np.einsum("mrnr->mn", j) - np.eye(dp)).max() <= 1e-8
         for _ in range(n_programs):
             prog = random_program(proc, rng)
             chi = proc.apply(prog)  # constructor enforces the Choi invariant
@@ -71,6 +75,16 @@ def test_adjoint_identity():
             lhs = np.trace(x @ proc.apply_matrix(pi))
             rhs = np.trace(proc.dual(x) @ pi)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
+
+
+def test_stacked_dual_matches_per_element():
+    rng = np.random.default_rng(22)
+    for proc, _ in _all_processors():
+        xs = np.stack([random_hermitian(proc.d_choi, rng) for _ in range(4)])
+        stacked = proc.dual(xs)
+        assert stacked.shape == (4, proc.d_prog, proc.d_prog)
+        for x, out in zip(xs, stacked):
+            assert np.abs(out - proc.dual(x)).max() <= 1e-12
 
 
 def test_dual_of_identity_is_identity():
@@ -112,9 +126,10 @@ def test_teleportation_fixes_max_entangled():
 def test_teleportation_self_dual():
     rng = np.random.default_rng(13)
     tele = teleportation_processor(2)
+    kraus = [kron(w.conj(), w) / 2 for w in weyl_unitaries(2)]
     for _ in range(5):
         x = random_hermitian(4, rng)
-        forward = np.einsum("kij,jl,kml->im", tele.kraus, x, tele.kraus.conj())
+        forward = sum(k @ x @ k.conj().T for k in kraus)
         assert np.abs(forward - tele.dual(x)).max() <= 1e-10
 
 
@@ -182,13 +197,14 @@ def test_pbt_n1_gives_maximally_mixed_output():
 
 def test_pbt_full_matches_dense_oracle():
     rng = np.random.default_rng(16)
-    n, d = 2, 2
-    povm = pbt_povm(n, d)
-    proc = pbt_processor(n, d)
-    for _ in range(3):
-        pi = random_density(d ** (2 * n), rng).matrix
-        dense = pbt_apply_dense(n, d, povm, pi)
-        assert np.abs(proc.apply_matrix(pi) - dense).max() <= 1e-12
+    d = 2
+    for n, tol in ((2, 1e-12), (3, 1e-10)):
+        povm = pbt_povm(n, d)
+        proc = pbt_processor(n, d)
+        for _ in range(3):
+            pi = random_density(d ** (2 * n), rng).matrix
+            dense = pbt_apply_dense(n, d, povm, pi)
+            assert np.abs(proc.apply_matrix(pi) - dense).max() <= tol
 
 
 def test_pbt_choi_program_composes_with_channel():
@@ -233,6 +249,8 @@ def test_pbt_capacity_errors():
         pbt_processor(4, 2)
     with pytest.raises(CapacityError):
         pbt_reduced_map(9, 2)
+    with pytest.raises(CapacityError):
+        teleportation_processor(6)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
