@@ -73,7 +73,9 @@ def as_matrix(x: MatrixLike) -> np.ndarray:
     return np.asarray(x, dtype=complex)
 
 
-@dataclass(frozen=True)
+# Value types holding arrays use eq=False: instances compare and hash by
+# identity, since an ndarray field has no scalar ==.
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Unit-trace positive-semidefinite Hermitian matrix."""
 
@@ -111,7 +113,7 @@ class DensityMatrix:
         return cls(np.eye(dim) / dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Normalized Choi state of a channel, ordered (input copy, output)."""
 
@@ -142,7 +144,7 @@ class ChoiMatrix:
         return cls(DensityMatrix(m), d_in, d_out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """CPTP map given by Kraus operators (each d_out x d_in)."""
 

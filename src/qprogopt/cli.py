@@ -60,6 +60,16 @@ METHODS = (
 )
 
 
+# SDP methods: the ``sdp`` function's name and the cost kind it reports.  The
+# function is looked up on the module per call, so patched names are honored.
+_SDP_METHODS = {
+    "sdp_trace": ("optimize_program_trace", "C1"),
+    "sdp_diamond": ("optimize_program_diamond", "Cdiamond"),
+    "sdp_fidelity": ("optimize_program_fidelity", "F"),
+    "choi_sdp": ("optimize_program_diamond", "Cdiamond"),
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -170,6 +180,7 @@ class ResultRow:
     cost: float
     iterations: int
     wall_time: float
+    program: Optional[np.ndarray] = None
 
     def csv(self) -> str:
         return ",".join(
@@ -208,49 +219,31 @@ def _run_point(cfg: dict, method: str, proc: ProcessorMap, n_ports: int,
         ocfg = _optim_config(cfg, cost_kind, mu, seed)
         runner = optim.projected_subgradient if method == "subgradient" else optim.frank_wolfe
         res = runner(proc, chi_e, ocfg)
-        row = ResultRow(param, method, n_ports, cost_kind, res.final_cost,
-                        res.cost_trace[-1][0], time.perf_counter() - t0)
-        row.program = res.program.matrix  # type: ignore[attr-defined]
-        return row
-    if method == "sdp_trace":
-        prog, val = sdp.optimize_program_trace(proc, chi_e, tol=tol)
-        row = ResultRow(param, method, n_ports, "C1", val, 0, time.perf_counter() - t0)
-        row.program = prog.matrix  # type: ignore[attr-defined]
-        return row
-    if method == "sdp_diamond":
-        prog, val = sdp.optimize_program_diamond(proc, chi_e, tol=tol)
-        row = ResultRow(param, method, n_ports, "Cdiamond", val, 0, time.perf_counter() - t0)
-        row.program = prog.matrix  # type: ignore[attr-defined]
-        return row
-    if method == "sdp_fidelity":
-        prog, val = sdp.optimize_program_fidelity(proc, chi_e, tol=tol)
-        row = ResultRow(param, method, n_ports, "F", val, 0, time.perf_counter() - t0)
-        row.program = prog.matrix  # type: ignore[attr-defined]
-        return row
-    if method == "choi_sdp":
-        if proc.program_domain != "choi":
+        return ResultRow(param, method, n_ports, cost_kind, res.final_cost,
+                         res.cost_trace[-1][0], time.perf_counter() - t0,
+                         res.program.matrix)
+    if method in _SDP_METHODS:
+        if method == "choi_sdp" and proc.program_domain != "choi":
             raise ConfigError("choi_sdp requires the pbt_reduced processor")
-        chi, val = sdp.optimize_choi_diamond(n_ports, proc.d_in, chi_e, tol=tol)
-        row = ResultRow(param, method, n_ports, "Cdiamond", val, 0, time.perf_counter() - t0)
-        row.program = chi.matrix  # type: ignore[attr-defined]
-        return row
+        name, kind = _SDP_METHODS[method]
+        prog, val = getattr(sdp, name)(proc, chi_e, tol=tol)
+        return ResultRow(param, method, n_ports, kind, val, 0,
+                         time.perf_counter() - t0, prog.matrix)
     if method == "closed_form_unitary":
         if len(channel.kraus_ops) != 1:
             raise ConfigError("closed_form_unitary needs a unitary target channel")
         prog = optim.learn_unitary_program(proc, channel.kraus_ops[0])
         val = cost_eval("CF", chi_e, proc.apply_matrix(prog.matrix))
-        row = ResultRow(param, method, n_ports, "CF", val, 0, time.perf_counter() - t0)
-        row.program = prog.matrix  # type: ignore[attr-defined]
-        return row
+        return ResultRow(param, method, n_ports, "CF", val, 0,
+                         time.perf_counter() - t0, prog.matrix)
     if method == "choi_baseline":
         prog = _choi_program(cfg.get("processor", {}).get("kind"), proc, n_ports, chi_e)
         if cost_kind == "Cdiamond":
             val = sdp.diamond_distance(chi_e - proc.apply_matrix(prog), proc.d_in, tol=tol)
         else:
             val = cost_eval(cost_kind, chi_e, proc.apply_matrix(prog), mu=mu)
-        row = ResultRow(param, method, n_ports, cost_kind, val, 0, time.perf_counter() - t0)
-        row.program = prog  # type: ignore[attr-defined]
-        return row
+        return ResultRow(param, method, n_ports, cost_kind, val, 0,
+                         time.perf_counter() - t0, prog)
     raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

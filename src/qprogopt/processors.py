@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channels import ChoiMatrix, DensityMatrix, as_matrix, max_entangled
+from .channels import _X, _Y, _Z, ChoiMatrix, DensityMatrix, as_matrix, max_entangled
 from .hermlin import (
     embed_operator,
     hermitize,
@@ -72,7 +72,7 @@ class CapacityError(ValueError):
     """Requested processor exceeds the configured dense-size caps."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProgramState:
     """Program fed to a processor, tagged with its structural role."""
 
@@ -101,7 +101,7 @@ def _program_matrix(pi: ProgramLike) -> np.ndarray:
     return as_matrix(pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessorMap:
     """CPTP map Lambda from program space (dim d_prog) to Choi space (dim d_in*d_out).
 
@@ -401,11 +401,6 @@ def symmetric_param_count(n_ports: int, d: int = 2) -> int:
 
 
 # --- parametric-circuit processors ------------------------------------------
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 def default_pqc_hamiltonians() -> tuple:
     """The pair of universal two-qubit generators used for benchmarking."""

@@ -8,6 +8,9 @@ The solver handles real symmetric block problems in primal standard form
 
 with an infeasible-start primal-dual path-following iteration,
 Nesterov-Todd scaling and a fixed fraction-to-boundary factor of 0.98.
+Each block's constraints are stacked once, as rows of flattened matrices, so
+A(X), A*(y), the Newton right-hand side and the Schur matrix
+sum_b <A_j, W_b A_i W_b> are matrix products (Fujisawa-Kojima-Nakata 1997).
 Complex Hermitian variables enter through the standard real embedding
 H -> [[Re H, -Im H], [Im H, Re H]], which doubles spectra and traces; all
 builders below account for the factor of two so reported objectives live on
@@ -176,14 +179,6 @@ def _sym(m):
     return 0.5 * (m + m.T)
 
 
-def _inner(mats_a, mats_b) -> float:
-    s = 0.0
-    for a, b in zip(mats_a, mats_b):
-        if a is not None and b is not None:
-            s += float(np.sum(a * b))
-    return s
-
-
 class _NumericalBreakdown(Exception):
     """Interior-point linear algebra collapsed (indefinite or non-finite)."""
 
@@ -219,16 +214,21 @@ def _chol(x: np.ndarray) -> np.ndarray:
     raise _NumericalBreakdown("cholesky failed")
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    """sup { a : x + a dx >= 0 } (may be inf)."""
+def _max_step(l: np.ndarray, dx: np.ndarray) -> float:
+    """sup { a : x + a dx >= 0 } (may be inf), given the Cholesky factor l of x."""
     if not np.all(np.isfinite(dx)):
         raise _NumericalBreakdown("non-finite direction")
-    l = _chol(x)
     t = np.linalg.solve(l, np.linalg.solve(l, dx).T)
     lam_min = float(np.linalg.eigvalsh(_sym(t)).min())
     if lam_min >= 0.0:
         return math.inf
     return -1.0 / lam_min
+
+
+def _step(tau: float, factors, dirs) -> float:
+    """Fraction-to-boundary step: min(1, tau * largest step keeping every block PSD)."""
+    return min(1.0, tau * min((_max_step(l, d) for l, d in zip(factors, dirs)),
+                              default=1.0))
 
 
 def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
@@ -245,47 +245,51 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
                   if m else 1.0)
     cmats = [np.zeros((d, d)) if c is None else np.asarray(c, float) / c_scale
              for c, d in zip(problem.objective, dims)]
-    amats = [[np.asarray(a, float) if a is not None else None for a in row]
-             for row, _ in problem.constraints]
     bvec = np.array([rhs for _, rhs in problem.constraints], dtype=float) / b_scale
+    # rows[b]: constraints with an entry for block b (None is zero);
+    # stacks[b]: those entries flattened, shape (len(rows[b]), d_b^2)
+    rows = [np.array([i for i, (row, _) in enumerate(problem.constraints)
+                      if row[b] is not None], dtype=int) for b in range(nb)]
+    stacks = [np.array([np.asarray(problem.constraints[i][0][b], float).ravel()
+                        for i in rows[b]]).reshape(len(rows[b]), d * d)
+              for b, d in enumerate(dims)]
+    norm_b = 1.0 + float(np.linalg.norm(bvec))
+    norm_c = 1.0 + math.sqrt(sum(float(np.sum(c * c)) for c in cmats))
+
+    def a_of_x(xb):
+        out = np.zeros(m)
+        for r, a, xx in zip(rows, stacks, xb):
+            out[r] += a @ xx.ravel()
+        return out
+
+    def a_star(vec):
+        return [(vec[r] @ a).reshape(d, d) for r, a, d in zip(rows, stacks, dims)]
+
+    def residuals(x, y, s):
+        asy = a_star(y)
+        rp = bvec - a_of_x(x)
+        rd = [cmats[b] - asy[b] - s[b] for b in range(nb)]
+        pobj = sum(float(np.sum(c * xb)) for c, xb in zip(cmats, x))
+        dobj = float(bvec @ y)
+        res_p = float(np.linalg.norm(rp)) / norm_b
+        res_d = math.sqrt(sum(float(np.sum(r * r)) for r in rd)) / norm_c
+        gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+        return asy, rp, rd, pobj, dobj, res_p, res_d, gap_rel
 
     scale = 1.0
     x = [np.eye(d) * scale for d in dims]
     s = [np.eye(d) * scale for d in dims]
     y = np.zeros(m)
 
-    norm_b = 1.0 + float(np.linalg.norm(bvec))
-    norm_c = 1.0 + math.sqrt(sum(float(np.sum(c * c)) for c in cmats))
     tau = 0.98
     history = []
     status = "max_iter"
     it = 0
 
-    def a_of_x(xb):
-        return np.array([_inner(row, xb) for row in amats])
-
-    def a_star(vec):
-        out = [np.zeros((d, d)) for d in dims]
-        for i, row in enumerate(amats):
-            vi = vec[i]
-            if vi == 0.0:
-                continue
-            for blk, a in enumerate(row):
-                if a is not None:
-                    out[blk] += vi * a
-        return out
-
     best = None  # (merit, x, y, s)
     for it in range(1, max_iters + 1):
-        rp = bvec - a_of_x(x)
-        asy = a_star(y)
-        rd = [cmats[b] - asy[b] - s[b] for b in range(nb)]
+        asy, rp, rd, pobj, dobj, res_p, res_d, gap_rel = residuals(x, y, s)
         mu = sum(float(np.sum(x[b] * s[b])) for b in range(nb)) / n_total
-        pobj = _inner(cmats, x)
-        dobj = float(bvec @ y)
-        res_p = float(np.linalg.norm(rp)) / norm_b
-        res_d = math.sqrt(sum(float(np.sum(r * r)) for r in rd)) / norm_c
-        gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         history.append((pobj, dobj, res_p, res_d, mu))
         merit = max(res_p, res_d, gap_rel)
         if np.isfinite(merit) and (best is None or merit < best[0]):
@@ -316,13 +320,14 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
                 ws, vs = np.linalg.eigh(_sym(s[b]))
                 ws = np.clip(ws, 1e-300, None)
                 s_inv.append((vs / ws) @ vs.T)
+            lx = [_chol(xb) for xb in x]
+            ls = [_chol(sb) for sb in s]
 
-            waw = [[_sym(w[b] @ a @ w[b]) if a is not None else None
-                    for b, a in enumerate(row)] for row in amats]
-            schur = np.empty((m, m))
-            for i in range(m):
-                for j in range(i, m):
-                    schur[i, j] = schur[j, i] = _inner(waw[i], amats[j])
+            schur = np.zeros((m, m))
+            for r, a, wb, d in zip(rows, stacks, w, dims):
+                waw = wb @ a.reshape(-1, d, d) @ wb
+                schur[np.ix_(r, r)] += a @ waw.reshape(len(r), d * d).T
+            schur = _sym(schur)
             # small ridge keeps the factorization alive when constraints are
             # nearly dependent
             schur += (1e-13 * max(1.0, float(np.trace(schur)) / max(m, 1))) * np.eye(m)
@@ -333,13 +338,9 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
                 schur_l = None
 
             def newton(sigma_mu):
-                rhs = np.empty(m)
-                base = []
-                for b in range(nb):
-                    t_b = sigma_mu * s_inv[b] - x[b] - _sym(w[b] @ rd[b] @ w[b])
-                    base.append(t_b)
-                for i in range(m):
-                    rhs[i] = rp[i] - _inner(amats[i], base)
+                base = [sigma_mu * s_inv[b] - x[b] - _sym(w[b] @ rd[b] @ w[b])
+                        for b in range(nb)]
+                rhs = rp - a_of_x(base)
                 if schur_l is not None:
                     dy = np.linalg.solve(schur_l.T, np.linalg.solve(schur_l, rhs))
                 else:
@@ -353,10 +354,8 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
 
             # predictor
             dx_a, dy_a, ds_a = newton(0.0)
-            ap = min(1.0, tau * min((_max_step(x[b], dx_a[b]) for b in range(nb)),
-                                    default=1.0))
-            ad = min(1.0, tau * min((_max_step(s[b], ds_a[b]) for b in range(nb)),
-                                    default=1.0))
+            ap = _step(tau, lx, dx_a)
+            ad = _step(tau, ls, ds_a)
             mu_aff = sum(
                 float(np.sum((x[b] + ap * dx_a[b]) * (s[b] + ad * ds_a[b])))
                 for b in range(nb)
@@ -366,10 +365,8 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
 
             # corrector / centering
             dx, dy, ds = newton(sigma * mu)
-            ap = min(1.0, tau * min((_max_step(x[b], dx[b]) for b in range(nb)),
-                                    default=1.0))
-            ad = min(1.0, tau * min((_max_step(s[b], ds[b]) for b in range(nb)),
-                                    default=1.0))
+            ap = _step(tau, lx, dx)
+            ad = _step(tau, ls, ds)
         except _NumericalBreakdown:
             break
         for b in range(nb):
@@ -379,14 +376,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
 
     if status != "infeasible" and best is not None:
         _, x, y, s = best
-    pobj = _inner(cmats, x)
-    dobj = float(bvec @ y)
-    rp = bvec - a_of_x(x)
-    asy = a_star(y)
-    rd = [cmats[b] - asy[b] - s[b] for b in range(nb)]
-    res_p = float(np.linalg.norm(rp)) / norm_b
-    res_d = math.sqrt(sum(float(np.sum(r * r)) for r in rd)) / norm_c
-    gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    _, _, _, pobj, dobj, res_p, res_d, gap_rel = residuals(x, y, s)
     if status != "infeasible":
         status = "optimal" if max(res_p, res_d, gap_rel) <= tol else status
     # undo the data scaling: X carries the b scale, (y, S) carry the C scale

@@ -6,6 +6,7 @@ import pytest
 
 from qprogopt.channels import (
     ChoiMatrix,
+    DensityMatrix,
     amplitude_damping,
     choi_of_channel,
     depolarizing,
@@ -15,6 +16,7 @@ from qprogopt.channels import (
 from qprogopt.hermlin import kron, matrix_function
 from qprogopt.processors import (
     CapacityError,
+    ProgramState,
     amplitude_damping_hamiltonian,
     bell_basis,
     default_pqc_hamiltonians,
@@ -85,6 +87,20 @@ def test_stacked_dual_matches_per_element():
         assert stacked.shape == (4, proc.d_prog, proc.d_prog)
         for x, out in zip(xs, stacked):
             assert np.abs(out - proc.dual(x)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: teleportation_processor(2),
+    lambda: ProgramState(DensityMatrix.maximally_mixed(4)),
+    lambda: DensityMatrix.maximally_mixed(2),
+    lambda: choi_of_channel(amplitude_damping(0.3)),
+    lambda: amplitude_damping(0.3),
+], ids=["ProcessorMap", "ProgramState", "DensityMatrix", "ChoiMatrix", "KrausChannel"])
+def test_array_holding_types_compare_by_identity(make):
+    a, b = make(), make()
+    assert a != b
+    assert a == a
+    assert len({a, b, a}) == 2
 
 
 def test_dual_of_identity_is_identity():

@@ -110,6 +110,34 @@ def test_solve_sdp_matches_first_order_baseline():
         assert abs(sol.primal_objective - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
+@pytest.mark.parametrize("case", ["none_equals_zeros", "block_without_constraints"])
+def test_solve_sdp_blocks_missing_from_constraints(case):
+    base = random_sdp(np.random.default_rng(53), block_dims=(4, 3), m=5)
+    # drop block 1 from constraints 0, 2 and 4 (None = zero block), and take
+    # the right-hand sides at X = I so the problem stays strictly feasible;
+    # the trailing trace row keeps the dual strictly feasible
+    sparse = [[None if i in (0, 2, 4) and b == 1 else a for b, a in enumerate(mats)]
+              for i, (mats, _) in enumerate(base.constraints)]
+    rhs = [sum(float(np.trace(a)) for a in mats if a is not None) for mats in sparse]
+    ref = solve_sdp(SdpProblem(base.block_dims, base.objective, list(zip(sparse, rhs))))
+    assert ref.status == "optimal"
+    if case == "none_equals_zeros":
+        dense = [[np.zeros((d, d)) if a is None else a for a, d in zip(mats, base.block_dims)]
+                 for mats in sparse]
+        sol = solve_sdp(SdpProblem(base.block_dims, base.objective, list(zip(dense, rhs))))
+        assert sol.status == ref.status
+        assert abs(sol.primal_objective - ref.primal_objective) <= 1e-9 * max(
+            1.0, abs(ref.primal_objective))
+    else:
+        # a block with a positive definite cost and no constraint entries sits at X = 0
+        extra = np.array([[2.0, 0.5], [0.5, 1.0]])
+        sol = solve_sdp(SdpProblem(base.block_dims + [2], base.objective + [extra],
+                                   [(mats + [None], r) for mats, r in zip(sparse, rhs)]))
+        assert sol.status == "optimal"
+        assert abs(sol.primal_objective - ref.primal_objective) <= 1e-7 * max(
+            1.0, abs(ref.primal_objective))
+
+
 def test_solve_sdp_detects_infeasible():
     prob = SdpProblem(
         block_dims=[2],
