@@ -62,7 +62,6 @@ from .optim import (
 from .sdp import (
     SdpProblem,
     SdpSolution,
-    embed_hermitian,
     solve_sdp,
     trace_norm_via_sdp,
     diamond_distance,

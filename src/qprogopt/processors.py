@@ -432,7 +432,19 @@ def _conditional_gate(h0: np.ndarray, h1: np.ndarray, reg_dim: int) -> np.ndarra
     return matrix_function(heff, lambda x: np.exp(1j * x))
 
 
-def _circuit_processor(n_gates: int, h0, h1, reg_dim: int, label: str) -> ProcessorMap:
+def _circuit_processor(kind: str, n_gates: int, cap: int, h0, h1,
+                       reg_dim: int) -> ProcessorMap:
+    """Shared constructor of ``pqc_processor`` (reg_dim 2) and
+    ``mpqc_processor`` (reg_dim 3): checks N, fills in the default
+    Hamiltonians and builds the transfer matrix."""
+    if n_gates < 1:
+        raise ValueError(f"{kind}_processor: need N >= 1, got {n_gates}")
+    if n_gates > cap:
+        raise CapacityError(f"{kind}_processor: N = {n_gates} exceeds cap {cap}")
+    if h0 is None or h1 is None:
+        d0, d1 = default_pqc_hamiltonians()
+        h0 = d0 if h0 is None else h0
+        h1 = d1 if h1 is None else h1
     h0 = np.asarray(h0, dtype=complex)
     h1 = np.asarray(h1, dtype=complex)
     if h0.shape != h1.shape or h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
@@ -451,7 +463,7 @@ def _circuit_processor(n_gates: int, h0, h1, reg_dim: int, label: str) -> Proces
     # K_m[(b, a'), r] = U[(a', m), (b, r)] / sqrt(d_A), Choi ordered (B, A)
     kraus = u4.transpose(1, 2, 0, 3).reshape(d_reg, d_a * d_a, d_reg) / math.sqrt(d_a)
     return ProcessorMap(_transfer_from_kraus(kraus), d_prog=d_reg,
-                        d_in=d_a, d_out=d_a, label=label)
+                        d_in=d_a, d_out=d_a, label=f"{kind}[N={n_gates}]")
 
 
 def pqc_processor(n_gates: int, h0: Optional[np.ndarray] = None,
@@ -462,15 +474,7 @@ def pqc_processor(n_gates: int, h0: Optional[np.ndarray] = None,
     gate j applies exp(i H0) or exp(i H1) to (A, R_0).  Gates are applied in
     increasing j order.
     """
-    if n_gates < 1:
-        raise ValueError(f"pqc_processor: need N >= 1, got {n_gates}")
-    if n_gates > PQC_MAX_GATES:
-        raise CapacityError(f"pqc_processor: N = {n_gates} exceeds cap {PQC_MAX_GATES}")
-    if h0 is None or h1 is None:
-        d0, d1 = default_pqc_hamiltonians()
-        h0 = d0 if h0 is None else h0
-        h1 = d1 if h1 is None else h1
-    return _circuit_processor(n_gates, h0, h1, 2, f"pqc[N={n_gates}]")
+    return _circuit_processor("pqc", n_gates, PQC_MAX_GATES, h0, h1, 2)
 
 
 def mpqc_processor(n_gates: int, h0: Optional[np.ndarray] = None,
@@ -480,12 +484,4 @@ def mpqc_processor(n_gates: int, h0: Optional[np.ndarray] = None,
     Padding a depth-M program with |2><2| registers reproduces the depth-M
     qubit circuit exactly, so the optimized cost never degrades with depth.
     """
-    if n_gates < 1:
-        raise ValueError(f"mpqc_processor: need N >= 1, got {n_gates}")
-    if n_gates > MPQC_MAX_GATES:
-        raise CapacityError(f"mpqc_processor: N = {n_gates} exceeds cap {MPQC_MAX_GATES}")
-    if h0 is None or h1 is None:
-        d0, d1 = default_pqc_hamiltonians()
-        h0 = d0 if h0 is None else h0
-        h1 = d1 if h1 is None else h1
-    return _circuit_processor(n_gates, h0, h1, 3, f"mpqc[N={n_gates}]")
+    return _circuit_processor("mpqc", n_gates, MPQC_MAX_GATES, h0, h1, 3)

@@ -1,20 +1,20 @@
 """Dense semidefinite programming: a small interior-point solver and the
 channel-simulation programs built on it.
 
-The solver handles real symmetric block problems in primal standard form
+The solver handles Hermitian block problems, real symmetric or complex, in
+primal standard form
 
     minimize    <C, X>
     subject to  <A_i, X> = b_i,   X >= 0 (blockwise),
 
-with an infeasible-start primal-dual path-following iteration,
-Nesterov-Todd scaling and a fixed fraction-to-boundary factor of 0.98.
-Each block's constraints are stacked once, as rows of flattened matrices, so
-A(X), A*(y), the Newton right-hand side and the Schur matrix
-sum_b <A_j, W_b A_i W_b> are matrix products (Fujisawa-Kojima-Nakata 1997).
-Complex Hermitian variables enter through the standard real embedding
-H -> [[Re H, -Im H], [Im H, Re H]], which doubles spectra and traces; all
-builders below account for the factor of two so reported objectives live on
-the complex side.
+under the inner product <A, X> = Re Tr[A^dag X], with an infeasible-start
+primal-dual path-following iteration, Nesterov-Todd scaling and a fixed
+fraction-to-boundary factor of 0.98.  Each block's constraints are stacked
+once, as rows of flattened matrices, so A(X), A*(y), the Newton right-hand
+side and the Schur matrix sum_b <A_j, W_b A_i W_b> are matrix products
+(Fujisawa-Kojima-Nakata 1997).  There is no real embedding: a block's dtype
+follows its data, so a block with real data is solved in real arithmetic and
+a complex Hermitian block in complex arithmetic.
 
 Built on top of it:
 
@@ -47,8 +47,6 @@ from .processors import ProcessorMap, ProgramState
 __all__ = [
     "SdpProblem",
     "SdpSolution",
-    "embed_hermitian",
-    "unembed_hermitian",
     "hermitian_basis",
     "solve_sdp",
     "trace_norm_via_sdp",
@@ -62,24 +60,9 @@ __all__ = [
 DEFAULT_TOL = 1e-8
 
 
-def embed_hermitian(h: np.ndarray) -> np.ndarray:
-    """Real symmetric embedding [[Re H, -Im H], [Im H, Re H]].
-
-    PSD is preserved both ways; the spectrum and trace are doubled.
-    """
-    h = np.asarray(h, dtype=complex)
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def unembed_hermitian(x: np.ndarray) -> np.ndarray:
-    """Recover a Hermitian matrix from a (symmetrized) real embedding."""
-    n = x.shape[0] // 2
-    a = x[:n, :n]
-    d = x[n:, n:]
-    b = x[:n, n:]
-    c = x[n:, :n]
-    return hermitize(0.5 * (a + d) + 0.5j * (c - b))
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Real inner product <A, B> = Re Tr[A^dag B] = Re sum(conj(A) * B)."""
+    return float(np.real(np.sum(np.conj(a) * b)))
 
 
 def hermitian_basis(n: int) -> List[np.ndarray]:
@@ -107,8 +90,8 @@ def hermitian_basis(n: int) -> List[np.ndarray]:
 class SdpProblem:
     """Block standard-form SDP: min <C, X>, <A_i, X> = b_i, X >= 0.
 
-    ``objective`` and each constraint hold one real symmetric matrix per
-    block (``None`` meaning zero).
+    ``objective`` and each constraint hold one Hermitian matrix per block,
+    real symmetric or complex (``None`` meaning zero).
     """
 
     block_dims: List[int]
@@ -133,31 +116,8 @@ class SdpProblem:
             d = self.block_dims[blk]
             if m.shape != (d, d):
                 raise ValueError(f"SdpProblem: {who}, block {blk}: shape {m.shape}")
-            if np.abs(m - m.T).max() > 1e-12 * max(1.0, np.abs(m).max()):
-                raise ValueError(f"SdpProblem: {who}, block {blk} is not symmetric")
-
-    def dump(self, path: str) -> None:
-        """Plain-text sparse dump: one `i block row col value` line per entry.
-
-        Constraint index 0 is the objective; indices 1..m are constraints,
-        each terminated by a `rhs` line.  Upper-triangle entries only.
-        """
-        lines = [f"blocks {' '.join(str(d) for d in self.block_dims)}"]
-
-        def emit(idx, mats):
-            for blk, m in enumerate(mats):
-                if m is None:
-                    continue
-                rows, cols = np.nonzero(np.triu(np.abs(m) > 0))
-                for r, c in zip(rows, cols):
-                    lines.append(f"{idx} {blk} {r} {c} {m[r, c]:.17g}")
-
-        emit(0, self.objective)
-        for i, (mats, rhs) in enumerate(self.constraints, start=1):
-            emit(i, mats)
-            lines.append(f"rhs {i} {rhs:.17g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            if np.abs(m - m.conj().T).max() > 1e-12 * max(1.0, np.abs(m).max()):
+                raise ValueError(f"SdpProblem: {who}, block {blk} is not Hermitian")
 
 
 @dataclass
@@ -175,37 +135,33 @@ class SdpSolution:
     history: List[Tuple[float, float, float, float, float]] = field(default_factory=list)
 
 
-def _sym(m):
-    return 0.5 * (m + m.T)
-
-
 class _NumericalBreakdown(Exception):
     """Interior-point linear algebra collapsed (indefinite or non-finite)."""
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """W with W S W = X for symmetric positive definite X, S."""
+    """W with W S W = X for Hermitian positive definite X, S."""
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s))):
         raise _NumericalBreakdown("non-finite iterate")
-    wx, vx = np.linalg.eigh(_sym(x))
+    wx, vx = np.linalg.eigh(hermitize(x))
     wx = np.clip(wx, 1e-300, None)
-    rx = (vx * np.sqrt(wx)) @ vx.T
-    inner = _sym(rx @ s @ rx)
+    rx = (vx * np.sqrt(wx)) @ vx.conj().T
+    inner = hermitize(rx @ s @ rx)
     wi, vi = np.linalg.eigh(inner)
     wi = np.clip(wi, 1e-300, None)
-    inner_inv_sqrt = (vi * (wi ** -0.5)) @ vi.T
-    return _sym(rx @ inner_inv_sqrt @ rx)
+    inner_inv_sqrt = (vi * (wi ** -0.5)) @ vi.conj().T
+    return hermitize(rx @ inner_inv_sqrt @ rx)
 
 
 def _chol(x: np.ndarray) -> np.ndarray:
-    x = _sym(x)
+    x = hermitize(x)
     if not np.all(np.isfinite(x)):
         raise _NumericalBreakdown("non-finite iterate")
     try:
         return np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
         pass
-    jitter = 1e-14 * max(1.0, float(np.trace(x)) / x.shape[0])
+    jitter = 1e-14 * max(1.0, float(np.trace(x).real) / x.shape[0])
     for _ in range(4):
         try:
             return np.linalg.cholesky(x + jitter * np.eye(x.shape[0]))
@@ -218,8 +174,8 @@ def _max_step(l: np.ndarray, dx: np.ndarray) -> float:
     """sup { a : x + a dx >= 0 } (may be inf), given the Cholesky factor l of x."""
     if not np.all(np.isfinite(dx)):
         raise _NumericalBreakdown("non-finite direction")
-    t = np.linalg.solve(l, np.linalg.solve(l, dx).T)
-    lam_min = float(np.linalg.eigvalsh(_sym(t)).min())
+    t = np.linalg.solve(l, np.linalg.solve(l, dx).conj().T)
+    lam_min = float(np.linalg.eigvalsh(hermitize(t)).min())
     if lam_min >= 0.0:
         return math.inf
     return -1.0 / lam_min
@@ -243,23 +199,26 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
                          for c in problem.objective))
     b_scale = max(1.0, float(max(abs(rhs) for _, rhs in problem.constraints))
                   if m else 1.0)
-    cmats = [np.zeros((d, d)) if c is None else np.asarray(c, float) / c_scale
+    cmats = [np.zeros((d, d)) if c is None else np.asarray(c) / c_scale
              for c, d in zip(problem.objective, dims)]
     bvec = np.array([rhs for _, rhs in problem.constraints], dtype=float) / b_scale
     # rows[b]: constraints with an entry for block b (None is zero);
-    # stacks[b]: those entries flattened, shape (len(rows[b]), d_b^2)
+    # stacks[b]: those entries flattened, shape (len(rows[b]), d_b^2), real
+    # unless an entry is complex
     rows = [np.array([i for i, (row, _) in enumerate(problem.constraints)
                       if row[b] is not None], dtype=int) for b in range(nb)]
-    stacks = [np.array([np.asarray(problem.constraints[i][0][b], float).ravel()
-                        for i in rows[b]]).reshape(len(rows[b]), d * d)
-              for b, d in enumerate(dims)]
+    stacks = []
+    for b, d in enumerate(dims):
+        entries = [np.asarray(problem.constraints[i][0][b]) for i in rows[b]]
+        stacks.append(np.array(entries, dtype=np.result_type(float, *entries))
+                      .reshape(len(rows[b]), d * d))
     norm_b = 1.0 + float(np.linalg.norm(bvec))
-    norm_c = 1.0 + math.sqrt(sum(float(np.sum(c * c)) for c in cmats))
+    norm_c = 1.0 + math.sqrt(sum(_dot(c, c) for c in cmats))
 
     def a_of_x(xb):
         out = np.zeros(m)
         for r, a, xx in zip(rows, stacks, xb):
-            out[r] += a @ xx.ravel()
+            out[r] += (a @ xx.ravel().conj()).real
         return out
 
     def a_star(vec):
@@ -269,10 +228,10 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
         asy = a_star(y)
         rp = bvec - a_of_x(x)
         rd = [cmats[b] - asy[b] - s[b] for b in range(nb)]
-        pobj = sum(float(np.sum(c * xb)) for c, xb in zip(cmats, x))
+        pobj = sum(_dot(c, xb) for c, xb in zip(cmats, x))
         dobj = float(bvec @ y)
         res_p = float(np.linalg.norm(rp)) / norm_b
-        res_d = math.sqrt(sum(float(np.sum(r * r)) for r in rd)) / norm_c
+        res_d = math.sqrt(sum(_dot(r, r) for r in rd)) / norm_c
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         return asy, rp, rd, pobj, dobj, res_p, res_d, gap_rel
 
@@ -289,7 +248,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
     best = None  # (merit, x, y, s)
     for it in range(1, max_iters + 1):
         asy, rp, rd, pobj, dobj, res_p, res_d, gap_rel = residuals(x, y, s)
-        mu = sum(float(np.sum(x[b] * s[b])) for b in range(nb)) / n_total
+        mu = sum(_dot(x[b], s[b]) for b in range(nb)) / n_total
         history.append((pobj, dobj, res_p, res_d, mu))
         merit = max(res_p, res_d, gap_rel)
         if np.isfinite(merit) and (best is None or merit < best[0]):
@@ -301,33 +260,30 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
         # A*(y) + S vanishing relative to ||y||
         y_norm = float(np.linalg.norm(y))
         if dobj > scale and y_norm > 1e3 * scale:
-            ray = math.sqrt(
-                sum(float(np.sum((asy[b] + s[b]) ** 2)) for b in range(nb))
-            ) / y_norm
+            ray = math.sqrt(sum(_dot(asy[b] + s[b], asy[b] + s[b])
+                                for b in range(nb))) / y_norm
             if ray <= 1e-6:
                 status = "infeasible"
                 break
-        if not np.isfinite(mu) or mu > 1e150 or y_norm > 1e150:
-            status = "infeasible"
-            break
-        if mu <= 0.0:
+        # a blow-up without a Farkas ray is a breakdown: keep the best iterate
+        if not np.isfinite(mu) or mu > 1e150 or y_norm > 1e150 or mu <= 0.0:
             break
 
         try:
             w = [_nt_scaling(x[b], s[b]) for b in range(nb)]
             s_inv = []
             for b in range(nb):
-                ws, vs = np.linalg.eigh(_sym(s[b]))
+                ws, vs = np.linalg.eigh(hermitize(s[b]))
                 ws = np.clip(ws, 1e-300, None)
-                s_inv.append((vs / ws) @ vs.T)
+                s_inv.append((vs / ws) @ vs.conj().T)
             lx = [_chol(xb) for xb in x]
             ls = [_chol(sb) for sb in s]
 
             schur = np.zeros((m, m))
             for r, a, wb, d in zip(rows, stacks, w, dims):
                 waw = wb @ a.reshape(-1, d, d) @ wb
-                schur[np.ix_(r, r)] += a @ waw.reshape(len(r), d * d).T
-            schur = _sym(schur)
+                schur[np.ix_(r, r)] += (a @ waw.reshape(len(r), d * d).conj().T).real
+            schur = hermitize(schur)
             # small ridge keeps the factorization alive when constraints are
             # nearly dependent
             schur += (1e-13 * max(1.0, float(np.trace(schur)) / max(m, 1))) * np.eye(m)
@@ -338,7 +294,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
                 schur_l = None
 
             def newton(sigma_mu):
-                base = [sigma_mu * s_inv[b] - x[b] - _sym(w[b] @ rd[b] @ w[b])
+                base = [sigma_mu * s_inv[b] - x[b] - hermitize(w[b] @ rd[b] @ w[b])
                         for b in range(nb)]
                 rhs = rp - a_of_x(base)
                 if schur_l is not None:
@@ -349,17 +305,15 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
                     raise _NumericalBreakdown("non-finite Newton step")
                 asdy = a_star(dy)
                 ds = [rd[b] - asdy[b] for b in range(nb)]
-                dx = [base[b] + _sym(w[b] @ asdy[b] @ w[b]) for b in range(nb)]
+                dx = [base[b] + hermitize(w[b] @ asdy[b] @ w[b]) for b in range(nb)]
                 return dx, dy, ds
 
             # predictor
             dx_a, dy_a, ds_a = newton(0.0)
             ap = _step(tau, lx, dx_a)
             ad = _step(tau, ls, ds_a)
-            mu_aff = sum(
-                float(np.sum((x[b] + ap * dx_a[b]) * (s[b] + ad * ds_a[b])))
-                for b in range(nb)
-            ) / n_total
+            mu_aff = sum(_dot(x[b] + ap * dx_a[b], s[b] + ad * ds_a[b])
+                         for b in range(nb)) / n_total
             ratio = min(max(mu_aff, 0.0) / mu, 1.0)
             sigma = max(ratio**3, 1e-8)
 
@@ -370,8 +324,8 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
         except _NumericalBreakdown:
             break
         for b in range(nb):
-            x[b] = _sym(x[b] + ap * dx[b])
-            s[b] = _sym(s[b] + ad * ds[b])
+            x[b] = hermitize(x[b] + ap * dx[b])
+            s[b] = hermitize(s[b] + ad * ds[b])
         y = y + ad * dy
 
     if status != "infeasible" and best is not None:
@@ -395,48 +349,22 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
     )
 
 
-# --- builder for complex-variable problems -----------------------------------
-
-
-class _ComplexSdpBuilder:
-    """Assemble a real block SDP out of complex Hermitian variable blocks.
-
-    Every complex inner product <G, H> is represented as <embed(G), X>/2 on
-    the embedded side; right-hand sides and scalar coefficients carry the
-    factor of two so the solved objective equals the complex one.
-    """
+class _SdpBuilder:
+    """Assemble an SdpProblem from Hermitian variable blocks, with the
+    objective and each constraint given as {block index: matrix} terms."""
 
     def __init__(self):
         self.block_dims: List[int] = []
-        self.embedded: List[bool] = []
-        self.objective_rows: Dict[int, np.ndarray] = {}
+        self.objective: Dict[int, np.ndarray] = {}
         self.constraints: List[Tuple[Dict[int, np.ndarray], float]] = []
 
-    def add_complex_block(self, n: int) -> int:
-        self.block_dims.append(2 * n)
-        self.embedded.append(True)
-        return len(self.block_dims) - 1
-
-    def add_real_block(self, n: int) -> int:
+    def add_block(self, n: int) -> int:
         self.block_dims.append(n)
-        self.embedded.append(False)
         return len(self.block_dims) - 1
 
-    def objective_complex(self, blk: int, g: np.ndarray) -> None:
-        self.objective_rows[blk] = self.objective_rows.get(blk, 0) + 0.5 * embed_hermitian(g)
-
-    def objective_real(self, blk: int, g: np.ndarray) -> None:
-        self.objective_rows[blk] = self.objective_rows.get(blk, 0) + np.asarray(g, float)
-
-    def constraint(self, complex_terms: Dict[int, np.ndarray],
-                   rhs: float, real_terms: Optional[Dict[int, np.ndarray]] = None) -> None:
-        """sum <G_blk, H_blk> + sum <R_blk, X_blk> = rhs (complex-side values)."""
-        row: Dict[int, np.ndarray] = {}
-        for blk, g in complex_terms.items():
-            row[blk] = row.get(blk, 0) + embed_hermitian(g)
-        for blk, r in (real_terms or {}).items():
-            row[blk] = row.get(blk, 0) + 2.0 * np.asarray(r, float)
-        self.constraints.append((row, 2.0 * rhs))
+    def constraint(self, terms: Dict[int, np.ndarray], rhs: float) -> None:
+        """sum_blk <G_blk, X_blk> = rhs."""
+        self.constraints.append((terms, rhs))
 
     def build(self) -> SdpProblem:
         nb = len(self.block_dims)
@@ -446,32 +374,45 @@ class _ComplexSdpBuilder:
 
         return SdpProblem(
             block_dims=list(self.block_dims),
-            objective=expand(self.objective_rows),
+            objective=expand(self.objective),
             constraints=[(expand(row), rhs) for row, rhs in self.constraints],
         )
-
-    def recover(self, sol: SdpSolution, blk: int) -> np.ndarray:
-        x = sol.primal_blocks[blk]
-        if self.embedded[blk]:
-            return unembed_hermitian(x)
-        return x
 
 
 # --- concrete programs --------------------------------------------------------
 
 
+def _trace_builder(chi: np.ndarray, proc: Optional[ProcessorMap] = None):
+    """P/Q split program for ||chi - Lambda(pi)||_1:
+
+        min Tr P + Tr Q  s.t.  P - Q + Lambda(pi) = chi,  P, Q >= 0.
+
+    Without a processor the Lambda(pi) term is absent and the optimum is
+    ||chi||_1; with one, the program block pi is added (its feasibility
+    constraints are left to the caller).  Returns the builder and the pi
+    block index (None without a processor).
+    """
+    n = chi.shape[0]
+    basis = hermitian_basis(n)
+    bld = _SdpBuilder()
+    p_blk = bld.add_block(n)
+    q_blk = bld.add_block(n)
+    pi_blk = None if proc is None else bld.add_block(proc.d_prog)
+    bld.objective[p_blk] = np.eye(n)
+    bld.objective[q_blk] = np.eye(n)
+    duals = None if proc is None else _lambda_dual_on_basis(proc, basis)
+    for i, e in enumerate(basis):
+        # P - Q + Lambda(pi) = chi   (as <E_a, .> coordinates)
+        terms = {p_blk: e, q_blk: -e}
+        if duals is not None:
+            terms[pi_blk] = duals[i]
+        bld.constraint(terms, _dot(e, chi))
+    return bld, pi_blk
+
+
 def trace_norm_via_sdp(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     """||M||_1 of a Hermitian matrix through the P/Q split program."""
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    bld = _ComplexSdpBuilder()
-    p_blk = bld.add_complex_block(n)
-    q_blk = bld.add_complex_block(n)
-    eye = np.eye(n, dtype=complex)
-    bld.objective_complex(p_blk, eye)
-    bld.objective_complex(q_blk, eye)
-    for e in hermitian_basis(n):
-        bld.constraint({p_blk: e, q_blk: -e}, float(np.real(np.trace(e.conj().T @ m))))
+    bld, _ = _trace_builder(np.asarray(m, dtype=complex))
     sol = solve_sdp(bld.build(), tol=tol)
     _warn_if_failed(sol, "trace_norm_via_sdp", tol)
     return sol.primal_objective
@@ -496,10 +437,6 @@ def _warn_if_failed(sol: SdpSolution, who: str, tol: float = DEFAULT_TOL) -> Non
                 f"{sol.residual_dual:.3e})",
                 stacklevel=3,
             )
-
-
-def _herm_inner(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.real(np.trace(a.conj().T @ b)))
 
 
 def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL) -> float:
@@ -528,7 +465,7 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     bld, z_blk, _ = _watrous_builder(chi, d_in, d_out)
     sol = solve_sdp(bld.build(), tol=tol)
     _warn_if_failed(sol, "diamond_distance", tol)
-    z = bld.recover(sol, z_blk)
+    z = sol.primal_blocks[z_blk]
     # repair to exact feasibility: Z >= 0 and Z >= d * chi
     lo1 = float(np.linalg.eigvalsh(z).min())
     lo2 = float(np.linalg.eigvalsh(z - d_in * chi).min())
@@ -541,8 +478,7 @@ def _lambda_dual_on_basis(proc: ProcessorMap, basis) -> np.ndarray:
     return hermitize(proc.dual(np.stack(basis)))
 
 
-def _add_program_constraints(bld: "_ComplexSdpBuilder", pi_blk: int,
-                             proc: ProcessorMap) -> None:
+def _add_program_constraints(bld: _SdpBuilder, pi_blk: int, proc: ProcessorMap) -> None:
     """Feasible-program constraints: unit trace, or the Choi marginal for
     processors whose program domain is the single-port Choi set."""
     dp = proc.d_prog
@@ -557,9 +493,8 @@ def _add_program_constraints(bld: "_ComplexSdpBuilder", pi_blk: int,
         bld.constraint({pi_blk: np.eye(dp, dtype=complex)}, 1.0)
 
 
-def _recover_program(bld: "_ComplexSdpBuilder", sol: SdpSolution, pi_blk: int,
-                     proc: ProcessorMap) -> ProgramState:
-    raw = bld.recover(sol, pi_blk)
+def _recover_program(sol: SdpSolution, pi_blk: int, proc: ProcessorMap) -> ProgramState:
+    raw = sol.primal_blocks[pi_blk]
     if proc.program_domain == "choi":
         chi = project_to_choi_set(raw, proc.d_in)
         return ProgramState(chi.state, structure="choi-power")
@@ -574,25 +509,11 @@ def optimize_program_trace(proc: ProcessorMap, chi_target,
     trace cost re-evaluated at it.
     """
     chi_e = hermitize(as_matrix(chi_target))
-    n = proc.d_choi
-    dp = proc.d_prog
-    basis = hermitian_basis(n)
-    duals = _lambda_dual_on_basis(proc, basis)
-
-    bld = _ComplexSdpBuilder()
-    p_blk = bld.add_complex_block(n)
-    q_blk = bld.add_complex_block(n)
-    pi_blk = bld.add_complex_block(dp)
-    eye = np.eye(n, dtype=complex)
-    bld.objective_complex(p_blk, eye)
-    bld.objective_complex(q_blk, eye)
-    for e, le in zip(basis, duals):
-        # P - Q + Lambda(pi) = chi_target   (as <E_a, .> coordinates)
-        bld.constraint({p_blk: e, q_blk: -e, pi_blk: le}, _herm_inner(e, chi_e))
+    bld, pi_blk = _trace_builder(chi_e, proc)
     _add_program_constraints(bld, pi_blk, proc)
     sol = solve_sdp(bld.build(), tol=tol)
     _warn_if_failed(sol, "optimize_program_trace", tol)
-    program = _recover_program(bld, sol, pi_blk, proc)
+    program = _recover_program(sol, pi_blk, proc)
     value = trace_distance_cost(chi_e, proc.apply_matrix(program.matrix))
     return program, value
 
@@ -603,34 +524,32 @@ def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
 
         min 2t  s.t.  W = Z - d_in Delta >= 0,  V = t I - Tr_out Z >= 0,  Z >= 0.
 
-    Without a processor Delta = chi is fixed; with one, the program block pi
-    is added (its feasibility constraints are left to the caller).  Returns
-    the builder and the Z and pi block indices (pi is None without one).
+    t is a real 1 x 1 block.  Without a processor Delta = chi is fixed; with
+    one, the program block pi is added (its feasibility constraints are left
+    to the caller).  Returns the builder and the Z and pi block indices (pi
+    is None without one).
     """
     n = d_in * d_out
     basis = hermitian_basis(n)
-    bld = _ComplexSdpBuilder()
-    z_blk = bld.add_complex_block(n)
-    w_blk = bld.add_complex_block(n)
-    v_blk = bld.add_complex_block(d_in)
-    t_blk = bld.add_real_block(1)
-    pi_blk = None if proc is None else bld.add_complex_block(proc.d_prog)
-    bld.objective_real(t_blk, np.array([[2.0]]))
+    bld = _SdpBuilder()
+    z_blk = bld.add_block(n)
+    w_blk = bld.add_block(n)
+    v_blk = bld.add_block(d_in)
+    t_blk = bld.add_block(1)
+    pi_blk = None if proc is None else bld.add_block(proc.d_prog)
+    bld.objective[t_blk] = np.array([[2.0]])
     duals = None if proc is None else _lambda_dual_on_basis(proc, basis)
     for i, e in enumerate(basis):
         # W = Z - d (chi - Lambda(pi))
         terms = {w_blk: e, z_blk: -e}
         if duals is not None:
             terms[pi_blk] = -d_in * duals[i]
-        bld.constraint(terms, -d_in * _herm_inner(e, chi))
+        bld.constraint(terms, -d_in * _dot(e, chi))
     eye_out = np.eye(d_out, dtype=complex)
     for f in hermitian_basis(d_in):
         # V = t I - Tr_out Z
-        bld.constraint(
-            {v_blk: f, z_blk: kron(f, eye_out)},
-            0.0,
-            real_terms={t_blk: np.array([[-float(np.real(np.trace(f)))]])},
-        )
+        bld.constraint({v_blk: f, z_blk: kron(f, eye_out),
+                        t_blk: np.array([[-float(np.real(np.trace(f)))]])}, 0.0)
     return bld, z_blk, pi_blk
 
 
@@ -642,7 +561,7 @@ def optimize_program_diamond(proc: ProcessorMap, chi_target,
     _add_program_constraints(bld, pi_blk, proc)
     sol = solve_sdp(bld.build(), tol=tol)
     _warn_if_failed(sol, "optimize_program_diamond", tol)
-    program = _recover_program(bld, sol, pi_blk, proc)
+    program = _recover_program(sol, pi_blk, proc)
     value = diamond_distance(chi_e - proc.apply_matrix(program.matrix), proc.d_in, tol=tol)
     return program, value
 
@@ -667,18 +586,18 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
 
     basis = hermitian_basis(n)
     duals = _lambda_dual_on_basis(proc, basis)
-    bld = _ComplexSdpBuilder()
-    g_blk = bld.add_complex_block(r + n)
-    pi_blk = bld.add_complex_block(proc.d_prog)
-    # objective corner: Re Tr[V X] for the (r x n) off-diagonal slot X
+    bld = _SdpBuilder()
+    g_blk = bld.add_block(r + n)
+    pi_blk = bld.add_block(proc.d_prog)
+    # objective corner: -Re Tr[V X] for the (r x n) off-diagonal slot X
     obj = np.zeros((r + n, r + n), dtype=complex)
-    obj[:r, r:] = 0.5 * v_supp.conj().T
-    obj[r:, :r] = 0.5 * v_supp
-    bld.objective_complex(g_blk, -obj)
+    obj[:r, r:] = -0.5 * v_supp.conj().T
+    obj[r:, :r] = -0.5 * v_supp
+    bld.objective[g_blk] = obj
     for e in hermitian_basis(r):
         top = np.zeros((r + n, r + n), dtype=complex)
         top[:r, :r] = e
-        bld.constraint({g_blk: top}, _herm_inner(e, d_supp))
+        bld.constraint({g_blk: top}, _dot(e, d_supp))
     for e, le in zip(basis, duals):
         bot = np.zeros((r + n, r + n), dtype=complex)
         bot[r:, r:] = e
@@ -686,7 +605,7 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     _add_program_constraints(bld, pi_blk, proc)
     sol = solve_sdp(bld.build(), tol=tol)
     _warn_if_failed(sol, "optimize_program_fidelity", tol)
-    program = _recover_program(bld, sol, pi_blk, proc)
+    program = _recover_program(sol, pi_blk, proc)
     value = bures_fidelity(chi_e, proc.apply_matrix(program.matrix))
     return program, value
 

@@ -21,11 +21,10 @@ from qprogopt.processors import (
     pbt_reduced_map,
     teleportation_processor,
 )
-from qprogopt.rand import random_choi, random_density, random_hermitian
+from qprogopt.rand import random_choi, random_density
 from qprogopt.sdp import (
     SdpProblem,
     diamond_distance,
-    embed_hermitian,
     hermitian_basis,
     optimize_choi_diamond,
     optimize_program_diamond,
@@ -33,38 +32,12 @@ from qprogopt.sdp import (
     optimize_program_trace,
     solve_sdp,
     trace_norm_via_sdp,
-    unembed_hermitian,
 )
 
 from oracles import admm_baseline, diamond_grid_oracle, random_sdp
 
 TELE = teleportation_processor(2)
 PHI = max_entangled(2).matrix
-
-
-def test_embed_real_matrix():
-    h = np.array([[2.0, 1.0], [1.0, -1.0]], dtype=complex)
-    e = embed_hermitian(h)
-    assert np.allclose(e[:2, :2], h.real)
-    assert np.allclose(e[2:, 2:], h.real)
-    assert np.allclose(e[:2, 2:], 0.0)
-
-
-def test_embed_pauli_y_spectrum():
-    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    e = embed_hermitian(y)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(e)), [-1, -1, 1, 1])
-
-
-def test_embed_doubles_spectrum_and_trace():
-    rng = np.random.default_rng(50)
-    h = random_hermitian(5, rng)
-    e = embed_hermitian(h)
-    base = np.sort(np.linalg.eigvalsh(h))
-    doubled = np.sort(np.linalg.eigvalsh(e))
-    assert np.allclose(doubled, np.repeat(base, 2), atol=1e-12)
-    assert np.isclose(np.trace(e), 2 * np.trace(h).real)
-    assert np.abs(unembed_hermitian(e) - h).max() <= 1e-12
 
 
 def test_hermitian_basis_orthonormal():
@@ -149,23 +122,38 @@ def test_solve_sdp_detects_infeasible():
     assert sol.status != "optimal"
 
 
+def test_solve_sdp_hermitian_blocks():
+    # min <Y, X0> + <diag(1, 2), X1> s.t. Tr X0 = Tr X1 = 1: X0 is the -1
+    # eigenprojector of Pauli Y, and the real block X1 stays real
+    pauli_y = np.array([[0, -1j], [1j, 0]])
+    prob = SdpProblem(
+        block_dims=[2, 2],
+        objective=[pauli_y, np.diag([1.0, 2.0])],
+        constraints=[([np.eye(2), None], 1.0), ([None, np.eye(2)], 1.0)],
+    )
+    sol = solve_sdp(prob)
+    assert sol.status == "optimal"
+    assert abs(sol.primal_objective) <= 1e-7
+    x0, x1 = sol.primal_blocks
+    assert np.abs(x0 - np.array([[0.5, 0.5j], [-0.5j, 0.5]])).max() <= 1e-6
+    assert x1.dtype == np.float64
+    assert np.abs(x1 - np.diag([1.0, 0.0])).max() <= 1e-6
+
+
+@pytest.mark.parametrize("seed, block_dims", [(3104, (3, 2)), (9034, (2, 2, 2))])
+def test_solve_sdp_divergence_keeps_best_iterate(seed, block_dims):
+    # these strictly feasible instances stall and then blow up; without a
+    # Farkas ray that must not be reported as infeasibility
+    prob = random_sdp(np.random.default_rng(seed), block_dims=block_dims, m=7)
+    sol = solve_sdp(prob)
+    assert sol.status != "infeasible"
+    ref = admm_baseline(prob)
+    assert abs(sol.primal_objective - ref) <= 1e-6 * max(1.0, abs(ref))
+
+
 def test_trace_norm_program():
     val = trace_norm_via_sdp(np.diag([1.0, -2.0]).astype(complex))
     assert abs(val - 3.0) <= 1e-6
-
-
-def test_problem_dump_round_trip(tmp_path):
-    prob = SdpProblem(
-        block_dims=[2],
-        objective=[np.diag([1.0, 2.0])],
-        constraints=[([np.array([[0.0, 0.5], [0.5, 0.0]])], 0.25)],
-    )
-    path = tmp_path / "problem.sdp"
-    prob.dump(str(path))
-    text = path.read_text().strip().splitlines()
-    assert text[0] == "blocks 2"
-    assert "0 0 0 0 1" in text[1]
-    assert any(line.startswith("rhs 1 ") for line in text)
 
 
 # --- diamond distance -----------------------------------------------------------
