@@ -32,7 +32,6 @@ from .channels import (
 )
 from .processors import (
     CapacityError,
-    ProgramState,
     ProcessorMap,
     weyl_unitaries,
     teleportation_processor,

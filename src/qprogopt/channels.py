@@ -60,6 +60,7 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 CHOI_MARGINAL_TOL = 1e-9
 KRAUS_COMPLETENESS_TOL = 1e-9
+SUPPORT_TOL = 1e-10  # eigenvalues at or below it count as outside the support
 
 MatrixLike = Union[np.ndarray, "DensityMatrix", "ChoiMatrix"]
 
@@ -323,30 +324,30 @@ def infidelity_cost(target: MatrixLike, sim: MatrixLike) -> float:
     return 1.0 - f * f
 
 
-def relative_entropy_cost(target: MatrixLike, sim: MatrixLike, support_tol: float = 1e-10) -> float:
+def relative_entropy_cost(target: MatrixLike, sim: MatrixLike) -> float:
     """min of the two relative entropies S(a||b), S(b||a), log base 2.
 
     Returns inf when both directions violate the support condition.
     """
     a, b = _pair(target, sim)
-    return min(_relative_entropy(a, b, support_tol), _relative_entropy(b, a, support_tol))
+    return min(_relative_entropy(a, b), _relative_entropy(b, a))
 
 
-def _relative_entropy(rho: np.ndarray, sigma: np.ndarray, support_tol: float) -> float:
+def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     wr, vr = np.linalg.eigh(rho)
     ws, vs = np.linalg.eigh(sigma)
     wr = np.clip(wr, 0.0, None)
     ws = np.clip(ws, 0.0, None)
     # support condition: rho must not overlap the kernel of sigma
-    kernel = ws <= support_tol
+    kernel = ws <= SUPPORT_TOL
     if np.any(kernel):
         overlap = np.abs(dag(vs[:, kernel]) @ vr) ** 2 @ wr
-        if overlap.sum() > support_tol:
+        if overlap.sum() > SUPPORT_TOL:
             return math.inf
-    pos_r = wr > support_tol
+    pos_r = wr > SUPPORT_TOL
     ent = float(np.sum(wr[pos_r] * np.log2(wr[pos_r])))
     overlap = np.abs(dag(vr) @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
-    pos_s = ws > support_tol
+    pos_s = ws > SUPPORT_TOL
     cross = float(wr @ (overlap[:, pos_s] @ np.log2(ws[pos_s])))
     return ent - cross
 

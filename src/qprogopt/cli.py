@@ -108,21 +108,24 @@ def _build_processor(spec: dict, n_override: Optional[int] = None) -> ProcessorM
 
 
 def _build_channel(spec: dict, value: Optional[float] = None) -> ch.KrausChannel:
+    """The channel of a config's ``channel`` section; ``value`` (a grid point)
+    replaces its scalar parameter ``p`` or ``theta``."""
     kind = spec.get("kind")
     if kind not in CHANNEL_KINDS:
         raise ConfigError(f"channel.kind {kind!r} not one of {sorted(CHANNEL_KINDS)}")
-    if kind == "amplitude_damping":
-        return ch.amplitude_damping(float(value if value is not None else spec["p"]))
-    if kind == "depolarizing":
-        return ch.depolarizing(float(value if value is not None else spec["p"]),
-                               int(spec.get("d", 2)))
-    if kind == "dephasing":
-        return ch.dephasing(float(value if value is not None else spec["p"]))
-    if kind == "rotation":
-        return ch.rotation(float(value if value is not None else spec["theta"]))
+    key = CHANNEL_KINDS[kind]
+    if value is None or kind in ("pauli", "unitary"):
+        if key not in spec:
+            raise ConfigError(f"channel.{key} is required for channel kind {kind!r}")
+        value = spec[key]
     if kind == "pauli":
-        return ch.pauli_channel(spec["probs"])
-    return ch.unitary_channel(_parse_complex_matrix(spec["matrix"]))
+        return ch.pauli_channel(value)
+    if kind == "unitary":
+        return ch.unitary_channel(_parse_complex_matrix(value))
+    if kind == "depolarizing":
+        return ch.depolarizing(float(value), int(spec.get("d", 2)))
+    return {"amplitude_damping": ch.amplitude_damping, "dephasing": ch.dephasing,
+            "rotation": ch.rotation}[kind](float(value))
 
 
 def _channel_param(spec: dict, value: Optional[float]) -> float:
@@ -275,11 +278,15 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
 
 
-def _grid(cfg: dict) -> tuple:
-    channel_spec = cfg.get("channel")
-    if not channel_spec:
+def _channel_spec(cfg: dict) -> dict:
+    spec = cfg.get("channel")
+    if not spec:
         raise ConfigError("config needs a 'channel' section")
-    values = channel_spec.get("values")
+    return spec
+
+
+def _grid(cfg: dict) -> tuple:
+    values = _channel_spec(cfg).get("values")
     if values is not None and len(values) == 0:
         raise ConfigError("channel.values grid is empty")
     n_list = cfg.get("processor", {}).get("N", 1)
@@ -299,7 +306,7 @@ def cmd_optimize(args) -> int:
         raise ConfigError(f"config.method {method!r} not one of {METHODS}")
     proc = _build_processor(cfg.get("processor", {}))
     n_ports = int(cfg.get("processor", {}).get("N", 1))
-    row = _run_point(cfg, method, proc, n_ports, cfg["channel"], None,
+    row = _run_point(cfg, method, proc, n_ports, _channel_spec(cfg), None,
                      args.tol, seed)
     print(CSV_HEADER + ",wall_time_s")
     print(row.csv() + "," + _fmt(row.wall_time))
@@ -341,7 +348,7 @@ def cmd_benchmark(args) -> int:
     for pt in points:
         n, v, mth = pt
         try:
-            row = _run_point(cfg, mth, procs[n], n, cfg["channel"], v, args.tol, seed)
+            row = _run_point(cfg, mth, procs[n], n, _channel_spec(cfg), v, args.tol, seed)
         except (ConfigError, CapacityError):
             raise
         except Exception as exc:  # recorded per-row, run continues
@@ -478,10 +485,9 @@ def _verify_checks(level: str):
     yield ("simplex-spectrum projection",
            float(np.abs(np.diag(proj.matrix).real - [0.65, 0.35, 0.0]).max()), 1e-12)
 
-    prob = sdp.SdpProblem(
-        block_dims=[2], objective=[np.eye(2)],
-        constraints=[([np.diag([1.0, 0.0])], 1.0), ([np.diag([0.0, 1.0])], 1.0)],
-    )
+    prob = sdp.SdpProblem(objective=[np.eye(2)],
+                          constraints=[np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])],
+                          rhs=[1.0, 1.0])
     sol = sdp.solve_sdp(prob)
     yield ("small SDP objective", abs(sol.primal_objective - 2.0), 1e-6)
     yield ("trace-norm SDP", abs(sdp.trace_norm_via_sdp(np.diag([1.0, -2.0]).astype(complex)) - 3.0), 1e-6)
@@ -568,7 +574,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, CapacityError, KeyError) as exc:
+    except (ConfigError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:

@@ -38,6 +38,11 @@ __all__ = [
 # Relative deviation max|M - M^dag| / max|M| above which a matrix is rejected
 # as non-Hermitian.
 HERMITICITY_RTOL = 1e-12
+# Spectral cutoffs of matrix_sqrt, matrix_inv_sqrt and matrix_sign (see there).
+SPECTRAL_RCOND = 1e-12
+SQRT_NEG_TOL = 1e-10
+SIGN_CLUSTER_GAP = 1e-10
+SIGN_ZERO_TOL = 1e-10
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -52,13 +57,13 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def is_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    """True when max|M - M^dag| <= rtol * max|M|."""
+def is_hermitian(m: np.ndarray) -> bool:
+    """True when max|M - M^dag| <= HERMITICITY_RTOL * max|M|."""
     m = np.asarray(m)
     scale = np.abs(m).max() if m.size else 0.0
     if scale == 0.0:
         return True
-    return float(np.abs(m - m.conj().T).max()) <= rtol * scale
+    return float(np.abs(m - m.conj().T).max()) <= HERMITICITY_RTOL * scale
 
 
 def _require_hermitian(m: np.ndarray, who: str) -> np.ndarray:
@@ -115,33 +120,34 @@ def matrix_function(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.
     return (dec.eigenvectors * vals) @ dec.eigenvectors.conj().T
 
 
-def matrix_sqrt(m: np.ndarray, neg_tol: float = 1e-10, rcond: float = 1e-12) -> np.ndarray:
+def matrix_sqrt(m: np.ndarray) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix.
 
-    Eigenvalues within rcond * max|lambda| of zero are flushed to zero (so
-    rank-deficient inputs do not leak sqrt(eps)-sized noise); eigenvalues in
-    [-neg_tol, 0) are clamped; anything more negative is a domain error.
+    Eigenvalues within SPECTRAL_RCOND * max|lambda| of zero are flushed to
+    zero (so rank-deficient inputs do not leak sqrt(eps)-sized noise);
+    eigenvalues in [-SQRT_NEG_TOL, 0) are clamped; anything more negative is
+    a domain error.
     """
     dec = herm_eig(m)
     vals = dec.eigenvalues
-    if vals.size and vals[-1] < -neg_tol:
+    if vals.size and vals[-1] < -SQRT_NEG_TOL:
         raise ValueError(f"matrix_sqrt: matrix not PSD (min eigenvalue {vals[-1]:.3e})")
     scale = np.abs(vals).max() if vals.size else 0.0
-    out = np.where(vals > rcond * scale, vals, 0.0)
+    out = np.where(vals > SPECTRAL_RCOND * scale, vals, 0.0)
     return (dec.eigenvectors * np.sqrt(out)) @ dec.eigenvectors.conj().T
 
 
-def matrix_inv_sqrt(m: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
+def matrix_inv_sqrt(m: np.ndarray) -> np.ndarray:
     """x^(-1/2) on the support of a PSD Hermitian matrix.
 
-    Eigenvalues with |lambda| <= rcond * max|lambda| count as zero and are
-    excluded (pseudo-inverse convention); negative eigenvalues above that
-    cutoff raise a domain error.
+    Eigenvalues with |lambda| <= SPECTRAL_RCOND * max|lambda| count as zero
+    and are excluded (pseudo-inverse convention); negative eigenvalues above
+    that cutoff raise a domain error.
     """
     dec = herm_eig(m)
     vals = dec.eigenvalues.copy()
     scale = np.abs(vals).max() if vals.size else 0.0
-    cutoff = rcond * scale
+    cutoff = SPECTRAL_RCOND * scale
     support = np.abs(vals) > cutoff
     if np.any(vals[support] < 0):
         raise ValueError("matrix_inv_sqrt: negative eigenvalue above support cutoff")
@@ -150,13 +156,13 @@ def matrix_inv_sqrt(m: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     return (dec.eigenvectors * out) @ dec.eigenvectors.conj().T
 
 
-def matrix_sign(m: np.ndarray, zero_tol: float = 1e-10, cluster_gap: float = 1e-10) -> np.ndarray:
+def matrix_sign(m: np.ndarray) -> np.ndarray:
     """Matrix sign with sign(0) := 0, computed spectrally.
 
-    Eigenvalues closer than ``cluster_gap`` are grouped and share one sign,
-    so the result does not depend on the arbitrary eigenbasis inside a
+    Eigenvalues closer than ``SIGN_CLUSTER_GAP`` are grouped and share one
+    sign, so the result does not depend on the arbitrary eigenbasis inside a
     numerically degenerate cluster.  A cluster whose mean is within
-    ``zero_tol`` of zero maps to 0.
+    ``SIGN_ZERO_TOL`` of zero maps to 0.
     """
     dec = herm_eig(m)
     vals = dec.eigenvalues
@@ -165,12 +171,12 @@ def matrix_sign(m: np.ndarray, zero_tol: float = 1e-10, cluster_gap: float = 1e-
     n = vals.size
     while i < n:
         j = i + 1
-        while j < n and vals[j - 1] - vals[j] < cluster_gap:
+        while j < n and vals[j - 1] - vals[j] < SIGN_CLUSTER_GAP:
             j += 1
         mean = vals[i:j].mean()
-        if mean > zero_tol:
+        if mean > SIGN_ZERO_TOL:
             signs[i:j] = 1.0
-        elif mean < -zero_tol:
+        elif mean < -SIGN_ZERO_TOL:
             signs[i:j] = -1.0
         i = j
     return (dec.eigenvectors * signs) @ dec.eigenvectors.conj().T

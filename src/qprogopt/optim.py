@@ -9,10 +9,12 @@ processor map and ``L*`` its dual,
 * infidelity:      grad = -2 F grad F;
 * smoothed trace:  grad = L*[h'_mu(chi_pi - chi_target)] (Huber derivative).
 
-The feasible set is either the density matrices (Euclidean projection =
-spectrum-to-simplex, computed in closed form) or the Choi-constrained set
-used by the reduced port-based-teleportation map (projection by Dykstra's
-alternating scheme).
+A program is a ``DensityMatrix``.  Its feasible set follows the processor's
+``program_domain``: the density matrices (Euclidean projection =
+spectrum-to-simplex, computed in closed form) or the single-port Choi set of
+the reduced port-based-teleportation map (projection by Dykstra's
+alternating scheme).  ``project_program`` makes that choice for the
+first-order methods and for the SDP programs' recovery step.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -29,11 +31,9 @@ from .channels import (
     DensityMatrix,
     as_matrix,
     bures_fidelity,
-    huber_cost,
+    cost_eval,
     huber_penalty_deriv,
-    infidelity_cost,
     max_entangled,
-    trace_distance_cost,
 )
 from .hermlin import (
     herm_eig,
@@ -44,7 +44,7 @@ from .hermlin import (
     matrix_sqrt,
     partial_trace,
 )
-from .processors import ProcessorMap, ProgramState
+from .processors import ProcessorMap
 
 __all__ = [
     "OptimConfig",
@@ -58,12 +58,17 @@ __all__ = [
     "simplex_project",
     "project_to_states",
     "project_to_choi_set",
+    "project_program",
     "projected_subgradient",
     "frank_wolfe",
     "learn_unitary_program",
 ]
 
 GRAD_COST_KINDS = ("C1", "CF", "Cmu")
+STALL_WINDOW = 50  # stop once the best cost gained < tolerance over this many iterations
+CHOI_PROJECTION_TOL = 1e-10  # Dykstra: distance between the two alternating iterates
+CHOI_PROJECTION_MAX_ITERS = 5000
+DEGENERACY_TOL = 1e-10  # learn_unitary_program warns below this top-eigenvalue gap
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,6 @@ class OptimConfig:
     mu: float = 1e-2
     seed: int = 0
     init: str = "maximally_mixed"  # maximally_mixed | random
-    feasible_set: Optional[str] = None  # None -> follow the processor's domain
-    stall_window: int = 50
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -109,13 +112,11 @@ class OptimConfig:
             raise ValueError("OptimConfig: mu must be positive for the smoothed cost")
         if self.init not in ("maximally_mixed", "random"):
             raise ValueError(f"OptimConfig: unknown init {self.init!r}")
-        if self.feasible_set not in (None, "states", "choi"):
-            raise ValueError(f"OptimConfig: unknown feasible_set {self.feasible_set!r}")
 
 
 @dataclass(frozen=True)
 class OptimResult:
-    program: ProgramState
+    program: DensityMatrix
     cost_trace: tuple  # (iteration, best cost so far) pairs
     converged: bool
     final_cost: float
@@ -124,15 +125,9 @@ class OptimResult:
 def simulation_cost(proc: ProcessorMap, chi_target, pi, kind: str = "C1",
                     mu: float = 1e-2) -> float:
     """Cost of simulating ``chi_target`` with program ``pi`` on ``proc``."""
-    chi_pi = proc.apply_matrix(pi)
-    t = as_matrix(chi_target)
-    if kind == "C1":
-        return trace_distance_cost(t, chi_pi)
-    if kind == "CF":
-        return infidelity_cost(t, chi_pi)
-    if kind == "Cmu":
-        return huber_cost(t, chi_pi, mu)
-    raise ValueError(f"simulation_cost: unknown kind {kind!r}")
+    if kind not in GRAD_COST_KINDS:
+        raise ValueError(f"simulation_cost: unknown kind {kind!r}")
+    return cost_eval(kind, chi_target, proc.apply_matrix(pi), mu=mu)
 
 
 def grad_trace_cost(proc: ProcessorMap, chi_target, pi) -> np.ndarray:
@@ -208,8 +203,7 @@ def _psd_part(x: np.ndarray) -> np.ndarray:
     return (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
 
 
-def project_to_choi_set(x: np.ndarray, d: int, tol: float = 1e-8,
-                        max_iters: int = 5000) -> ChoiMatrix:
+def project_to_choi_set(x: np.ndarray, d: int) -> ChoiMatrix:
     """Euclidean projection onto {chi >= 0, Tr_out chi = I/d, Tr chi = 1}.
 
     Dykstra's alternating projections between the PSD cone and the affine
@@ -228,21 +222,20 @@ def project_to_choi_set(x: np.ndarray, d: int, tol: float = 1e-8,
 
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    inner_tol = min(tol, 1e-10)
     y = x
-    for _ in range(max_iters):
+    for _ in range(CHOI_PROJECTION_MAX_ITERS):
         y = _psd_part(x + p)
         p = x + p - y
         x_new = proj_affine(y + q)
         q = y + q - x_new
-        if np.linalg.norm(x_new - y) <= inner_tol:
+        if np.linalg.norm(x_new - y) <= CHOI_PROJECTION_TOL:
             x = x_new
             break
         x = x_new
     else:
         resid = float(np.linalg.norm(x - y))
         raise RuntimeError(
-            f"project_to_choi_set: no convergence in {max_iters} iterations "
+            f"project_to_choi_set: no convergence in {CHOI_PROJECTION_MAX_ITERS} iterations "
             f"(set-distance residual {resid:.3e})"
         )
     out = _psd_part(x)
@@ -250,10 +243,18 @@ def project_to_choi_set(x: np.ndarray, d: int, tol: float = 1e-8,
     return ChoiMatrix.from_matrix(hermitize(out), d, d)
 
 
+def project_program(proc: ProcessorMap, x: np.ndarray) -> DensityMatrix:
+    """Closest feasible program of ``proc``: a density matrix, or a
+    single-port Choi matrix when the processor's program domain is "choi"."""
+    if proc.program_domain == "choi":
+        return project_to_choi_set(x, proc.d_in).state
+    return project_to_states(x)
+
+
 # --- iterative methods ------------------------------------------------------
 
 
-def _initial_program(proc: ProcessorMap, cfg: OptimConfig, feasible: str) -> np.ndarray:
+def _initial_program(proc: ProcessorMap, cfg: OptimConfig) -> np.ndarray:
     if cfg.init == "maximally_mixed":
         return np.eye(proc.d_prog, dtype=complex) / proc.d_prog
     rng = np.random.default_rng(cfg.seed)
@@ -262,43 +263,28 @@ def _initial_program(proc: ProcessorMap, cfg: OptimConfig, feasible: str) -> np.
     )
     m = hermitize(g @ g.conj().T)
     m /= np.trace(m).real
-    if feasible == "choi":
-        return project_to_choi_set(m, proc.d_in).matrix
-    return m
-
-
-def _resolve_feasible(proc: ProcessorMap, cfg: OptimConfig) -> str:
-    if cfg.feasible_set is not None:
-        return cfg.feasible_set
-    return "choi" if proc.program_domain == "choi" else "states"
-
-
-def _program_state(pi: np.ndarray, feasible: str) -> ProgramState:
-    structure = "choi-power" if feasible == "choi" else "generic"
-    return ProgramState(DensityMatrix(hermitize(pi)), structure=structure)
+    return project_program(proc, m).matrix
 
 
 def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
-    feasible = _resolve_feasible(proc, cfg)
-    pi = _initial_program(proc, cfg, feasible)
+    pi = _initial_program(proc, cfg)
     cost = simulation_cost(proc, chi_target, pi, cfg.cost_kind, cfg.mu)
     best = cost
     best_pi = pi
     trace: List[Tuple[int, float]] = [(0, best)]
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        pi = step(pi, it, feasible)
+        pi = step(pi, it)
         cost = simulation_cost(proc, chi_target, pi, cfg.cost_kind, cfg.mu)
         if cost < best:
             best = cost
             best_pi = pi
         trace.append((it, best))
-        w = cfg.stall_window
-        if it >= w and trace[it - w][1] - best < cfg.tolerance:
+        if it >= STALL_WINDOW and trace[it - STALL_WINDOW][1] - best < cfg.tolerance:
             converged = True
             break
     return OptimResult(
-        program=_program_state(best_pi, feasible),
+        program=DensityMatrix(hermitize(best_pi)),
         cost_trace=tuple(trace),
         converged=converged,
         final_cost=best,
@@ -308,12 +294,9 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
 def projected_subgradient(proc: ProcessorMap, chi_target, cfg: OptimConfig = OptimConfig()) -> OptimResult:
     """Subgradient step followed by projection back to the feasible set."""
 
-    def step(pi, it, feasible):
+    def step(pi, it):
         g = _grad(proc, chi_target, pi, cfg.cost_kind, cfg.mu)
-        y = pi - cfg.learning_rate(it) * g
-        if feasible == "choi":
-            return project_to_choi_set(y, proc.d_in).matrix
-        return project_to_states(y).matrix
+        return project_program(proc, pi - cfg.learning_rate(it) * g).matrix
 
     return _run_loop(proc, chi_target, cfg, step)
 
@@ -326,14 +309,13 @@ def frank_wolfe(proc: ProcessorMap, chi_target, cfg: OptimConfig = OptimConfig()
     accepted but its subgradient may stall near kinks, where the smoothed
     cost is the better choice.
     """
-    feasible = _resolve_feasible(proc, cfg)
-    if feasible == "choi":
+    if proc.program_domain == "choi":
         raise ValueError(
             "frank_wolfe: pure-state vertices leave the Choi-constrained set; "
             "use projected_subgradient for the reduced map"
         )
 
-    def step(pi, it, _feasible):
+    def step(pi, it):
         g = _grad(proc, chi_target, pi, cfg.cost_kind, cfg.mu)
         vals, vecs = np.linalg.eigh(hermitize(g))
         v = vecs[:, 0]  # eigenvector of the smallest eigenvalue
@@ -344,8 +326,7 @@ def frank_wolfe(proc: ProcessorMap, chi_target, cfg: OptimConfig = OptimConfig()
     return _run_loop(proc, chi_target, cfg, step)
 
 
-def learn_unitary_program(proc: ProcessorMap, u: np.ndarray,
-                          degeneracy_tol: float = 1e-10) -> ProgramState:
+def learn_unitary_program(proc: ProcessorMap, u: np.ndarray) -> DensityMatrix:
     """Closed-form optimal program for a unitary target under the fidelity.
 
     Returns the top eigenvector of L*[|chi_U><chi_U|] as a pure program; the
@@ -362,10 +343,10 @@ def learn_unitary_program(proc: ProcessorMap, u: np.ndarray,
     ext = kron(np.eye(d), u)
     chi_u = ext @ phi @ ext.conj().T
     dec = herm_eig(hermitize(proc.dual(chi_u)))
-    if dec.eigenvalues.size > 1 and dec.eigenvalues[0] - dec.eigenvalues[1] < degeneracy_tol:
+    if dec.eigenvalues.size > 1 and dec.eigenvalues[0] - dec.eigenvalues[1] < DEGENERACY_TOL:
         warnings.warn(
             "learn_unitary_program: top eigenvalue is degenerate; "
             "returning one maximizer",
             stacklevel=2,
         )
-    return ProgramState(DensityMatrix.pure(dec.eigenvectors[:, 0]))
+    return DensityMatrix.pure(dec.eigenvectors[:, 0])

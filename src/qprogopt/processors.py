@@ -13,10 +13,11 @@ arXiv:1111.6950).  Three families are provided:
 * ``pqc_processor`` / ``mpqc_processor`` -- conditioned-Hamiltonian circuit
   processors with qubit (resp. qutrit) program registers.
 
-Program storage conventions: PBT programs interleave port wires as
-(A_1, B_1, A_2, B_2, ...), so ``chi^(tensor N)`` is a plain Kronecker power
-of a Choi matrix.  PQC programs order registers as (R_0, R_1, ..., R_N).
-Choi outputs are always ordered (input copy, output).
+A program is a plain ``DensityMatrix`` (or its ndarray); ``program_domain``
+says whether it must also be a single-port Choi matrix.  PBT programs
+interleave port wires as (A_1, B_1, A_2, B_2, ...), so ``chi^(tensor N)`` is
+a plain Kronecker power of a Choi matrix.  PQC programs order registers as
+(R_0, R_1, ..., R_N).  Choi outputs are always ordered (input copy, output).
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import _X, _Y, _Z, ChoiMatrix, DensityMatrix, as_matrix, max_entangled
+from .channels import _X, _Y, _Z, ChoiMatrix, DensityMatrix, MatrixLike, as_matrix, max_entangled
 from .hermlin import (
     embed_operator,
     hermitize,
@@ -41,7 +42,6 @@ from .hermlin import (
 
 __all__ = [
     "CapacityError",
-    "ProgramState",
     "ProcessorMap",
     "weyl_unitaries",
     "bell_basis",
@@ -70,35 +70,6 @@ MPQC_MAX_GATES = 4
 
 class CapacityError(ValueError):
     """Requested processor exceeds the configured dense-size caps."""
-
-
-@dataclass(frozen=True, eq=False)
-class ProgramState:
-    """Program fed to a processor, tagged with its structural role."""
-
-    state: DensityMatrix
-    structure: str = "generic"  # generic | port-symmetric | choi-power
-
-    def __post_init__(self):
-        if self.structure not in ("generic", "port-symmetric", "choi-power"):
-            raise ValueError(f"ProgramState: unknown structure tag {self.structure!r}")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.state.matrix
-
-    @property
-    def dim(self) -> int:
-        return self.state.dim
-
-
-ProgramLike = Union[np.ndarray, DensityMatrix, ProgramState]
-
-
-def _program_matrix(pi: ProgramLike) -> np.ndarray:
-    if isinstance(pi, ProgramState):
-        return pi.state.matrix
-    return as_matrix(pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,9 +120,9 @@ class ProcessorMap:
     def d_choi(self) -> int:
         return self.d_in * self.d_out
 
-    def apply_matrix(self, pi: ProgramLike) -> np.ndarray:
+    def apply_matrix(self, pi: MatrixLike) -> np.ndarray:
         """Raw Choi-space matrix of the simulated channel (no wrapping)."""
-        m = _program_matrix(pi)
+        m = as_matrix(pi)
         if m.shape != (self.d_prog, self.d_prog):
             raise ValueError(
                 f"ProcessorMap {self.label!r}: program shape {m.shape}, "
@@ -160,7 +131,7 @@ class ProcessorMap:
         dc = self.d_choi
         return hermitize((self.transfer @ m.ravel()).reshape(dc, dc))
 
-    def apply(self, pi: ProgramLike) -> ChoiMatrix:
+    def apply(self, pi: MatrixLike) -> ChoiMatrix:
         return ChoiMatrix.from_matrix(self.apply_matrix(pi), self.d_in, self.d_out)
 
     def dual(self, x: np.ndarray) -> np.ndarray:
@@ -273,14 +244,6 @@ def pbt_povm(n_ports: int, d: int = 2, singlet: bool = False) -> list:
     return [hermitize(t + gap) for t in tilded]
 
 
-def _interleave_perm(n_ports: int) -> list:
-    # block order (A_1..A_N, B_1..B_N) -> interleaved (A_1, B_1, A_2, B_2, ...)
-    perm = []
-    for i in range(n_ports):
-        perm.extend([i, n_ports + i])
-    return perm
-
-
 def _pbt_full_transfer(n_ports: int, d: int, povm: list) -> np.ndarray:
     """Transfer matrix S[(r, c), (m, n)] of the full PBT program-to-Choi map.
 
@@ -365,9 +328,9 @@ def pbt_reduced_map(n_ports: int, d: int = 2, singlet: bool = False) -> Processo
                         program_domain="choi")
 
 
-def permute_ports(pi: ProgramLike, n_ports: int, d: int, order: Sequence[int]) -> np.ndarray:
+def permute_ports(pi: MatrixLike, n_ports: int, d: int, order: Sequence[int]) -> np.ndarray:
     """Relabel PBT ports of a program: new port j carries old port order[j]."""
-    m = _program_matrix(pi)
+    m = as_matrix(pi)
     if sorted(order) != list(range(n_ports)):
         raise ValueError(f"permute_ports: invalid port order {list(order)}")
     perm = []
@@ -376,9 +339,9 @@ def permute_ports(pi: ProgramLike, n_ports: int, d: int, order: Sequence[int]) -
     return permute_subsystems(m, [d] * (2 * n_ports), perm)
 
 
-def symmetrize_program(pi: ProgramLike, n_ports: int, d: int) -> ProgramState:
+def symmetrize_program(pi: MatrixLike, n_ports: int, d: int) -> DensityMatrix:
     """Average a PBT program over all joint (A_i, B_i) port relabelings."""
-    m = _program_matrix(pi)
+    m = as_matrix(pi)
     if m.shape != (d ** (2 * n_ports),) * 2:
         raise ValueError(
             f"symmetrize_program: program shape {m.shape} does not match "
@@ -389,7 +352,7 @@ def symmetrize_program(pi: ProgramLike, n_ports: int, d: int) -> ProgramState:
     for order in itertools.permutations(range(n_ports)):
         acc += permute_ports(m, n_ports, d, order)
         count += 1
-    return ProgramState(DensityMatrix(hermitize(acc / count)), structure="port-symmetric")
+    return DensityMatrix(hermitize(acc / count))
 
 
 def symmetric_param_count(n_ports: int, d: int = 2) -> int:

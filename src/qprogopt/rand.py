@@ -6,7 +6,7 @@ import numpy as np
 
 from .channels import ChoiMatrix, DensityMatrix, KrausChannel
 from .hermlin import hermitize
-from .processors import ProcessorMap, ProgramState
+from .processors import ProcessorMap
 
 __all__ = [
     "random_hermitian",
@@ -54,10 +54,8 @@ def random_traceless_direction(dim: int, rng: np.random.Generator) -> np.ndarray
     return h / np.linalg.norm(h)
 
 
-def random_program(proc: ProcessorMap, rng: np.random.Generator) -> ProgramState:
+def random_program(proc: ProcessorMap, rng: np.random.Generator) -> DensityMatrix:
     """Random program drawn from the processor's natural domain."""
     if proc.program_domain == "choi":
-        d = proc.d_in
-        chi = random_choi(d, rng)
-        return ProgramState(chi.state, structure="choi-power")
-    return ProgramState(random_density(proc.d_prog, rng))
+        return random_choi(proc.d_in, rng).state
+    return random_density(proc.d_prog, rng)

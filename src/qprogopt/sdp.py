@@ -9,12 +9,16 @@ primal standard form
 
 under the inner product <A, X> = Re Tr[A^dag X], with an infeasible-start
 primal-dual path-following iteration, Nesterov-Todd scaling and a fixed
-fraction-to-boundary factor of 0.98.  Each block's constraints are stacked
-once, as rows of flattened matrices, so A(X), A*(y), the Newton right-hand
-side and the Schur matrix sum_b <A_j, W_b A_i W_b> are matrix products
-(Fujisawa-Kojima-Nakata 1997).  There is no real embedding: a block's dtype
-follows its data, so a block with real data is solved in real arithmetic and
-a complex Hermitian block in complex arithmetic.
+fraction-to-boundary factor of 0.98.  An ``SdpProblem`` holds each block's
+constraints as one (m, d_b, d_b) stack, zero where a constraint does not
+touch the block.  The solver keeps the rows with a nonzero entry, flattened,
+so A(X), A*(y), the Newton right-hand side and the Schur matrix
+sum_b <A_j, W_b A_i W_b> are matrix products (Fujisawa-Kojima-Nakata 1997).
+There is no real embedding: a block's dtype follows its data, so a block
+with real data is solved in real arithmetic and a complex Hermitian block in
+complex arithmetic.  The programs below build their constraints the same
+way, one stack per group of rows, from the Hermitian basis and one
+``proc.dual`` call on it.
 
 Built on top of it:
 
@@ -25,9 +29,10 @@ Built on top of it:
 * ``optimize_choi_diamond`` -- diamond search over single-port Choi programs
   of the reduced port-based-teleportation map.
 
-Returned program states are projected back to exact feasibility, and all
-reported optima are re-evaluated at the projected program, so every quoted
-value is attained by the returned (feasible) program.
+Returned programs are ``DensityMatrix`` values projected back to exact
+feasibility by ``optim.project_program``, and all reported optima are
+re-evaluated at the projected program, so every quoted value is attained by
+the returned (feasible) program.
 """
 
 from __future__ import annotations
@@ -39,10 +44,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .channels import ChoiMatrix, as_matrix, bures_fidelity, trace_distance_cost
+from .channels import ChoiMatrix, DensityMatrix, as_matrix, bures_fidelity, trace_distance_cost
 from .hermlin import hermitize, kron, partial_trace, spectral_norm
-from .optim import project_to_choi_set, project_to_states
-from .processors import ProcessorMap, ProgramState
+from .optim import project_program
+from .processors import ProcessorMap
 
 __all__ = [
     "SdpProblem",
@@ -65,24 +70,24 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.real(np.sum(np.conj(a) * b)))
 
 
-def hermitian_basis(n: int) -> List[np.ndarray]:
-    """Orthonormal basis of n x n Hermitian matrices (Tr[B_a B_b] = delta_ab)."""
-    out = []
-    for k in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[k, k] = 1.0
-        out.append(e)
+def _coords(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """<B_a, M> for every matrix B_a of a (k, n, n) stack."""
+    return (basis.reshape(len(basis), -1).conj() @ m.ravel()).real
+
+
+def hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of n x n Hermitian matrices (Tr[B_a B_b] = delta_ab)
+    as one (n^2, n, n) stack: the n diagonal units, then for each k < l in
+    row-major order the real and the imaginary off-diagonal pair."""
+    out = np.zeros((n * n, n, n), dtype=complex)
+    diag = np.arange(n)
+    out[diag, diag, diag] = 1.0
+    k, l = np.triu_indices(n, 1)
+    a = n + 2 * np.arange(k.size)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    for k in range(n):
-        for l in range(k + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[k, l] = inv_sqrt2
-            e[l, k] = inv_sqrt2
-            out.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[k, l] = 1j * inv_sqrt2
-            e[l, k] = -1j * inv_sqrt2
-            out.append(e)
+    out[a, k, l] = out[a, l, k] = inv_sqrt2
+    out[a + 1, k, l] = 1j * inv_sqrt2
+    out[a + 1, l, k] = -1j * inv_sqrt2
     return out
 
 
@@ -90,34 +95,43 @@ def hermitian_basis(n: int) -> List[np.ndarray]:
 class SdpProblem:
     """Block standard-form SDP: min <C, X>, <A_i, X> = b_i, X >= 0.
 
-    ``objective`` and each constraint hold one Hermitian matrix per block,
-    real symmetric or complex (``None`` meaning zero).
+    ``objective`` holds one Hermitian (d_b, d_b) matrix per block and
+    ``constraints`` one (m, d_b, d_b) stack per block, whose entry i is
+    A_i's part in that block (a zero matrix where A_i does not touch it);
+    entries are real symmetric or complex.  ``rhs`` holds b_1..b_m.
     """
 
-    block_dims: List[int]
-    objective: List[Optional[np.ndarray]]
-    constraints: List[Tuple[List[Optional[np.ndarray]], float]]
+    objective: List[np.ndarray]
+    constraints: List[np.ndarray]
+    rhs: np.ndarray
 
     def __post_init__(self):
-        for blk, dim in enumerate(self.block_dims):
-            if dim < 1:
-                raise ValueError(f"SdpProblem: block {blk} has dim {dim}")
-        self._check_row(self.objective, "objective")
-        for i, (mats, _rhs) in enumerate(self.constraints):
-            self._check_row(mats, f"constraint {i}")
-
-    def _check_row(self, mats, who):
-        if len(mats) != len(self.block_dims):
-            raise ValueError(f"SdpProblem: {who} has {len(mats)} blocks, "
-                             f"expected {len(self.block_dims)}")
-        for blk, m in enumerate(mats):
-            if m is None:
-                continue
-            d = self.block_dims[blk]
-            if m.shape != (d, d):
-                raise ValueError(f"SdpProblem: {who}, block {blk}: shape {m.shape}")
-            if np.abs(m - m.conj().T).max() > 1e-12 * max(1.0, np.abs(m).max()):
+        self.objective = [np.asarray(c) for c in self.objective]
+        self.constraints = [np.asarray(a) for a in self.constraints]
+        self.rhs = np.asarray(self.rhs, dtype=float)
+        if self.rhs.ndim != 1:
+            raise ValueError(f"SdpProblem: rhs has shape {self.rhs.shape}, expected (m,)")
+        if len(self.constraints) != len(self.objective):
+            raise ValueError(f"SdpProblem: {len(self.constraints)} constraint stacks "
+                             f"for {len(self.objective)} blocks")
+        for blk, (c, a) in enumerate(zip(self.objective, self.constraints)):
+            d = c.shape[0] if c.ndim == 2 else 0
+            if d < 1 or c.shape != (d, d):
+                raise ValueError(f"SdpProblem: objective, block {blk}: shape {c.shape}")
+            if a.shape != (self.rhs.size, d, d):
+                raise ValueError(f"SdpProblem: constraints, block {blk}: shape {a.shape}, "
+                                 f"expected {(self.rhs.size, d, d)}")
+            # row 0 is the objective, row i + 1 constraint i
+            rows = np.concatenate([c[None], a])
+            dev = np.abs(rows - rows.conj().swapaxes(1, 2)).max(axis=(1, 2))
+            bad = np.flatnonzero(dev > 1e-12 * np.maximum(1.0, np.abs(rows).max(axis=(1, 2))))
+            if bad.size:
+                who = "objective" if bad[0] == 0 else f"constraint {bad[0] - 1}"
                 raise ValueError(f"SdpProblem: {who}, block {blk} is not Hermitian")
+
+    @property
+    def block_dims(self) -> List[int]:
+        return [c.shape[0] for c in self.objective]
 
 
 @dataclass
@@ -192,26 +206,18 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
     """Infeasible-start primal-dual interior-point method with NT scaling."""
     dims = problem.block_dims
     nb = len(dims)
-    m = len(problem.constraints)
+    m = problem.rhs.size
     n_total = sum(dims)
     # internal data scaling: solve with C/sc and b/sb, unscale on exit
-    c_scale = max(1.0, *(float(np.abs(c).max()) if c is not None else 0.0
-                         for c in problem.objective))
-    b_scale = max(1.0, float(max(abs(rhs) for _, rhs in problem.constraints))
-                  if m else 1.0)
-    cmats = [np.zeros((d, d)) if c is None else np.asarray(c) / c_scale
-             for c, d in zip(problem.objective, dims)]
-    bvec = np.array([rhs for _, rhs in problem.constraints], dtype=float) / b_scale
-    # rows[b]: constraints with an entry for block b (None is zero);
-    # stacks[b]: those entries flattened, shape (len(rows[b]), d_b^2), real
-    # unless an entry is complex
-    rows = [np.array([i for i, (row, _) in enumerate(problem.constraints)
-                      if row[b] is not None], dtype=int) for b in range(nb)]
-    stacks = []
-    for b, d in enumerate(dims):
-        entries = [np.asarray(problem.constraints[i][0][b]) for i in rows[b]]
-        stacks.append(np.array(entries, dtype=np.result_type(float, *entries))
-                      .reshape(len(rows[b]), d * d))
+    c_scale = max(1.0, *(float(np.abs(c).max()) for c in problem.objective))
+    b_scale = max(1.0, float(np.abs(problem.rhs).max(initial=0.0)))
+    cmats = [c / c_scale for c in problem.objective]
+    bvec = problem.rhs / b_scale
+    # rows[b]: constraints with a nonzero entry for block b; stacks[b]: those
+    # entries flattened, shape (len(rows[b]), d_b^2), real unless complex
+    rows = [np.flatnonzero(np.any(a.reshape(m, -1) != 0, axis=1))
+            for a in problem.constraints]
+    stacks = [a[r].reshape(len(r), d * d) for a, r, d in zip(problem.constraints, rows, dims)]
     norm_b = 1.0 + float(np.linalg.norm(bvec))
     norm_c = 1.0 + math.sqrt(sum(_dot(c, c) for c in cmats))
 
@@ -230,7 +236,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
         rd = [cmats[b] - asy[b] - s[b] for b in range(nb)]
         pobj = sum(_dot(c, xb) for c, xb in zip(cmats, x))
         dobj = float(bvec @ y)
-        res_p = float(np.linalg.norm(rp)) / norm_b
+        res_p = math.hypot(*rp) / norm_b  # overflow-safe, unlike a dot product
         res_d = math.sqrt(sum(_dot(r, r) for r in rd)) / norm_c
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         return asy, rp, rd, pobj, dobj, res_p, res_d, gap_rel
@@ -350,32 +356,33 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
 
 
 class _SdpBuilder:
-    """Assemble an SdpProblem from Hermitian variable blocks, with the
-    objective and each constraint given as {block index: matrix} terms."""
+    """Assemble an SdpProblem from Hermitian variable blocks.  The objective
+    is a {block index: matrix} dict; constraints come in groups of stacked
+    rows, each given as {block index: (k, d_b, d_b) stack} terms."""
 
     def __init__(self):
         self.block_dims: List[int] = []
         self.objective: Dict[int, np.ndarray] = {}
-        self.constraints: List[Tuple[Dict[int, np.ndarray], float]] = []
+        self.groups: List[Tuple[Dict[int, np.ndarray], np.ndarray]] = []
 
     def add_block(self, n: int) -> int:
         self.block_dims.append(n)
         return len(self.block_dims) - 1
 
-    def constraint(self, terms: Dict[int, np.ndarray], rhs: float) -> None:
-        """sum_blk <G_blk, X_blk> = rhs."""
-        self.constraints.append((terms, rhs))
+    def constraints(self, terms: Dict[int, np.ndarray], rhs) -> None:
+        """Rows i = 1..k: sum_blk <G_blk[i], X_blk> = rhs[i]."""
+        self.groups.append((terms, np.asarray(rhs, dtype=float)))
 
     def build(self) -> SdpProblem:
-        nb = len(self.block_dims)
-
-        def expand(row: Dict[int, np.ndarray]):
-            return [row.get(b) for b in range(nb)]
+        def stack(b, d):
+            return np.concatenate([terms[b] if b in terms else np.zeros((rhs.size, d, d))
+                                   for terms, rhs in self.groups])
 
         return SdpProblem(
-            block_dims=list(self.block_dims),
-            objective=expand(self.objective),
-            constraints=[(expand(row), rhs) for row, rhs in self.constraints],
+            objective=[self.objective.get(b, np.zeros((d, d)))
+                       for b, d in enumerate(self.block_dims)],
+            constraints=[stack(b, d) for b, d in enumerate(self.block_dims)],
+            rhs=np.concatenate([rhs for _, rhs in self.groups]),
         )
 
 
@@ -400,13 +407,11 @@ def _trace_builder(chi: np.ndarray, proc: Optional[ProcessorMap] = None):
     pi_blk = None if proc is None else bld.add_block(proc.d_prog)
     bld.objective[p_blk] = np.eye(n)
     bld.objective[q_blk] = np.eye(n)
-    duals = None if proc is None else _lambda_dual_on_basis(proc, basis)
-    for i, e in enumerate(basis):
-        # P - Q + Lambda(pi) = chi   (as <E_a, .> coordinates)
-        terms = {p_blk: e, q_blk: -e}
-        if duals is not None:
-            terms[pi_blk] = duals[i]
-        bld.constraint(terms, _dot(e, chi))
+    # P - Q + Lambda(pi) = chi   (as <B_a, .> coordinates)
+    terms = {p_blk: basis, q_blk: -basis}
+    if proc is not None:
+        terms[pi_blk] = hermitize(proc.dual(basis))
+    bld.constraints(terms, _coords(basis, chi))
     return bld, pi_blk
 
 
@@ -418,7 +423,8 @@ def trace_norm_via_sdp(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
     return sol.primal_objective
 
 
-def _warn_if_failed(sol: SdpSolution, who: str, tol: float = DEFAULT_TOL) -> None:
+def _warn_if_failed(sol: SdpSolution, who: str, tol: float = DEFAULT_TOL,
+                    stacklevel: int = 3) -> None:
     """Raise on infeasibility; warn when a solve stopped far from tolerance.
 
     Stalls within ~50x of the target tolerance stay silent: every public
@@ -435,7 +441,7 @@ def _warn_if_failed(sol: SdpSolution, who: str, tol: float = DEFAULT_TOL) -> Non
                 f"{who}: interior point stopped at status {sol.status} "
                 f"(gap {sol.gap:.3e}, residuals {sol.residual_primal:.3e}/"
                 f"{sol.residual_dual:.3e})",
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
 
 
@@ -474,35 +480,25 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     return 2.0 * spectral_norm(partial_trace(z, [d_in, d_out], keep=[0]))
 
 
-def _lambda_dual_on_basis(proc: ProcessorMap, basis) -> np.ndarray:
-    return hermitize(proc.dual(np.stack(basis)))
-
-
-def _add_program_constraints(bld: _SdpBuilder, pi_blk: int, proc: ProcessorMap) -> None:
-    """Feasible-program constraints: unit trace, or the Choi marginal for
-    processors whose program domain is the single-port Choi set."""
-    dp = proc.d_prog
+def _solve_program(bld: _SdpBuilder, pi_blk: int, proc: ProcessorMap, tol: float,
+                   who: str) -> DensityMatrix:
+    """Add the feasible-program constraints on block pi (unit trace, or the
+    Choi marginal Tr_out pi = I/d for a processor whose program domain is
+    the single-port Choi set), solve, and project pi to exact feasibility."""
     if proc.program_domain == "choi":
-        d = proc.d_in
-        eye_d = np.eye(d, dtype=complex)
-        for f in hermitian_basis(d):
-            # Tr_out pi = I/d (includes unit trace)
-            bld.constraint({pi_blk: kron(f, eye_d)},
-                           float(np.real(np.trace(f))) / d)
+        fs = hermitian_basis(proc.d_in)
+        # Tr_out pi = I/d (includes unit trace)
+        bld.constraints({pi_blk: kron(fs, np.eye(proc.d_in, dtype=complex))},
+                        np.trace(fs, axis1=1, axis2=2).real / proc.d_in)
     else:
-        bld.constraint({pi_blk: np.eye(dp, dtype=complex)}, 1.0)
-
-
-def _recover_program(sol: SdpSolution, pi_blk: int, proc: ProcessorMap) -> ProgramState:
-    raw = sol.primal_blocks[pi_blk]
-    if proc.program_domain == "choi":
-        chi = project_to_choi_set(raw, proc.d_in)
-        return ProgramState(chi.state, structure="choi-power")
-    return ProgramState(project_to_states(raw))
+        bld.constraints({pi_blk: np.eye(proc.d_prog, dtype=complex)[None]}, [1.0])
+    sol = solve_sdp(bld.build(), tol=tol)
+    _warn_if_failed(sol, who, tol, stacklevel=4)
+    return project_program(proc, sol.primal_blocks[pi_blk])
 
 
 def optimize_program_trace(proc: ProcessorMap, chi_target,
-                           tol: float = DEFAULT_TOL) -> Tuple[ProgramState, float]:
+                           tol: float = DEFAULT_TOL) -> Tuple[DensityMatrix, float]:
     """Joint minimization of the trace cost over program states.
 
     Returns the optimizing program (projected to exact feasibility) and the
@@ -510,11 +506,8 @@ def optimize_program_trace(proc: ProcessorMap, chi_target,
     """
     chi_e = hermitize(as_matrix(chi_target))
     bld, pi_blk = _trace_builder(chi_e, proc)
-    _add_program_constraints(bld, pi_blk, proc)
-    sol = solve_sdp(bld.build(), tol=tol)
-    _warn_if_failed(sol, "optimize_program_trace", tol)
-    program = _recover_program(sol, pi_blk, proc)
-    value = trace_distance_cost(chi_e, proc.apply_matrix(program.matrix))
+    program = _solve_program(bld, pi_blk, proc, tol, "optimize_program_trace")
+    value = trace_distance_cost(chi_e, proc.apply_matrix(program))
     return program, value
 
 
@@ -538,36 +531,31 @@ def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
     t_blk = bld.add_block(1)
     pi_blk = None if proc is None else bld.add_block(proc.d_prog)
     bld.objective[t_blk] = np.array([[2.0]])
-    duals = None if proc is None else _lambda_dual_on_basis(proc, basis)
-    for i, e in enumerate(basis):
-        # W = Z - d (chi - Lambda(pi))
-        terms = {w_blk: e, z_blk: -e}
-        if duals is not None:
-            terms[pi_blk] = -d_in * duals[i]
-        bld.constraint(terms, -d_in * _dot(e, chi))
-    eye_out = np.eye(d_out, dtype=complex)
-    for f in hermitian_basis(d_in):
-        # V = t I - Tr_out Z
-        bld.constraint({v_blk: f, z_blk: kron(f, eye_out),
-                        t_blk: np.array([[-float(np.real(np.trace(f)))]])}, 0.0)
+    # W = Z - d (chi - Lambda(pi))
+    terms = {w_blk: basis, z_blk: -basis}
+    if proc is not None:
+        terms[pi_blk] = -d_in * hermitize(proc.dual(basis))
+    bld.constraints(terms, -d_in * _coords(basis, chi))
+    # V = t I - Tr_out Z
+    fs = hermitian_basis(d_in)
+    bld.constraints({v_blk: fs, z_blk: kron(fs, np.eye(d_out, dtype=complex)),
+                     t_blk: -np.trace(fs, axis1=1, axis2=2).real.reshape(-1, 1, 1)},
+                    np.zeros(len(fs)))
     return bld, z_blk, pi_blk
 
 
 def optimize_program_diamond(proc: ProcessorMap, chi_target,
-                             tol: float = DEFAULT_TOL) -> Tuple[ProgramState, float]:
+                             tol: float = DEFAULT_TOL) -> Tuple[DensityMatrix, float]:
     """Joint minimization of the diamond cost over program states."""
     chi_e = hermitize(as_matrix(chi_target))
     bld, _, pi_blk = _watrous_builder(chi_e, proc.d_in, proc.d_out, proc)
-    _add_program_constraints(bld, pi_blk, proc)
-    sol = solve_sdp(bld.build(), tol=tol)
-    _warn_if_failed(sol, "optimize_program_diamond", tol)
-    program = _recover_program(sol, pi_blk, proc)
-    value = diamond_distance(chi_e - proc.apply_matrix(program.matrix), proc.d_in, tol=tol)
+    program = _solve_program(bld, pi_blk, proc, tol, "optimize_program_diamond")
+    value = diamond_distance(chi_e - proc.apply_matrix(program), proc.d_in, tol=tol)
     return program, value
 
 
 def optimize_program_fidelity(proc: ProcessorMap, chi_target,
-                              tol: float = DEFAULT_TOL) -> Tuple[ProgramState, float]:
+                              tol: float = DEFAULT_TOL) -> Tuple[DensityMatrix, float]:
     """Joint maximization of the Bures fidelity over program states.
 
     Uses max Re Tr[V X] over [[D, X], [X^dag, Lambda(pi)]] >= 0, where
@@ -584,8 +572,6 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     v_supp = vecs[:, support]
     r = d_supp.shape[0]
 
-    basis = hermitian_basis(n)
-    duals = _lambda_dual_on_basis(proc, basis)
     bld = _SdpBuilder()
     g_blk = bld.add_block(r + n)
     pi_blk = bld.add_block(proc.d_prog)
@@ -594,19 +580,16 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     obj[:r, r:] = -0.5 * v_supp.conj().T
     obj[r:, :r] = -0.5 * v_supp
     bld.objective[g_blk] = obj
-    for e in hermitian_basis(r):
-        top = np.zeros((r + n, r + n), dtype=complex)
-        top[:r, :r] = e
-        bld.constraint({g_blk: top}, _dot(e, d_supp))
-    for e, le in zip(basis, duals):
-        bot = np.zeros((r + n, r + n), dtype=complex)
-        bot[r:, r:] = e
-        bld.constraint({g_blk: bot, pi_blk: -le}, 0.0)
-    _add_program_constraints(bld, pi_blk, proc)
-    sol = solve_sdp(bld.build(), tol=tol)
-    _warn_if_failed(sol, "optimize_program_fidelity", tol)
-    program = _recover_program(sol, pi_blk, proc)
-    value = bures_fidelity(chi_e, proc.apply_matrix(program.matrix))
+    # top-left corner = D, bottom-right corner = Lambda(pi)
+    top, basis = hermitian_basis(r), hermitian_basis(n)
+    corner = np.zeros((r * r, r + n, r + n), dtype=complex)
+    corner[:, :r, :r] = top
+    bld.constraints({g_blk: corner}, _coords(top, d_supp))
+    corner = np.zeros((n * n, r + n, r + n), dtype=complex)
+    corner[:, r:, r:] = basis
+    bld.constraints({g_blk: corner, pi_blk: -hermitize(proc.dual(basis))}, np.zeros(n * n))
+    program = _solve_program(bld, pi_blk, proc, tol, "optimize_program_fidelity")
+    value = bures_fidelity(chi_e, proc.apply_matrix(program))
     return program, value
 
 
@@ -617,4 +600,4 @@ def optimize_choi_diamond(n_ports: int, d: int, chi_target,
 
     proc = pbt_reduced_map(n_ports, d)
     program, value = optimize_program_diamond(proc, chi_target, tol=tol)
-    return ChoiMatrix(program.state, d, d), value
+    return ChoiMatrix(program, d, d), value

@@ -53,23 +53,16 @@ def admm_baseline(problem, rho: float = 1.0, iters: int = 20000, tol: float = 1e
     sizes = [dim * dim for dim in dims]
     offsets = np.cumsum([0] + sizes)
 
-    def flatten(mats):
-        return np.concatenate(
-            [
-                (m if m is not None else np.zeros((dim, dim))).ravel()
-                for m, dim in zip(mats, dims)
-            ]
-        )
-
     def unflatten(vec):
         return [
             vec[offsets[i] : offsets[i + 1]].reshape(dims[i], dims[i])
             for i in range(len(dims))
         ]
 
-    cvec = flatten(problem.objective)
-    amat = np.stack([flatten(mats) for mats, _ in problem.constraints])
-    bvec = np.array([rhs for _, rhs in problem.constraints])
+    cvec = np.concatenate([c.ravel() for c in problem.objective])
+    # row i: constraint i over all blocks, flattened like cvec
+    amat = np.concatenate([a.reshape(a.shape[0], -1) for a in problem.constraints], axis=1)
+    bvec = problem.rhs
     gram = amat @ amat.T
     gram_inv = np.linalg.pinv(gram)
 
@@ -122,9 +115,9 @@ def random_sdp(rng: np.random.Generator, block_dims=(4, 3), m: int = 5):
         s_blk = rand_pd(dim)
         cmats.append(s_blk + sum(y0[i] * amats[i][blk] for i in range(m + 1)))
     return SdpProblem(
-        block_dims=list(block_dims),
         objective=cmats,
-        constraints=[(row, rhs) for row, rhs in zip(amats, bvec)],
+        constraints=[np.array([row[blk] for row in amats]) for blk in range(len(block_dims))],
+        rhs=bvec,
     )
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qprogopt import cli
 from qprogopt.cli import load_program, main
 
 
@@ -166,6 +167,31 @@ def test_unknown_method_is_validation_error(tmp_path):
         "method": "gradient_descent",
     }
     assert main(["optimize", "--config", _write(tmp_path, cfg)]) == 1
+
+
+def test_missing_channel_parameter_is_validation_error(tmp_path, capsys):
+    cfg = {
+        "processor": {"kind": "teleportation"},
+        "channel": {"kind": "amplitude_damping"},
+        "method": "sdp_trace",
+    }
+    assert main(["optimize", "--config", _write(tmp_path, cfg)]) == 1
+    assert "channel.p" in capsys.readouterr().err
+
+
+def test_internal_key_error_propagates(tmp_path, monkeypatch):
+    # a KeyError from inside the library is a bug, not a config problem
+    def broken(*_args, **_kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "_run_point", broken)
+    cfg = {
+        "processor": {"kind": "teleportation"},
+        "channel": {"kind": "amplitude_damping", "p": 0.5},
+        "method": "sdp_trace",
+    }
+    with pytest.raises(KeyError, match="internal"):
+        main(["optimize", "--config", _write(tmp_path, cfg)])
 
 
 def test_bad_json_is_validation_error(tmp_path):

@@ -42,19 +42,31 @@ PHI = max_entangled(2).matrix
 
 def test_hermitian_basis_orthonormal():
     basis = hermitian_basis(3)
-    assert len(basis) == 9
+    assert basis.shape == (9, 3, 3)
     for i, a in enumerate(basis):
         for j, b in enumerate(basis):
             ip = np.trace(a.conj().T @ b).real
             assert np.isclose(ip, 1.0 if i == j else 0.0, atol=1e-12)
+    # element order: the diagonal units, then for each k < l (row-major) the
+    # real and the imaginary off-diagonal pair
+    ref = [np.diag(np.eye(3)[k]) for k in range(3)]
+    for k in range(3):
+        for l in range(k + 1, 3):
+            for w in (1.0, 1j):
+                e = np.zeros((3, 3), dtype=complex)
+                e[k, l], e[l, k] = w / math.sqrt(2.0), np.conj(w) / math.sqrt(2.0)
+                ref.append(e)
+    assert np.array_equal(basis, np.array(ref))
+
+
+def _diag_example_parts():
+    """min Tr X s.t. X_00 = X_11 = 1, one 2 x 2 block: (objective, constraints, rhs)."""
+    return [np.eye(2)], [np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])], [1.0, 1.0]
 
 
 def test_solve_sdp_diag_example():
-    prob = SdpProblem(
-        block_dims=[2],
-        objective=[np.eye(2)],
-        constraints=[([np.diag([1.0, 0.0])], 1.0), ([np.diag([0.0, 1.0])], 1.0)],
-    )
+    prob = SdpProblem(*_diag_example_parts())
+    assert prob.block_dims == [2]
     sol = solve_sdp(prob)
     assert sol.status == "optimal"
     assert abs(sol.primal_objective - 2.0) <= 1e-6
@@ -83,40 +95,45 @@ def test_solve_sdp_matches_first_order_baseline():
         assert abs(sol.primal_objective - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
-@pytest.mark.parametrize("case", ["none_equals_zeros", "block_without_constraints"])
+@pytest.mark.parametrize("case", ["block_count", "stack_vs_objective", "stack_vs_rhs",
+                                  "non_hermitian"])
+def test_sdp_problem_rejects_malformed_input(case):
+    objective, constraints, rhs = _diag_example_parts()
+    if case == "block_count":
+        constraints, match = constraints * 2, "2 constraint stacks for 1 blocks"
+    elif case == "stack_vs_objective":
+        constraints, match = [np.zeros((2, 3, 3))], r"constraints, block 0: shape \(2, 3, 3\)"
+    elif case == "stack_vs_rhs":
+        rhs, match = rhs + [1.0], r"constraints, block 0: shape \(2, 2, 2\)"
+    else:
+        constraints[0][1, 0, 1] = 0.5  # constraint 1 loses its symmetry
+        match = "constraint 1, block 0 is not Hermitian"
+    with pytest.raises(ValueError, match=match):
+        SdpProblem(objective, constraints, rhs)
+
+
+@pytest.mark.parametrize("case", ["block_without_constraints"])
 def test_solve_sdp_blocks_missing_from_constraints(case):
     base = random_sdp(np.random.default_rng(53), block_dims=(4, 3), m=5)
-    # drop block 1 from constraints 0, 2 and 4 (None = zero block), and take
-    # the right-hand sides at X = I so the problem stays strictly feasible;
-    # the trailing trace row keeps the dual strictly feasible
-    sparse = [[None if i in (0, 2, 4) and b == 1 else a for b, a in enumerate(mats)]
-              for i, (mats, _) in enumerate(base.constraints)]
-    rhs = [sum(float(np.trace(a)) for a in mats if a is not None) for mats in sparse]
-    ref = solve_sdp(SdpProblem(base.block_dims, base.objective, list(zip(sparse, rhs))))
+    # zero block 1 in constraints 0, 2 and 4, and take the right-hand sides
+    # at X = I so the problem stays strictly feasible; the trailing trace row
+    # keeps the dual strictly feasible
+    stacks = [a.copy() for a in base.constraints]
+    stacks[1][[0, 2, 4]] = 0.0
+    rhs = sum(np.trace(a, axis1=1, axis2=2) for a in stacks)
+    ref = solve_sdp(SdpProblem(base.objective, stacks, rhs))
     assert ref.status == "optimal"
-    if case == "none_equals_zeros":
-        dense = [[np.zeros((d, d)) if a is None else a for a, d in zip(mats, base.block_dims)]
-                 for mats in sparse]
-        sol = solve_sdp(SdpProblem(base.block_dims, base.objective, list(zip(dense, rhs))))
-        assert sol.status == ref.status
-        assert abs(sol.primal_objective - ref.primal_objective) <= 1e-9 * max(
-            1.0, abs(ref.primal_objective))
-    else:
-        # a block with a positive definite cost and no constraint entries sits at X = 0
-        extra = np.array([[2.0, 0.5], [0.5, 1.0]])
-        sol = solve_sdp(SdpProblem(base.block_dims + [2], base.objective + [extra],
-                                   [(mats + [None], r) for mats, r in zip(sparse, rhs)]))
-        assert sol.status == "optimal"
-        assert abs(sol.primal_objective - ref.primal_objective) <= 1e-7 * max(
-            1.0, abs(ref.primal_objective))
+    # a block with a positive definite cost and no constraint entries sits at X = 0
+    extra = np.array([[2.0, 0.5], [0.5, 1.0]])
+    sol = solve_sdp(SdpProblem(base.objective + [extra],
+                               stacks + [np.zeros((rhs.size, 2, 2))], rhs))
+    assert sol.status == "optimal"
+    assert abs(sol.primal_objective - ref.primal_objective) <= 1e-7 * max(
+        1.0, abs(ref.primal_objective))
 
 
 def test_solve_sdp_detects_infeasible():
-    prob = SdpProblem(
-        block_dims=[2],
-        objective=[np.zeros((2, 2))],
-        constraints=[([np.eye(2)], -1.0)],
-    )
+    prob = SdpProblem(objective=[np.zeros((2, 2))], constraints=[np.eye(2)[None]], rhs=[-1.0])
     sol = solve_sdp(prob, max_iters=200)
     assert sol.status in ("infeasible", "max_iter")
     assert sol.status != "optimal"
@@ -126,10 +143,11 @@ def test_solve_sdp_hermitian_blocks():
     # min <Y, X0> + <diag(1, 2), X1> s.t. Tr X0 = Tr X1 = 1: X0 is the -1
     # eigenprojector of Pauli Y, and the real block X1 stays real
     pauli_y = np.array([[0, -1j], [1j, 0]])
+    eye, zero = np.eye(2), np.zeros((2, 2))
     prob = SdpProblem(
-        block_dims=[2, 2],
         objective=[pauli_y, np.diag([1.0, 2.0])],
-        constraints=[([np.eye(2), None], 1.0), ([None, np.eye(2)], 1.0)],
+        constraints=[np.array([eye, zero]), np.array([zero, eye])],
+        rhs=[1.0, 1.0],
     )
     sol = solve_sdp(prob)
     assert sol.status == "optimal"
