@@ -10,10 +10,8 @@ from .hermlin import (
     SpectralDecomposition,
     herm_eig,
     matrix_function,
-    kron,
     partial_trace,
     permute_subsystems,
-    norms,
 )
 from .channels import (
     DensityMatrix,
@@ -21,7 +19,7 @@ from .channels import (
     KrausChannel,
     max_entangled,
     choi_of_channel,
-    apply_via_choi,
+    weyl_unitaries,
     amplitude_damping,
     depolarizing,
     dephasing,
@@ -33,7 +31,6 @@ from .channels import (
 from .processors import (
     CapacityError,
     ProcessorMap,
-    weyl_unitaries,
     teleportation_processor,
     pbt_povm,
     pbt_processor,
@@ -62,7 +59,6 @@ from .sdp import (
     SdpProblem,
     SdpSolution,
     solve_sdp,
-    trace_norm_via_sdp,
     diamond_distance,
     optimize_program_trace,
     optimize_program_diamond,

@@ -1,5 +1,8 @@
 """Quantum channels, Choi matrices and channel-comparison cost functions.
 
+A channel is a ``KrausChannel``, and ``choi_of_channel`` gives its Choi
+matrix.  The Weyl frame ``weyl_unitaries`` serves the zoo and ``processors``.
+
 Conventions used throughout the package:
 
 * Choi matrices are normalized to unit trace, ``chi = (I (x) E)(Phi)`` with
@@ -15,15 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .hermlin import (
-    dag,
     hermitize,
     is_hermitian,
-    kron,
     matrix_sqrt,
     partial_trace,
     schatten_norm,
@@ -37,7 +38,7 @@ __all__ = [
     "as_matrix",
     "max_entangled",
     "choi_of_channel",
-    "apply_via_choi",
+    "weyl_unitaries",
     "amplitude_damping",
     "depolarizing",
     "dephasing",
@@ -100,18 +101,11 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
     @classmethod
     def pure(cls, vec: np.ndarray) -> "DensityMatrix":
         v = np.asarray(vec, dtype=complex).reshape(-1)
         v = v / np.linalg.norm(v)
         return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim) / dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,30 +157,11 @@ class KrausChannel:
                     f"KrausChannel: operator shape {k.shape}, expected "
                     f"({self.d_out}, {self.d_in})"
                 )
-        comp = sum(dag(k) @ k for k in ops)
+        comp = sum(k.conj().T @ k for k in ops)
         dev = float(np.abs(comp - np.eye(self.d_in)).max())
         if dev > KRAUS_COMPLETENESS_TOL:
             raise ValueError(f"KrausChannel: sum K^dag K deviates from I by {dev:.3e}")
         object.__setattr__(self, "kraus_ops", ops)
-
-    @classmethod
-    def from_ops(cls, ops: Iterable[np.ndarray]) -> "KrausChannel":
-        ops = [np.asarray(k, dtype=complex) for k in ops]
-        d_out, d_in = ops[0].shape
-        return cls(tuple(ops), d_in, d_out)
-
-    def apply(self, rho: MatrixLike) -> np.ndarray:
-        rho = as_matrix(rho)
-        return sum(k @ rho @ dag(k) for k in self.kraus_ops)
-
-    def choi(self) -> ChoiMatrix:
-        phi = max_entangled(self.d_in).matrix
-        out = np.zeros((self.d_in * self.d_out,) * 2, dtype=complex)
-        eye = np.eye(self.d_in)
-        for k in self.kraus_ops:
-            ext = kron(eye, k)
-            out += ext @ phi @ dag(ext)
-        return ChoiMatrix.from_matrix(hermitize(out), self.d_in, self.d_out)
 
 
 def max_entangled(d: int) -> DensityMatrix:
@@ -199,21 +174,14 @@ def max_entangled(d: int) -> DensityMatrix:
 
 
 def choi_of_channel(ch: KrausChannel) -> ChoiMatrix:
-    return ch.choi()
-
-
-def apply_via_choi(choi: ChoiMatrix, rho: MatrixLike) -> np.ndarray:
-    """Channel action recovered from the Choi matrix.
-
-    E(rho) = d_in * Tr_in[(rho^T (x) I) chi].
-    """
-    rho = as_matrix(rho)
-    if rho.shape != (choi.d_in, choi.d_in):
-        raise ValueError(
-            f"apply_via_choi: state shape {rho.shape} does not match d_in={choi.d_in}"
-        )
-    big = kron(rho.T, np.eye(choi.d_out)) @ choi.matrix
-    return choi.d_in * partial_trace(big, [choi.d_in, choi.d_out], keep=[1])
+    """Normalized Choi matrix sum_k (I (x) K_k) Phi (I (x) K_k)^dag."""
+    phi = max_entangled(ch.d_in).matrix
+    out = np.zeros((ch.d_in * ch.d_out,) * 2, dtype=complex)
+    eye = np.eye(ch.d_in)
+    for k in ch.kraus_ops:
+        ext = np.kron(eye, k)
+        out += ext @ phi @ ext.conj().T
+    return ChoiMatrix.from_matrix(hermitize(out), ch.d_in, ch.d_out)
 
 
 # --- channel zoo -----------------------------------------------------------
@@ -221,6 +189,27 @@ def apply_via_choi(choi: ChoiMatrix, rho: MatrixLike) -> np.ndarray:
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def weyl_unitaries(d: int) -> list:
+    """The d^2 clock/shift products W[a*d+b] = X^a Z^b, Tr(W_i^dag W_j) = d delta_ij.
+
+    For d = 2 these are I, Z, X, XZ = -iY, i.e. the Pauli frame up to phase.
+    """
+    if d < 2:
+        raise ValueError(f"weyl_unitaries: need d >= 2, got {d}")
+    omega = np.exp(2j * np.pi / d)
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)  # |j> -> |j+1 mod d>
+    clock = np.diag(omega ** np.arange(d))
+    out = []
+    xa = np.eye(d, dtype=complex)
+    for _a in range(d):
+        zb = np.eye(d, dtype=complex)
+        for _b in range(d):
+            out.append(xa @ zb)
+            zb = zb @ clock
+        xa = xa @ shift
+    return out
 
 
 def _check_prob(p: float, who: str) -> None:
@@ -239,8 +228,6 @@ def amplitude_damping(p: float) -> KrausChannel:
 def depolarizing(p: float, d: int = 2) -> KrausChannel:
     """(1-p) rho + (p/d) Tr[rho] I in dimension d."""
     _check_prob(p, "depolarizing")
-    from .processors import weyl_unitaries  # cycle-free: processors imports nothing here at import time
-
     ops = []
     ws = weyl_unitaries(d)
     w0 = math.sqrt(1.0 - p + p / d**2)
@@ -266,8 +253,6 @@ def pauli_channel(probs: Sequence[float]) -> KrausChannel:
     d = math.isqrt(probs.size)
     if d * d != probs.size or d < 2:
         raise ValueError(f"pauli_channel: need d^2 probabilities, got {probs.size}")
-    from .processors import weyl_unitaries
-
     ws = weyl_unitaries(d)
     ops = tuple(math.sqrt(pi) * u for pi, u in zip(probs, ws))
     return KrausChannel(ops, d, d)
@@ -275,7 +260,7 @@ def pauli_channel(probs: Sequence[float]) -> KrausChannel:
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
     u = np.asarray(u, dtype=complex)
-    if np.abs(dag(u) @ u - np.eye(u.shape[0])).max() > 1e-10:
+    if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-10:
         raise ValueError("unitary_channel: input is not unitary")
     return KrausChannel((u,), u.shape[1], u.shape[0])
 
@@ -341,12 +326,12 @@ def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     # support condition: rho must not overlap the kernel of sigma
     kernel = ws <= SUPPORT_TOL
     if np.any(kernel):
-        overlap = np.abs(dag(vs[:, kernel]) @ vr) ** 2 @ wr
+        overlap = np.abs(vs[:, kernel].conj().T @ vr) ** 2 @ wr
         if overlap.sum() > SUPPORT_TOL:
             return math.inf
     pos_r = wr > SUPPORT_TOL
     ent = float(np.sum(wr[pos_r] * np.log2(wr[pos_r])))
-    overlap = np.abs(dag(vr) @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
+    overlap = np.abs(vr.conj().T @ vs) ** 2  # overlap[i, j] = |<r_i|s_j>|^2
     pos_s = ws > SUPPORT_TOL
     cross = float(wr @ (overlap[:, pos_s] @ np.log2(ws[pos_s])))
     return ent - cross

@@ -9,7 +9,8 @@ verify      run the built-in invariant suite (levels: fast, full)
 channels    list the channel zoo
 processors  list processor kinds and their size caps
 
-Exit codes: 0 ok, 1 validation error, 2 numerical failure, 3 verify failure.
+Exit codes: 0 ok, 1 validation error (also a config value that the library
+rejects), 2 numerical failure, 3 verify failure.
 
 The config file is a single JSON document; matrices are given as nested
 [re, im] pairs.  CSV cells use 12 significant digits and rows follow grid
@@ -32,8 +33,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import channels as ch
-from . import optim, processors, sdp
+from . import optim, processors, rand, sdp
 from .channels import cost_eval
+from .hermlin import herm_eig, partial_trace, schatten_norm
 from .processors import CapacityError, ProcessorMap
 
 CSV_HEADER = "param,method,N,cost_kind,cost,iterations"
@@ -58,6 +60,8 @@ METHODS = (
     "closed_form_unitary",
     "choi_baseline",
 )
+# the channel costs but Cp (its order has no config key), and the diamond cost
+COST_KINDS = ("C1", "F", "CF", "CR", "Cmu", "Cdiamond")
 
 
 # SDP methods: the ``sdp`` function's name and the cost kind it reports.  The
@@ -88,23 +92,43 @@ def _parse_complex_matrix(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _build_processor(spec: dict, n_override: Optional[int] = None) -> ProcessorMap:
+def _number(value, key: str, kind=int):
+    """``kind(value)``, or a ConfigError naming the key if that fails or changes a float."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or (isinstance(value, float) and out != value):
+        raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+    return out
+
+
+def _construct(make, *args):
+    """``make(*args)``; the ValueError with which a library constructor rejects
+    a value becomes a ConfigError with its message.  A CapacityError passes."""
+    try:
+        return make(*args)
+    except CapacityError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _build_processor(spec: dict, n: int) -> ProcessorMap:
     kind = spec.get("kind")
     if kind not in PROCESSOR_KINDS:
         raise ConfigError(f"processor.kind {kind!r} not one of {PROCESSOR_KINDS}")
-    d = int(spec.get("d", 2))
-    n = int(n_override if n_override is not None else spec.get("N", 1))
+    d = _number(spec.get("d", 2), "processor.d")
     if kind == "teleportation":
-        return processors.teleportation_processor(d)
+        return _construct(processors.teleportation_processor, d)
     if kind == "pbt":
-        return processors.pbt_processor(n, d)
+        return _construct(processors.pbt_processor, n, d)
     if kind == "pbt_reduced":
-        return processors.pbt_reduced_map(n, d)
+        return _construct(processors.pbt_reduced_map, n, d)
     h0 = _parse_complex_matrix(spec["H0"]) if "H0" in spec else None
     h1 = _parse_complex_matrix(spec["H1"]) if "H1" in spec else None
-    if kind == "pqc":
-        return processors.pqc_processor(n, h0, h1)
-    return processors.mpqc_processor(n, h0, h1)
+    make = processors.pqc_processor if kind == "pqc" else processors.mpqc_processor
+    return _construct(make, n, h0, h1)
 
 
 def _build_channel(spec: dict, value: Optional[float] = None) -> ch.KrausChannel:
@@ -119,13 +143,14 @@ def _build_channel(spec: dict, value: Optional[float] = None) -> ch.KrausChannel
             raise ConfigError(f"channel.{key} is required for channel kind {kind!r}")
         value = spec[key]
     if kind == "pauli":
-        return ch.pauli_channel(value)
+        return _construct(ch.pauli_channel, value)
     if kind == "unitary":
-        return ch.unitary_channel(_parse_complex_matrix(value))
+        return _construct(ch.unitary_channel, _parse_complex_matrix(value))
+    value = _number(value, f"channel.{key}", float)
     if kind == "depolarizing":
-        return ch.depolarizing(float(value), int(spec.get("d", 2)))
-    return {"amplitude_damping": ch.amplitude_damping, "dephasing": ch.dephasing,
-            "rotation": ch.rotation}[kind](float(value))
+        return _construct(ch.depolarizing, value, _number(spec.get("d", 2), "channel.d"))
+    return _construct({"amplitude_damping": ch.amplitude_damping, "dephasing": ch.dephasing,
+                       "rotation": ch.rotation}[kind], value)
 
 
 def _channel_param(spec: dict, value: Optional[float]) -> float:
@@ -205,6 +230,8 @@ def _run_point(cfg: dict, method: str, proc: ProcessorMap, n_ports: int,
     channel = _build_channel(channel_spec, value)
     chi_e = ch.choi_of_channel(channel).matrix
     cost_kind = cfg.get("cost", "C1")
+    if cost_kind not in COST_KINDS:
+        raise ConfigError(f"cost {cost_kind!r} not one of {COST_KINDS}")
     mu = float(cfg.get("mu", 1e-2))
     param = _channel_param(channel_spec, value)
 
@@ -295,7 +322,7 @@ def _grid(cfg: dict) -> tuple:
             raise ConfigError("processor.N grid is empty")
     else:
         n_list = [n_list]
-    return values, [int(n) for n in n_list]
+    return values, [_number(n, "processor.N") for n in n_list]
 
 
 def cmd_optimize(args) -> int:
@@ -304,8 +331,8 @@ def cmd_optimize(args) -> int:
     method = cfg.get("method")
     if method not in METHODS:
         raise ConfigError(f"config.method {method!r} not one of {METHODS}")
-    proc = _build_processor(cfg.get("processor", {}))
-    n_ports = int(cfg.get("processor", {}).get("N", 1))
+    n_ports = _number(cfg.get("processor", {}).get("N", 1), "processor.N")
+    proc = _build_processor(cfg.get("processor", {}), n_ports)
     row = _run_point(cfg, method, proc, n_ports, _channel_spec(cfg), None,
                      args.tol, seed)
     print(CSV_HEADER + ",wall_time_s")
@@ -340,7 +367,7 @@ def cmd_benchmark(args) -> int:
             for mth in methods:
                 points.append((n, v, mth))
 
-    procs = {n: _build_processor(cfg.get("processor", {}), n_override=n) for n in n_list}
+    procs = {n: _build_processor(cfg.get("processor", {}), n) for n in n_list}
 
     lines = [CSV_HEADER]
     ok_rows = []
@@ -406,43 +433,29 @@ def cmd_processors(_args) -> int:
 
 def _verify_checks(level: str):
     """Yield (name, residual, tolerance) verification triples."""
-    from . import rand as qr
-    from .optim import (
-        OptimConfig,
-        frank_wolfe,
-        grad_smoothed_cost,
-        grad_trace_cost,
-        project_to_states,
-        simulation_cost,
-    )
-
-    from .hermlin import herm_eig, partial_trace as pt
-
     rng = np.random.default_rng(20240)
 
-    h = qr.random_hermitian(64, rng)
+    h = rand.random_hermitian(64, rng)
     dec = herm_eig(h)
     yield ("herm_eig reconstruction (64)",
            float(np.abs(dec.reconstruct() - h).max()) / (1 + np.linalg.norm(h)), 1e-10)
 
-    m = qr.random_hermitian(12, rng)
+    m = rand.random_hermitian(12, rng)
     yield ("partial trace preserves trace",
-           abs(np.trace(pt(m, [3, 4], [0])) - np.trace(m)), 1e-10)
+           abs(np.trace(partial_trace(m, [3, 4], [0])) - np.trace(m)), 1e-10)
 
-    from .hermlin import norms as _norms
-    nm = _norms(qr.random_hermitian(16, rng))
-    yield ("Schatten chain inf<=2<=1",
-           max(0.0, nm.spectral_norm - nm.frobenius_norm,
-               nm.frobenius_norm - nm.trace_norm), 0.0)
+    m = rand.random_hermitian(16, rng)
+    s_inf, s_2, s_1 = (schatten_norm(m, p) for p in (np.inf, 2, 1))
+    yield ("Schatten chain inf<=2<=1", max(0.0, s_inf - s_2, s_2 - s_1), 0.0)
 
     for kind in ("amplitude_damping", "depolarizing", "dephasing"):
         channel = _build_channel({"kind": kind, "p": 0.35})
         chi = ch.choi_of_channel(channel)
-        marg = pt(chi.matrix, [2, 2], [0])
+        marg = partial_trace(chi.matrix, [2, 2], [0])
         yield (f"choi marginal {kind}", float(np.abs(marg - np.eye(2) / 2).max()), 1e-9)
 
-    a = qr.random_choi(2, rng).matrix
-    b = qr.random_choi(2, rng).matrix
+    a = rand.random_choi(2, rng).matrix
+    b = rand.random_choi(2, rng).matrix
     c1 = cost_eval("C1", a, b)
     yield ("identical-input costs vanish", cost_eval("C1", a, a) + cost_eval("CF", a, a), 1e-9)
     yield ("Fuchs-van de Graaf C1 <= 2 sqrt(CF)",
@@ -451,13 +464,13 @@ def _verify_checks(level: str):
     yield ("Huber sandwich", max(0.0, cmu - c1, c1 - cmu - 1e-2 * 4 / 2), 1e-9)
 
     tele = processors.teleportation_processor(2)
-    x = qr.random_hermitian(4, rng)
+    x = rand.random_hermitian(4, rng)
     # independent Kraus reference K_w = (W_w^* (x) W_w)/2
     forward = sum(k @ x @ k.conj().T for k in
-                  (np.kron(w.conj(), w) / 2 for w in processors.weyl_unitaries(2)))
+                  (np.kron(w.conj(), w) / 2 for w in ch.weyl_unitaries(2)))
     yield ("teleportation self-dual", float(np.abs(forward - tele.dual(x)).max()), 1e-10)
-    pi = qr.random_density(4, rng).matrix
-    xx = qr.random_hermitian(4, rng)
+    pi = rand.random_density(4, rng).matrix
+    xx = rand.random_hermitian(4, rng)
     lhs = np.trace(xx @ tele.apply_matrix(pi)).real
     rhs = np.trace(tele.dual(xx) @ pi).real
     yield ("adjoint identity", abs(lhs - rhs), 1e-10)
@@ -469,19 +482,19 @@ def _verify_checks(level: str):
     yield ("pqc amplitude-damping point",
            cost_eval("C1", chi_ad, proc.apply_matrix(prog)), 1e-10)
 
-    chi_e = qr.random_choi(2, rng).matrix
-    pi = 0.5 * qr.random_density(4, rng).matrix + 0.5 * np.eye(4) / 4
+    chi_e = rand.random_choi(2, rng).matrix
+    pi = 0.5 * rand.random_density(4, rng).matrix + 0.5 * np.eye(4) / 4
     for kind, tol in (("C1", 1e-4), ("Cmu", 1e-6)):
-        g = (grad_trace_cost(tele, chi_e, pi) if kind == "C1"
-             else grad_smoothed_cost(tele, chi_e, pi, 1e-2))
-        direction = qr.random_traceless_direction(4, rng)
+        g = (optim.grad_trace_cost(tele, chi_e, pi) if kind == "C1"
+             else optim.grad_smoothed_cost(tele, chi_e, pi, 1e-2))
+        direction = rand.random_traceless_direction(4, rng)
         eps = 1e-5
-        fd = (simulation_cost(tele, chi_e, pi + eps * direction, kind, 1e-2)
-              - simulation_cost(tele, chi_e, pi - eps * direction, kind, 1e-2)) / (2 * eps)
+        fd = (optim.simulation_cost(tele, chi_e, pi + eps * direction, kind, 1e-2)
+              - optim.simulation_cost(tele, chi_e, pi - eps * direction, kind, 1e-2)) / (2 * eps)
         an = float(np.real(np.trace(g @ direction)))
         yield (f"gradient fd ({kind})", abs(fd - an) / max(1e-12, abs(fd)), tol)
 
-    proj = project_to_states(np.diag([0.9, 0.6, -0.1]).astype(complex))
+    proj = optim.project_to_states(np.diag([0.9, 0.6, -0.1]).astype(complex))
     yield ("simplex-spectrum projection",
            float(np.abs(np.diag(proj.matrix).real - [0.65, 0.35, 0.0]).max()), 1e-12)
 
@@ -490,7 +503,6 @@ def _verify_checks(level: str):
                           rhs=[1.0, 1.0])
     sol = sdp.solve_sdp(prob)
     yield ("small SDP objective", abs(sol.primal_objective - 2.0), 1e-6)
-    yield ("trace-norm SDP", abs(sdp.trace_norm_via_sdp(np.diag([1.0, -2.0]).astype(complex)) - 3.0), 1e-6)
 
     chi_i = ch.choi_of_channel(ch.rotation(0.0)).matrix
     chi_d = ch.choi_of_channel(ch.depolarizing(0.3)).matrix
@@ -501,7 +513,7 @@ def _verify_checks(level: str):
         for n in (2, 3):
             full = processors.pbt_processor(n, 2)
             red = processors.pbt_reduced_map(n, 2)
-            chi = qr.random_choi(2, rng).matrix
+            chi = rand.random_choi(2, rng).matrix
             prog = chi.copy()
             for _ in range(n - 1):
                 prog = np.kron(prog, chi)
@@ -525,8 +537,8 @@ def _verify_checks(level: str):
         yield ("sandwich C1 <= Cdiamond <= 2 C1",
                max(0.0, v1 - vd - 1e-6, vd - 2 * v1 - 1e-6), 0.0)
 
-        res = frank_wolfe(tele, ch.choi_of_channel(ch.rotation(0.3)).matrix,
-                          OptimConfig(max_iters=60, cost_kind="CF"))
+        res = optim.frank_wolfe(tele, ch.choi_of_channel(ch.rotation(0.3)).matrix,
+                                optim.OptimConfig(max_iters=60, cost_kind="CF"))
         yield ("frank-wolfe runs (CF)", 0.0 if res.final_cost >= 0 else 1.0, 0.5)
 
 

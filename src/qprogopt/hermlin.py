@@ -3,7 +3,8 @@
 Everything operates on plain ``numpy.ndarray`` values (complex128, row-major).
 Matrices are dense and sized for dimensions up to ~1024; there is no sparse
 or GPU path.  All functions are pure: inputs are never mutated, so values can
-be shared freely across threads.
+be shared freely across threads.  Every singular-value norm is a
+``schatten_norm``; Kronecker products are plain ``np.kron``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ import numpy as np
 __all__ = [
     "HERMITICITY_RTOL",
     "SpectralDecomposition",
-    "SchattenNorms",
-    "dag",
     "hermitize",
     "is_hermitian",
     "herm_eig",
@@ -24,15 +23,12 @@ __all__ = [
     "matrix_sqrt",
     "matrix_inv_sqrt",
     "matrix_sign",
-    "kron",
     "partial_trace",
     "permute_subsystems",
     "embed_operator",
     "trace_norm",
     "spectral_norm",
-    "frobenius_norm",
     "schatten_norm",
-    "norms",
 ]
 
 # Relative deviation max|M - M^dag| / max|M| above which a matrix is rejected
@@ -45,11 +41,6 @@ SIGN_CLUSTER_GAP = 1e-10
 SIGN_ZERO_TOL = 1e-10
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
-
-def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return a.conj().T
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -89,10 +80,6 @@ class SpectralDecomposition(NamedTuple):
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
         return (u * self.eigenvalues) @ u.conj().T
-
-    def apply(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * np.asarray(f(self.eigenvalues))) @ u.conj().T
 
 
 def herm_eig(m: np.ndarray) -> SpectralDecomposition:
@@ -182,11 +169,6 @@ def matrix_sign(m: np.ndarray) -> np.ndarray:
     return (dec.eigenvectors * signs) @ dec.eigenvectors.conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, (A kron B)[i*rB+k, j*cB+l] = A[i,j] B[k,l]."""
-    return np.kron(a, b)
-
-
 def _check_shape(m: np.ndarray, dims: Sequence[int], who: str) -> None:
     total = int(np.prod(dims))
     if any(d <= 0 for d in dims):
@@ -267,14 +249,7 @@ def trace_norm(m: np.ndarray) -> float:
 
 def spectral_norm(m: np.ndarray) -> float:
     """Schatten-inf norm (largest singular value)."""
-    m = np.asarray(m, dtype=complex)
-    if is_hermitian(m):
-        return float(np.abs(np.linalg.eigvalsh(m)).max())
-    return float(np.linalg.svd(m, compute_uv=False).max())
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m))
+    return schatten_norm(m, np.inf)
 
 
 def schatten_norm(m: np.ndarray, p: float) -> float:
@@ -293,22 +268,3 @@ def schatten_norm(m: np.ndarray, p: float) -> float:
         return float(s.max()) if s.size else 0.0
     return float(np.sum(s**p) ** (1.0 / p))
 
-
-class SchattenNorms(NamedTuple):
-    trace_norm: float
-    spectral_norm: float
-    frobenius_norm: float
-
-
-def norms(m: np.ndarray) -> SchattenNorms:
-    """Trace, spectral and Frobenius norms of one matrix."""
-    m = np.asarray(m, dtype=complex)
-    if is_hermitian(m):
-        s = np.abs(np.linalg.eigvalsh(m))
-    else:
-        s = np.linalg.svd(m, compute_uv=False)
-    return SchattenNorms(
-        trace_norm=float(s.sum()),
-        spectral_norm=float(s.max()) if s.size else 0.0,
-        frobenius_norm=float(np.sqrt(np.sum(s**2))),
-    )

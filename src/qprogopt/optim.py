@@ -38,7 +38,6 @@ from .channels import (
 from .hermlin import (
     herm_eig,
     hermitize,
-    kron,
     matrix_inv_sqrt,
     matrix_sign,
     matrix_sqrt,
@@ -217,7 +216,7 @@ def project_to_choi_set(x: np.ndarray, d: int) -> ChoiMatrix:
 
     def proj_affine(m):
         marg = partial_trace(m, [d, d], keep=[0])
-        corr = kron(eye_d / d - marg, eye_d / d)
+        corr = np.kron(eye_d / d - marg, eye_d / d)
         return m + corr
 
     p = np.zeros_like(x)
@@ -340,7 +339,7 @@ def learn_unitary_program(proc: ProcessorMap, u: np.ndarray) -> DensityMatrix:
     if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
         raise ValueError("learn_unitary_program: input is not unitary")
     phi = max_entangled(d).matrix
-    ext = kron(np.eye(d), u)
+    ext = np.kron(np.eye(d), u)
     chi_u = ext @ phi @ ext.conj().T
     dec = herm_eig(hermitize(proc.dual(chi_u)))
     if dec.eigenvalues.size > 1 and dec.eigenvalues[0] - dec.eigenvalues[1] < DEGENERACY_TOL:

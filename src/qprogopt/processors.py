@@ -6,7 +6,7 @@ simulated channel, stored as one transfer (superoperator) matrix; see
 arXiv:1111.6950).  Three families are provided:
 
 * ``teleportation_processor`` -- generalized teleportation over a
-  d^2-dimensional program (Bell measurement + correction unitaries).
+  d^2-dimensional program (Bell measurement + ``weyl_unitaries`` corrections).
 * ``pbt_processor`` / ``pbt_reduced_map`` -- port-based teleportation with N
   ports; the reduced variant acts on a single d^2-dimensional Choi block and
   agrees with the full map on program states of the form chi^(tensor N).
@@ -29,11 +29,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import _X, _Y, _Z, ChoiMatrix, DensityMatrix, MatrixLike, as_matrix, max_entangled
+from .channels import (_X, _Y, _Z, DensityMatrix, MatrixLike, as_matrix, max_entangled,
+                       weyl_unitaries)
 from .hermlin import (
     embed_operator,
     hermitize,
-    kron,
     matrix_function,
     matrix_inv_sqrt,
     partial_trace,
@@ -43,8 +43,6 @@ from .hermlin import (
 __all__ = [
     "CapacityError",
     "ProcessorMap",
-    "weyl_unitaries",
-    "bell_basis",
     "teleportation_processor",
     "pbt_povm",
     "pbt_processor",
@@ -131,9 +129,6 @@ class ProcessorMap:
         dc = self.d_choi
         return hermitize((self.transfer @ m.ravel()).reshape(dc, dc))
 
-    def apply(self, pi: MatrixLike) -> ChoiMatrix:
-        return ChoiMatrix.from_matrix(self.apply_matrix(pi), self.d_in, self.d_out)
-
     def dual(self, x: np.ndarray) -> np.ndarray:
         """Adjoint map on Choi-space observables, vec(Lambda*(X)) = S^dag vec(X).
 
@@ -162,36 +157,6 @@ def _transfer_from_kraus(kraus: np.ndarray) -> np.ndarray:
 # --- teleportation ----------------------------------------------------------
 
 
-def weyl_unitaries(d: int) -> list:
-    """The d^2 clock/shift products W[a*d+b] = X^a Z^b, Tr(W_i^dag W_j) = d delta_ij.
-
-    For d = 2 these are I, Z, X, XZ = -iY, i.e. the Pauli frame up to phase.
-    """
-    if d < 2:
-        raise ValueError(f"weyl_unitaries: need d >= 2, got {d}")
-    omega = np.exp(2j * np.pi / d)
-    shift = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        shift[(j + 1) % d, j] = 1.0
-    clock = np.diag(omega ** np.arange(d))
-    out = []
-    xa = np.eye(d, dtype=complex)
-    for _a in range(d):
-        zb = np.eye(d, dtype=complex)
-        for _b in range(d):
-            out.append(xa @ zb)
-            zb = zb @ clock
-        xa = xa @ shift
-    return out
-
-
-def bell_basis(d: int) -> list:
-    """Maximally entangled basis |Phi_i> = (I (x) W_i)|Phi>."""
-    phi = np.zeros(d * d, dtype=complex)
-    phi[:: d + 1] = 1.0 / math.sqrt(d)
-    return [kron(np.eye(d), w) @ phi for w in weyl_unitaries(d)]
-
-
 def teleportation_processor(d: int = 2) -> ProcessorMap:
     """Teleportation over an arbitrary two-qudit program.
 
@@ -203,7 +168,7 @@ def teleportation_processor(d: int = 2) -> ProcessorMap:
             f"teleportation_processor: d = {d} exceeds cap {TELEPORTATION_MAX_D}"
         )
     ws = weyl_unitaries(d)
-    kraus = np.stack([kron(w.conj(), w) / d for w in ws])
+    kraus = np.stack([np.kron(w.conj(), w) / d for w in ws])
     return ProcessorMap(_transfer_from_kraus(kraus), d_prog=d * d, d_in=d, d_out=d,
                         label=f"teleportation[d={d}]")
 
@@ -303,7 +268,7 @@ def pbt_reduced_map(n_ports: int, d: int = 2, singlet: bool = False) -> Processo
     """PBT restricted to programs chi^(tensor N): a map on one Choi block.
 
     For every single-port Choi matrix chi (Tr_out chi = I/d) the output
-    equals ``pbt_processor(N, d).apply(chi^(tensor N))``.  The map is CPTP on
+    equals ``pbt_processor(N, d).apply_matrix(chi^(tensor N))``.  The map is CPTP on
     the whole d^2 space, but only Choi-constrained programs correspond to
     actual PBT resource states.
     """
@@ -367,8 +332,8 @@ def symmetric_param_count(n_ports: int, d: int = 2) -> int:
 
 def default_pqc_hamiltonians() -> tuple:
     """The pair of universal two-qubit generators used for benchmarking."""
-    h0 = math.sqrt(2.0) * (kron(_X, _Y) - kron(_Y, _X))
-    h1 = kron(
+    h0 = math.sqrt(2.0) * (np.kron(_X, _Y) - np.kron(_Y, _X))
+    h1 = np.kron(
         math.sqrt(2.0) * _Z + math.sqrt(3.0) * _Y + math.sqrt(5.0) * _X,
         _Y + math.sqrt(2.0) * _Z,
     )
@@ -379,7 +344,7 @@ def amplitude_damping_hamiltonian(p: float) -> np.ndarray:
     """Generator whose exponential is a Stinespring unitary of damping p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"amplitude_damping_hamiltonian: p={p} outside [0, 1]")
-    return (math.asin(math.sqrt(p)) / 2.0) * (kron(_Y, _X) - kron(_X, _Y))
+    return (math.asin(math.sqrt(p)) / 2.0) * (np.kron(_Y, _X) - np.kron(_X, _Y))
 
 
 def _conditional_gate(h0: np.ndarray, h1: np.ndarray, reg_dim: int) -> np.ndarray:
@@ -391,7 +356,7 @@ def _conditional_gate(h0: np.ndarray, h1: np.ndarray, reg_dim: int) -> np.ndarra
     p1 = np.zeros((reg_dim, reg_dim), dtype=complex)
     p0[0, 0] = 1.0
     p1[1, 1] = 1.0
-    heff = kron(h0, p0) + kron(h1, p1)
+    heff = np.kron(h0, p0) + np.kron(h1, p1)
     return matrix_function(heff, lambda x: np.exp(1j * x))
 
 

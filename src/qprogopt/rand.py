@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChoiMatrix, DensityMatrix, KrausChannel
+from .channels import ChoiMatrix, DensityMatrix, KrausChannel, choi_of_channel
 from .hermlin import hermitize
 from .processors import ProcessorMap
 
@@ -44,7 +44,7 @@ def random_channel(d_in: int, d_out: int | None = None, kraus_rank: int | None =
 
 
 def random_choi(d: int, rng: np.random.Generator, kraus_rank: int | None = None) -> ChoiMatrix:
-    return random_channel(d, d, kraus_rank, rng).choi()
+    return choi_of_channel(random_channel(d, d, kraus_rank, rng))
 
 
 def random_traceless_direction(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -45,16 +45,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .channels import ChoiMatrix, DensityMatrix, as_matrix, bures_fidelity, trace_distance_cost
-from .hermlin import hermitize, kron, partial_trace, spectral_norm
+from .hermlin import hermitize, partial_trace, spectral_norm
 from .optim import project_program
-from .processors import ProcessorMap
+from .processors import ProcessorMap, pbt_reduced_map
 
 __all__ = [
     "SdpProblem",
     "SdpSolution",
     "hermitian_basis",
     "solve_sdp",
-    "trace_norm_via_sdp",
     "diamond_distance",
     "optimize_program_trace",
     "optimize_program_diamond",
@@ -374,53 +373,43 @@ class _SdpBuilder:
         self.groups.append((terms, np.asarray(rhs, dtype=float)))
 
     def build(self) -> SdpProblem:
-        def stack(b, d):
-            return np.concatenate([terms[b] if b in terms else np.zeros((rhs.size, d, d))
-                                   for terms, rhs in self.groups])
-
+        """The assembled problem.  The groups leave the builder and each block's
+        stacks are dropped as they are concatenated, so none is held twice."""
+        groups, self.groups = self.groups, []
+        constraints = [np.concatenate([terms.pop(b) if b in terms else np.zeros((rhs.size, d, d))
+                                       for terms, rhs in groups])
+                       for b, d in enumerate(self.block_dims)]
         return SdpProblem(
             objective=[self.objective.get(b, np.zeros((d, d)))
                        for b, d in enumerate(self.block_dims)],
-            constraints=[stack(b, d) for b, d in enumerate(self.block_dims)],
-            rhs=np.concatenate([rhs for _, rhs in self.groups]),
+            constraints=constraints,
+            rhs=np.concatenate([rhs for _, rhs in groups]),
         )
 
 
 # --- concrete programs --------------------------------------------------------
 
 
-def _trace_builder(chi: np.ndarray, proc: Optional[ProcessorMap] = None):
+def _trace_builder(chi: np.ndarray, proc: ProcessorMap):
     """P/Q split program for ||chi - Lambda(pi)||_1:
 
         min Tr P + Tr Q  s.t.  P - Q + Lambda(pi) = chi,  P, Q >= 0.
 
-    Without a processor the Lambda(pi) term is absent and the optimum is
-    ||chi||_1; with one, the program block pi is added (its feasibility
-    constraints are left to the caller).  Returns the builder and the pi
-    block index (None without a processor).
+    The feasibility constraints of the program block pi are left to the
+    caller.  Returns the builder and the pi block index.
     """
     n = chi.shape[0]
     basis = hermitian_basis(n)
     bld = _SdpBuilder()
     p_blk = bld.add_block(n)
     q_blk = bld.add_block(n)
-    pi_blk = None if proc is None else bld.add_block(proc.d_prog)
+    pi_blk = bld.add_block(proc.d_prog)
     bld.objective[p_blk] = np.eye(n)
     bld.objective[q_blk] = np.eye(n)
     # P - Q + Lambda(pi) = chi   (as <B_a, .> coordinates)
-    terms = {p_blk: basis, q_blk: -basis}
-    if proc is not None:
-        terms[pi_blk] = hermitize(proc.dual(basis))
-    bld.constraints(terms, _coords(basis, chi))
+    bld.constraints({p_blk: basis, q_blk: -basis, pi_blk: hermitize(proc.dual(basis))},
+                    _coords(basis, chi))
     return bld, pi_blk
-
-
-def trace_norm_via_sdp(m: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """||M||_1 of a Hermitian matrix through the P/Q split program."""
-    bld, _ = _trace_builder(np.asarray(m, dtype=complex))
-    sol = solve_sdp(bld.build(), tol=tol)
-    _warn_if_failed(sol, "trace_norm_via_sdp", tol)
-    return sol.primal_objective
 
 
 def _warn_if_failed(sol: SdpSolution, who: str, tol: float = DEFAULT_TOL,
@@ -488,7 +477,7 @@ def _solve_program(bld: _SdpBuilder, pi_blk: int, proc: ProcessorMap, tol: float
     if proc.program_domain == "choi":
         fs = hermitian_basis(proc.d_in)
         # Tr_out pi = I/d (includes unit trace)
-        bld.constraints({pi_blk: kron(fs, np.eye(proc.d_in, dtype=complex))},
+        bld.constraints({pi_blk: np.kron(fs, np.eye(proc.d_in, dtype=complex))},
                         np.trace(fs, axis1=1, axis2=2).real / proc.d_in)
     else:
         bld.constraints({pi_blk: np.eye(proc.d_prog, dtype=complex)[None]}, [1.0])
@@ -538,7 +527,7 @@ def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
     bld.constraints(terms, -d_in * _coords(basis, chi))
     # V = t I - Tr_out Z
     fs = hermitian_basis(d_in)
-    bld.constraints({v_blk: fs, z_blk: kron(fs, np.eye(d_out, dtype=complex)),
+    bld.constraints({v_blk: fs, z_blk: np.kron(fs, np.eye(d_out, dtype=complex)),
                      t_blk: -np.trace(fs, axis1=1, axis2=2).real.reshape(-1, 1, 1)},
                     np.zeros(len(fs)))
     return bld, z_blk, pi_blk
@@ -596,8 +585,6 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
 def optimize_choi_diamond(n_ports: int, d: int, chi_target,
                           tol: float = DEFAULT_TOL) -> Tuple[ChoiMatrix, float]:
     """Diamond-optimal single-port Choi program of the reduced PBT map."""
-    from .processors import pbt_reduced_map
-
     proc = pbt_reduced_map(n_ports, d)
     program, value = optimize_program_diamond(proc, chi_target, tol=tol)
     return ChoiMatrix(program, d, d), value

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 the PBT oracle builds full-space operators with explicit embeddings, the
-SDP baseline is a first-order splitting method, and the diamond oracle
-maximizes over entangled pure inputs directly.
+SDP baseline is a first-order splitting method, the diamond oracle
+maximizes over entangled pure inputs directly, channel actions are read off
+the Choi matrix, and the qubit Bell vectors are written out by hand.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from qprogopt.channels import max_entangled
-from qprogopt.hermlin import embed_operator, kron, partial_trace, permute_subsystems
+from qprogopt.hermlin import embed_operator, partial_trace, permute_subsystems
 
 
 def pbt_apply_dense(n_ports: int, d: int, povm, pi: np.ndarray) -> np.ndarray:
@@ -27,7 +28,7 @@ def pbt_apply_dense(n_ports: int, d: int, povm, pi: np.ndarray) -> np.ndarray:
     b_pos = [2 * i + 1 for i in range(n_ports)]
     c_pos, d_pos = 2 * n_ports, 2 * n_ports + 1
     phi_dc = max_entangled(d).matrix  # ordered (D, C)
-    full = kron(pi, phi_dc)  # current ordering: program wires, D, C
+    full = np.kron(pi, phi_dc)  # current ordering: program wires, D, C
     cur = list(range(2 * n_ports)) + [d_pos, c_pos]
     perm = [cur.index(i) for i in range(2 * n_ports + 2)]
     full = permute_subsystems(full, [d] * (2 * n_ports) + [d, d], perm)
@@ -37,6 +38,23 @@ def pbt_apply_dense(n_ports: int, d: int, povm, pi: np.ndarray) -> np.ndarray:
         red = partial_trace(big @ full, dims, keep=[b_pos[i], d_pos])  # (B_i, D)
         out += permute_subsystems(red, [d, d], [1, 0])  # reorder to (D, B_out)
     return out
+
+
+# --- channels from their Choi matrices ------------------------------------------
+
+
+def apply_via_choi(chi: np.ndarray, d_in: int, rho: np.ndarray) -> np.ndarray:
+    """Action of the map whose normalized Choi matrix (ordered input copy,
+    output) is chi: E(rho) = d_in Tr_in[(rho^T (x) I) chi]."""
+    d_out = chi.shape[0] // d_in
+    big = np.kron(rho.T, np.eye(d_out)) @ chi
+    return d_in * partial_trace(big, [d_in, d_out], keep=[1])
+
+
+def qubit_bell_basis() -> list:
+    """The Bell vectors (I (x) W)|Phi> for W = I, Z, X, XZ, in that order."""
+    vecs = ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0])
+    return [np.array(v, dtype=complex) / math.sqrt(2.0) for v in vecs]
 
 
 # --- first-order SDP baseline -------------------------------------------------
@@ -124,12 +142,6 @@ def random_sdp(rng: np.random.Generator, block_dims=(4, 3), m: int = 5):
 # --- diamond-norm oracle --------------------------------------------------------
 
 
-def _omega_apply(chi_omega: np.ndarray, d: int, rho: np.ndarray) -> np.ndarray:
-    """Action of the Hermiticity-preserving map with Choi chi_omega."""
-    big = np.kron(rho.T, np.eye(d)) @ chi_omega
-    return d * partial_trace(big, [d, d], keep=[1])
-
-
 def diamond_grid_oracle(chi_omega: np.ndarray, coarse: int = 7, polish: bool = True) -> float:
     """max over entangled pure inputs of || (I (x) Omega)(phi) ||_1, qubits.
 
@@ -140,7 +152,7 @@ def diamond_grid_oracle(chi_omega: np.ndarray, coarse: int = 7, polish: bool = T
     derivative-free simplex search.
     """
     d = 2
-    blocks = [[_omega_apply(chi_omega, d, np.outer(_e(j), _e(l).conj()))
+    blocks = [[apply_via_choi(chi_omega, d, np.outer(_e(j), _e(l).conj()))
                for l in range(d)] for j in range(d)]
 
     def value(params):

@@ -8,7 +8,6 @@ from qprogopt.channels import (
     DensityMatrix,
     KrausChannel,
     amplitude_damping,
-    apply_via_choi,
     bures_fidelity,
     choi_of_channel,
     cost_eval,
@@ -22,8 +21,10 @@ from qprogopt.channels import (
     trace_distance_cost,
     unitary_channel,
 )
-from qprogopt.hermlin import kron, partial_trace
+from qprogopt.hermlin import partial_trace
 from qprogopt.rand import random_channel, random_choi, random_density
+
+from oracles import apply_via_choi
 
 PINSKER = math.sqrt(2.0 * math.log(2.0))
 
@@ -33,8 +34,8 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(2, dtype=complex))
     with pytest.raises(ValueError, match="eigenvalue"):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
-    dm = DensityMatrix.maximally_mixed(3)
-    assert dm.dim == 3 and np.isclose(dm.purity(), 1.0 / 3.0)
+    dm = DensityMatrix(np.eye(3) / 3)
+    assert dm.dim == 3 and np.isclose(np.trace(dm.matrix @ dm.matrix).real, 1.0 / 3.0)
 
 
 def test_max_entangled_structure():
@@ -45,7 +46,7 @@ def test_max_entangled_structure():
             expected[i, j] = 0.5
     assert np.allclose(phi.matrix, expected)
     assert np.allclose(partial_trace(phi.matrix, [2, 2], [0]), np.eye(2) / 2)
-    assert np.isclose(phi.purity(), 1.0)
+    assert np.isclose(np.trace(phi.matrix @ phi.matrix).real, 1.0)
     with pytest.raises(ValueError):
         max_entangled(1)
 
@@ -59,7 +60,7 @@ def test_choi_reset_channel():
     chi = choi_of_channel(amplitude_damping(1.0))
     ket0 = np.zeros((2, 2), dtype=complex)
     ket0[0, 0] = 1.0
-    assert np.allclose(chi.matrix, kron(np.eye(2) / 2, ket0))
+    assert np.allclose(chi.matrix, np.kron(np.eye(2) / 2, ket0))
 
 
 def test_choi_fully_depolarizing():
@@ -86,27 +87,22 @@ def test_apply_via_choi_identity_and_reset():
     rng = np.random.default_rng(0)
     rho = random_density(2, rng).matrix
     chi_id = choi_of_channel(unitary_channel(np.eye(2, dtype=complex)))
-    assert np.abs(apply_via_choi(chi_id, rho) - rho).max() <= 1e-10
+    assert np.abs(apply_via_choi(chi_id.matrix, 2, rho) - rho).max() <= 1e-10
     chi_reset = choi_of_channel(amplitude_damping(1.0))
     ket0 = np.zeros((2, 2), dtype=complex)
     ket0[0, 0] = 1.0
-    assert np.abs(apply_via_choi(chi_reset, rho) - ket0).max() <= 1e-10
+    assert np.abs(apply_via_choi(chi_reset.matrix, 2, rho) - ket0).max() <= 1e-10
 
 
 def test_apply_via_choi_round_trip():
     rng = np.random.default_rng(1)
     for d in (2, 3):
         channel = random_channel(d, rng=rng)
-        chi = choi_of_channel(channel)
+        chi = choi_of_channel(channel).matrix
         for _ in range(5):
             rho = random_density(d, rng).matrix
-            assert np.abs(apply_via_choi(chi, rho) - channel.apply(rho)).max() <= 1e-10
-
-
-def test_apply_via_choi_dim_mismatch():
-    chi = choi_of_channel(amplitude_damping(0.5))
-    with pytest.raises(ValueError, match="d_in"):
-        apply_via_choi(chi, np.eye(3) / 3)
+            kraus_action = sum(k @ rho @ k.conj().T for k in channel.kraus_ops)
+            assert np.abs(apply_via_choi(chi, d, rho) - kraus_action).max() <= 1e-10
 
 
 def test_zoo_kraus_forms():
@@ -143,7 +139,7 @@ def test_rotation_choi_is_pure_derived():
     u = math.cos(theta) * np.eye(2) + 1j * math.sin(theta) * x
     phi_vec = np.zeros(4, dtype=complex)
     phi_vec[0] = phi_vec[3] = 1.0 / math.sqrt(2)
-    vec = kron(np.eye(2), u) @ phi_vec
+    vec = np.kron(np.eye(2), u) @ phi_vec
     assert np.abs(chi - np.outer(vec, vec.conj())).max() <= 1e-12
 
 

@@ -194,6 +194,33 @@ def test_internal_key_error_propagates(tmp_path, monkeypatch):
         main(["optimize", "--config", _write(tmp_path, cfg)])
 
 
+_AD = {"kind": "amplitude_damping", "p": 0.5}
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("optimize", {"processor": {"kind": "teleportation"},
+                  "channel": {"kind": "amplitude_damping", "p": 1.5},
+                  "method": "sdp_trace"}, "outside [0, 1]"),
+    ("optimize", {"processor": {"kind": "pqc", "N": 0}, "channel": _AD,
+                  "method": "sdp_trace"}, "need N >= 1"),
+    ("optimize", {"processor": {"kind": "teleportation", "d": 1}, "channel": _AD,
+                  "method": "sdp_trace"}, "need d >= 2"),
+    ("optimize", {"processor": {"kind": "teleportation"}, "channel": _AD,
+                  "method": "choi_baseline", "cost": "Cfoo"}, "'Cfoo'"),
+    ("benchmark", {"processor": {"kind": "teleportation"},
+                   "channel": {"kind": "amplitude_damping", "values": [0.3, 1.5]},
+                   "methods": ["sdp_trace"]}, "outside [0, 1]"),
+    ("optimize", {"processor": {"kind": "pbt", "N": [2, 3]}, "channel": _AD,
+                  "method": "sdp_trace"}, "processor.N"),
+    ("optimize", {"processor": {"kind": "pbt", "N": 2.5}, "channel": _AD,
+                  "method": "choi_baseline"}, "processor.N"),
+], ids=["p-range", "pqc-N", "teleportation-d", "cost-kind", "benchmark-grid-p", "N-list",
+        "N-fraction"])
+def test_rejected_config_value_is_validation_error(tmp_path, capsys, command, cfg, message):
+    assert main([command, "--config", _write(tmp_path, cfg)]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_bad_json_is_validation_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -31,7 +31,6 @@ from qprogopt.sdp import (
     optimize_program_fidelity,
     optimize_program_trace,
     solve_sdp,
-    trace_norm_via_sdp,
 )
 
 from oracles import admm_baseline, diamond_grid_oracle, random_sdp
@@ -167,11 +166,6 @@ def test_solve_sdp_divergence_keeps_best_iterate(seed, block_dims):
     assert sol.status != "infeasible"
     ref = admm_baseline(prob)
     assert abs(sol.primal_objective - ref) <= 1e-6 * max(1.0, abs(ref))
-
-
-def test_trace_norm_program():
-    val = trace_norm_via_sdp(np.diag([1.0, -2.0]).astype(complex))
-    assert abs(val - 3.0) <= 1e-6
 
 
 # --- diamond distance -----------------------------------------------------------
