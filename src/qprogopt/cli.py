@@ -138,7 +138,7 @@ def _build_channel(spec: dict, value: Optional[float] = None) -> ch.KrausChannel
     if kind not in CHANNEL_KINDS:
         raise ConfigError(f"channel.kind {kind!r} not one of {sorted(CHANNEL_KINDS)}")
     key = CHANNEL_KINDS[kind]
-    if value is None or kind in ("pauli", "unitary"):
+    if value is None:
         if key not in spec:
             raise ConfigError(f"channel.{key} is required for channel kind {kind!r}")
         value = spec[key]
@@ -313,9 +313,12 @@ def _channel_spec(cfg: dict) -> dict:
 
 
 def _grid(cfg: dict) -> tuple:
-    values = _channel_spec(cfg).get("values")
+    spec = _channel_spec(cfg)
+    values = spec.get("values")
     if values is not None and len(values) == 0:
         raise ConfigError("channel.values grid is empty")
+    if values is not None and spec.get("kind") in ("pauli", "unitary"):
+        raise ConfigError(f"channel.values grid: kind {spec['kind']!r} has no scalar parameter")
     n_list = cfg.get("processor", {}).get("N", 1)
     if isinstance(n_list, list):
         if not n_list:

@@ -10,6 +10,8 @@ arXiv:1111.6950).  Three families are provided:
 * ``pbt_processor`` / ``pbt_reduced_map`` -- port-based teleportation with N
   ports; the reduced variant acts on a single d^2-dimensional Choi block and
   agrees with the full map on program states of the form chi^(tensor N).
+  It is closed form, from the Young-diagram PBT fidelity (Studzinski et al.,
+  Sci. Rep. 7, 10871 (2017); qubits: Ishizaka-Hiroshima, PRA 79, 042306 (2009)).
 * ``pqc_processor`` / ``mpqc_processor`` -- conditioned-Hamiltonian circuit
   processors with qubit (resp. qutrit) program registers.
 
@@ -31,14 +33,8 @@ import numpy as np
 
 from .channels import (_X, _Y, _Z, DensityMatrix, MatrixLike, as_matrix, max_entangled,
                        weyl_unitaries)
-from .hermlin import (
-    embed_operator,
-    hermitize,
-    matrix_function,
-    matrix_inv_sqrt,
-    partial_trace,
-    permute_subsystems,
-)
+from .hermlin import (embed_operator, hermitize, matrix_function, matrix_inv_sqrt,
+                      permute_subsystems)
 
 __all__ = [
     "CapacityError",
@@ -264,30 +260,58 @@ def pbt_processor(n_ports: int, d: int = 2, singlet: bool = False) -> ProcessorM
                         label=f"pbt[N={n_ports},d={d}]")
 
 
+def _add_box(shape: tuple) -> list:
+    """The Young diagrams made from ``shape`` (non-increasing rows) by adding one box."""
+    return [shape[:i] + (r + 1,) + shape[i + 1:] for i, r in enumerate(shape + (0,))
+            if i == 0 or shape[i - 1] > r]
+
+
+def _isotypic_dim(shape: tuple, d: int) -> int:
+    """Size m k of its block of (C^d)^(tensor n): m = prod(d + j - i) / H, k = n! / H (hooks H)."""
+    hooks = contents = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            hooks *= row - j + sum(1 for r in shape[i + 1:] if r > j)
+            contents *= d + j - i
+    return (contents // hooks) * (math.factorial(sum(shape)) // hooks)
+
+
+def _pbt_fidelity(n_ports: int, d: int) -> float:
+    """PBT entanglement fidelity F = d^-(N+2) sum_{alpha |- N-1} (sum_{mu = alpha + box}
+    sqrt(m_mu k_mu))^2, each square summed as sum x + 2 sum_{mu < nu} sqrt(x_mu x_nu)."""
+    shapes = {()}
+    for _ in range(n_ports - 1):  # grow every alpha |- N - 1 box by box
+        shapes = {mu for alpha in shapes for mu in _add_box(alpha)}
+    total = 0.0
+    for alpha in sorted(shapes):
+        xs = [_isotypic_dim(mu, d) for mu in _add_box(alpha)]
+        total += sum(xs) + 2.0 * sum(math.sqrt(a * b) for a, b in itertools.combinations(xs, 2))
+    return total / d ** (n_ports + 2)
+
+
 def pbt_reduced_map(n_ports: int, d: int = 2, singlet: bool = False) -> ProcessorMap:
     """PBT restricted to programs chi^(tensor N): a map on one Choi block.
 
     For every single-port Choi matrix chi (Tr_out chi = I/d) the output
     equals ``pbt_processor(N, d).apply_matrix(chi^(tensor N))``.  The map is CPTP on
     the whole d^2 space, but only Choi-constrained programs correspond to
-    actual PBT resource states.
+    actual PBT resource states.  It needs only p = Tr_{A_2..A_N} Pi_1 on (A_1, C),
+    which is U (x) U^* invariant: alpha I + beta Phi+ (Phi+ = sum_ij |ii><jj|, under
+    I (x) Y on C for the singlet), with Tr p = d^(N+1)/N, Tr(p Phi+) = d^(N+2) F / N.
     """
-    if n_ports < 1:
-        raise ValueError(f"pbt_reduced_map: need N >= 1, got {n_ports}")
+    if n_ports < 1 or d < 2:
+        raise ValueError(f"pbt_reduced_map: need N >= 1 and d >= 2, got N={n_ports}, d={d}")
     if n_ports > PBT_REDUCED_MAX_PORTS:
         raise CapacityError(
             f"pbt_reduced_map: N = {n_ports} exceeds cap {PBT_REDUCED_MAX_PORTS}"
         )
-    povm = pbt_povm(n_ports, d, singlet)
-    dims = [d] * n_ports + [d]
-    # POVM element of port 1 with the other ports traced out, on (A_1, C)
-    reduced = partial_trace(povm[0], dims, keep=[0, n_ports])
+    beta = (d ** (n_ports + 2) * _pbt_fidelity(n_ports, d) - d**n_ports) / (n_ports * (d * d - 1))
+    alpha = d ** (n_ports - 1) / n_ports - beta / d
+    reduced = alpha * np.eye(d * d) + beta * d * _entangled_pair(d, singlet)
     p4 = reduced.reshape(d, d, d, d)  # legs (row a, row C, col a, col C)
     eye = np.eye(d)
     coef = n_ports / d**n_ports
-    transfer = coef * np.einsum(
-        "uqvp,yb,zc->pbqcvyuz", p4, eye, eye
-    ).reshape(d**4, d**4)
+    transfer = coef * np.einsum("uqvp,yb,zc->pbqcvyuz", p4, eye, eye).reshape(d**4, d**4)
     return ProcessorMap(transfer, d_prog=d * d, d_in=d, d_out=d,
                         label=f"pbt_reduced[N={n_ports},d={d}]",
                         program_domain="choi")

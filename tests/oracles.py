@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the code paths it is used to check:
-the PBT oracle builds full-space operators with explicit embeddings, the
+the PBT oracles build full-space operators with explicit embeddings (the
+reduced map from the square-root POVM rather than its closed form), the
 SDP baseline is a first-order splitting method, the diamond oracle
 maximizes over entangled pure inputs directly, channel actions are read off
 the Choi matrix, and the qubit Bell vectors are written out by hand.
@@ -16,6 +17,7 @@ import numpy as np
 
 from qprogopt.channels import max_entangled
 from qprogopt.hermlin import embed_operator, partial_trace, permute_subsystems
+from qprogopt.processors import pbt_povm
 
 
 def pbt_apply_dense(n_ports: int, d: int, povm, pi: np.ndarray) -> np.ndarray:
@@ -38,6 +40,20 @@ def pbt_apply_dense(n_ports: int, d: int, povm, pi: np.ndarray) -> np.ndarray:
         red = partial_trace(big @ full, dims, keep=[b_pos[i], d_pos])  # (B_i, D)
         out += permute_subsystems(red, [d, d], [1, 0])  # reorder to (D, B_out)
     return out
+
+
+def pbt_reduced_dense(n_ports: int, d: int = 2, singlet: bool = False) -> np.ndarray:
+    """Transfer matrix of the reduced PBT map from the dense square-root POVM.
+
+    The port-1 POVM element on (A_1..A_N, C) is traced down to (A_1, C); the
+    other ports contribute by permutation symmetry, hence the factor N.
+    """
+    povm = pbt_povm(n_ports, d, singlet)
+    reduced = partial_trace(povm[0], [d] * (n_ports + 1), keep=[0, n_ports])
+    p4 = reduced.reshape(d, d, d, d)  # legs (row a, row C, col a, col C)
+    eye = np.eye(d)
+    coef = n_ports / d**n_ports
+    return coef * np.einsum("uqvp,yb,zc->pbqcvyuz", p4, eye, eye).reshape(d**4, d**4)
 
 
 # --- channels from their Choi matrices ------------------------------------------

@@ -221,6 +221,20 @@ def test_rejected_config_value_is_validation_error(tmp_path, capsys, command, cf
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("channel", [
+    {"kind": "pauli", "probs": [0.7, 0.1, 0.1, 0.1], "values": [0.1, 0.2]},
+    {"kind": "unitary", "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "values": [0.1, 0.2]},
+], ids=["pauli", "unitary"])
+def test_values_grid_without_scalar_parameter_is_validation_error(tmp_path, capsys, channel):
+    # the grid value would label rows of one and the same channel
+    cfg = {"processor": {"kind": "teleportation"}, "channel": channel, "methods": ["sdp_trace"]}
+    out = tmp_path / "grid.csv"
+    assert main(["benchmark", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "channel.values" in err and repr(channel["kind"]) in err
+    assert not out.exists()
+
+
 def test_bad_json_is_validation_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

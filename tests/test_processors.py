@@ -16,6 +16,7 @@ from qprogopt.channels import (
 from qprogopt.hermlin import matrix_function
 from qprogopt.processors import (
     CapacityError,
+    _pbt_fidelity,
     amplitude_damping_hamiltonian,
     default_pqc_hamiltonians,
     mpqc_processor,
@@ -36,7 +37,7 @@ from qprogopt.rand import (
     random_program,
 )
 
-from oracles import pbt_apply_dense, qubit_bell_basis
+from oracles import pbt_apply_dense, pbt_reduced_dense, qubit_bell_basis
 
 PHI = max_entangled(2).matrix
 
@@ -266,17 +267,53 @@ def test_pbt_capacity_errors():
         teleportation_processor(6)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_pbt_reduced_matches_full(n):
+@pytest.mark.parametrize("n, singlet", [
+    pytest.param(1, False, id="1"),
+    pytest.param(2, False, id="2"),
+    pytest.param(3, False, id="3"),
+    pytest.param(2, True, id="2-singlet"),
+    pytest.param(3, True, id="3-singlet"),
+])
+def test_pbt_reduced_matches_full(n, singlet):
     rng = np.random.default_rng(18 + n)
-    full = pbt_processor(n, 2)
-    red = pbt_reduced_map(n, 2)
+    full = pbt_processor(n, 2, singlet=singlet)
+    red = pbt_reduced_map(n, 2, singlet=singlet)
     for _ in range(3):
         chi = random_choi(2, rng).matrix
         prog = chi.copy()
         for _ in range(n - 1):
             prog = np.kron(prog, chi)
         assert np.abs(full.apply_matrix(prog) - red.apply_matrix(chi)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("d, n, singlet", [(2, n, False) for n in range(1, 9)]
+                         + [(3, n, False) for n in range(1, 5)]
+                         + [(2, n, True) for n in range(2, 6)])
+def test_pbt_reduced_matches_dense_oracle(d, n, singlet):
+    ref = pbt_reduced_dense(n, d, singlet)
+    assert np.abs(pbt_reduced_map(n, d, singlet).transfer - ref).max() <= 1e-12
+
+
+def test_pbt_fidelity_closed_form():
+    for d in (2, 3):
+        assert _pbt_fidelity(1, d) == 1.0 / d**2
+    # <Phi| Lambda(Phi^(tensor N)) |Phi> of the full processor
+    for n, d in ((2, 2), (3, 2), (1, 3)):
+        phi = max_entangled(d).matrix
+        prog = phi
+        for _ in range(n - 1):
+            prog = np.kron(prog, phi)
+        out = pbt_processor(n, d).apply_matrix(prog)
+        assert abs(np.trace(phi @ out).real - _pbt_fidelity(n, d)) <= 1e-12
+
+
+def test_pbt_reduced_input_errors():
+    with pytest.raises(ValueError):
+        pbt_reduced_map(0)
+    with pytest.raises(ValueError):
+        pbt_reduced_map(2, 1)
+    with pytest.raises(ValueError, match="qubits"):
+        pbt_reduced_map(2, 3, singlet=True)
 
 
 def test_pbt_reduced_identity_error_decreases():
