@@ -35,7 +35,6 @@ from .processors import (
     pbt_povm,
     pbt_processor,
     pbt_reduced_map,
-    symmetrize_program,
     symmetric_param_count,
     pqc_processor,
     mpqc_processor,

@@ -9,8 +9,9 @@ verify      run the built-in invariant suite (levels: fast, full)
 channels    list the channel zoo
 processors  list processor kinds and their size caps
 
-Exit codes: 0 ok, 1 validation error (also a config value that the library
-rejects), 2 numerical failure, 3 verify failure.
+Exit codes: 0 ok, 1 validation error (a missing key, a section or value of
+the wrong JSON type, or a value that the library rejects, optimizer settings
+included), 2 numerical failure, 3 verify failure.
 
 The config file is a single JSON document; matrices are given as nested
 [re, im] pairs.  CSV cells use 12 significant digits and rows follow grid
@@ -28,6 +29,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -50,28 +52,8 @@ CHANNEL_KINDS = {
 }
 
 PROCESSOR_KINDS = ("teleportation", "pbt", "pbt_reduced", "pqc", "mpqc")
-METHODS = (
-    "subgradient",
-    "frank_wolfe",
-    "sdp_diamond",
-    "sdp_trace",
-    "sdp_fidelity",
-    "choi_sdp",
-    "closed_form_unitary",
-    "choi_baseline",
-)
 # the channel costs but Cp (its order has no config key), and the diamond cost
-COST_KINDS = ("C1", "F", "CF", "CR", "Cmu", "Cdiamond")
-
-
-# SDP methods: the ``sdp`` function's name and the cost kind it reports.  The
-# function is looked up on the module per call, so patched names are honored.
-_SDP_METHODS = {
-    "sdp_trace": ("optimize_program_trace", "C1"),
-    "sdp_diamond": ("optimize_program_diamond", "Cdiamond"),
-    "sdp_fidelity": ("optimize_program_fidelity", "F"),
-    "choi_sdp": ("optimize_program_diamond", "Cdiamond"),
-}
+COST_KINDS = tuple(kind for kind in ch.COST_KINDS if kind != "Cp") + ("Cdiamond",)
 
 
 class ConfigError(ValueError):
@@ -103,15 +85,29 @@ def _number(value, key: str, kind=int):
     return out
 
 
-def _construct(make, *args):
-    """``make(*args)``; the ValueError with which a library constructor rejects
+def _construct(make, *args, **kwargs):
+    """``make(*args, **kwargs)``; the ValueError with which a library constructor rejects
     a value becomes a ConfigError with its message.  A CapacityError passes."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except CapacityError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _section(cfg: dict, key: str, name: Optional[str] = None) -> dict:
+    """The object under ``key`` (empty if absent), or a ConfigError naming it."""
+    spec = cfg.get(key, {})
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{name or key} must be an object, got {spec!r}")
+    return spec
+
+
+def _method(name) -> str:
+    if not isinstance(name, str) or name not in METHODS:
+        raise ConfigError(f"unknown method {name!r}; expected one of {list(METHODS)}")
+    return name
 
 
 def _build_processor(spec: dict, n: int) -> ProcessorMap:
@@ -135,7 +131,7 @@ def _build_channel(spec: dict, value: Optional[float] = None) -> ch.KrausChannel
     """The channel of a config's ``channel`` section; ``value`` (a grid point)
     replaces its scalar parameter ``p`` or ``theta``."""
     kind = spec.get("kind")
-    if kind not in CHANNEL_KINDS:
+    if not isinstance(kind, str) or kind not in CHANNEL_KINDS:
         raise ConfigError(f"channel.kind {kind!r} not one of {sorted(CHANNEL_KINDS)}")
     key = CHANNEL_KINDS[kind]
     if value is None:
@@ -163,40 +159,25 @@ def _channel_param(spec: dict, value: Optional[float]) -> float:
 
 
 def _optim_config(cfg: dict, cost: str, mu: float, seed) -> optim.OptimConfig:
-    oc = cfg.get("optimizer", {})
-    lr = oc.get("learning_rate", {})
+    oc = _section(cfg, "optimizer")
+    lr = _section(oc, "learning_rate", "optimizer.learning_rate")
     if oc.get("init") == "random" and seed is None:
         raise ConfigError("optimizer.init 'random' is stochastic: a seed is mandatory")
-    seed = 0 if seed is None else int(seed)
-    return optim.OptimConfig(
-        max_iters=int(oc.get("max_iters", 200)),
-        learning_rate=optim.LearningRate(
+    return _construct(
+        optim.OptimConfig,
+        max_iters=_number(oc.get("max_iters", 200), "optimizer.max_iters"),
+        learning_rate=_construct(
+            optim.LearningRate,
             kind=lr.get("kind", "inv_sqrt"),
-            a=float(lr.get("a", 1.0)),
-            b=float(lr.get("b", 0.0)),
+            a=_number(lr.get("a", 1.0), "optimizer.learning_rate.a", float),
+            b=_number(lr.get("b", 0.0), "optimizer.learning_rate.b", float),
         ),
-        tolerance=float(oc.get("tolerance", 1e-9)),
+        tolerance=_number(oc.get("tolerance", 1e-9), "optimizer.tolerance", float),
         cost_kind=cost,
         mu=mu,
-        seed=seed,
+        seed=0 if seed is None else _number(seed, "seed"),
         init=oc.get("init", "maximally_mixed"),
     )
-
-
-def _choi_program(kind: str, proc: ProcessorMap, n_ports: int,
-                  chi_e: np.ndarray) -> np.ndarray:
-    """The channel's-Choi program of a processor kind: chi, or chi^(tensor N) for PBT."""
-    if kind in ("teleportation", "pbt_reduced"):
-        out = chi_e
-    elif kind == "pbt":
-        out = chi_e
-        for _ in range(n_ports - 1):
-            out = np.kron(out, chi_e)
-    else:
-        raise ConfigError(f"choi_baseline is not defined for processor kind {kind!r}")
-    if out.shape[0] != proc.d_prog:
-        raise ConfigError("choi_baseline: program dimension mismatch")
-    return out
 
 
 @dataclass
@@ -223,58 +204,78 @@ class ResultRow:
         )
 
 
+def _first_order(runner: str, cfg, proc, chi_e, cost_kind, mu, seed, **_):
+    ocfg = _optim_config(cfg, cost_kind, mu, seed)
+    if runner == "frank_wolfe" and cost_kind == "C1":
+        print(
+            "warning: frank_wolfe with the non-smooth C1 cost may stall; "
+            "consider cost 'Cmu'",
+            file=sys.stderr,
+        )
+    res = getattr(optim, runner)(proc, chi_e, ocfg)
+    return cost_kind, res.final_cost, res.cost_trace[-1][0], res.program.matrix
+
+
+def _sdp_program(name: str, kind: str, proc, chi_e, tol, **_):
+    prog, val = getattr(sdp, name)(proc, chi_e, tol=tol)
+    return kind, val, 0, prog.matrix
+
+
+def _closed_form_unitary(proc, channel, chi_e, **_):
+    if len(channel.kraus_ops) != 1:
+        raise ConfigError("closed_form_unitary needs a unitary target channel")
+    prog = optim.learn_unitary_program(proc, channel.kraus_ops[0])
+    return "CF", cost_eval("CF", chi_e, proc.apply_matrix(prog.matrix)), 0, prog.matrix
+
+
+def _choi_baseline(cfg, proc, n_ports, chi_e, cost_kind, mu, tol, **_):
+    """``cost_kind`` at the channel's-Choi program: chi, or chi^(tensor N) for PBT."""
+    kind = cfg["processor"]["kind"]
+    if kind not in ("teleportation", "pbt_reduced", "pbt"):
+        raise ConfigError(f"choi_baseline is not defined for processor kind {kind!r}")
+    prog = chi_e
+    for _ in range(n_ports - 1 if kind == "pbt" else 0):
+        prog = np.kron(prog, chi_e)
+    chi_pi = proc.apply_matrix(prog)
+    if cost_kind == "Cdiamond":
+        val = sdp.diamond_distance(chi_e - chi_pi, proc.d_in, tol=tol)
+    else:
+        val = cost_eval(cost_kind, chi_e, chi_pi, mu=mu)
+    return cost_kind, val, 0, prog
+
+
+# Each method takes a grid point's values by keyword and returns (cost kind, cost,
+# iterations, program); it looks library functions up per call, so patches hold.
+METHODS = {
+    "subgradient": partial(_first_order, "projected_subgradient"),
+    "frank_wolfe": partial(_first_order, "frank_wolfe"),
+    "sdp_diamond": partial(_sdp_program, "optimize_program_diamond", "Cdiamond"),
+    "sdp_trace": partial(_sdp_program, "optimize_program_trace", "C1"),
+    "sdp_fidelity": partial(_sdp_program, "optimize_program_fidelity", "F"),
+    "closed_form_unitary": _closed_form_unitary,
+    "choi_baseline": _choi_baseline,
+}
+
+
 def _run_point(cfg: dict, method: str, proc: ProcessorMap, n_ports: int,
                channel_spec: dict, value: Optional[float], tol: float,
                seed: Optional[int]) -> ResultRow:
     t0 = time.perf_counter()
     channel = _build_channel(channel_spec, value)
-    chi_e = ch.choi_of_channel(channel).matrix
+    if channel.d_in != proc.d_in:
+        raise ConfigError(f"channel dimension {channel.d_in} != processor dimension {proc.d_in}")
     cost_kind = cfg.get("cost", "C1")
     if cost_kind not in COST_KINDS:
         raise ConfigError(f"cost {cost_kind!r} not one of {COST_KINDS}")
-    mu = float(cfg.get("mu", 1e-2))
-    param = _channel_param(channel_spec, value)
-
-    if method in ("subgradient", "frank_wolfe"):
-        if cost_kind not in optim.GRAD_COST_KINDS:
-            raise ConfigError(
-                f"{method}: cost {cost_kind!r} not among {optim.GRAD_COST_KINDS}"
-            )
-        if method == "frank_wolfe" and cost_kind == "C1":
-            print(
-                "warning: frank_wolfe with the non-smooth C1 cost may stall; "
-                "consider cost 'Cmu'",
-                file=sys.stderr,
-            )
-        ocfg = _optim_config(cfg, cost_kind, mu, seed)
-        runner = optim.projected_subgradient if method == "subgradient" else optim.frank_wolfe
-        res = runner(proc, chi_e, ocfg)
-        return ResultRow(param, method, n_ports, cost_kind, res.final_cost,
-                         res.cost_trace[-1][0], time.perf_counter() - t0,
-                         res.program.matrix)
-    if method in _SDP_METHODS:
-        if method == "choi_sdp" and proc.program_domain != "choi":
-            raise ConfigError("choi_sdp requires the pbt_reduced processor")
-        name, kind = _SDP_METHODS[method]
-        prog, val = getattr(sdp, name)(proc, chi_e, tol=tol)
-        return ResultRow(param, method, n_ports, kind, val, 0,
-                         time.perf_counter() - t0, prog.matrix)
-    if method == "closed_form_unitary":
-        if len(channel.kraus_ops) != 1:
-            raise ConfigError("closed_form_unitary needs a unitary target channel")
-        prog = optim.learn_unitary_program(proc, channel.kraus_ops[0])
-        val = cost_eval("CF", chi_e, proc.apply_matrix(prog.matrix))
-        return ResultRow(param, method, n_ports, "CF", val, 0,
-                         time.perf_counter() - t0, prog.matrix)
-    if method == "choi_baseline":
-        prog = _choi_program(cfg.get("processor", {}).get("kind"), proc, n_ports, chi_e)
-        if cost_kind == "Cdiamond":
-            val = sdp.diamond_distance(chi_e - proc.apply_matrix(prog), proc.d_in, tol=tol)
-        else:
-            val = cost_eval(cost_kind, chi_e, proc.apply_matrix(prog), mu=mu)
-        return ResultRow(param, method, n_ports, cost_kind, val, 0,
-                         time.perf_counter() - t0, prog)
-    raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+    mu = _number(cfg.get("mu", 1e-2), "mu", float)
+    if cost_kind == "Cmu" and mu <= 0:
+        raise ConfigError(f"mu must be positive for cost 'Cmu', got {mu}")
+    kind, cost, iterations, program = METHODS[method](
+        cfg=cfg, proc=proc, n_ports=n_ports, channel=channel,
+        chi_e=ch.choi_of_channel(channel).matrix, cost_kind=cost_kind, mu=mu, tol=tol,
+        seed=seed)
+    return ResultRow(_channel_param(channel_spec, value), method, n_ports, kind, cost,
+                     iterations, time.perf_counter() - t0, program)
 
 
 def _save_program(path: str, matrix: np.ndarray, structure: str, cfg: dict) -> None:
@@ -298,15 +299,18 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError("--config PATH is required for this subcommand")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {cfg!r}")
+    return cfg
 
 
 def _channel_spec(cfg: dict) -> dict:
-    spec = cfg.get("channel")
+    spec = _section(cfg, "channel")
     if not spec:
         raise ConfigError("config needs a 'channel' section")
     return spec
@@ -315,11 +319,11 @@ def _channel_spec(cfg: dict) -> dict:
 def _grid(cfg: dict) -> tuple:
     spec = _channel_spec(cfg)
     values = spec.get("values")
-    if values is not None and len(values) == 0:
-        raise ConfigError("channel.values grid is empty")
+    if values is not None and (not isinstance(values, list) or not values):
+        raise ConfigError(f"channel.values must be a non-empty list, got {values!r}")
     if values is not None and spec.get("kind") in ("pauli", "unitary"):
         raise ConfigError(f"channel.values grid: kind {spec['kind']!r} has no scalar parameter")
-    n_list = cfg.get("processor", {}).get("N", 1)
+    n_list = _section(cfg, "processor").get("N", 1)
     if isinstance(n_list, list):
         if not n_list:
             raise ConfigError("processor.N grid is empty")
@@ -331,22 +335,15 @@ def _grid(cfg: dict) -> tuple:
 def cmd_optimize(args) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed")
-    method = cfg.get("method")
-    if method not in METHODS:
-        raise ConfigError(f"config.method {method!r} not one of {METHODS}")
-    n_ports = _number(cfg.get("processor", {}).get("N", 1), "processor.N")
-    proc = _build_processor(cfg.get("processor", {}), n_ports)
+    method = _method(cfg.get("method"))
+    spec = _section(cfg, "processor")
+    n_ports = _number(spec.get("N", 1), "processor.N")
+    proc = _build_processor(spec, n_ports)
     row = _run_point(cfg, method, proc, n_ports, _channel_spec(cfg), None,
                      args.tol, seed)
     print(CSV_HEADER + ",wall_time_s")
     print(row.csv() + "," + _fmt(row.wall_time))
-    out = args.out or cfg.get("out")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(CSV_HEADER + "\n" + row.csv() + "\n")
-    gp = args.gnuplot or cfg.get("gnuplot_out")
-    if gp:
-        _write_gnuplot(gp, [row])
+    _write_outputs(args, cfg, [row])
     save_path = cfg.get("save_program")
     if save_path:
         structure = "choi-power" if proc.program_domain == "choi" else "generic"
@@ -360,9 +357,9 @@ def cmd_benchmark(args) -> int:
     methods = cfg.get("methods") or ([cfg["method"]] if "method" in cfg else None)
     if not methods:
         raise ConfigError("benchmark config needs 'methods' (or 'method')")
-    for mth in methods:
-        if mth not in METHODS:
-            raise ConfigError(f"unknown method {mth!r}")
+    if not isinstance(methods, list):
+        raise ConfigError(f"methods must be a list of method names, got {methods!r}")
+    methods = [_method(mth) for mth in methods]
     values, n_list = _grid(cfg)
     points = []
     for n in n_list:
@@ -370,9 +367,8 @@ def cmd_benchmark(args) -> int:
             for mth in methods:
                 points.append((n, v, mth))
 
-    procs = {n: _build_processor(cfg.get("processor", {}), n) for n in n_list}
+    procs = {n: _build_processor(_section(cfg, "processor"), n) for n in n_list}
 
-    lines = [CSV_HEADER]
     ok_rows = []
     failures = 0
     for pt in points:
@@ -385,17 +381,21 @@ def cmd_benchmark(args) -> int:
             failures += 1
             print(f"point {pt}: failed: {exc}", file=sys.stderr)
             continue
-        lines.append(row.csv())
         ok_rows.append(row)
         print(row.csv() + f",{_fmt(row.wall_time)}")
+    _write_outputs(args, cfg, ok_rows)
+    return 2 if failures else 0
+
+
+def _write_outputs(args, cfg: dict, rows: List[ResultRow]) -> None:
+    """The CSV (``--out`` or ``out``) and gnuplot (``--gnuplot`` or ``gnuplot_out``) files."""
     out = args.out or cfg.get("out")
     if out:
         with open(out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join([CSV_HEADER] + [row.csv() for row in rows]) + "\n")
     gp = args.gnuplot or cfg.get("gnuplot_out")
     if gp:
-        _write_gnuplot(gp, ok_rows)
-    return 2 if failures else 0
+        _write_gnuplot(gp, rows)
 
 
 def _write_gnuplot(path: str, rows: List[ResultRow]) -> None:

@@ -63,7 +63,13 @@ __all__ = [
     "learn_unitary_program",
 ]
 
-GRAD_COST_KINDS = ("C1", "CF", "Cmu")
+# cost kind -> gradient, called by its global name so a patched name is honored
+_GRADIENTS = {
+    "C1": lambda proc, chi_target, pi, mu: grad_trace_cost(proc, chi_target, pi),
+    "CF": lambda proc, chi_target, pi, mu: grad_infidelity(proc, chi_target, pi),
+    "Cmu": lambda proc, chi_target, pi, mu: grad_smoothed_cost(proc, chi_target, pi, mu),
+}
+GRAD_COST_KINDS = tuple(_GRADIENTS)
 STALL_WINDOW = 50  # stop once the best cost gained < tolerance over this many iterations
 CHOI_PROJECTION_TOL = 1e-10  # Dykstra: distance between the two alternating iterates
 CHOI_PROJECTION_MAX_ITERS = 5000
@@ -155,16 +161,6 @@ def grad_smoothed_cost(proc: ProcessorMap, chi_target, pi, mu: float) -> np.ndar
     dec = herm_eig(delta)
     h = (dec.eigenvectors * huber_penalty_deriv(dec.eigenvalues, mu)) @ dec.eigenvectors.conj().T
     return hermitize(proc.dual(h))
-
-
-def _grad(proc, chi_target, pi, kind, mu):
-    if kind == "C1":
-        return grad_trace_cost(proc, chi_target, pi)
-    if kind == "CF":
-        return grad_infidelity(proc, chi_target, pi)
-    if kind == "Cmu":
-        return grad_smoothed_cost(proc, chi_target, pi, mu)
-    raise ValueError(f"unknown cost kind {kind!r}")
 
 
 # --- projections ------------------------------------------------------------
@@ -292,9 +288,10 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
 
 def projected_subgradient(proc: ProcessorMap, chi_target, cfg: OptimConfig = OptimConfig()) -> OptimResult:
     """Subgradient step followed by projection back to the feasible set."""
+    grad = _GRADIENTS[cfg.cost_kind]
 
     def step(pi, it):
-        g = _grad(proc, chi_target, pi, cfg.cost_kind, cfg.mu)
+        g = grad(proc, chi_target, pi, cfg.mu)
         return project_program(proc, pi - cfg.learning_rate(it) * g).matrix
 
     return _run_loop(proc, chi_target, cfg, step)
@@ -313,9 +310,10 @@ def frank_wolfe(proc: ProcessorMap, chi_target, cfg: OptimConfig = OptimConfig()
             "frank_wolfe: pure-state vertices leave the Choi-constrained set; "
             "use projected_subgradient for the reduced map"
         )
+    grad = _GRADIENTS[cfg.cost_kind]
 
     def step(pi, it):
-        g = _grad(proc, chi_target, pi, cfg.cost_kind, cfg.mu)
+        g = grad(proc, chi_target, pi, cfg.mu)
         vals, vecs = np.linalg.eigh(hermitize(g))
         v = vecs[:, 0]  # eigenvector of the smallest eigenvalue
         vertex = np.outer(v, v.conj())

@@ -27,14 +27,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .channels import (_X, _Y, _Z, DensityMatrix, MatrixLike, as_matrix, max_entangled,
-                       weyl_unitaries)
-from .hermlin import (embed_operator, hermitize, matrix_function, matrix_inv_sqrt,
-                      permute_subsystems)
+from .channels import _X, _Y, _Z, MatrixLike, as_matrix, max_entangled, weyl_unitaries
+from .hermlin import embed_operator, hermitize, matrix_function, matrix_inv_sqrt
 
 __all__ = [
     "CapacityError",
@@ -43,8 +41,6 @@ __all__ = [
     "pbt_povm",
     "pbt_processor",
     "pbt_reduced_map",
-    "permute_ports",
-    "symmetrize_program",
     "symmetric_param_count",
     "default_pqc_hamiltonians",
     "amplitude_damping_hamiltonian",
@@ -315,33 +311,6 @@ def pbt_reduced_map(n_ports: int, d: int = 2, singlet: bool = False) -> Processo
     return ProcessorMap(transfer, d_prog=d * d, d_in=d, d_out=d,
                         label=f"pbt_reduced[N={n_ports},d={d}]",
                         program_domain="choi")
-
-
-def permute_ports(pi: MatrixLike, n_ports: int, d: int, order: Sequence[int]) -> np.ndarray:
-    """Relabel PBT ports of a program: new port j carries old port order[j]."""
-    m = as_matrix(pi)
-    if sorted(order) != list(range(n_ports)):
-        raise ValueError(f"permute_ports: invalid port order {list(order)}")
-    perm = []
-    for j in order:
-        perm.extend([2 * j, 2 * j + 1])
-    return permute_subsystems(m, [d] * (2 * n_ports), perm)
-
-
-def symmetrize_program(pi: MatrixLike, n_ports: int, d: int) -> DensityMatrix:
-    """Average a PBT program over all joint (A_i, B_i) port relabelings."""
-    m = as_matrix(pi)
-    if m.shape != (d ** (2 * n_ports),) * 2:
-        raise ValueError(
-            f"symmetrize_program: program shape {m.shape} does not match "
-            f"N={n_ports}, d={d}"
-        )
-    acc = np.zeros_like(m)
-    count = 0
-    for order in itertools.permutations(range(n_ports)):
-        acc += permute_ports(m, n_ports, d, order)
-        count += 1
-    return DensityMatrix(hermitize(acc / count))
 
 
 def symmetric_param_count(n_ports: int, d: int = 2) -> int:

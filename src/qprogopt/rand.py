@@ -1,4 +1,5 @@
-"""Seeded random instances used by the verification suite and tests."""
+"""Seeded random Hermitian matrices, states, channels and traceless
+directions for ``qprogopt verify`` and the tests."""
 
 from __future__ import annotations
 
@@ -6,14 +7,12 @@ import numpy as np
 
 from .channels import ChoiMatrix, DensityMatrix, KrausChannel, choi_of_channel
 from .hermlin import hermitize
-from .processors import ProcessorMap
 
 __all__ = [
     "random_hermitian",
     "random_density",
     "random_channel",
     "random_choi",
-    "random_program",
     "random_traceless_direction",
 ]
 
@@ -53,9 +52,3 @@ def random_traceless_direction(dim: int, rng: np.random.Generator) -> np.ndarray
     h -= np.trace(h) / dim * np.eye(dim)
     return h / np.linalg.norm(h)
 
-
-def random_program(proc: ProcessorMap, rng: np.random.Generator) -> DensityMatrix:
-    """Random program drawn from the processor's natural domain."""
-    if proc.program_domain == "choi":
-        return random_choi(proc.d_in, rng).state
-    return random_density(proc.d_prog, rng)

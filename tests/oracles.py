@@ -5,7 +5,9 @@ the PBT oracles build full-space operators with explicit embeddings (the
 reduced map from the square-root POVM rather than its closed form), the
 SDP baseline is a first-order splitting method, the diamond oracle
 maximizes over entangled pure inputs directly, channel actions are read off
-the Choi matrix, and the qubit Bell vectors are written out by hand.
+the Choi matrix, and the qubit Bell vectors are written out by hand.  PBT
+programs are permuted port by port and averaged over all port orders, and
+random programs are drawn from a processor's program domain.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import math
 
 import numpy as np
 
-from qprogopt.channels import max_entangled
-from qprogopt.hermlin import embed_operator, partial_trace, permute_subsystems
-from qprogopt.processors import pbt_povm
+from qprogopt.channels import DensityMatrix, max_entangled
+from qprogopt.hermlin import embed_operator, hermitize, partial_trace, permute_subsystems
+from qprogopt.processors import ProcessorMap, pbt_povm
+from qprogopt.rand import random_choi, random_density
 
 
 def pbt_apply_dense(n_ports: int, d: int, povm, pi: np.ndarray) -> np.ndarray:
@@ -54,6 +57,36 @@ def pbt_reduced_dense(n_ports: int, d: int = 2, singlet: bool = False) -> np.nda
     eye = np.eye(d)
     coef = n_ports / d**n_ports
     return coef * np.einsum("uqvp,yb,zc->pbqcvyuz", p4, eye, eye).reshape(d**4, d**4)
+
+
+def permute_ports(pi: np.ndarray, n_ports: int, d: int, order) -> np.ndarray:
+    """Relabel PBT ports of a program: new port j carries old port order[j]."""
+    if sorted(order) != list(range(n_ports)):
+        raise ValueError(f"permute_ports: invalid port order {list(order)}")
+    perm = []
+    for j in order:
+        perm.extend([2 * j, 2 * j + 1])
+    return permute_subsystems(np.asarray(pi), [d] * (2 * n_ports), perm)
+
+
+def symmetrize_program(pi: np.ndarray, n_ports: int, d: int) -> DensityMatrix:
+    """Average a PBT program over all joint (A_i, B_i) port relabelings."""
+    m = np.asarray(pi)
+    if m.shape != (d ** (2 * n_ports),) * 2:
+        raise ValueError(
+            f"symmetrize_program: program shape {m.shape} does not match "
+            f"N={n_ports}, d={d}"
+        )
+    orders = list(itertools.permutations(range(n_ports)))
+    acc = sum(permute_ports(m, n_ports, d, order) for order in orders)
+    return DensityMatrix(hermitize(acc / len(orders)))
+
+
+def random_program(proc: ProcessorMap, rng: np.random.Generator) -> DensityMatrix:
+    """Random program drawn from the processor's program domain."""
+    if proc.program_domain == "choi":
+        return random_choi(proc.d_in, rng).state
+    return random_density(proc.d_prog, rng)
 
 
 # --- channels from their Choi matrices ------------------------------------------

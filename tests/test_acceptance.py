@@ -38,11 +38,7 @@ from qprogopt.processors import (
     pqc_processor,
     teleportation_processor,
 )
-from qprogopt.rand import (
-    random_channel,
-    random_program,
-    random_traceless_direction,
-)
+from qprogopt.rand import random_channel, random_traceless_direction
 from qprogopt.sdp import (
     diamond_distance,
     optimize_choi_diamond,
@@ -51,7 +47,7 @@ from qprogopt.sdp import (
     solve_sdp,
 )
 
-from oracles import admm_baseline, diamond_grid_oracle, random_sdp
+from oracles import admm_baseline, diamond_grid_oracle, random_program, random_sdp
 
 TELE = teleportation_processor(2)
 PHI = max_entangled(2).matrix

@@ -195,6 +195,8 @@ def test_internal_key_error_propagates(tmp_path, monkeypatch):
 
 
 _AD = {"kind": "amplitude_damping", "p": 0.5}
+_SUBGRADIENT = {"processor": {"kind": "teleportation"}, "channel": _AD, "method": "subgradient",
+                "optimizer": {"max_iters": 5}}
 
 
 @pytest.mark.parametrize("command, cfg, message", [
@@ -214,11 +216,67 @@ _AD = {"kind": "amplitude_damping", "p": 0.5}
                   "method": "sdp_trace"}, "processor.N"),
     ("optimize", {"processor": {"kind": "pbt", "N": 2.5}, "channel": _AD,
                   "method": "choi_baseline"}, "processor.N"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"max_iters": "abc"}}, "optimizer.max_iters"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"max_iters": 0}}, "max_iters must be >= 1"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"max_iters": 2.5}}, "optimizer.max_iters"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"learning_rate": {"kind": "foo"}}},
+     "unknown kind 'foo'"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"learning_rate": {"a": -1}}},
+     "a must be positive"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"init": "foo"}}, "unknown init 'foo'"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"tolerance": "abc"}}, "optimizer.tolerance"),
+    ("optimize", _SUBGRADIENT | {"mu": "abc"}, "mu must be float"),
+    ("optimize", _SUBGRADIENT | {"cost": "Cmu", "mu": -1}, "mu must be positive"),
+    ("optimize", _SUBGRADIENT | {"seed": "x"}, "seed must be int"),
+    ("optimize", _SUBGRADIENT | {"cost": "F"}, "cost_kind 'F'"),
+    ("optimize", {"processor": {"kind": "teleportation"}, "channel": _AD,
+                  "method": "choi_baseline", "cost": "Cmu", "mu": -1}, "mu must be positive"),
+    ("optimize", {"processor": {"kind": "teleportation"},
+                  "channel": {"kind": "depolarizing", "p": 0.3, "d": 3},
+                  "method": "sdp_trace"}, "channel dimension 3"),
+    # sections and values of the wrong JSON type
+    ("optimize", ["processor", "channel"], "config must be a JSON object"),
+    ("optimize", _SUBGRADIENT | {"processor": "teleportation"}, "processor must be an object"),
+    ("optimize", _SUBGRADIENT | {"channel": 0.5}, "channel must be an object"),
+    ("optimize", _SUBGRADIENT | {"optimizer": [5]}, "optimizer must be an object"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"learning_rate": 0.1}},
+     "optimizer.learning_rate must be an object"),
+    ("optimize", _SUBGRADIENT | {"channel": {"kind": ["dephasing"], "p": 0.5}}, "channel.kind"),
+    ("optimize", _SUBGRADIENT | {"method": ["sdp_trace"]}, "unknown method"),
+    ("benchmark", {"processor": {"kind": "teleportation"},
+                   "channel": {"kind": "dephasing", "values": 0.3},
+                   "methods": ["sdp_trace"]}, "channel.values"),
+    ("benchmark", {"processor": {"kind": "teleportation"}, "channel": _AD,
+                   "methods": "sdp_trace"}, "methods must be a list"),
 ], ids=["p-range", "pqc-N", "teleportation-d", "cost-kind", "benchmark-grid-p", "N-list",
-        "N-fraction"])
+        "N-fraction", "max_iters-string", "max_iters-zero", "max_iters-fraction",
+        "learning-rate-kind", "learning-rate-a", "init", "tolerance-string", "mu-string",
+        "mu-negative", "seed-string", "first-order-cost", "baseline-mu-negative",
+        "channel-dimension", "document-type", "processor-type", "channel-type",
+        "optimizer-type", "learning-rate-type", "channel-kind-type", "method-type",
+        "values-type", "methods-type"])
 def test_rejected_config_value_is_validation_error(tmp_path, capsys, command, cfg, message):
     assert main([command, "--config", _write(tmp_path, cfg)]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", list(cli.METHODS))
+def test_every_method_runs_on_teleportation(tmp_path, method):
+    cfg = {
+        "processor": {"kind": "teleportation", "d": 2},
+        "channel": {"kind": "rotation", "theta": 0.3},
+        "method": method,
+        "cost": "Cmu",
+        "optimizer": {"max_iters": 20},
+    }
+    out = tmp_path / "row.csv"
+    assert main(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    row = out.read_text().strip().splitlines()[1].split(",")
+    # the SDPs and the closed form report their own cost; the others report `cost`
+    own = {"sdp_diamond": "Cdiamond", "sdp_trace": "C1", "sdp_fidelity": "F",
+           "closed_form_unitary": "CF"}
+    assert row[1] == method
+    assert row[3] == own.get(method, "Cmu")
 
 
 @pytest.mark.parametrize("channel", [
@@ -294,15 +352,6 @@ def test_listing_commands(capsys):
     assert main(["processors"]) == 0
     out = capsys.readouterr().out
     assert "pbt_reduced" in out and "teleportation" in out
-
-
-def test_choi_sdp_requires_reduced_processor(tmp_path):
-    cfg = {
-        "processor": {"kind": "teleportation", "d": 2},
-        "channel": {"kind": "amplitude_damping", "p": 0.5},
-        "method": "choi_sdp",
-    }
-    assert main(["optimize", "--config", _write(tmp_path, cfg)]) == 1
 
 
 def test_choi_baseline_requires_teleportation_or_pbt(tmp_path):

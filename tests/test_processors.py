@@ -23,21 +23,21 @@ from qprogopt.processors import (
     pbt_povm,
     pbt_processor,
     pbt_reduced_map,
-    permute_ports,
     pqc_processor,
     symmetric_param_count,
-    symmetrize_program,
     teleportation_processor,
     weyl_unitaries,
 )
-from qprogopt.rand import (
-    random_choi,
-    random_density,
-    random_hermitian,
-    random_program,
-)
+from qprogopt.rand import random_choi, random_density, random_hermitian
 
-from oracles import pbt_apply_dense, pbt_reduced_dense, qubit_bell_basis
+from oracles import (
+    pbt_apply_dense,
+    pbt_reduced_dense,
+    permute_ports,
+    qubit_bell_basis,
+    random_program,
+    symmetrize_program,
+)
 
 PHI = max_entangled(2).matrix
 
