@@ -1,7 +1,9 @@
 """Quantum channels, Choi matrices and channel-comparison cost functions.
 
 A channel is a ``KrausChannel``, and ``choi_of_channel`` gives its Choi
-matrix.  The Weyl frame ``weyl_unitaries`` serves the zoo and ``processors``.
+matrix, a ``ChoiMatrix``: a ``DensityMatrix`` with the input and output
+dimensions ``d_in`` and ``d_out``.  The Weyl frame ``weyl_unitaries`` serves
+the zoo and ``processors``.
 
 Conventions used throughout the package:
 
@@ -63,13 +65,11 @@ CHOI_MARGINAL_TOL = 1e-9
 KRAUS_COMPLETENESS_TOL = 1e-9
 SUPPORT_TOL = 1e-10  # eigenvalues at or below it count as outside the support
 
-MatrixLike = Union[np.ndarray, "DensityMatrix", "ChoiMatrix"]
+MatrixLike = Union[np.ndarray, "DensityMatrix"]
 
 
 def as_matrix(x: MatrixLike) -> np.ndarray:
-    """Unwrap DensityMatrix / ChoiMatrix values to their ndarray."""
-    if isinstance(x, ChoiMatrix):
-        return x.state.matrix
+    """Unwrap DensityMatrix values, Choi matrices included, to their ndarray."""
     if isinstance(x, DensityMatrix):
         return x.matrix
     return np.asarray(x, dtype=complex)
@@ -109,34 +109,25 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class ChoiMatrix:
+class ChoiMatrix(DensityMatrix):
     """Normalized Choi state of a channel, ordered (input copy, output)."""
 
-    state: DensityMatrix
     d_in: int
     d_out: int
 
     def __post_init__(self):
-        if self.state.dim != self.d_in * self.d_out:
+        super().__post_init__()
+        if self.dim != self.d_in * self.d_out:
             raise ValueError(
-                f"ChoiMatrix: state dim {self.state.dim} != d_in*d_out "
-                f"= {self.d_in * self.d_out}"
+                f"ChoiMatrix: dim {self.dim} != d_in*d_out = {self.d_in * self.d_out}"
             )
-        marg = partial_trace(self.state.matrix, [self.d_in, self.d_out], keep=[0])
+        marg = partial_trace(self.matrix, [self.d_in, self.d_out], keep=[0])
         dev = float(np.abs(marg - np.eye(self.d_in) / self.d_in).max())
         if dev > CHOI_MARGINAL_TOL:
             raise ValueError(
                 f"ChoiMatrix: input marginal deviates from I/d_in by {dev:.3e} "
                 f"(CPTP condition violated beyond {CHOI_MARGINAL_TOL})"
             )
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.state.matrix
-
-    @classmethod
-    def from_matrix(cls, m: np.ndarray, d_in: int, d_out: int) -> "ChoiMatrix":
-        return cls(DensityMatrix(m), d_in, d_out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +172,7 @@ def choi_of_channel(ch: KrausChannel) -> ChoiMatrix:
     for k in ch.kraus_ops:
         ext = np.kron(eye, k)
         out += ext @ phi @ ext.conj().T
-    return ChoiMatrix.from_matrix(hermitize(out), ch.d_in, ch.d_out)
+    return ChoiMatrix(hermitize(out), ch.d_in, ch.d_out)
 
 
 # --- channel zoo -----------------------------------------------------------

@@ -306,6 +306,9 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {cfg!r}")
+    for key in ("out", "gnuplot_out", "save_program"):
+        if key in cfg and not (isinstance(cfg[key], str) and cfg[key]):
+            raise ConfigError(f"{key} must be a non-empty file path, got {cfg[key]!r}")
     return cfg
 
 

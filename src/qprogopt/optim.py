@@ -89,6 +89,8 @@ class LearningRate:
             raise ValueError(f"LearningRate: unknown kind {self.kind!r}")
         if self.a <= 0:
             raise ValueError("LearningRate: a must be positive")
+        if self.kind == "harmonic" and self.b <= -1:  # a/(b + k) must stay finite and positive
+            raise ValueError(f"LearningRate: harmonic b must be > -1, got {self.b}")
 
     def __call__(self, k: int) -> float:
         if self.kind == "inv_sqrt":
@@ -235,14 +237,14 @@ def project_to_choi_set(x: np.ndarray, d: int) -> ChoiMatrix:
         )
     out = _psd_part(x)
     out = out / np.trace(out).real
-    return ChoiMatrix.from_matrix(hermitize(out), d, d)
+    return ChoiMatrix(hermitize(out), d, d)
 
 
 def project_program(proc: ProcessorMap, x: np.ndarray) -> DensityMatrix:
     """Closest feasible program of ``proc``: a density matrix, or a
     single-port Choi matrix when the processor's program domain is "choi"."""
     if proc.program_domain == "choi":
-        return project_to_choi_set(x, proc.d_in).state
+        return project_to_choi_set(x, proc.d_in)
     return project_to_states(x)
 
 

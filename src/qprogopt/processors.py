@@ -15,8 +15,8 @@ arXiv:1111.6950).  Three families are provided:
 * ``pqc_processor`` / ``mpqc_processor`` -- conditioned-Hamiltonian circuit
   processors with qubit (resp. qutrit) program registers.
 
-A program is a plain ``DensityMatrix`` (or its ndarray); ``program_domain``
-says whether it must also be a single-port Choi matrix.  PBT programs
+A program is a ``DensityMatrix`` (or its ndarray); ``program_domain`` says
+whether it must also be a single-port ``ChoiMatrix``.  PBT programs
 interleave port wires as (A_1, B_1, A_2, B_2, ...), so ``chi^(tensor N)`` is
 a plain Kronecker power of a Choi matrix.  PQC programs order registers as
 (R_0, R_1, ..., R_N).  Choi outputs are always ordered (input copy, output).
@@ -168,21 +168,11 @@ def teleportation_processor(d: int = 2) -> ProcessorMap:
 # --- port-based teleportation ----------------------------------------------
 
 
-def _entangled_pair(d: int, singlet: bool) -> np.ndarray:
-    if singlet:
-        if d != 2:
-            raise ValueError("singlet PBT variant is defined for qubits only")
-        v = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
-        return np.outer(v, v.conj())
-    return max_entangled(d).matrix
+def pbt_povm(n_ports: int, d: int = 2) -> list:
+    """Square-root-measurement POVM on (A_1..A_N, C), one element per port,
+    built from the maximally entangled pair state on (A_i, C).
 
-
-def pbt_povm(n_ports: int, d: int = 2, singlet: bool = False) -> list:
-    """Square-root-measurement POVM on (A_1..A_N, C), one element per port.
-
-    N = 1 is the trivial protocol and returns [identity].  With
-    ``singlet=True`` the pair state defining the measurement is the singlet
-    instead of the maximally entangled state (qubits only).
+    N = 1 is the trivial protocol and returns [identity].
     """
     if n_ports < 1:
         raise ValueError(f"pbt_povm: need N >= 1, got {n_ports}")
@@ -192,7 +182,7 @@ def pbt_povm(n_ports: int, d: int = 2, singlet: bool = False) -> list:
     dtot = d ** (n_ports + 1)
     if n_ports == 1:
         return [np.eye(dtot, dtype=complex)]
-    pair = _entangled_pair(d, singlet)
+    pair = max_entangled(d).matrix
     projs = [embed_operator(pair, dims, targets=[i, n_ports]) for i in range(n_ports)]
     sigma = sum(projs)
     s_inv_half = matrix_inv_sqrt(sigma)
@@ -243,7 +233,7 @@ def _pbt_full_transfer(n_ports: int, d: int, povm: list) -> np.ndarray:
     return out.reshape(dc * dc, dp * dp)
 
 
-def pbt_processor(n_ports: int, d: int = 2, singlet: bool = False) -> ProcessorMap:
+def pbt_processor(n_ports: int, d: int = 2) -> ProcessorMap:
     """Full port-based-teleportation processor on a d^(2N) program space."""
     d_prog = d ** (2 * n_ports)
     if d_prog > PBT_FULL_MAX_PROG_DIM:
@@ -251,7 +241,7 @@ def pbt_processor(n_ports: int, d: int = 2, singlet: bool = False) -> ProcessorM
             f"pbt_processor: program dim {d_prog} exceeds cap {PBT_FULL_MAX_PROG_DIM} "
             f"(use pbt_reduced_map for larger N)"
         )
-    transfer = _pbt_full_transfer(n_ports, d, pbt_povm(n_ports, d, singlet))
+    transfer = _pbt_full_transfer(n_ports, d, pbt_povm(n_ports, d))
     return ProcessorMap(transfer, d_prog=d_prog, d_in=d, d_out=d,
                         label=f"pbt[N={n_ports},d={d}]")
 
@@ -285,15 +275,15 @@ def _pbt_fidelity(n_ports: int, d: int) -> float:
     return total / d ** (n_ports + 2)
 
 
-def pbt_reduced_map(n_ports: int, d: int = 2, singlet: bool = False) -> ProcessorMap:
+def pbt_reduced_map(n_ports: int, d: int = 2) -> ProcessorMap:
     """PBT restricted to programs chi^(tensor N): a map on one Choi block.
 
     For every single-port Choi matrix chi (Tr_out chi = I/d) the output
     equals ``pbt_processor(N, d).apply_matrix(chi^(tensor N))``.  The map is CPTP on
     the whole d^2 space, but only Choi-constrained programs correspond to
     actual PBT resource states.  It needs only p = Tr_{A_2..A_N} Pi_1 on (A_1, C),
-    which is U (x) U^* invariant: alpha I + beta Phi+ (Phi+ = sum_ij |ii><jj|, under
-    I (x) Y on C for the singlet), with Tr p = d^(N+1)/N, Tr(p Phi+) = d^(N+2) F / N.
+    which is U (x) U^* invariant: alpha I + beta Phi+ (Phi+ = sum_ij |ii><jj|), with
+    Tr p = d^(N+1)/N and Tr(p Phi+) = d^(N+2) F / N.
     """
     if n_ports < 1 or d < 2:
         raise ValueError(f"pbt_reduced_map: need N >= 1 and d >= 2, got N={n_ports}, d={d}")
@@ -303,7 +293,7 @@ def pbt_reduced_map(n_ports: int, d: int = 2, singlet: bool = False) -> Processo
         )
     beta = (d ** (n_ports + 2) * _pbt_fidelity(n_ports, d) - d**n_ports) / (n_ports * (d * d - 1))
     alpha = d ** (n_ports - 1) / n_ports - beta / d
-    reduced = alpha * np.eye(d * d) + beta * d * _entangled_pair(d, singlet)
+    reduced = alpha * np.eye(d * d) + beta * d * max_entangled(d).matrix
     p4 = reduced.reshape(d, d, d, d)  # legs (row a, row C, col a, col C)
     eye = np.eye(d)
     coef = n_ports / d**n_ports

@@ -1,5 +1,6 @@
-"""Seeded random Hermitian matrices, states, channels and traceless
-directions for ``qprogopt verify`` and the tests."""
+"""Random Hermitian matrices, states, channels on C^d and their Choi
+matrices, and traceless directions, each drawn from the given numpy
+generator, for ``qprogopt verify`` and the tests."""
 
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ __all__ = [
 ]
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * hermitize(g)
+    return hermitize(g)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
@@ -28,22 +29,17 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(hermitize(m / np.trace(m).real))
 
 
-def random_channel(d_in: int, d_out: int | None = None, kraus_rank: int | None = None,
-                   rng: np.random.Generator | None = None) -> KrausChannel:
-    """Haar-flavored CPTP map from a random Stinespring isometry."""
-    rng = np.random.default_rng() if rng is None else rng
-    d_out = d_in if d_out is None else d_out
-    kraus_rank = d_in * d_out if kraus_rank is None else kraus_rank
-    g = rng.normal(size=(d_out * kraus_rank, d_in)) + 1j * rng.normal(
-        size=(d_out * kraus_rank, d_in)
-    )
+def random_channel(d: int, rng: np.random.Generator) -> KrausChannel:
+    """Haar-flavored CPTP map on C^d: d^2 Kraus operators cut from a random
+    Stinespring isometry."""
+    g = rng.normal(size=(d**3, d)) + 1j * rng.normal(size=(d**3, d))
     q, _ = np.linalg.qr(g)  # columns orthonormal: sum_k K_k^dag K_k = I
-    ops = [q[k * d_out : (k + 1) * d_out, :] for k in range(kraus_rank)]
-    return KrausChannel(tuple(ops), d_in, d_out)
+    ops = [q[k * d : (k + 1) * d, :] for k in range(d * d)]
+    return KrausChannel(tuple(ops), d, d)
 
 
-def random_choi(d: int, rng: np.random.Generator, kraus_rank: int | None = None) -> ChoiMatrix:
-    return choi_of_channel(random_channel(d, d, kraus_rank, rng))
+def random_choi(d: int, rng: np.random.Generator) -> ChoiMatrix:
+    return choi_of_channel(random_channel(d, rng))
 
 
 def random_traceless_direction(dim: int, rng: np.random.Generator) -> np.ndarray:

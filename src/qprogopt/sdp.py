@@ -29,8 +29,9 @@ Built on top of it:
 * ``optimize_choi_diamond`` -- diamond search over single-port Choi programs
   of the reduced port-based-teleportation map.
 
-Returned programs are ``DensityMatrix`` values projected back to exact
-feasibility by ``optim.project_program``, and all reported optima are
+Returned programs are ``DensityMatrix`` values (a ``ChoiMatrix`` for the
+reduced PBT map) projected back to exact feasibility by
+``optim.project_program``, and all reported optima are
 re-evaluated at the projected program, so every quoted value is attained by
 the returned (feasible) program.
 """
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
+MAX_ITERS = 200
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -200,8 +202,7 @@ def _step(tau: float, factors, dirs) -> float:
                               default=1.0))
 
 
-def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
-              max_iters: int = 200) -> SdpSolution:
+def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Infeasible-start primal-dual interior-point method with NT scaling."""
     dims = problem.block_dims
     nb = len(dims)
@@ -240,9 +241,8 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         return asy, rp, rd, pobj, dobj, res_p, res_d, gap_rel
 
-    scale = 1.0
-    x = [np.eye(d) * scale for d in dims]
-    s = [np.eye(d) * scale for d in dims]
+    x = [np.eye(d) for d in dims]
+    s = [np.eye(d) for d in dims]
     y = np.zeros(m)
 
     tau = 0.98
@@ -251,7 +251,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
     it = 0
 
     best = None  # (merit, x, y, s)
-    for it in range(1, max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         asy, rp, rd, pobj, dobj, res_p, res_d, gap_rel = residuals(x, y, s)
         mu = sum(_dot(x[b], s[b]) for b in range(nb)) / n_total
         history.append((pobj, dobj, res_p, res_d, mu))
@@ -264,7 +264,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL,
         # primal-infeasibility certificate: an improving dual ray with
         # A*(y) + S vanishing relative to ||y||
         y_norm = float(np.linalg.norm(y))
-        if dobj > scale and y_norm > 1e3 * scale:
+        if dobj > 1.0 and y_norm > 1e3:
             ray = math.sqrt(sum(_dot(asy[b] + s[b], asy[b] + s[b])
                                 for b in range(nb))) / y_norm
             if ray <= 1e-6:
@@ -585,6 +585,4 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
 def optimize_choi_diamond(n_ports: int, d: int, chi_target,
                           tol: float = DEFAULT_TOL) -> Tuple[ChoiMatrix, float]:
     """Diamond-optimal single-port Choi program of the reduced PBT map."""
-    proc = pbt_reduced_map(n_ports, d)
-    program, value = optimize_program_diamond(proc, chi_target, tol=tol)
-    return ChoiMatrix(program, d, d), value
+    return optimize_program_diamond(pbt_reduced_map(n_ports, d), chi_target, tol=tol)

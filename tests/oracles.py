@@ -45,13 +45,13 @@ def pbt_apply_dense(n_ports: int, d: int, povm, pi: np.ndarray) -> np.ndarray:
     return out
 
 
-def pbt_reduced_dense(n_ports: int, d: int = 2, singlet: bool = False) -> np.ndarray:
+def pbt_reduced_dense(n_ports: int, d: int = 2) -> np.ndarray:
     """Transfer matrix of the reduced PBT map from the dense square-root POVM.
 
     The port-1 POVM element on (A_1..A_N, C) is traced down to (A_1, C); the
     other ports contribute by permutation symmetry, hence the factor N.
     """
-    povm = pbt_povm(n_ports, d, singlet)
+    povm = pbt_povm(n_ports, d)
     reduced = partial_trace(povm[0], [d] * (n_ports + 1), keep=[0, n_ports])
     p4 = reduced.reshape(d, d, d, d)  # legs (row a, row C, col a, col C)
     eye = np.eye(d)
@@ -85,7 +85,7 @@ def symmetrize_program(pi: np.ndarray, n_ports: int, d: int) -> DensityMatrix:
 def random_program(proc: ProcessorMap, rng: np.random.Generator) -> DensityMatrix:
     """Random program drawn from the processor's program domain."""
     if proc.program_domain == "choi":
-        return random_choi(proc.d_in, rng).state
+        return random_choi(proc.d_in, rng)
     return random_density(proc.d_prog, rng)
 
 

@@ -245,7 +245,7 @@ def test_choi_matrix_marginal_check():
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = 1.0
     with pytest.raises(ValueError, match="marginal"):
-        ChoiMatrix.from_matrix(m, 2, 2)
+        ChoiMatrix(m, 2, 2)
 
 
 def test_bures_fidelity_symmetric():

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qprogopt import cli
+from qprogopt import cli, sdp
+from qprogopt.channels import amplitude_damping, choi_of_channel
 from qprogopt.cli import load_program, main
 
 
@@ -248,13 +249,22 @@ _SUBGRADIENT = {"processor": {"kind": "teleportation"}, "channel": _AD, "method"
                    "methods": ["sdp_trace"]}, "channel.values"),
     ("benchmark", {"processor": {"kind": "teleportation"}, "channel": _AD,
                    "methods": "sdp_trace"}, "methods must be a list"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"learning_rate": {"kind": "harmonic", "b": -1}}},
+     "harmonic b must be > -1"),
+    ("optimize", _SUBGRADIENT | {"out": 1}, "out must be a non-empty file path"),
+    ("benchmark", {"processor": {"kind": "teleportation"}, "channel": _AD,
+                   "methods": ["sdp_trace"], "gnuplot_out": ""}, "gnuplot_out must be"),
+    ("optimize", _SUBGRADIENT | {"save_program": 5}, "save_program must be"),
+    ("optimize", {"processor": {"kind": "teleportation"}, "channel": _AD,
+                  "method": "closed_form_unitary"}, "needs a unitary target channel"),
 ], ids=["p-range", "pqc-N", "teleportation-d", "cost-kind", "benchmark-grid-p", "N-list",
         "N-fraction", "max_iters-string", "max_iters-zero", "max_iters-fraction",
         "learning-rate-kind", "learning-rate-a", "init", "tolerance-string", "mu-string",
         "mu-negative", "seed-string", "first-order-cost", "baseline-mu-negative",
         "channel-dimension", "document-type", "processor-type", "channel-type",
         "optimizer-type", "learning-rate-type", "channel-kind-type", "method-type",
-        "values-type", "methods-type"])
+        "values-type", "methods-type", "harmonic-b", "out-type", "gnuplot_out-empty",
+        "save_program-type", "closed-form-non-unitary"])
 def test_rejected_config_value_is_validation_error(tmp_path, capsys, command, cfg, message):
     assert main([command, "--config", _write(tmp_path, cfg)]) == 1
     assert message in capsys.readouterr().err
@@ -291,6 +301,49 @@ def test_values_grid_without_scalar_parameter_is_validation_error(tmp_path, caps
     err = capsys.readouterr().err
     assert "channel.values" in err and repr(channel["kind"]) in err
     assert not out.exists()
+
+
+def _failing_sdp_trace(monkeypatch, p_fail):
+    """Patch the trace SDP so that it raises for the amplitude-damping target of ``p_fail``."""
+    orig = sdp.optimize_program_trace
+    chi_fail = choi_of_channel(amplitude_damping(p_fail)).matrix
+
+    def flaky(proc, chi_target, tol):
+        if np.allclose(chi_target, chi_fail):
+            raise RuntimeError("solver broke")
+        return orig(proc, chi_target, tol=tol)
+
+    monkeypatch.setattr(sdp, "optimize_program_trace", flaky)
+
+
+def test_benchmark_point_failure_keeps_other_rows(tmp_path, capsys, monkeypatch):
+    _failing_sdp_trace(monkeypatch, 0.7)
+    cfg = {"processor": {"kind": "teleportation"},
+           "channel": {"kind": "amplitude_damping", "values": [0.3, 0.7, 0.9]},
+           "methods": ["sdp_trace"]}
+    out = tmp_path / "grid.csv"
+    assert main(["benchmark", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["0.3", "0.9"]
+    err = capsys.readouterr().err
+    assert "(1, 0.7, 'sdp_trace')" in err and "solver broke" in err
+
+
+def test_optimize_solver_failure_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    _failing_sdp_trace(monkeypatch, 0.5)
+    cfg = {"processor": {"kind": "teleportation"}, "channel": _AD, "method": "sdp_trace"}
+    assert main(["optimize", "--config", _write(tmp_path, cfg)]) == 2
+    assert "numerical failure: solver broke" in capsys.readouterr().err
+
+
+def test_unitary_channel_is_simulated_exactly(tmp_path):
+    # teleportation simulates every Pauli channel exactly (acceptance criterion 1)
+    pauli_x = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+    cfg = {"processor": {"kind": "teleportation", "d": 2},
+           "channel": {"kind": "unitary", "matrix": pauli_x}, "method": "sdp_trace"}
+    out = tmp_path / "row.csv"
+    assert main(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert float(out.read_text().strip().splitlines()[1].split(",")[4]) <= 1e-6
 
 
 def test_bad_json_is_validation_error(tmp_path):

@@ -259,6 +259,8 @@ def test_learning_rate_validation():
         LearningRate("inv_sqrt", a=0.0)
     with pytest.raises(ValueError):
         LearningRate("geometric")
+    with pytest.raises(ValueError, match="harmonic b"):
+        LearningRate("harmonic", b=-1.0)
     assert LearningRate("harmonic", a=2.0, b=3.0)(1) == 0.5
 
 

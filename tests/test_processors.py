@@ -64,7 +64,7 @@ def test_processor_cptp_and_choi_outputs():
         for _ in range(n_programs):
             prog = random_program(proc, rng)
             # the constructor enforces the Choi invariant
-            ChoiMatrix.from_matrix(proc.apply_matrix(prog), proc.d_in, proc.d_out)
+            ChoiMatrix(proc.apply_matrix(prog), proc.d_in, proc.d_out)
 
 
 def test_adjoint_identity():
@@ -245,19 +245,6 @@ def test_pbt_port_permuted_program_same_output():
         assert np.abs(proc.apply_matrix(permuted) - proc.apply_matrix(pi)).max() <= 1e-9
 
 
-def test_pbt_singlet_variant():
-    povm = pbt_povm(2, 2, singlet=True)
-    total = sum(povm)
-    assert np.abs(total - np.eye(8)).max() <= 1e-8
-    proc = pbt_processor(2, 2, singlet=True)
-    # a valid processor distinct from the default measurement choice
-    out_singlet = proc.apply_matrix(np.kron(PHI, PHI))
-    out_default = pbt_processor(2, 2).apply_matrix(np.kron(PHI, PHI))
-    assert np.abs(out_singlet - out_default).max() > 1e-3
-    with pytest.raises(ValueError, match="qubits"):
-        pbt_povm(2, 3, singlet=True)
-
-
 def test_pbt_capacity_errors():
     with pytest.raises(CapacityError):
         pbt_processor(4, 2)
@@ -267,17 +254,11 @@ def test_pbt_capacity_errors():
         teleportation_processor(6)
 
 
-@pytest.mark.parametrize("n, singlet", [
-    pytest.param(1, False, id="1"),
-    pytest.param(2, False, id="2"),
-    pytest.param(3, False, id="3"),
-    pytest.param(2, True, id="2-singlet"),
-    pytest.param(3, True, id="3-singlet"),
-])
-def test_pbt_reduced_matches_full(n, singlet):
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pbt_reduced_matches_full(n):
     rng = np.random.default_rng(18 + n)
-    full = pbt_processor(n, 2, singlet=singlet)
-    red = pbt_reduced_map(n, 2, singlet=singlet)
+    full = pbt_processor(n, 2)
+    red = pbt_reduced_map(n, 2)
     for _ in range(3):
         chi = random_choi(2, rng).matrix
         prog = chi.copy()
@@ -286,12 +267,15 @@ def test_pbt_reduced_matches_full(n, singlet):
         assert np.abs(full.apply_matrix(prog) - red.apply_matrix(chi)).max() <= 1e-8
 
 
-@pytest.mark.parametrize("d, n, singlet", [(2, n, False) for n in range(1, 9)]
-                         + [(3, n, False) for n in range(1, 5)]
-                         + [(2, n, True) for n in range(2, 6)])
-def test_pbt_reduced_matches_dense_oracle(d, n, singlet):
-    ref = pbt_reduced_dense(n, d, singlet)
-    assert np.abs(pbt_reduced_map(n, d, singlet).transfer - ref).max() <= 1e-12
+_DENSE_ORACLE_CASES = [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 5)]
+
+
+# the case ids ("d-n-False") are fixed: recorded suite runs name the cases by them
+@pytest.mark.parametrize("d, n", _DENSE_ORACLE_CASES,
+                         ids=[f"{d}-{n}-False" for d, n in _DENSE_ORACLE_CASES])
+def test_pbt_reduced_matches_dense_oracle(d, n):
+    ref = pbt_reduced_dense(n, d)
+    assert np.abs(pbt_reduced_map(n, d).transfer - ref).max() <= 1e-12
 
 
 def test_pbt_fidelity_closed_form():
@@ -312,8 +296,6 @@ def test_pbt_reduced_input_errors():
         pbt_reduced_map(0)
     with pytest.raises(ValueError):
         pbt_reduced_map(2, 1)
-    with pytest.raises(ValueError, match="qubits"):
-        pbt_reduced_map(2, 3, singlet=True)
 
 
 def test_pbt_reduced_identity_error_decreases():

@@ -133,7 +133,7 @@ def test_solve_sdp_blocks_missing_from_constraints(case):
 
 def test_solve_sdp_detects_infeasible():
     prob = SdpProblem(objective=[np.zeros((2, 2))], constraints=[np.eye(2)[None]], rhs=[-1.0])
-    sol = solve_sdp(prob, max_iters=200)
+    sol = solve_sdp(prob)
     assert sol.status in ("infeasible", "max_iter")
     assert sol.status != "optimal"
 
