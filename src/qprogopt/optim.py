@@ -264,6 +264,9 @@ def _initial_program(proc: ProcessorMap, cfg: OptimConfig) -> np.ndarray:
 
 
 def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
+    """Iterate ``step`` from the initial program and keep the best iterate.
+    A step returns a validated program, or an ndarray (the initial program
+    and Frank-Wolfe iterates) that is validated only if it ends up the best."""
     pi = _initial_program(proc, cfg)
     cost = simulation_cost(proc, chi_target, pi, cfg.cost_kind, cfg.mu)
     best = cost
@@ -280,8 +283,12 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
         if it >= STALL_WINDOW and trace[it - STALL_WINDOW][1] - best < cfg.tolerance:
             converged = True
             break
+    if not isinstance(best_pi, DensityMatrix):
+        m = hermitize(best_pi)
+        best_pi = (ChoiMatrix(m, proc.d_in, proc.d_out) if proc.program_domain == "choi"
+                   else DensityMatrix(m))
     return OptimResult(
-        program=DensityMatrix(hermitize(best_pi)),
+        program=best_pi,
         cost_trace=tuple(trace),
         converged=converged,
         final_cost=best,
@@ -294,7 +301,7 @@ def projected_subgradient(proc: ProcessorMap, chi_target, cfg: OptimConfig = Opt
 
     def step(pi, it):
         g = grad(proc, chi_target, pi, cfg.mu)
-        return project_program(proc, pi - cfg.learning_rate(it) * g).matrix
+        return project_program(proc, as_matrix(pi) - cfg.learning_rate(it) * g)
 
     return _run_loop(proc, chi_target, cfg, step)
 

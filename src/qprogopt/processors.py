@@ -20,6 +20,14 @@ whether it must also be a single-port ``ChoiMatrix``.  PBT programs
 interleave port wires as (A_1, B_1, A_2, B_2, ...), so ``chi^(tensor N)`` is
 a plain Kronecker power of a Choi matrix.  PQC programs order registers as
 (R_0, R_1, ..., R_N).  Choi outputs are always ordered (input copy, output).
+
+Every processor also carries its program symmetry as ``blocks``: stacks of
+isometry copies V_c (d_prog x m), with programs pi = sum_blocks sum_c V_c M
+V_c^dag losing no output of the map, so the SDP programs search the m x m
+blocks M only.  ``pbt_processor`` has the S_N isotypic blocks of its port
+relabelings (N=3 qubits: 20, 20 twice, and 4, instead of 64), and
+``teleportation_processor`` one 1 x 1 block per Bell state; the others keep
+the single block V = I.
 """
 
 from __future__ import annotations
@@ -83,6 +91,11 @@ class ProcessorMap:
     # (single-port Choi matrices, Tr_out = I/d); only the reduced PBT map
     # uses the latter.
     program_domain: str = "states"
+    # program symmetry: one (copies, d_prog, m) stack of isometries V_c per
+    # block.  The map must not tell a program pi from its block part
+    # sum_blocks sum_c V_c M V_c^dag, M = sum_c V_c^dag pi V_c / copies, so
+    # the SDP programs search M alone; None is the one block V = I.
+    blocks: Optional[tuple] = None
 
     def __post_init__(self):
         s = np.asarray(self.transfer, dtype=complex)
@@ -105,6 +118,15 @@ class ProcessorMap:
                 f"ProcessorMap {self.label!r}: map is not completely positive "
                 f"(lambda_min = {vals[0]:.3e})"
             )
+        if self.blocks is None:
+            object.__setattr__(self, "blocks", (np.eye(dp)[None],))
+            return
+        blocks = tuple(np.asarray(v) for v in self.blocks)
+        cols = np.concatenate([np.concatenate(list(v), axis=1) for v in blocks], axis=1)
+        if cols.shape != (dp, dp) or np.abs(cols.conj().T @ cols - np.eye(dp)).max() > 1e-10:
+            raise ValueError(f"ProcessorMap {self.label!r}: the program blocks' columns are "
+                             f"not an orthonormal basis of the {dp}-dim program space")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def d_choi(self) -> int:
@@ -161,8 +183,12 @@ def teleportation_processor(d: int = 2) -> ProcessorMap:
         )
     ws = weyl_unitaries(d)
     kraus = np.stack([np.kron(w.conj(), w) / d for w in ws])
+    # the map is the twirl over the W^* (x) W, whose commutant is diagonal in
+    # the Bell basis (I (x) W)|Phi>: one 1 x 1 block per Bell state
+    phi = np.eye(d).ravel() / math.sqrt(d)
+    bell = tuple((np.kron(np.eye(d), w) @ phi).reshape(1, d * d, 1) for w in ws)
     return ProcessorMap(_transfer_from_kraus(kraus), d_prog=d * d, d_in=d, d_out=d,
-                        label=f"teleportation[d={d}]")
+                        label=f"teleportation[d={d}]", blocks=bell)
 
 
 # --- port-based teleportation ----------------------------------------------
@@ -243,7 +269,77 @@ def pbt_processor(n_ports: int, d: int = 2) -> ProcessorMap:
         )
     transfer = _pbt_full_transfer(n_ports, d, pbt_povm(n_ports, d))
     return ProcessorMap(transfer, d_prog=d_prog, d_in=d, d_out=d,
-                        label=f"pbt[N={n_ports},d={d}]")
+                        label=f"pbt[N={n_ports},d={d}]", blocks=_port_blocks(n_ports, d * d))
+
+
+def _tableaux(n: int) -> dict:
+    """Standard Young tableaux with n boxes by shape; a tableau lists the
+    (row, column) cell of each entry 0..n-1."""
+    grown = [((), ())]
+    for _ in range(n):
+        grown = [(shape[:i] + (r + 1,) + shape[i + 1:], cells + ((i, r),))
+                 for shape, cells in grown for i, r in enumerate(shape + (0,))
+                 if i == 0 or shape[i - 1] > r]
+    out: dict = {}
+    for shape, cells in grown:
+        out.setdefault(shape, []).append(cells)
+    return out
+
+
+def _orthogonal_form(tabs: list, k: int) -> np.ndarray:
+    """Young's orthogonal form of the transposition (k, k+1) on one shape's tableaux:
+    rho e_T = e_T / r + sqrt(1 - 1/r^2) e_T', with r the content of k+1 minus that
+    of k and T' the tableau with k and k+1 exchanged."""
+    index = {t: i for i, t in enumerate(tabs)}
+    rho = np.zeros((len(tabs), len(tabs)))
+    for i, t in enumerate(tabs):
+        (r0, c0), (r1, c1) = t[k], t[k + 1]
+        axial = (c1 - r1) - (c0 - r0)
+        rho[i, i] = 1.0 / axial
+        swapped = t[:k] + (t[k + 1], t[k]) + t[k + 2:]
+        if swapped in index:
+            rho[index[swapped], i] = math.sqrt(1.0 - 1.0 / axial**2)
+    return rho
+
+
+def _port_blocks(n_ports: int, dim: int) -> tuple:
+    """Isotypic blocks of S_N relabeling N ports of dimension ``dim``.
+
+    For the irrep rho of each shape, P_c1 = (k / N!) sum_g rho(g)_c1 U(g),
+    with k = dim rho, maps the range of P_11 onto copy c.  V_1 is an
+    orthonormal basis of that range and V_c = P_c1 V_1 (Gatermann-Parrilo,
+    J. Pure Appl. Algebra 192 (2004)); a shape with more than ``dim`` rows
+    has no copy and is left out.
+    """
+    tabs = _tableaux(n_ports)
+    size = dim**n_ports
+    swaps = []
+    for k in range(n_ports - 1):
+        axes = list(range(n_ports))
+        axes[k], axes[k + 1] = k + 1, k
+        swaps.append(np.eye(size).reshape((dim,) * n_ports + (size,))
+                     .transpose(axes + [n_ports]).reshape(size, size))
+    forms = {shape: [_orthogonal_form(t, k) for k in range(n_ports - 1)]
+             for shape, t in tabs.items()}
+    # (U(g), {shape: rho(g)}) for every g; the list grows while it is walked,
+    # so the walk closes it under the generators
+    group = [(np.eye(size), {shape: np.eye(len(t)) for shape, t in tabs.items()})]
+    seen = {group[0][0].tobytes()}
+    for u, rho in group:
+        for k, swap in enumerate(swaps):
+            uk = u @ swap
+            if uk.tobytes() not in seen:
+                seen.add(uk.tobytes())
+                group.append((uk, {shape: r @ forms[shape][k] for shape, r in rho.items()}))
+    blocks = []
+    for shape, t in tabs.items():
+        units = [len(t) / len(group) * sum(rho[shape][c, 0] * u for u, rho in group)
+                 for c in range(len(t))]
+        vals, vecs = np.linalg.eigh(units[0])
+        first = vecs[:, vals > 0.5]
+        if first.shape[1]:
+            blocks.append(np.stack([p @ first for p in units]))
+    return tuple(blocks)
 
 
 def _add_box(shape: tuple) -> list:

@@ -18,7 +18,11 @@ There is no real embedding: a block's dtype follows its data, so a block
 with real data is solved in real arithmetic and a complex Hermitian block in
 complex arithmetic.  The programs below build their constraints the same
 way, one stack per group of rows, from the Hermitian basis and one
-``proc.dual`` call on it.
+``proc.dual`` call on it.  The program pi enters as one variable block M per
+program block of the processor (``ProcessorMap.blocks``), pi = sum_blocks
+sum_c V_c M V_c^dag, so every stack A on pi becomes sum_c V_c^dag A V_c on M
+(``_program_terms``); a PBT program at N=3 is solved as blocks of 20, 20 and
+4 instead of 64, and a teleportation program as a linear program.
 
 Built on top of it:
 
@@ -30,7 +34,8 @@ Built on top of it:
   of the reduced port-based-teleportation map.
 
 Returned programs are ``DensityMatrix`` values (a ``ChoiMatrix`` for the
-reduced PBT map) projected back to exact feasibility by
+reduced PBT map), re-embedded from their blocks and projected back to exact
+feasibility by
 ``optim.project_program``, and all reported optima are
 re-evaluated at the projected program, so every quoted value is attained by
 the returned (feasible) program.
@@ -390,26 +395,39 @@ class _SdpBuilder:
 # --- concrete programs --------------------------------------------------------
 
 
+def _program_blocks(bld: _SdpBuilder, proc: ProcessorMap) -> List[int]:
+    """Add one variable block M per program block of ``proc`` (size m x m)."""
+    return [bld.add_block(v.shape[2]) for v in proc.blocks]
+
+
+def _program_terms(proc: ProcessorMap, pi_blks: List[int], a: np.ndarray) -> Dict[int, np.ndarray]:
+    """Constraint terms on pi = sum_blocks sum_c V_c M V_c^dag of a (k, d_prog,
+    d_prog) stack A: <A_i, pi> = sum_blocks <sum_c V_c^dag A_i V_c, M>."""
+    return {blk: hermitize(sum(vc.conj().T @ a @ vc for vc in v))
+            for blk, v in zip(pi_blks, proc.blocks)}
+
+
 def _trace_builder(chi: np.ndarray, proc: ProcessorMap):
     """P/Q split program for ||chi - Lambda(pi)||_1:
 
         min Tr P + Tr Q  s.t.  P - Q + Lambda(pi) = chi,  P, Q >= 0.
 
-    The feasibility constraints of the program block pi are left to the
-    caller.  Returns the builder and the pi block index.
+    The feasibility constraints of the program blocks are left to the
+    caller.  Returns the builder and the program block indices.
     """
     n = chi.shape[0]
     basis = hermitian_basis(n)
     bld = _SdpBuilder()
     p_blk = bld.add_block(n)
     q_blk = bld.add_block(n)
-    pi_blk = bld.add_block(proc.d_prog)
+    pi_blks = _program_blocks(bld, proc)
     bld.objective[p_blk] = np.eye(n)
     bld.objective[q_blk] = np.eye(n)
     # P - Q + Lambda(pi) = chi   (as <B_a, .> coordinates)
-    bld.constraints({p_blk: basis, q_blk: -basis, pi_blk: hermitize(proc.dual(basis))},
+    bld.constraints({p_blk: basis, q_blk: -basis,
+                     **_program_terms(proc, pi_blks, hermitize(proc.dual(basis)))},
                     _coords(basis, chi))
-    return bld, pi_blk
+    return bld, pi_blks
 
 
 def _warn_if_failed(sol: SdpSolution, who: str, tol: float = DEFAULT_TOL,
@@ -469,21 +487,26 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     return 2.0 * spectral_norm(partial_trace(z, [d_in, d_out], keep=[0]))
 
 
-def _solve_program(bld: _SdpBuilder, pi_blk: int, proc: ProcessorMap, tol: float,
+def _solve_program(bld: _SdpBuilder, pi_blks: List[int], proc: ProcessorMap, tol: float,
                    who: str) -> DensityMatrix:
-    """Add the feasible-program constraints on block pi (unit trace, or the
-    Choi marginal Tr_out pi = I/d for a processor whose program domain is
-    the single-port Choi set), solve, and project pi to exact feasibility."""
+    """Add the feasible-program constraints on pi (unit trace, or the Choi
+    marginal Tr_out pi = I/d for a processor whose program domain is the
+    single-port Choi set), solve, re-embed pi from its blocks and project it
+    to exact feasibility."""
     if proc.program_domain == "choi":
         fs = hermitian_basis(proc.d_in)
         # Tr_out pi = I/d (includes unit trace)
-        bld.constraints({pi_blk: np.kron(fs, np.eye(proc.d_in, dtype=complex))},
-                        np.trace(fs, axis1=1, axis2=2).real / proc.d_in)
+        rows = np.kron(fs, np.eye(proc.d_in, dtype=complex))
+        rhs = np.trace(fs, axis1=1, axis2=2).real / proc.d_in
     else:
-        bld.constraints({pi_blk: np.eye(proc.d_prog, dtype=complex)[None]}, [1.0])
+        # Tr pi = 1: each block counts once per copy
+        rows, rhs = np.eye(proc.d_prog, dtype=complex)[None], [1.0]
+    bld.constraints(_program_terms(proc, pi_blks, rows), rhs)
     sol = solve_sdp(bld.build(), tol=tol)
     _warn_if_failed(sol, who, tol, stacklevel=4)
-    return project_program(proc, sol.primal_blocks[pi_blk])
+    pi = sum(vc @ sol.primal_blocks[blk] @ vc.conj().T
+             for blk, v in zip(pi_blks, proc.blocks) for vc in v)
+    return project_program(proc, pi)
 
 
 def optimize_program_trace(proc: ProcessorMap, chi_target,
@@ -494,8 +517,8 @@ def optimize_program_trace(proc: ProcessorMap, chi_target,
     trace cost re-evaluated at it.
     """
     chi_e = hermitize(as_matrix(chi_target))
-    bld, pi_blk = _trace_builder(chi_e, proc)
-    program = _solve_program(bld, pi_blk, proc, tol, "optimize_program_trace")
+    bld, pi_blks = _trace_builder(chi_e, proc)
+    program = _solve_program(bld, pi_blks, proc, tol, "optimize_program_trace")
     value = trace_distance_cost(chi_e, proc.apply_matrix(program))
     return program, value
 
@@ -507,9 +530,9 @@ def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
         min 2t  s.t.  W = Z - d_in Delta >= 0,  V = t I - Tr_out Z >= 0,  Z >= 0.
 
     t is a real 1 x 1 block.  Without a processor Delta = chi is fixed; with
-    one, the program block pi is added (its feasibility constraints are left
-    to the caller).  Returns the builder and the Z and pi block indices (pi
-    is None without one).
+    one, the program blocks of pi are added (their feasibility constraints
+    are left to the caller).  Returns the builder, the Z block index and the
+    program block indices (none without a processor).
     """
     n = d_in * d_out
     basis = hermitian_basis(n)
@@ -518,27 +541,27 @@ def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
     w_blk = bld.add_block(n)
     v_blk = bld.add_block(d_in)
     t_blk = bld.add_block(1)
-    pi_blk = None if proc is None else bld.add_block(proc.d_prog)
+    pi_blks = [] if proc is None else _program_blocks(bld, proc)
     bld.objective[t_blk] = np.array([[2.0]])
     # W = Z - d (chi - Lambda(pi))
     terms = {w_blk: basis, z_blk: -basis}
     if proc is not None:
-        terms[pi_blk] = -d_in * hermitize(proc.dual(basis))
+        terms.update(_program_terms(proc, pi_blks, -d_in * hermitize(proc.dual(basis))))
     bld.constraints(terms, -d_in * _coords(basis, chi))
     # V = t I - Tr_out Z
     fs = hermitian_basis(d_in)
     bld.constraints({v_blk: fs, z_blk: np.kron(fs, np.eye(d_out, dtype=complex)),
                      t_blk: -np.trace(fs, axis1=1, axis2=2).real.reshape(-1, 1, 1)},
                     np.zeros(len(fs)))
-    return bld, z_blk, pi_blk
+    return bld, z_blk, pi_blks
 
 
 def optimize_program_diamond(proc: ProcessorMap, chi_target,
                              tol: float = DEFAULT_TOL) -> Tuple[DensityMatrix, float]:
     """Joint minimization of the diamond cost over program states."""
     chi_e = hermitize(as_matrix(chi_target))
-    bld, _, pi_blk = _watrous_builder(chi_e, proc.d_in, proc.d_out, proc)
-    program = _solve_program(bld, pi_blk, proc, tol, "optimize_program_diamond")
+    bld, _, pi_blks = _watrous_builder(chi_e, proc.d_in, proc.d_out, proc)
+    program = _solve_program(bld, pi_blks, proc, tol, "optimize_program_diamond")
     value = diamond_distance(chi_e - proc.apply_matrix(program), proc.d_in, tol=tol)
     return program, value
 
@@ -563,7 +586,7 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
 
     bld = _SdpBuilder()
     g_blk = bld.add_block(r + n)
-    pi_blk = bld.add_block(proc.d_prog)
+    pi_blks = _program_blocks(bld, proc)
     # objective corner: -Re Tr[V X] for the (r x n) off-diagonal slot X
     obj = np.zeros((r + n, r + n), dtype=complex)
     obj[:r, r:] = -0.5 * v_supp.conj().T
@@ -576,8 +599,9 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     bld.constraints({g_blk: corner}, _coords(top, d_supp))
     corner = np.zeros((n * n, r + n, r + n), dtype=complex)
     corner[:, r:, r:] = basis
-    bld.constraints({g_blk: corner, pi_blk: -hermitize(proc.dual(basis))}, np.zeros(n * n))
-    program = _solve_program(bld, pi_blk, proc, tol, "optimize_program_fidelity")
+    bld.constraints({g_blk: corner, **_program_terms(proc, pi_blks, -hermitize(proc.dual(basis)))},
+                    np.zeros(n * n))
+    program = _solve_program(bld, pi_blks, proc, tol, "optimize_program_fidelity")
     value = bures_fidelity(chi_e, proc.apply_matrix(program))
     return program, value
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qprogopt.channels import (
+    ChoiMatrix,
     DensityMatrix,
     choi_of_channel,
     cost_eval,
@@ -367,6 +368,18 @@ def test_subgradient_on_reduced_map_stays_feasible():
     assert np.abs(marg - np.eye(2) / 2).max() <= 1e-8
     baseline = trace_distance_cost(chi_a, red.apply_matrix(chi_a))
     assert res.final_cost <= baseline + 1e-12
+
+
+def test_first_order_program_keeps_its_domain_type():
+    red = pbt_reduced_map(3, 2)
+    chi = choi_of_channel(depolarizing(0.5)).matrix
+    # the last target is the initial program's own output, so that program stays the best
+    for target in (chi, red.apply_matrix(np.eye(4) / 4)):
+        for init in ("maximally_mixed", "random"):
+            cfg = OptimConfig(max_iters=5, cost_kind="C1", init=init)
+            assert type(projected_subgradient(red, target, cfg).program) is ChoiMatrix
+            for run in (projected_subgradient, frank_wolfe):
+                assert type(run(TELE, target, cfg).program) is DensityMatrix
 
 
 def test_optim_result_invariants():

@@ -16,6 +16,7 @@ from qprogopt.channels import (
 from qprogopt.hermlin import matrix_function
 from qprogopt.processors import (
     CapacityError,
+    ProcessorMap,
     _pbt_fidelity,
     amplitude_damping_hamiltonian,
     default_pqc_hamiltonians,
@@ -349,6 +350,73 @@ def test_symmetric_param_count():
     for n in (4, 16, 64):
         assert symmetric_param_count(n, 2) == math.comb(n + 15, 15)
         assert symmetric_param_count(n, 2) <= (n + 15) ** 15
+
+
+def _block_part(proc, pi):
+    """E(pi) = sum_blocks sum_c V_c (sum_c' V_c'^dag pi V_c' / copies) V_c^dag."""
+    return sum(vc @ (sum(w.conj().T @ pi @ w for w in v) / len(v)) @ vc.conj().T
+               for v in proc.blocks for vc in v)
+
+
+def _blocked(key):
+    """A processor with program blocks, the symmetry unitaries its blocks must
+    commute with, and the oracle group average of a program."""
+    kind, k = key[:-1], int(key[-1])
+    if kind == "pbt":
+        proc = pbt_processor(k)
+        us = [permute_ports(np.eye(proc.d_prog), k, 2, order)
+              for order in itertools.permutations(range(k))]
+        return proc, us, lambda pi: symmetrize_program(pi, k, 2).matrix
+    us = [np.kron(w.conj(), w) for w in weyl_unitaries(k)]
+    return teleportation_processor(k), us, lambda pi: sum(u @ pi @ u.conj().T for u in us) / len(us)
+
+
+BLOCKED = ["pbt1", "pbt2", "pbt3", "tele2", "tele3"]
+
+
+@pytest.mark.parametrize("key", BLOCKED)
+def test_program_blocks_orthonormal_and_complete(key):
+    proc, _, _ = _blocked(key)
+    cols = np.concatenate([np.concatenate(list(v), axis=1) for v in proc.blocks], axis=1)
+    assert cols.shape == (proc.d_prog, proc.d_prog)
+    assert np.abs(cols.conj().T @ cols - np.eye(proc.d_prog)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("key", BLOCKED)
+def test_program_blocks_commute_with_the_symmetry(key):
+    proc, us, _ = _blocked(key)
+    rng = np.random.default_rng(23)
+    pi = sum(vc @ random_hermitian(v.shape[2], rng) @ vc.conj().T
+             for v in proc.blocks for vc in v)
+    for u in us:
+        assert np.abs(u @ pi @ u.conj().T - pi).max() <= 1e-12
+
+
+@pytest.mark.parametrize("key", BLOCKED)
+def test_program_blocks_lose_no_output(key):
+    proc, _, average = _blocked(key)
+    rng = np.random.default_rng(24)
+    pi = random_density(proc.d_prog, rng).matrix
+    twirled = average(pi)
+    # the block part of pi is the group average, which the map cannot tell from pi
+    assert np.abs(_block_part(proc, pi) - twirled).max() <= 1e-12
+    assert np.abs(proc.apply_matrix(twirled) - proc.apply_matrix(pi)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, count", [(1, 16), (2, 136), (3, 816)])
+def test_pbt_block_sizes_give_symmetric_param_count(n, count):
+    sizes = [v.shape[2] for v in pbt_processor(n).blocks]
+    assert sum(m * m for m in sizes) == symmetric_param_count(n) == count
+
+
+def test_processor_rejects_blocks_that_are_not_a_basis():
+    proc = pbt_processor(2)
+    with pytest.raises(ValueError, match="orthonormal basis"):
+        ProcessorMap(proc.transfer, proc.d_prog, proc.d_in, proc.d_out,
+                     blocks=proc.blocks[:1])
+    with pytest.raises(ValueError, match="orthonormal basis"):
+        ProcessorMap(proc.transfer, proc.d_prog, proc.d_in, proc.d_out,
+                     blocks=(2.0 * np.eye(proc.d_prog)[None],))
 
 
 # --- circuit processors ---------------------------------------------------------

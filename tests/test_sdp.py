@@ -17,6 +17,7 @@ from qprogopt.channels import (
 from qprogopt.hermlin import partial_trace
 from qprogopt.optim import learn_unitary_program
 from qprogopt.processors import (
+    ProcessorMap,
     pbt_processor,
     pbt_reduced_map,
     teleportation_processor,
@@ -378,6 +379,21 @@ def test_sdp_handles_full_pbt_program():
     chi_d = choi_of_channel(depolarizing(0.75)).matrix
     _, val = optimize_program_diamond(proc, chi_d)
     assert val <= 1e-6  # above the two-port threshold
+
+
+@pytest.mark.parametrize("optimize", [optimize_program_diamond, optimize_program_trace,
+                                      optimize_program_fidelity], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("make", [lambda: pbt_processor(3), lambda: teleportation_processor(2)],
+                         ids=["pbt3", "tele2"])
+def test_block_reduction_is_lossless(make, optimize):
+    blocked = make()
+    trivial = ProcessorMap(blocked.transfer, blocked.d_prog, blocked.d_in, blocked.d_out)
+    assert len(trivial.blocks) == 1 and len(blocked.blocks) > 1
+    for channel in (amplitude_damping(0.3), amplitude_damping(0.7), depolarizing(0.4)):
+        chi = choi_of_channel(channel).matrix
+        _, value = optimize(blocked, chi)
+        _, full = optimize(trivial, chi)
+        assert abs(value - full) <= 1e-7
 
 
 def test_optimize_program_warns_not_failed(tmp_path):
