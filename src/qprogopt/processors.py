@@ -25,17 +25,18 @@ Every processor also carries its program symmetry as ``blocks``: stacks of
 isometry copies V_c (d_prog x m), with programs pi = sum_blocks sum_c V_c M
 V_c^dag losing no output of the map, so the SDP programs search the m x m
 blocks M only.  ``pbt_processor`` has the S_N isotypic blocks of its port
-relabelings (N=3 qubits: 20, 20 twice, and 4, instead of 64), and
-``teleportation_processor`` one 1 x 1 block per Bell state; the others keep
-the single block V = I.
+relabelings (N=3 qubits: 20, 20 twice, and 4, instead of 64), built on
+first use, so a processor that no SDP program solves never builds them;
+the others keep the single block V = I.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -91,11 +92,12 @@ class ProcessorMap:
     # (single-port Choi matrices, Tr_out = I/d); only the reduced PBT map
     # uses the latter.
     program_domain: str = "states"
-    # program symmetry: one (copies, d_prog, m) stack of isometries V_c per
-    # block.  The map must not tell a program pi from its block part
-    # sum_blocks sum_c V_c M V_c^dag, M = sum_c V_c^dag pi V_c / copies, so
-    # the SDP programs search M alone; None is the one block V = I.
-    blocks: Optional[tuple] = None
+    # program symmetry: a function returning one (copies, d_prog, m) stack of
+    # isometries V_c per block, called on the first use of ``blocks``.  The
+    # map must not tell a program pi from its block part sum_blocks sum_c
+    # V_c M V_c^dag, M = sum_c V_c^dag pi V_c / copies, so the SDP programs
+    # search M alone; None is the one block V = I.
+    symmetry: Optional[Callable[[], tuple]] = None
 
     def __post_init__(self):
         s = np.asarray(self.transfer, dtype=complex)
@@ -118,15 +120,19 @@ class ProcessorMap:
                 f"ProcessorMap {self.label!r}: map is not completely positive "
                 f"(lambda_min = {vals[0]:.3e})"
             )
-        if self.blocks is None:
-            object.__setattr__(self, "blocks", (np.eye(dp)[None],))
-            return
-        blocks = tuple(np.asarray(v) for v in self.blocks)
+
+    @functools.cached_property
+    def blocks(self) -> tuple:
+        """The program blocks of ``symmetry``, checked to be an orthonormal basis."""
+        dp = self.d_prog
+        if self.symmetry is None:
+            return (np.eye(dp)[None],)
+        blocks = tuple(np.asarray(v) for v in self.symmetry())
         cols = np.concatenate([np.concatenate(list(v), axis=1) for v in blocks], axis=1)
         if cols.shape != (dp, dp) or np.abs(cols.conj().T @ cols - np.eye(dp)).max() > 1e-10:
             raise ValueError(f"ProcessorMap {self.label!r}: the program blocks' columns are "
                              f"not an orthonormal basis of the {dp}-dim program space")
-        object.__setattr__(self, "blocks", blocks)
+        return blocks
 
     @property
     def d_choi(self) -> int:
@@ -183,12 +189,8 @@ def teleportation_processor(d: int = 2) -> ProcessorMap:
         )
     ws = weyl_unitaries(d)
     kraus = np.stack([np.kron(w.conj(), w) / d for w in ws])
-    # the map is the twirl over the W^* (x) W, whose commutant is diagonal in
-    # the Bell basis (I (x) W)|Phi>: one 1 x 1 block per Bell state
-    phi = np.eye(d).ravel() / math.sqrt(d)
-    bell = tuple((np.kron(np.eye(d), w) @ phi).reshape(1, d * d, 1) for w in ws)
     return ProcessorMap(_transfer_from_kraus(kraus), d_prog=d * d, d_in=d, d_out=d,
-                        label=f"teleportation[d={d}]", blocks=bell)
+                        label=f"teleportation[d={d}]")
 
 
 # --- port-based teleportation ----------------------------------------------
@@ -269,7 +271,8 @@ def pbt_processor(n_ports: int, d: int = 2) -> ProcessorMap:
         )
     transfer = _pbt_full_transfer(n_ports, d, pbt_povm(n_ports, d))
     return ProcessorMap(transfer, d_prog=d_prog, d_in=d, d_out=d,
-                        label=f"pbt[N={n_ports},d={d}]", blocks=_port_blocks(n_ports, d * d))
+                        label=f"pbt[N={n_ports},d={d}]",
+                        symmetry=functools.partial(_port_blocks, n_ports, d * d))
 
 
 def _tableaux(n: int) -> dict:
@@ -277,9 +280,9 @@ def _tableaux(n: int) -> dict:
     (row, column) cell of each entry 0..n-1."""
     grown = [((), ())]
     for _ in range(n):
-        grown = [(shape[:i] + (r + 1,) + shape[i + 1:], cells + ((i, r),))
-                 for shape, cells in grown for i, r in enumerate(shape + (0,))
-                 if i == 0 or shape[i - 1] > r]
+        # the new cell is (row, old row length) of the row where mu outgrows shape
+        grown = [(mu, cells + (next((i, r) for i, r in enumerate(shape + (0,)) if mu[i] > r),))
+                 for shape, cells in grown for mu in _add_box(shape)]
     out: dict = {}
     for shape, cells in grown:
         out.setdefault(shape, []).append(cells)

@@ -22,7 +22,7 @@ way, one stack per group of rows, from the Hermitian basis and one
 program block of the processor (``ProcessorMap.blocks``), pi = sum_blocks
 sum_c V_c M V_c^dag, so every stack A on pi becomes sum_c V_c^dag A V_c on M
 (``_program_terms``); a PBT program at N=3 is solved as blocks of 20, 20 and
-4 instead of 64, and a teleportation program as a linear program.
+4 instead of 64.
 
 Built on top of it:
 

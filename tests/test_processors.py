@@ -358,33 +358,28 @@ def _block_part(proc, pi):
                for v in proc.blocks for vc in v)
 
 
-def _blocked(key):
-    """A processor with program blocks, the symmetry unitaries its blocks must
-    commute with, and the oracle group average of a program."""
-    kind, k = key[:-1], int(key[-1])
-    if kind == "pbt":
-        proc = pbt_processor(k)
-        us = [permute_ports(np.eye(proc.d_prog), k, 2, order)
-              for order in itertools.permutations(range(k))]
-        return proc, us, lambda pi: symmetrize_program(pi, k, 2).matrix
-    us = [np.kron(w.conj(), w) for w in weyl_unitaries(k)]
-    return teleportation_processor(k), us, lambda pi: sum(u @ pi @ u.conj().T for u in us) / len(us)
+def _blocked(n):
+    """pbt_processor(n), its port relabelings, and the oracle port average of a program."""
+    proc = pbt_processor(n)
+    us = [permute_ports(np.eye(proc.d_prog), n, 2, order)
+          for order in itertools.permutations(range(n))]
+    return proc, us, lambda pi: symmetrize_program(pi, n, 2).matrix
 
 
-BLOCKED = ["pbt1", "pbt2", "pbt3", "tele2", "tele3"]
+BLOCKED = [1, 2, 3]
 
 
-@pytest.mark.parametrize("key", BLOCKED)
-def test_program_blocks_orthonormal_and_complete(key):
-    proc, _, _ = _blocked(key)
+@pytest.mark.parametrize("n", BLOCKED)
+def test_program_blocks_orthonormal_and_complete(n):
+    proc, _, _ = _blocked(n)
     cols = np.concatenate([np.concatenate(list(v), axis=1) for v in proc.blocks], axis=1)
     assert cols.shape == (proc.d_prog, proc.d_prog)
     assert np.abs(cols.conj().T @ cols - np.eye(proc.d_prog)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("key", BLOCKED)
-def test_program_blocks_commute_with_the_symmetry(key):
-    proc, us, _ = _blocked(key)
+@pytest.mark.parametrize("n", BLOCKED)
+def test_program_blocks_commute_with_the_symmetry(n):
+    proc, us, _ = _blocked(n)
     rng = np.random.default_rng(23)
     pi = sum(vc @ random_hermitian(v.shape[2], rng) @ vc.conj().T
              for v in proc.blocks for vc in v)
@@ -392,9 +387,9 @@ def test_program_blocks_commute_with_the_symmetry(key):
         assert np.abs(u @ pi @ u.conj().T - pi).max() <= 1e-12
 
 
-@pytest.mark.parametrize("key", BLOCKED)
-def test_program_blocks_lose_no_output(key):
-    proc, _, average = _blocked(key)
+@pytest.mark.parametrize("n", BLOCKED)
+def test_program_blocks_lose_no_output(n):
+    proc, _, average = _blocked(n)
     rng = np.random.default_rng(24)
     pi = random_density(proc.d_prog, rng).matrix
     twirled = average(pi)
@@ -411,12 +406,17 @@ def test_pbt_block_sizes_give_symmetric_param_count(n, count):
 
 def test_processor_rejects_blocks_that_are_not_a_basis():
     proc = pbt_processor(2)
-    with pytest.raises(ValueError, match="orthonormal basis"):
-        ProcessorMap(proc.transfer, proc.d_prog, proc.d_in, proc.d_out,
-                     blocks=proc.blocks[:1])
-    with pytest.raises(ValueError, match="orthonormal basis"):
-        ProcessorMap(proc.transfer, proc.d_prog, proc.d_in, proc.d_out,
-                     blocks=(2.0 * np.eye(proc.d_prog)[None],))
+    for blocks in (proc.blocks[:1], (2.0 * np.eye(proc.d_prog)[None],)):
+        bad = ProcessorMap(proc.transfer, proc.d_prog, proc.d_in, proc.d_out,
+                           symmetry=lambda b=blocks: b)
+        with pytest.raises(ValueError, match="orthonormal basis"):
+            bad.blocks
+
+
+def test_processors_without_a_symmetry_keep_the_identity_block():
+    for proc in (teleportation_processor(2), pbt_reduced_map(3), pqc_processor(2)):
+        (v,) = proc.blocks
+        assert np.array_equal(v, np.eye(proc.d_prog)[None])
 
 
 # --- circuit processors ---------------------------------------------------------

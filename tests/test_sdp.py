@@ -383,10 +383,8 @@ def test_sdp_handles_full_pbt_program():
 
 @pytest.mark.parametrize("optimize", [optimize_program_diamond, optimize_program_trace,
                                       optimize_program_fidelity], ids=lambda f: f.__name__)
-@pytest.mark.parametrize("make", [lambda: pbt_processor(3), lambda: teleportation_processor(2)],
-                         ids=["pbt3", "tele2"])
-def test_block_reduction_is_lossless(make, optimize):
-    blocked = make()
+def test_block_reduction_is_lossless(optimize):
+    blocked = pbt_processor(3)
     trivial = ProcessorMap(blocked.transfer, blocked.d_prog, blocked.d_in, blocked.d_out)
     assert len(trivial.blocks) == 1 and len(blocked.blocks) > 1
     for channel in (amplitude_damping(0.3), amplitude_damping(0.7), depolarizing(0.4)):
