@@ -288,8 +288,12 @@ def bures_fidelity(target: MatrixLike, sim: MatrixLike) -> float:
     """
     a, b = _pair(target, sim)
     ra = matrix_sqrt(a)
-    inner = hermitize(ra @ b @ ra)
-    vals = np.linalg.eigvalsh(inner)
+    return _fidelity_of_spectrum(np.linalg.eigvalsh(hermitize(ra @ b @ ra)))
+
+
+def _fidelity_of_spectrum(vals: np.ndarray) -> float:
+    """Tr sqrt of the inner matrix from its eigenvalues, floored and clipped
+    as in ``bures_fidelity``."""
     floor = vals.size * np.finfo(float).eps * max(float(vals.max()), 0.0)
     f = float(np.sqrt(vals[vals > floor]).sum())
     return min(max(f, 0.0), 1.0)

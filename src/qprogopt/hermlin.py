@@ -125,48 +125,56 @@ def matrix_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def matrix_inv_sqrt(m: np.ndarray) -> np.ndarray:
-    """x^(-1/2) on the support of a PSD Hermitian matrix.
+    """x^(-1/2) on the support of a PSD Hermitian matrix (see ``_inv_sqrt_values``)."""
+    dec = herm_eig(m)
+    return (dec.eigenvectors * _inv_sqrt_values(dec.eigenvalues)) @ dec.eigenvectors.conj().T
+
+
+def _inv_sqrt_values(vals: np.ndarray) -> np.ndarray:
+    """lambda^(-1/2) on the support, 0 elsewhere.
 
     Eigenvalues with |lambda| <= SPECTRAL_RCOND * max|lambda| count as zero
     and are excluded (pseudo-inverse convention); negative eigenvalues above
     that cutoff raise a domain error.
     """
-    dec = herm_eig(m)
-    vals = dec.eigenvalues.copy()
     scale = np.abs(vals).max() if vals.size else 0.0
-    cutoff = SPECTRAL_RCOND * scale
-    support = np.abs(vals) > cutoff
+    support = np.abs(vals) > SPECTRAL_RCOND * scale
     if np.any(vals[support] < 0):
         raise ValueError("matrix_inv_sqrt: negative eigenvalue above support cutoff")
     out = np.zeros_like(vals)
     out[support] = vals[support] ** -0.5
-    return (dec.eigenvectors * out) @ dec.eigenvectors.conj().T
+    return out
 
 
 def matrix_sign(m: np.ndarray) -> np.ndarray:
-    """Matrix sign with sign(0) := 0, computed spectrally.
+    """Matrix sign with sign(0) := 0, computed spectrally (see ``_sign_values``)."""
+    dec = herm_eig(m)
+    return (dec.eigenvectors * _sign_values(dec.eigenvalues)) @ dec.eigenvectors.conj().T
+
+
+def _sign_values(vals: np.ndarray) -> np.ndarray:
+    """Signs of descending eigenvalues, one sign per numerical cluster.
 
     Eigenvalues closer than ``SIGN_CLUSTER_GAP`` are grouped and share one
     sign, so the result does not depend on the arbitrary eigenbasis inside a
     numerically degenerate cluster.  A cluster whose mean is within
     ``SIGN_ZERO_TOL`` of zero maps to 0.
     """
-    dec = herm_eig(m)
-    vals = dec.eigenvalues
-    signs = np.zeros_like(vals)
+    v = vals.tolist()  # a few values: plain floats beat per-cluster array calls
+    signs = [0.0] * len(v)
     i = 0
-    n = vals.size
+    n = len(v)
     while i < n:
         j = i + 1
-        while j < n and vals[j - 1] - vals[j] < SIGN_CLUSTER_GAP:
+        while j < n and v[j - 1] - v[j] < SIGN_CLUSTER_GAP:
             j += 1
-        mean = vals[i:j].mean()
+        mean = sum(v[i:j]) / (j - i)
         if mean > SIGN_ZERO_TOL:
-            signs[i:j] = 1.0
+            signs[i:j] = [1.0] * (j - i)
         elif mean < -SIGN_ZERO_TOL:
-            signs[i:j] = -1.0
+            signs[i:j] = [-1.0] * (j - i)
         i = j
-    return (dec.eigenvectors * signs) @ dec.eigenvectors.conj().T
+    return np.array(signs)
 
 
 def _check_shape(m: np.ndarray, dims: Sequence[int], who: str) -> None:

@@ -9,11 +9,16 @@ processor map and ``L*`` its dual,
 * infidelity:      grad = -2 F grad F;
 * smoothed trace:  grad = L*[h'_mu(chi_pi - chi_target)] (Huber derivative).
 
+Each cost of ``_COSTS`` maps a simulated Choi matrix to its value and the
+Choi-space observable whose dual is the gradient, from one spectral
+decomposition; ``simulation_cost``, the ``grad_*`` functions and the
+iterative methods all read that one table.
+
 A program is a ``DensityMatrix``.  Its feasible set follows the processor's
 ``program_domain``: the density matrices (Euclidean projection =
 spectrum-to-simplex, computed in closed form) or the single-port Choi set of
-the reduced port-based-teleportation map (projection by Dykstra's
-alternating scheme).  ``project_program`` makes that choice for the
+the reduced port-based-teleportation map (projection by semismooth Newton on
+its d x d dual multiplier).  ``project_program`` makes that choice for the
 first-order methods and for the SDP programs' recovery step.
 """
 
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -30,16 +35,16 @@ from .channels import (
     ChoiMatrix,
     DensityMatrix,
     as_matrix,
-    bures_fidelity,
-    cost_eval,
+    _fidelity_of_spectrum,
+    huber_penalty,
     huber_penalty_deriv,
     max_entangled,
 )
 from .hermlin import (
+    _inv_sqrt_values,
+    _sign_values,
     herm_eig,
     hermitize,
-    matrix_inv_sqrt,
-    matrix_sign,
     matrix_sqrt,
     partial_trace,
 )
@@ -63,16 +68,13 @@ __all__ = [
     "learn_unitary_program",
 ]
 
-# cost kind -> gradient, called by its global name so a patched name is honored
-_GRADIENTS = {
-    "C1": lambda proc, chi_target, pi, mu: grad_trace_cost(proc, chi_target, pi),
-    "CF": lambda proc, chi_target, pi, mu: grad_infidelity(proc, chi_target, pi),
-    "Cmu": lambda proc, chi_target, pi, mu: grad_smoothed_cost(proc, chi_target, pi, mu),
-}
-GRAD_COST_KINDS = tuple(_GRADIENTS)
 STALL_WINDOW = 50  # stop once the best cost gained < tolerance over this many iterations
-CHOI_PROJECTION_TOL = 1e-10  # Dykstra: distance between the two alternating iterates
-CHOI_PROJECTION_MAX_ITERS = 5000
+# project_to_choi_set: Newton stops at ||Tr_out chi - I/d||_F <= TOL * max(1, ||x||_F);
+# the residual's rounding floor is a few eps * max(1, ||x||_F)
+CHOI_PROJECTION_TOL = 1e-14
+CHOI_PROJECTION_MAX_ITERS = 500  # Newton steps; inputs of norm 1e6 take ~100
+CHOI_PROJECTION_RIDGE = 1e-8  # Jacobian ridge, times min(1, residual)
+CHOI_PROJECTION_HALVINGS = 40  # backtracking steps per Newton step
 DEGENERACY_TOL = 1e-10  # learn_unitary_program warns below this top-eigenvalue gap
 
 
@@ -129,40 +131,81 @@ class OptimResult:
     final_cost: float
 
 
+# --- costs and gradients ------------------------------------------------------
+#
+# A cost maker takes the target Choi matrix and mu once per run and returns
+# terms(chi_pi) -> (cost, X), where the gradient in the program is L*[X].
+
+
+def _trace_cost(target: np.ndarray, mu: float) -> Callable:
+    def terms(sim):
+        dec = herm_eig(hermitize(sim - target))
+        vals, u = dec.eigenvalues, dec.eigenvectors
+        return float(np.abs(vals).sum()), (u * _sign_values(vals)) @ u.conj().T
+    return terms
+
+
+def _smoothed_cost(target: np.ndarray, mu: float) -> Callable:
+    if mu is None or mu <= 0:
+        raise ValueError(f"smoothed cost: mu must be positive, got {mu}")
+
+    def terms(sim):
+        dec = herm_eig(hermitize(sim - target))
+        vals, u = dec.eigenvalues, dec.eigenvectors
+        return (float(huber_penalty(vals, mu).sum()),
+                (u * huber_penalty_deriv(vals, mu)) @ u.conj().T)
+    return terms
+
+
+def _fidelity_terms(root: np.ndarray, sim: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Fidelity F of ``sim`` to ``root``^2 and X with grad F = L*[X]."""
+    dec = herm_eig(hermitize(root @ sim @ root))
+    vals, u = dec.eigenvalues, dec.eigenvectors
+    mid = root @ ((u * _inv_sqrt_values(vals)) @ u.conj().T) @ root
+    return _fidelity_of_spectrum(vals), 0.5 * hermitize(mid)
+
+
+def _infidelity_cost(target: np.ndarray, mu: float) -> Callable:
+    root = matrix_sqrt(target)
+
+    def terms(sim):
+        f, x = _fidelity_terms(root, sim)
+        return 1.0 - f * f, -2.0 * f * x
+    return terms
+
+
+_COSTS = {"C1": _trace_cost, "CF": _infidelity_cost, "Cmu": _smoothed_cost}
+GRAD_COST_KINDS = tuple(_COSTS)
+
+
+def _gradient(proc: ProcessorMap, x: np.ndarray) -> np.ndarray:
+    return hermitize(proc.dual(x))
+
+
 def simulation_cost(proc: ProcessorMap, chi_target, pi, kind: str = "C1",
                     mu: float = 1e-2) -> float:
     """Cost of simulating ``chi_target`` with program ``pi`` on ``proc``."""
     if kind not in GRAD_COST_KINDS:
         raise ValueError(f"simulation_cost: unknown kind {kind!r}")
-    return cost_eval(kind, chi_target, proc.apply_matrix(pi), mu=mu)
+    return _COSTS[kind](as_matrix(chi_target), mu)(proc.apply_matrix(pi))[0]
 
 
 def grad_trace_cost(proc: ProcessorMap, chi_target, pi) -> np.ndarray:
     """Subgradient of the trace cost; exact gradient at differentiable points."""
-    delta = hermitize(proc.apply_matrix(pi) - as_matrix(chi_target))
-    return hermitize(proc.dual(matrix_sign(delta)))
+    return _gradient(proc, _trace_cost(as_matrix(chi_target), None)(proc.apply_matrix(pi))[1])
 
 
 def grad_fidelity(proc: ProcessorMap, chi_target, pi) -> np.ndarray:
-    t = as_matrix(chi_target)
-    root = matrix_sqrt(t)
-    inner = hermitize(root @ proc.apply_matrix(pi) @ root)
-    mid = root @ matrix_inv_sqrt(inner) @ root
-    return hermitize(0.5 * proc.dual(hermitize(mid)))
+    root = matrix_sqrt(as_matrix(chi_target))
+    return _gradient(proc, _fidelity_terms(root, proc.apply_matrix(pi))[1])
 
 
 def grad_infidelity(proc: ProcessorMap, chi_target, pi) -> np.ndarray:
-    f = bures_fidelity(chi_target, proc.apply_matrix(pi))
-    return -2.0 * f * grad_fidelity(proc, chi_target, pi)
+    return _gradient(proc, _infidelity_cost(as_matrix(chi_target), None)(proc.apply_matrix(pi))[1])
 
 
 def grad_smoothed_cost(proc: ProcessorMap, chi_target, pi, mu: float) -> np.ndarray:
-    if mu <= 0:
-        raise ValueError(f"grad_smoothed_cost: mu must be positive, got {mu}")
-    delta = hermitize(proc.apply_matrix(pi) - as_matrix(chi_target))
-    dec = herm_eig(delta)
-    h = (dec.eigenvectors * huber_penalty_deriv(dec.eigenvalues, mu)) @ dec.eigenvectors.conj().T
-    return hermitize(proc.dual(h))
+    return _gradient(proc, _smoothed_cost(as_matrix(chi_target), mu)(proc.apply_matrix(pi))[1])
 
 
 # --- projections ------------------------------------------------------------
@@ -195,49 +238,83 @@ def project_to_states(x: np.ndarray) -> DensityMatrix:
     return DensityMatrix(hermitize((u * lam) @ u.conj().T))
 
 
-def _psd_part(x: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(hermitize(x))
-    return (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+class _DualPoint(NamedTuple):
+    """project_to_choi_set at one multiplier H: x + H (x) I = U diag(lam) U^dag."""
+
+    h: np.ndarray
+    lam: np.ndarray
+    u: np.ndarray
+    pos: np.ndarray  # max(lam, 0)
+    g: np.ndarray  # g[(c, e), (i, j)] = (Tr_out |u_i><u_j|)[c, e]
+    resid: np.ndarray  # F(H) = Tr_out (x + H (x) I)_+ - I/d
+    res: float  # ||F(H)||
+    dual: float  # theta(H)
 
 
 def project_to_choi_set(x: np.ndarray, d: int) -> ChoiMatrix:
     """Euclidean projection onto {chi >= 0, Tr_out chi = I/d, Tr chi = 1}.
 
-    Dykstra's alternating projections between the PSD cone and the affine
-    marginal constraint, with correction terms.  Raises on non-convergence
-    with the residual in the message.
+    Semismooth Newton on the dual (Malick, SIAM J. Matrix Anal. Appl. 26
+    (2004); Qi-Sun, ibid. 28 (2006)): chi = (x + H (x) I)_+, where the d x d
+    Hermitian H minimizes the convex theta(H) = ||(x + H (x) I)_+||^2 / 2 -
+    Tr H / d, whose gradient is F(H) = Tr_out chi - I/d.  With x + H (x) I =
+    U diag(lambda) U^dag, the generalized Jacobian of F is dH -> Tr_out
+    U (Omega o U^dag (dH (x) I) U) U^dag, Omega the divided differences of
+    max(., 0) over lambda.  It may be singular, so each step adds a small
+    ridge and backtracks until theta falls (Armijo) or ||F|| halves (near the
+    solution rounding hides theta's decrease).  Newton starts from the affine
+    projection H = (I/d - Tr_out x) / d and stops at ||F|| <=
+    CHOI_PROJECTION_TOL * max(1, ||x||); a congruence by
+    (d Tr_out chi)^(-1/2) (x) I then puts the marginal on I/d to rounding.
+    Raises on non-convergence with the residual in the message.
     """
     x = hermitize(np.asarray(x, dtype=complex))
     if x.shape != (d * d, d * d):
         raise ValueError(f"project_to_choi_set: shape {x.shape}, expected ({d*d}, {d*d})")
     eye_d = np.eye(d)
+    n = d * d
+    diag = np.arange(n)
 
-    def proj_affine(m):
-        marg = partial_trace(m, [d, d], keep=[0])
-        corr = np.kron(eye_d / d - marg, eye_d / d)
-        return m + corr
+    def kron_eye(h):  # h (x) I without np.kron's overhead
+        return (h[:, None, :, None] * eye_d[:, None, :]).reshape(n, n)
 
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    y = x
-    for _ in range(CHOI_PROJECTION_MAX_ITERS):
-        y = _psd_part(x + p)
-        p = x + p - y
-        x_new = proj_affine(y + q)
-        q = y + q - x_new
-        if np.linalg.norm(x_new - y) <= CHOI_PROJECTION_TOL:
-            x = x_new
-            break
-        x = x_new
-    else:
-        resid = float(np.linalg.norm(x - y))
-        raise RuntimeError(
-            f"project_to_choi_set: no convergence in {CHOI_PROJECTION_MAX_ITERS} iterations "
-            f"(set-distance residual {resid:.3e})"
-        )
-    out = _psd_part(x)
-    out = out / np.trace(out).real
-    return ChoiMatrix(hermitize(out), d, d)
+    def evaluate(h):
+        lam, u = np.linalg.eigh(x + kron_eye(h))
+        pos = np.clip(lam, 0.0, None)
+        rows = u.reshape(d, d, n)
+        g = np.einsum("cmi,emj->ceij", rows, rows.conj())
+        resid = g[:, :, diag, diag] @ pos - eye_d / d
+        return _DualPoint(h, lam, u, pos, g.reshape(n, n * n), resid,
+                          float(np.linalg.norm(resid)), 0.5 * (pos @ pos) - np.trace(h).real / d)
+
+    pt = evaluate((eye_d / d - partial_trace(x, [d, d], keep=[0])) / d)
+    tol = CHOI_PROJECTION_TOL * max(1.0, float(np.linalg.norm(x)))
+    steps = 0
+    while pt.res > tol:
+        if steps == CHOI_PROJECTION_MAX_ITERS:
+            raise RuntimeError(
+                f"project_to_choi_set: no convergence in {CHOI_PROJECTION_MAX_ITERS} Newton "
+                f"steps (marginal residual {pt.res:.3e})"
+            )
+        lam, pos = pt.lam, pt.pos
+        gap = lam[:, None] - lam[None, :]
+        omega = np.where(gap == 0, lam[:, None] > 0,
+                         (pos[:, None] - pos[None, :]) / np.where(gap == 0, 1.0, gap))
+        jac = (pt.g * omega.ravel()) @ pt.g.conj().T
+        jac[diag, diag] += CHOI_PROJECTION_RIDGE * min(1.0, pt.res)
+        step = hermitize(np.linalg.solve(jac, -pt.resid.ravel()).reshape(d, d))
+        slope = float(np.vdot(pt.resid, step).real)
+        t = 1.0
+        for _ in range(CHOI_PROJECTION_HALVINGS):
+            trial = evaluate(pt.h + t * step)
+            if trial.dual <= pt.dual + 1e-4 * t * slope or trial.res <= 0.5 * pt.res:
+                break
+            t *= 0.5
+        pt = trial
+        steps += 1
+    w, v = np.linalg.eigh(d * (pt.resid + eye_d / d))
+    a = kron_eye((v * w ** -0.5) @ v.conj().T)
+    return ChoiMatrix(hermitize(a @ ((pt.u * pt.pos) @ pt.u.conj().T) @ a), d, d)
 
 
 def project_program(proc: ProcessorMap, x: np.ndarray) -> DensityMatrix:
@@ -264,18 +341,21 @@ def _initial_program(proc: ProcessorMap, cfg: OptimConfig) -> np.ndarray:
 
 
 def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
-    """Iterate ``step`` from the initial program and keep the best iterate.
+    """Iterate ``step(pi, gradient at pi, it)`` from the initial program and
+    keep the best iterate.  Each iterate costs one processor apply and one
+    spectral decomposition, which give both its cost and its gradient.
     A step returns a validated program, or an ndarray (the initial program
     and Frank-Wolfe iterates) that is validated only if it ends up the best."""
+    terms = _COSTS[cfg.cost_kind](as_matrix(chi_target), cfg.mu)
     pi = _initial_program(proc, cfg)
-    cost = simulation_cost(proc, chi_target, pi, cfg.cost_kind, cfg.mu)
+    cost, x = terms(proc.apply_matrix(pi))
     best = cost
     best_pi = pi
     trace: List[Tuple[int, float]] = [(0, best)]
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        pi = step(pi, it)
-        cost = simulation_cost(proc, chi_target, pi, cfg.cost_kind, cfg.mu)
+        pi = step(pi, _gradient(proc, x), it)
+        cost, x = terms(proc.apply_matrix(pi))
         if cost < best:
             best = cost
             best_pi = pi
@@ -297,10 +377,7 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
 
 def projected_subgradient(proc: ProcessorMap, chi_target, cfg: OptimConfig = OptimConfig()) -> OptimResult:
     """Subgradient step followed by projection back to the feasible set."""
-    grad = _GRADIENTS[cfg.cost_kind]
-
-    def step(pi, it):
-        g = grad(proc, chi_target, pi, cfg.mu)
+    def step(pi, g, it):
         return project_program(proc, as_matrix(pi) - cfg.learning_rate(it) * g)
 
     return _run_loop(proc, chi_target, cfg, step)
@@ -319,10 +396,7 @@ def frank_wolfe(proc: ProcessorMap, chi_target, cfg: OptimConfig = OptimConfig()
             "frank_wolfe: pure-state vertices leave the Choi-constrained set; "
             "use projected_subgradient for the reduced map"
         )
-    grad = _GRADIENTS[cfg.cost_kind]
-
-    def step(pi, it):
-        g = grad(proc, chi_target, pi, cfg.mu)
+    def step(pi, g, it):
         vals, vecs = np.linalg.eigh(hermitize(g))
         v = vecs[:, 0]  # eigenvector of the smallest eigenvalue
         vertex = np.outer(v, v.conj())

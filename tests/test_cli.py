@@ -43,6 +43,23 @@ def test_optimize_pbt_reduced_depolarizing_threshold(tmp_path):
     assert cost <= 1e-6
 
 
+def test_optimize_reduced_subgradient_with_large_steps(tmp_path):
+    # steps of size 100/sqrt(k) leave the Choi set far behind; projecting them
+    # back used to fail with exit 2 (no convergence of the projection)
+    cfg = {
+        "processor": {"kind": "pbt_reduced", "N": 4, "d": 2},
+        "channel": {"kind": "amplitude_damping", "p": 0.5},
+        "method": "subgradient",
+        "cost": "C1",
+        "optimizer": {"max_iters": 20, "learning_rate": {"a": 100.0}},
+    }
+    out = tmp_path / "row.csv"
+    assert main(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    row = out.read_text().strip().splitlines()[1].split(",")
+    assert row[1:4] == ["subgradient", "4", "C1"] and row[5] == "20"
+    assert 0.0 < float(row[4]) <= 2.0
+
+
 def test_optimize_deterministic_csv(tmp_path):
     cfg = {
         "processor": {"kind": "teleportation", "d": 2},

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from qprogopt.hermlin import (
+    SIGN_CLUSTER_GAP,
+    SIGN_ZERO_TOL,
+    _sign_values,
     herm_eig,
     hermitize,
     is_hermitian,
@@ -65,6 +68,34 @@ def test_matrix_sqrt_squares_back():
 def test_matrix_sign_convention():
     s = matrix_sign(np.diag([2.0, 0.0, -3.0]).astype(complex))
     assert np.allclose(s, np.diag([1.0, 0.0, -1.0]))
+
+
+def _cluster_signs_reference(vals):
+    """The cluster rule of matrix_sign as an array loop."""
+    signs = np.zeros_like(vals)
+    i = 0
+    while i < vals.size:
+        j = i + 1
+        while j < vals.size and vals[j - 1] - vals[j] < SIGN_CLUSTER_GAP:
+            j += 1
+        mean = vals[i:j].mean()
+        if mean > SIGN_ZERO_TOL:
+            signs[i:j] = 1.0
+        elif mean < -SIGN_ZERO_TOL:
+            signs[i:j] = -1.0
+        i = j
+    return signs
+
+
+def test_sign_values_match_the_cluster_rule():
+    # spectra with clusters straddling the gap and zero tolerances
+    rng = np.random.default_rng(70)
+    levels = [0.0, 1e-10, -1e-10, 5e-11, -5e-11, 2e-10, -2e-10, 1.0, -1.0]
+    for _ in range(3000):
+        n = int(rng.integers(0, 9))
+        noise = rng.choice([0.0, 1e-12, 1e-11, 1e-10, 1.0])
+        vals = np.sort(rng.choice(levels, size=n) + noise * rng.normal(size=n))[::-1].copy()
+        assert np.array_equal(_sign_values(vals), _cluster_signs_reference(vals))
 
 
 def test_matrix_function_exp():

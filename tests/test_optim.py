@@ -16,7 +16,15 @@ from qprogopt.channels import (
     trace_distance_cost,
     unitary_channel,
 )
-from qprogopt.hermlin import hermitize, partial_trace
+from qprogopt.hermlin import (
+    hermitize,
+    matrix_function,
+    matrix_inv_sqrt,
+    matrix_sign,
+    matrix_sqrt,
+    partial_trace,
+)
+from qprogopt import optim
 from qprogopt.optim import (
     LearningRate,
     OptimConfig,
@@ -33,6 +41,7 @@ from qprogopt.optim import (
     simulation_cost,
 )
 from qprogopt.processors import (
+    ProcessorMap,
     pbt_processor,
     pbt_reduced_map,
     pqc_processor,
@@ -44,7 +53,7 @@ from qprogopt.rand import (
     random_traceless_direction,
 )
 
-from oracles import simplex_grid_project
+from oracles import random_program, simplex_grid_project
 
 TELE = teleportation_processor(2)
 PHI = max_entangled(2).matrix
@@ -154,6 +163,77 @@ def test_grad_smoothed_lipschitz_bound():
         ga = grad_smoothed_cost(TELE, chi_e, a, mu)
         gb = grad_smoothed_cost(TELE, chi_e, b, mu)
         assert np.linalg.norm(ga - gb) <= lip * np.linalg.norm(a - b) + 1e-12
+
+
+# --- the value-and-gradient table -----------------------------------------------
+
+FUSED_PROCS = {
+    "tele": TELE,
+    "pbt2": pbt_processor(2),
+    "pqc3": pqc_processor(3),
+    "red4": pbt_reduced_map(4),
+}
+
+
+def _reference_gradient(proc, chi, pi, kind, mu):
+    """The gradient formulas of the module docstring, from hermlin's matrix functions."""
+    sim = proc.apply_matrix(pi)
+    if kind == "C1":
+        x = matrix_sign(hermitize(sim - chi))
+    elif kind == "Cmu":
+        x = matrix_function(hermitize(sim - chi),
+                            lambda v: np.where(np.abs(v) < mu, v / mu, np.sign(v)))
+    else:
+        root = matrix_sqrt(chi)
+        f = cost_eval("F", chi, sim)
+        x = -f * root @ matrix_inv_sqrt(hermitize(root @ sim @ root)) @ root
+    return hermitize(proc.dual(hermitize(x)))
+
+
+@pytest.mark.parametrize("key", sorted(FUSED_PROCS))
+@pytest.mark.parametrize("kind", ["C1", "Cmu", "CF"])
+def test_cost_table_value_and_gradient(key, kind):
+    proc = FUSED_PROCS[key]
+    rng = np.random.default_rng(60)
+    mu = 1e-2
+    public_grad = {
+        "C1": lambda chi, pi: grad_trace_cost(proc, chi, pi),
+        "CF": lambda chi, pi: grad_infidelity(proc, chi, pi),
+        "Cmu": lambda chi, pi: grad_smoothed_cost(proc, chi, pi, mu),
+    }[kind]
+    for _ in range(3):
+        chi = random_choi(2, rng).matrix
+        pi = random_program(proc, rng).matrix
+        sim = proc.apply_matrix(pi)
+        value, x = optim._COSTS[kind](chi, mu)(sim)
+        assert abs(value - simulation_cost(proc, chi, pi, kind, mu)) <= 1e-12
+        assert abs(value - cost_eval(kind, chi, sim, mu=mu)) <= 1e-12
+        grad = optim._gradient(proc, x)
+        assert np.abs(grad - public_grad(chi, pi)).max() <= 1e-12
+        ref = _reference_gradient(proc, chi, pi, kind, mu)
+        assert np.abs(grad - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("key,method", [  # Frank-Wolfe leaves the reduced map's Choi set
+    (key, method) for key in sorted(FUSED_PROCS) for method in ("subgradient", "frank_wolfe")
+    if not (key == "red4" and method == "frank_wolfe")])
+def test_one_apply_per_iterate(key, method, monkeypatch):
+    proc = FUSED_PROCS[key]
+    calls = []
+    apply = ProcessorMap.apply_matrix
+
+    def counting(self, pi):
+        calls.append(1)
+        return apply(self, pi)
+
+    monkeypatch.setattr(ProcessorMap, "apply_matrix", counting)
+    run = projected_subgradient if method == "subgradient" else frank_wolfe
+    chi = random_choi(2, np.random.default_rng(61)).matrix
+    for kind in ("C1", "Cmu", "CF"):
+        calls.clear()
+        res = run(proc, chi, OptimConfig(max_iters=12, cost_kind=kind, tolerance=0.0))
+        assert len(res.cost_trace) == 13
+        assert len(calls) == 13  # the initial program and one per iteration
 
 
 def test_grad_smoothed_rejects_bad_mu():
