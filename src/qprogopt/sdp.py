@@ -16,8 +16,13 @@ so A(X), A*(y), the Newton right-hand side and the Schur matrix
 sum_b <A_j, W_b A_i W_b> are matrix products (Fujisawa-Kojima-Nakata 1997).
 There is no real embedding: a block's dtype follows its data, so a block
 with real data is solved in real arithmetic and a complex Hermitian block in
-complex arithmetic.  The programs below build their constraints the same
-way, one stack per group of rows, from the Hermitian basis and one
+complex arithmetic.  Blocks of one size and dtype form a class whose X, S,
+W and S^-1 are one (k, d, d) stack, as in SDPT3's grouped blocks: the NT
+scaling, S^-1, the Cholesky factors and the step test over [dX; dS] (primal
+and dual at once) run once per class, while A(X), A*(y), the Schur sum and
+the inner products accumulate block by block, so the stacks change no
+rounding.  The programs below build their constraints the same way, one
+stack per group of rows, from the Hermitian basis and one
 ``proc.dual`` call on it.  The program pi enters as one variable block M per
 program block of the processor (``ProcessorMap.blocks``), pi = sum_blocks
 sum_c V_c M V_c^dag, so every stack A on pi becomes sum_c V_c^dag A V_c on M
@@ -147,7 +152,7 @@ class SdpSolution:
     primal_objective: float
     dual_objective: float
     gap: float
-    status: str  # optimal | max_iter | infeasible
+    status: str  # optimal | max_iter | infeasible | breakdown (best iterate kept)
     iterations: int
     residual_primal: float
     residual_dual: float
@@ -160,27 +165,29 @@ class _NumericalBreakdown(Exception):
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """W with W S W = X for Hermitian positive definite X, S."""
+    """W with W S W = X for (k, d, d) stacks of Hermitian positive definite X, S."""
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s))):
         raise _NumericalBreakdown("non-finite iterate")
     wx, vx = np.linalg.eigh(hermitize(x))
     wx = np.clip(wx, 1e-300, None)
-    rx = (vx * np.sqrt(wx)) @ vx.conj().T
+    rx = (vx * np.sqrt(wx)[:, None]) @ vx.conj().swapaxes(1, 2)
     inner = hermitize(rx @ s @ rx)
     wi, vi = np.linalg.eigh(inner)
     wi = np.clip(wi, 1e-300, None)
-    inner_inv_sqrt = (vi * (wi ** -0.5)) @ vi.conj().T
+    inner_inv_sqrt = (vi * (wi ** -0.5)[:, None]) @ vi.conj().swapaxes(1, 2)
     return hermitize(rx @ inner_inv_sqrt @ rx)
 
 
 def _chol(x: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a matrix, or of a stack, then matrix by matrix if it fails."""
     x = hermitize(x)
     if not np.all(np.isfinite(x)):
         raise _NumericalBreakdown("non-finite iterate")
     try:
         return np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
-        pass
+        if x.ndim == 3:
+            return np.array([_chol(xb) for xb in x])
     jitter = 1e-14 * max(1.0, float(np.trace(x).real) / x.shape[0])
     for _ in range(4):
         try:
@@ -190,21 +197,22 @@ def _chol(x: np.ndarray) -> np.ndarray:
     raise _NumericalBreakdown("cholesky failed")
 
 
-def _max_step(l: np.ndarray, dx: np.ndarray) -> float:
-    """sup { a : x + a dx >= 0 } (may be inf), given the Cholesky factor l of x."""
-    if not np.all(np.isfinite(dx)):
-        raise _NumericalBreakdown("non-finite direction")
-    t = np.linalg.solve(l, np.linalg.solve(l, dx).conj().T)
-    lam_min = float(np.linalg.eigvalsh(hermitize(t)).min())
-    if lam_min >= 0.0:
-        return math.inf
-    return -1.0 / lam_min
-
-
-def _step(tau: float, factors, dirs) -> float:
-    """Fraction-to-boundary step: min(1, tau * largest step keeping every block PSD)."""
-    return min(1.0, tau * min((_max_step(l, d) for l, d in zip(factors, dirs)),
-                              default=1.0))
+def _steps(tau: float, factors, dx, ds) -> Tuple[float, float]:
+    """Fraction-to-boundary steps min(1, tau * largest step keeping every block
+    PSD) for X + a dX and S + a dS.  ``factors`` holds per class the Cholesky
+    factors of X stacked over those of S; each class tests [dX; dS] at once."""
+    lam_p = lam_d = math.inf
+    for l, dxc, dsc in zip(factors, dx, ds):
+        d = np.concatenate([dxc, dsc])
+        if not np.all(np.isfinite(d)):
+            raise _NumericalBreakdown("non-finite direction")
+        t = np.linalg.solve(l, np.linalg.solve(l, d).conj().swapaxes(1, 2))
+        lam = np.linalg.eigvalsh(hermitize(t))
+        lam_p = min(lam_p, float(lam[:len(dxc)].min()))
+        lam_d = min(lam_d, float(lam[len(dxc):].min()))
+    # sup { a : Z + a dZ >= 0 } is -1 / lam_min, or inf when lam_min >= 0
+    return tuple(min(1.0, tau * (math.inf if lam >= 0.0 else -1.0 / lam))
+                 for lam in (lam_p, lam_d))
 
 
 def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
@@ -225,7 +233,23 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     stacks = [a[r].reshape(len(r), d * d) for a, r, d in zip(problem.constraints, rows, dims)]
     norm_b = 1.0 + float(np.linalg.norm(bvec))
     norm_c = 1.0 + math.sqrt(sum(_dot(c, c) for c in cmats))
+    # classes: the blocks of one size and one kind of data (real or complex),
+    # whose iterates are kept as one (k, d, d) stack each; at[b] = (class, slot)
+    keys = [(d, np.iscomplexobj(c) or np.iscomplexobj(a))
+            for d, c, a in zip(dims, cmats, stacks)]
+    members = [[b for b in range(nb) if keys[b] == key] for key in dict.fromkeys(keys)]
+    at = {b: (k, j) for k, mem in enumerate(members) for j, b in enumerate(mem)}
 
+    def split(stk):
+        """Per-block views, in block order, into a list of class stacks."""
+        return [stk[k][j] for k, j in map(at.get, range(nb))]
+
+    def group(blocks):
+        return [np.array([blocks[b] for b in mem]) for mem in members]
+
+    c_cls = group(cmats)
+
+    # linear maps and inner products run block by block, in block order
     def a_of_x(xb):
         out = np.zeros(m)
         for r, a, xx in zip(rows, stacks, xb):
@@ -233,21 +257,25 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
         return out
 
     def a_star(vec):
-        return [(vec[r] @ a).reshape(d, d) for r, a, d in zip(rows, stacks, dims)]
+        return group([(vec[r] @ a).reshape(d, d) for r, a, d in zip(rows, stacks, dims)])
 
     def residuals(x, y, s):
-        asy = a_star(y)
-        rp = bvec - a_of_x(x)
-        rd = [cmats[b] - asy[b] - s[b] for b in range(nb)]
-        pobj = sum(_dot(c, xb) for c, xb in zip(cmats, x))
+        asy, xb = a_star(y), split(x)
+        rp = bvec - a_of_x(xb)
+        rd = [c - ay - sk for c, ay, sk in zip(c_cls, asy, s)]
+        pobj = sum(_dot(c, xx) for c, xx in zip(cmats, xb))
         dobj = float(bvec @ y)
         res_p = math.hypot(*rp) / norm_b  # overflow-safe, unlike a dot product
-        res_d = math.sqrt(sum(_dot(r, r) for r in rd)) / norm_c
+        res_d = math.sqrt(sum(_dot(r, r) for r in split(rd))) / norm_c
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         return asy, rp, rd, pobj, dobj, res_p, res_d, gap_rel
 
-    x = [np.eye(d) for d in dims]
-    s = [np.eye(d) for d in dims]
+    def mean_dot(x, s):
+        return sum(_dot(xb, sb) for xb, sb in zip(split(x), split(s))) / n_total
+
+    # iterates are only ever replaced, never written in place
+    x = [np.tile(np.eye(dims[mem[0]]), (len(mem), 1, 1)) for mem in members]
+    s = list(x)
     y = np.zeros(m)
 
     tau = 0.98
@@ -258,11 +286,11 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     best = None  # (merit, x, y, s)
     for it in range(1, MAX_ITERS + 1):
         asy, rp, rd, pobj, dobj, res_p, res_d, gap_rel = residuals(x, y, s)
-        mu = sum(_dot(x[b], s[b]) for b in range(nb)) / n_total
+        mu = mean_dot(x, s)
         history.append((pobj, dobj, res_p, res_d, mu))
         merit = max(res_p, res_d, gap_rel)
         if np.isfinite(merit) and (best is None or merit < best[0]):
-            best = (merit, [xb.copy() for xb in x], y.copy(), [sb.copy() for sb in s])
+            best = (merit, x, y, s)
         if res_p <= tol and res_d <= tol and gap_rel <= tol:
             status = "optimal"
             break
@@ -270,27 +298,26 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
         # A*(y) + S vanishing relative to ||y||
         y_norm = float(np.linalg.norm(y))
         if dobj > 1.0 and y_norm > 1e3:
-            ray = math.sqrt(sum(_dot(asy[b] + s[b], asy[b] + s[b])
-                                for b in range(nb))) / y_norm
-            if ray <= 1e-6:
+            ray = math.sqrt(sum(_dot(r, r) for r in split([ay + sk for ay, sk in zip(asy, s)])))
+            if ray / y_norm <= 1e-6:
                 status = "infeasible"
                 break
         # a blow-up without a Farkas ray is a breakdown: keep the best iterate
         if not np.isfinite(mu) or mu > 1e150 or y_norm > 1e150 or mu <= 0.0:
+            status = "breakdown"
             break
 
         try:
-            w = [_nt_scaling(x[b], s[b]) for b in range(nb)]
+            w = [_nt_scaling(xk, sk) for xk, sk in zip(x, s)]
             s_inv = []
-            for b in range(nb):
-                ws, vs = np.linalg.eigh(hermitize(s[b]))
+            for sk in s:
+                ws, vs = np.linalg.eigh(hermitize(sk))
                 ws = np.clip(ws, 1e-300, None)
-                s_inv.append((vs / ws) @ vs.conj().T)
-            lx = [_chol(xb) for xb in x]
-            ls = [_chol(sb) for sb in s]
+                s_inv.append((vs / ws[:, None]) @ vs.conj().swapaxes(1, 2))
+            factors = [_chol(np.concatenate([xk, sk])) for xk, sk in zip(x, s)]
 
             schur = np.zeros((m, m))
-            for r, a, wb, d in zip(rows, stacks, w, dims):
+            for r, a, wb, d in zip(rows, stacks, split(w), dims):
                 waw = wb @ a.reshape(-1, d, d) @ wb
                 schur[np.ix_(r, r)] += (a @ waw.reshape(len(r), d * d).conj().T).real
             schur = hermitize(schur)
@@ -304,9 +331,9 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                 schur_l = None
 
             def newton(sigma_mu):
-                base = [sigma_mu * s_inv[b] - x[b] - hermitize(w[b] @ rd[b] @ w[b])
-                        for b in range(nb)]
-                rhs = rp - a_of_x(base)
+                base = [sigma_mu * si - xk - hermitize(wk @ rk @ wk)
+                        for si, xk, wk, rk in zip(s_inv, x, w, rd)]
+                rhs = rp - a_of_x(split(base))
                 if schur_l is not None:
                     dy = np.linalg.solve(schur_l.T, np.linalg.solve(schur_l, rhs))
                 else:
@@ -314,28 +341,26 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                 if not np.all(np.isfinite(dy)):
                     raise _NumericalBreakdown("non-finite Newton step")
                 asdy = a_star(dy)
-                ds = [rd[b] - asdy[b] for b in range(nb)]
-                dx = [base[b] + hermitize(w[b] @ asdy[b] @ w[b]) for b in range(nb)]
+                ds = [rk - ak for rk, ak in zip(rd, asdy)]
+                dx = [bk + hermitize(wk @ ak @ wk) for bk, wk, ak in zip(base, w, asdy)]
                 return dx, dy, ds
 
             # predictor
             dx_a, dy_a, ds_a = newton(0.0)
-            ap = _step(tau, lx, dx_a)
-            ad = _step(tau, ls, ds_a)
-            mu_aff = sum(_dot(x[b] + ap * dx_a[b], s[b] + ad * ds_a[b])
-                         for b in range(nb)) / n_total
+            ap, ad = _steps(tau, factors, dx_a, ds_a)
+            mu_aff = mean_dot([xk + ap * dk for xk, dk in zip(x, dx_a)],
+                              [sk + ad * dk for sk, dk in zip(s, ds_a)])
             ratio = min(max(mu_aff, 0.0) / mu, 1.0)
             sigma = max(ratio**3, 1e-8)
 
             # corrector / centering
             dx, dy, ds = newton(sigma * mu)
-            ap = _step(tau, lx, dx)
-            ad = _step(tau, ls, ds)
+            ap, ad = _steps(tau, factors, dx, ds)
         except _NumericalBreakdown:
+            status = "breakdown"
             break
-        for b in range(nb):
-            x[b] = hermitize(x[b] + ap * dx[b])
-            s[b] = hermitize(s[b] + ad * ds[b])
+        x = [hermitize(xk + ap * dk) for xk, dk in zip(x, dx)]
+        s = [hermitize(sk + ad * dk) for sk, dk in zip(s, ds)]
         y = y + ad * dy
 
     if status != "infeasible" and best is not None:
@@ -346,7 +371,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     # undo the data scaling: X carries the b scale, (y, S) carry the C scale
     unit = c_scale * b_scale
     return SdpSolution(
-        primal_blocks=[xb * b_scale for xb in x],
+        primal_blocks=[xb * b_scale for xb in split(x)],
         dual_vector=y * c_scale,
         primal_objective=pobj * unit,
         dual_objective=dobj * unit,

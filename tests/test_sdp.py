@@ -22,6 +22,7 @@ from qprogopt.processors import (
     pbt_reduced_map,
     teleportation_processor,
 )
+from qprogopt import sdp
 from qprogopt.rand import random_choi, random_density
 from qprogopt.sdp import (
     SdpProblem,
@@ -161,12 +162,83 @@ def test_solve_sdp_hermitian_blocks():
 @pytest.mark.parametrize("seed, block_dims", [(3104, (3, 2)), (9034, (2, 2, 2))])
 def test_solve_sdp_divergence_keeps_best_iterate(seed, block_dims):
     # these strictly feasible instances stall and then blow up; without a
-    # Farkas ray that must not be reported as infeasibility
+    # Farkas ray that is a breakdown, not infeasibility
     prob = random_sdp(np.random.default_rng(seed), block_dims=block_dims, m=7)
     sol = solve_sdp(prob)
-    assert sol.status != "infeasible"
+    assert sol.status == "breakdown"
     ref = admm_baseline(prob)
     assert abs(sol.primal_objective - ref) <= 1e-6 * max(1.0, abs(ref))
+
+
+def test_solve_sdp_keeps_real_blocks_real_among_complex_ones():
+    # three 2 x 2 blocks, complex, real, complex: min <C_b, X_b> s.t. Tr X_b = 1
+    # puts each X_b on the lowest eigenvector of C_b
+    pauli_y = np.array([[0, -1j], [1j, 0]])
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    objective = [pauli_y, np.diag([1.0, 2.0]), np.array([[1.0, 0.5 + 0.5j], [0.5 - 0.5j, 0.0]])]
+    constraints = [np.array([eye, zero, zero]), np.array([zero, eye, zero]),
+                   np.array([zero, zero, eye])]
+    sol = solve_sdp(SdpProblem(objective, constraints, np.ones(3)))
+    assert sol.status == "optimal"
+    assert [x.dtype for x in sol.primal_blocks] == [np.complex128, np.float64, np.complex128]
+    for c, x in zip(objective, sol.primal_blocks):
+        v = np.linalg.eigh(c)[1][:, 0]
+        assert np.abs(x - np.outer(v, v.conj())).max() <= 1e-6
+    order = [0, 2, 1]
+    ref = solve_sdp(SdpProblem([objective[b] for b in order], [constraints[b] for b in order],
+                               np.ones(3)))
+    assert ref.primal_blocks[2].dtype == np.float64
+    assert abs(sol.primal_objective - ref.primal_objective) <= 1e-10
+    for b, x in zip(order, ref.primal_blocks):
+        assert np.abs(sol.primal_blocks[b] - x).max() <= 1e-10
+
+
+# (status, iterations, objective) as recorded before the solver grouped blocks
+# of one size; stacking the blocks must not move the solver's path
+@pytest.mark.parametrize("seed, block_dims, status, iterations, objective", [
+    (61, (4, 4, 2, 1), "optimal", 17, -8.021933063105884),
+    (62, (3, 3, 3, 1, 1), "optimal", 19, -25.654453590462676),
+    (63, (2, 2, 2), "optimal", 11, 18.226785138846626),
+])
+def test_solve_sdp_path_is_pinned(seed, block_dims, status, iterations, objective):
+    sol = solve_sdp(random_sdp(np.random.default_rng(seed), block_dims=block_dims, m=6))
+    assert (sol.status, sol.iterations) == (status, iterations)
+    assert sol.primal_objective == pytest.approx(objective, rel=1e-12)
+
+
+def _solves_inside(monkeypatch, call):
+    """(status, iterations, objective) of every solve_sdp run by call()."""
+    solves = []
+
+    def spy(problem, tol=sdp.DEFAULT_TOL):
+        sol = solve_sdp(problem, tol)
+        solves.append((sol.status, sol.iterations, sol.primal_objective))
+        return sol
+
+    monkeypatch.setattr(sdp, "solve_sdp", spy)
+    call()
+    return solves
+
+
+def test_diamond_solve_path_is_pinned(monkeypatch):
+    rng = np.random.default_rng(64)
+    chi = random_choi(2, rng).matrix - random_choi(2, rng).matrix
+    [(status, iterations, objective)] = _solves_inside(monkeypatch,
+                                                       lambda: diamond_distance(chi, 2))
+    assert (status, iterations) == ("optimal", 21)
+    assert objective == pytest.approx(0.598110083053048, rel=1e-12)
+
+
+def test_choi_diamond_solve_paths_are_pinned(monkeypatch):
+    # the re-evaluation of this program is fragile: it breaks down after 41
+    # iterations (reported as max_iter before breakdowns had their own status)
+    # and keeps its best iterate, within 50 tol of optimal, so it does not warn
+    chi_a = choi_of_channel(amplitude_damping(0.5)).matrix
+    joint, reeval = _solves_inside(monkeypatch, lambda: optimize_choi_diamond(6, 2, chi_a))
+    assert joint[:2] == ("optimal", 20)
+    assert joint[2] == pytest.approx(0.14765711053759226, rel=1e-12)
+    assert reeval[:2] == ("breakdown", 41)
+    assert reeval[2] == pytest.approx(0.1476571246100078, rel=1e-12)
 
 
 # --- diamond distance -----------------------------------------------------------
