@@ -249,7 +249,8 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
 
     c_cls = group(cmats)
 
-    # linear maps and inner products run block by block, in block order
+    # A(X), A*(y) and the inner products run block by block, in block order,
+    # so the class stacks change no rounding
     def a_of_x(xb):
         out = np.zeros(m)
         for r, a, xx in zip(rows, stacks, xb):
@@ -273,7 +274,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     def mean_dot(x, s):
         return sum(_dot(xb, sb) for xb, sb in zip(split(x), split(s))) / n_total
 
-    # iterates are only ever replaced, never written in place
+    # iterates are replaced, never written in place, so ``best`` needs no copies
     x = [np.tile(np.eye(dims[mem[0]]), (len(mem), 1, 1)) for mem in members]
     s = list(x)
     y = np.zeros(m)
