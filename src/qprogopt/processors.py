@@ -12,6 +12,9 @@ arXiv:1111.6950).  Three families are provided:
   agrees with the full map on program states of the form chi^(tensor N).
   It is closed form, from the Young-diagram PBT fidelity (Studzinski et al.,
   Sci. Rep. 7, 10871 (2017); qubits: Ishizaka-Hiroshima, PRA 79, 042306 (2009)).
+  Both maps come from one port-by-port transfer (``_port_transfer``): the
+  full map routes each of its N POVM elements, the reduced map is the single
+  port with element p = alpha I + beta Phi+, scaled by N/d^N.
 * ``pqc_processor`` / ``mpqc_processor`` -- conditioned-Hamiltonian circuit
   processors with qubit (resp. qutrit) program registers.
 
@@ -219,46 +222,24 @@ def pbt_povm(n_ports: int, d: int = 2) -> list:
     return [hermitize(t + gap) for t in tilded]
 
 
-def _pbt_full_transfer(n_ports: int, d: int, povm: list) -> np.ndarray:
-    """Transfer matrix S[(r, c), (m, n)] of the full PBT program-to-Choi map.
+def _port_transfer(elements: list, d: int) -> np.ndarray:
+    """Transfer matrix of routing the program's B wires by port measurement.
 
-    Program basis indices m, n run over the interleaved (A_1, B_1, ...)
-    ordering.
+    ``elements`` are the port elements P_i on (A_1..A_N, C), one per port; the
+    result is S[(r, c), (m, n)] = sum_i P_i[nA, q, mA, p] delta(mb_i, b)
+    delta(nb_i, c) prod_{k != i} delta(mb_k, nb_k), with r = (p, b), c = (q, c)
+    and the program legs m, n interleaved as (A_1, B_1, ..., A_N, B_N).
     """
-    n = n_ports
-    dn = d**n
-    dp = d ** (2 * n)
-    dc = d * d
-    out = np.zeros((d, d, d, d) + (dn,) + (d,) * n + (dn,) + (d,) * n, dtype=complex)
-    eye = np.eye(d)
-    # integer einsum labels: 0..3 = p, b, q, c; 4 = mA; 5..4+N = mb_k;
-    # 5+N = nA; 6+N..5+2N = nb_k
-    l_p, l_b, l_q, l_c, l_ma = 0, 1, 2, 3, 4
-    l_mb = [5 + k for k in range(n)]
-    l_na = 5 + n
-    l_nb = [6 + n + k for k in range(n)]
-    out_legs = [l_p, l_b, l_q, l_c, l_ma] + l_mb + [l_na] + l_nb
-    for i, pi_op in enumerate(povm):
-        p4 = pi_op.reshape(dn, d, dn, d)  # legs (row A, row C, col A, col C)
-        # out[p,b,q,c, mA, mb_1..mb_N, nA, nb_1..nb_N] +=
-        #   (1/d) P[nA, q, mA, p] delta(mb_i, b) delta(nb_i, c) prod_{k != i} delta(mb_k, nb_k)
-        operands = [p4, [l_na, l_q, l_ma, l_p]]
-        operands += [eye, [l_mb[i], l_b], eye, [l_nb[i], l_c]]
-        for k in range(n):
-            if k != i:
-                operands += [eye, [l_mb[k], l_nb[k]]]
-        out += np.einsum(*operands, out_legs) / d
-    # split the composite A legs and interleave with the B legs
-    out = out.reshape((d, d, d, d) + (d,) * (4 * n))
-    base = 4
-    m_order = []
-    for i in range(n):
-        m_order.extend([base + i, base + n + i])
-    n_order = []
-    for i in range(n):
-        n_order.extend([base + 2 * n + i, base + 3 * n + i])
-    out = out.transpose([0, 1, 2, 3] + m_order + n_order)
-    return out.reshape(dc * dc, dp * dp)
+    n = len(elements)
+    units = np.eye(d * d).reshape(d, d, d, d)  # units[b, c] = |b><c|
+    out = 0
+    for i, el in enumerate(elements):
+        # |b><c| on B_i, B_k paired with itself for k != i
+        legs_b = np.kron(np.kron(np.eye(d**i), units), np.eye(d ** (n - 1 - i)))
+        out = out + np.einsum("NqMp,bcmn->pbqcMmNn", el.reshape(d**n, d, d**n, d), legs_b)
+    # legs (p, b, q, c, mA_1..N, mB_1..N, nA_1..N, nB_1..N) -> interleave A_k with B_k
+    axes = [0, 1, 2, 3] + [4 + g * n + k for g0 in (0, 2) for k in range(n) for g in (g0, g0 + 1)]
+    return out.reshape((d,) * (4 + 4 * n)).transpose(axes).reshape(d**4, d ** (4 * n))
 
 
 def pbt_processor(n_ports: int, d: int = 2) -> ProcessorMap:
@@ -269,9 +250,8 @@ def pbt_processor(n_ports: int, d: int = 2) -> ProcessorMap:
             f"pbt_processor: program dim {d_prog} exceeds cap {PBT_FULL_MAX_PROG_DIM} "
             f"(use pbt_reduced_map for larger N)"
         )
-    transfer = _pbt_full_transfer(n_ports, d, pbt_povm(n_ports, d))
-    return ProcessorMap(transfer, d_prog=d_prog, d_in=d, d_out=d,
-                        label=f"pbt[N={n_ports},d={d}]",
+    return ProcessorMap(_port_transfer(pbt_povm(n_ports, d), d) / d,
+                        d_prog=d_prog, d_in=d, d_out=d, label=f"pbt[N={n_ports},d={d}]",
                         symmetry=functools.partial(_port_blocks, n_ports, d * d))
 
 
@@ -393,12 +373,8 @@ def pbt_reduced_map(n_ports: int, d: int = 2) -> ProcessorMap:
     beta = (d ** (n_ports + 2) * _pbt_fidelity(n_ports, d) - d**n_ports) / (n_ports * (d * d - 1))
     alpha = d ** (n_ports - 1) / n_ports - beta / d
     reduced = alpha * np.eye(d * d) + beta * d * max_entangled(d).matrix
-    p4 = reduced.reshape(d, d, d, d)  # legs (row a, row C, col a, col C)
-    eye = np.eye(d)
-    coef = n_ports / d**n_ports
-    transfer = coef * np.einsum("uqvp,yb,zc->pbqcvyuz", p4, eye, eye).reshape(d**4, d**4)
-    return ProcessorMap(transfer, d_prog=d * d, d_in=d, d_out=d,
-                        label=f"pbt_reduced[N={n_ports},d={d}]",
+    return ProcessorMap(n_ports / d**n_ports * _port_transfer([reduced], d),
+                        d_prog=d * d, d_in=d, d_out=d, label=f"pbt_reduced[N={n_ports},d={d}]",
                         program_domain="choi")
 
 

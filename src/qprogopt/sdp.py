@@ -487,10 +487,15 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     repaired to exact feasibility and the objective re-evaluated, so the
     result is always an attainable upper bound on the true minimum.
     """
-    chi = hermitize(np.asarray(chi_omega, dtype=complex))
+    chi = np.asarray(chi_omega, dtype=complex)
+    if chi.ndim != 2 or chi.shape[0] != chi.shape[1]:
+        raise ValueError(f"diamond_distance: chi_omega has shape {chi.shape}, not square")
     n = chi.shape[0]
+    if d_in < 1:
+        raise ValueError(f"diamond_distance: need d_in >= 1, got d_in={d_in}")
     if n % d_in:
         raise ValueError(f"diamond_distance: dim {n} not divisible by d_in={d_in}")
+    chi = hermitize(chi)
     d_out = n // d_in
     if abs(np.trace(chi)) > 1e-8:
         warnings.warn(

@@ -212,14 +212,19 @@ def test_pbt_n1_gives_maximally_mixed_output():
 
 def test_pbt_full_matches_dense_oracle():
     rng = np.random.default_rng(16)
-    d = 2
-    for n, tol in ((2, 1e-12), (3, 1e-10)):
+    for n, d, tol in ((1, 2, 1e-12), (1, 3, 1e-12), (2, 2, 1e-12), (3, 2, 1e-10)):
         povm = pbt_povm(n, d)
         proc = pbt_processor(n, d)
         for _ in range(3):
             pi = random_density(d ** (2 * n), rng).matrix
             dense = pbt_apply_dense(n, d, povm, pi)
             assert np.abs(proc.apply_matrix(pi) - dense).max() <= tol
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_pbt_reduced_n1_is_full_n1(d):
+    # both maps route their port elements through the same transfer
+    assert np.array_equal(pbt_reduced_map(1, d).transfer, pbt_processor(1, d).transfer)
 
 
 def test_pbt_choi_program_composes_with_channel():

@@ -294,6 +294,17 @@ def test_diamond_symmetric_and_definite():
     assert diamond_distance(a - a, 2) <= 1e-9
 
 
+@pytest.mark.parametrize("case", ["d_in_zero", "d_in_negative", "d_in_not_dividing",
+                                  "chi_not_square"])
+def test_diamond_distance_rejects_malformed_input(case):
+    shape, d_in, match = {"d_in_zero": ((4, 4), 0, "need d_in >= 1, got d_in=0"),
+                          "d_in_negative": ((4, 4), -2, "need d_in >= 1, got d_in=-2"),
+                          "d_in_not_dividing": ((4, 4), 3, "not divisible by d_in=3"),
+                          "chi_not_square": ((4, 2), 2, r"chi_omega has shape \(4, 2\)")}[case]
+    with pytest.raises(ValueError, match=match):
+        diamond_distance(np.zeros(shape), d_in)
+
+
 def test_diamond_warns_on_trace():
     with pytest.warns(UserWarning, match="traceless"):
         diamond_distance(np.eye(4) * 0.25, 2)
