@@ -591,6 +591,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "processors": cmd_processors,
     }
     try:
+        if hasattr(args, "tol") and not (args.tol > 0 and math.isfinite(args.tol)):
+            raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
         return handlers[args.command](args)
     except (ConfigError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -115,14 +115,24 @@ class ProcessorMap:
             raise ValueError(
                 f"ProcessorMap {self.label!r}: dual(I) deviates from I by {dev:.3e}"
             )
-        j = s.reshape(dc, dc, dp, dp).transpose(2, 0, 3, 1).reshape(dp * dc, dp * dc)
-        vals = np.linalg.eigvalsh(hermitize(j))
-        scale = float(np.abs(vals).max())
-        if vals[0] < -1e-8 * max(scale, 1.0):
-            raise ValueError(
-                f"ProcessorMap {self.label!r}: map is not completely positive "
-                f"(lambda_min = {vals[0]:.3e})"
-            )
+        j = hermitize(s.reshape(dc, dc, dp, dp).transpose(2, 0, 3, 1).reshape(dp * dc, dp * dc))
+        # max diag J <= lambda_max, so a Cholesky factor of J + tau I proves
+        # lambda_min > -2 tau >= -1e-8 max(|lambda|_max, 1); only a failed
+        # factorization needs the spectrum
+        diag = j.diagonal().copy()
+        tau = 0.5e-8 * max(float(diag.real.max()), 1.0)
+        np.fill_diagonal(j, diag + tau)
+        try:
+            np.linalg.cholesky(j)
+        except np.linalg.LinAlgError:
+            np.fill_diagonal(j, diag)
+            vals = np.linalg.eigvalsh(j)
+            scale = float(np.abs(vals).max())
+            if vals[0] < -1e-8 * max(scale, 1.0):
+                raise ValueError(
+                    f"ProcessorMap {self.label!r}: map is not completely positive "
+                    f"(lambda_min = {vals[0]:.3e})"
+                ) from None
 
     @functools.cached_property
     def blocks(self) -> tuple:

@@ -16,18 +16,22 @@ so A(X), A*(y), the Newton right-hand side and the Schur matrix
 sum_b <A_j, W_b A_i W_b> are matrix products (Fujisawa-Kojima-Nakata 1997).
 There is no real embedding: a block's dtype follows its data, so a block
 with real data is solved in real arithmetic and a complex Hermitian block in
-complex arithmetic.  Blocks of one size and dtype form a class whose X, S,
-W and S^-1 are one (k, d, d) stack, as in SDPT3's grouped blocks: the NT
-scaling, S^-1, the Cholesky factors and the step test over [dX; dS] (primal
-and dual at once) run once per class, while A(X), A*(y), the Schur sum and
-the inner products accumulate block by block, so the stacks change no
-rounding.  The programs below build their constraints the same way, one
-stack per group of rows, from the Hermitian basis and one
-``proc.dual`` call on it.  The program pi enters as one variable block M per
-program block of the processor (``ProcessorMap.blocks``), pi = sum_blocks
-sum_c V_c M V_c^dag, so every stack A on pi becomes sum_c V_c^dag A V_c on M
-(``_program_terms``); a PBT program at N=3 is solved as blocks of 20, 20 and
-4 instead of 64.
+complex arithmetic.  Blocks of one size and one dtype of objective and of
+constraints form a class whose X, S, W and S^-1 are one (k, d, d) stack, as
+in SDPT3's grouped blocks: the NT scaling, S^-1, the Cholesky factors, the
+step test over [dX; dS] (primal and dual at once) and each inner product
+(one product and one sum, added up in block order) run once per class.  A
+class of 1 x 1 blocks, such as the t of Watrous's program, is SDPT3's linear
+part: its NT scaling, S^-1, factors and step test are elementwise on the
+real parts, which is what LAPACK computes for 1 x 1 matrices, bit for bit.
+A(X), A*(y) and the Schur sum run block by block, so neither the stacks nor
+the elementwise class change any rounding.  The programs below build their
+constraints the same way, one stack per group of rows, from the Hermitian
+basis and one ``proc.dual`` call on it.  The program pi enters as one
+variable block M per program block of the processor (``ProcessorMap.blocks``),
+pi = sum_blocks sum_c V_c M V_c^dag, so every stack A on pi becomes
+sum_c V_c^dag A V_c on M (``_program_terms``); a PBT program at N=3 is solved
+as blocks of 20, 20 and 4 instead of 64.
 
 Built on top of it:
 
@@ -74,11 +78,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-8
 MAX_ITERS = 200
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Real inner product <A, B> = Re Tr[A^dag B] = Re sum(conj(A) * B)."""
-    return float(np.real(np.sum(np.conj(a) * b)))
 
 
 def _coords(basis: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -165,10 +164,14 @@ class _NumericalBreakdown(Exception):
 
 
 def _nt_scaling(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """W with W S W = X for (k, d, d) stacks of Hermitian positive definite X, S."""
+    """W with W S W = X for (k, d, d) stacks of Hermitian positive definite X, S;
+    for d = 1, elementwise on the real parts."""
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s))):
         raise _NumericalBreakdown("non-finite iterate")
-    wx, vx = np.linalg.eigh(hermitize(x))
+    if x.shape[1] == 1:
+        rx = np.sqrt(np.clip(x.real, 1e-300, None))
+        return (rx * np.clip(rx * s.real * rx, 1e-300, None) ** -0.5) * rx
+    wx, vx = np.linalg.eigh(x)
     wx = np.clip(wx, 1e-300, None)
     rx = (vx * np.sqrt(wx)[:, None]) @ vx.conj().swapaxes(1, 2)
     inner = hermitize(rx @ s @ rx)
@@ -178,11 +181,23 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return hermitize(rx @ inner_inv_sqrt @ rx)
 
 
+def _inverse(s: np.ndarray) -> np.ndarray:
+    """S^-1 of a (k, d, d) stack of Hermitian positive definite S, on eigenvalues
+    clipped at 1e-300; for d = 1, elementwise on the real parts."""
+    if s.shape[1] == 1:
+        return 1.0 / np.clip(s.real, 1e-300, None)
+    ws, vs = np.linalg.eigh(s)
+    ws = np.clip(ws, 1e-300, None)
+    return (vs / ws[:, None]) @ vs.conj().swapaxes(1, 2)
+
+
 def _chol(x: np.ndarray) -> np.ndarray:
-    """Cholesky factors of a matrix, or of a stack, then matrix by matrix if it fails."""
-    x = hermitize(x)
+    """Cholesky factors of a Hermitian matrix, or of a stack, then matrix by
+    matrix if it fails; square roots of the real parts for positive 1 x 1s."""
     if not np.all(np.isfinite(x)):
         raise _NumericalBreakdown("non-finite iterate")
+    if x.shape[-1] == 1 and np.all(x.real > 0.0):
+        return np.sqrt(x.real)
     try:
         return np.linalg.cholesky(x)
     except np.linalg.LinAlgError:
@@ -200,14 +215,18 @@ def _chol(x: np.ndarray) -> np.ndarray:
 def _steps(tau: float, factors, dx, ds) -> Tuple[float, float]:
     """Fraction-to-boundary steps min(1, tau * largest step keeping every block
     PSD) for X + a dX and S + a dS.  ``factors`` holds per class the Cholesky
-    factors of X stacked over those of S; each class tests [dX; dS] at once."""
+    factors L of X stacked over those of S; each class tests [dX; dS] at once,
+    by the eigenvalues of L^-1 D L^-dag (elementwise for 1 x 1 blocks)."""
     lam_p = lam_d = math.inf
     for l, dxc, dsc in zip(factors, dx, ds):
         d = np.concatenate([dxc, dsc])
         if not np.all(np.isfinite(d)):
             raise _NumericalBreakdown("non-finite direction")
-        t = np.linalg.solve(l, np.linalg.solve(l, d).conj().swapaxes(1, 2))
-        lam = np.linalg.eigvalsh(hermitize(t))
+        if l.shape[-1] == 1:
+            lam = (np.conj(d / l) / l).real
+        else:
+            t = np.linalg.solve(l, np.linalg.solve(l, d).conj().swapaxes(1, 2))
+            lam = np.linalg.eigvalsh(hermitize(t))
         lam_p = min(lam_p, float(lam[:len(dxc)].min()))
         lam_d = min(lam_d, float(lam[len(dxc):].min()))
     # sup { a : Z + a dZ >= 0 } is -1 / lam_min, or inf when lam_min >= 0
@@ -215,8 +234,16 @@ def _steps(tau: float, factors, dx, ds) -> Tuple[float, float]:
                  for lam in (lam_p, lam_d))
 
 
+def _rows_index(r: np.ndarray):
+    """The increasing row indices r as a slice when they form one range."""
+    lo = int(r[0]) if r.size else 0
+    return slice(lo, lo + r.size) if r.size == 0 or r[-1] == lo + r.size - 1 else r
+
+
 def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     """Infeasible-start primal-dual interior-point method with NT scaling."""
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"solve_sdp: tol must be finite and > 0, got {tol!r}")
     dims = problem.block_dims
     nb = len(dims)
     m = problem.rhs.size
@@ -226,31 +253,42 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     b_scale = max(1.0, float(np.abs(problem.rhs).max(initial=0.0)))
     cmats = [c / c_scale for c in problem.objective]
     bvec = problem.rhs / b_scale
-    # rows[b]: constraints with a nonzero entry for block b; stacks[b]: those
-    # entries flattened, shape (len(rows[b]), d_b^2), real unless complex
-    rows = [np.flatnonzero(np.any(a.reshape(m, -1) != 0, axis=1))
-            for a in problem.constraints]
-    stacks = [a[r].reshape(len(r), d * d) for a, r, d in zip(problem.constraints, rows, dims)]
-    norm_b = 1.0 + float(np.linalg.norm(bvec))
-    norm_c = 1.0 + math.sqrt(sum(_dot(c, c) for c in cmats))
-    # classes: the blocks of one size and one kind of data (real or complex),
-    # whose iterates are kept as one (k, d, d) stack each; at[b] = (class, slot)
-    keys = [(d, np.iscomplexobj(c) or np.iscomplexobj(a))
+    # rows[b]: constraints with a nonzero entry for block b (a slice when they
+    # are one range); stacks[b]: those entries flattened, shape
+    # (len(rows[b]), d_b^2), real unless complex
+    nonzero = [np.flatnonzero(np.any(a.reshape(m, d * d) != 0, axis=1))
+               for a, d in zip(problem.constraints, dims)]
+    stacks = [a[r].reshape(len(r), d * d) for a, r, d in zip(problem.constraints, nonzero, dims)]
+    mats = [a.reshape(-1, d, d) for a, d in zip(stacks, dims)]
+    rows = [_rows_index(r) for r in nonzero]
+    squares = [(r, r) if isinstance(r, slice) else np.ix_(r, r) for r in rows]
+    # classes: the blocks of one size and one dtype of objective and of
+    # constraints, whose iterates are kept as one (k, d, d) stack each;
+    # order[b] = (class, slot)
+    keys = [(d, np.iscomplexobj(c), np.iscomplexobj(a))
             for d, c, a in zip(dims, cmats, stacks)]
     members = [[b for b in range(nb) if keys[b] == key] for key in dict.fromkeys(keys)]
     at = {b: (k, j) for k, mem in enumerate(members) for j, b in enumerate(mem)}
+    order = [at[b] for b in range(nb)]
+    shapes = [(len(mem), dims[mem[0]], dims[mem[0]]) for mem in members]
+    asy_dtypes = [np.result_type(float, *(stacks[b].dtype for b in mem)) for mem in members]
 
     def split(stk):
         """Per-block views, in block order, into a list of class stacks."""
-        return [stk[k][j] for k, j in map(at.get, range(nb))]
+        return [stk[k][j] for k, j in order]
 
-    def group(blocks):
-        return [np.array([blocks[b] for b in mem]) for mem in members]
+    def dots(p, q):
+        """<P_b, Q_b> per block, in block order, from one product per class."""
+        per_class = [np.sum(np.conj(pk) * qk, axis=(1, 2)).real.tolist()
+                     for pk, qk in zip(p, q)]
+        return [per_class[k][j] for k, j in order]
 
-    c_cls = group(cmats)
+    c_cls = [np.array([cmats[b] for b in mem]) for mem in members]
+    norm_b = 1.0 + float(np.linalg.norm(bvec))
+    norm_c = 1.0 + math.sqrt(sum(dots(c_cls, c_cls)))
 
-    # A(X), A*(y) and the inner products run block by block, in block order,
-    # so the class stacks change no rounding
+    # A(X), A*(y) and the Schur sum run block by block, so the class stacks
+    # change no rounding
     def a_of_x(xb):
         out = np.zeros(m)
         for r, a, xx in zip(rows, stacks, xb):
@@ -258,24 +296,27 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
         return out
 
     def a_star(vec):
-        return group([(vec[r] @ a).reshape(d, d) for r, a, d in zip(rows, stacks, dims)])
+        out = [np.empty(shape, dt) for shape, dt in zip(shapes, asy_dtypes)]
+        for (k, j), r, a, d in zip(order, rows, stacks, dims):
+            out[k][j] = (vec[r] @ a).reshape(d, d)
+        return out
 
     def residuals(x, y, s):
-        asy, xb = a_star(y), split(x)
-        rp = bvec - a_of_x(xb)
+        asy = a_star(y)
+        rp = bvec - a_of_x(split(x))
         rd = [c - ay - sk for c, ay, sk in zip(c_cls, asy, s)]
-        pobj = sum(_dot(c, xx) for c, xx in zip(cmats, xb))
+        pobj = sum(dots(c_cls, x))
         dobj = float(bvec @ y)
         res_p = math.hypot(*rp) / norm_b  # overflow-safe, unlike a dot product
-        res_d = math.sqrt(sum(_dot(r, r) for r in split(rd))) / norm_c
+        res_d = math.sqrt(sum(dots(rd, rd))) / norm_c
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         return asy, rp, rd, pobj, dobj, res_p, res_d, gap_rel
 
     def mean_dot(x, s):
-        return sum(_dot(xb, sb) for xb, sb in zip(split(x), split(s))) / n_total
+        return sum(dots(x, s)) / n_total
 
     # iterates are replaced, never written in place, so ``best`` needs no copies
-    x = [np.tile(np.eye(dims[mem[0]]), (len(mem), 1, 1)) for mem in members]
+    x = [np.tile(np.eye(d), (k, 1, 1)) for k, d, _ in shapes]
     s = list(x)
     y = np.zeros(m)
 
@@ -299,8 +340,8 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
         # A*(y) + S vanishing relative to ||y||
         y_norm = float(np.linalg.norm(y))
         if dobj > 1.0 and y_norm > 1e3:
-            ray = math.sqrt(sum(_dot(r, r) for r in split([ay + sk for ay, sk in zip(asy, s)])))
-            if ray / y_norm <= 1e-6:
+            ray = [ay + sk for ay, sk in zip(asy, s)]
+            if math.sqrt(sum(dots(ray, ray))) / y_norm <= 1e-6:
                 status = "infeasible"
                 break
         # a blow-up without a Farkas ray is a breakdown: keep the best iterate
@@ -310,17 +351,13 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
 
         try:
             w = [_nt_scaling(xk, sk) for xk, sk in zip(x, s)]
-            s_inv = []
-            for sk in s:
-                ws, vs = np.linalg.eigh(hermitize(sk))
-                ws = np.clip(ws, 1e-300, None)
-                s_inv.append((vs / ws[:, None]) @ vs.conj().swapaxes(1, 2))
+            s_inv = [_inverse(sk) for sk in s]
             factors = [_chol(np.concatenate([xk, sk])) for xk, sk in zip(x, s)]
 
             schur = np.zeros((m, m))
-            for r, a, wb, d in zip(rows, stacks, split(w), dims):
-                waw = wb @ a.reshape(-1, d, d) @ wb
-                schur[np.ix_(r, r)] += (a @ waw.reshape(len(r), d * d).conj().T).real
+            for sq, a, mat, wb, d in zip(squares, stacks, mats, split(w), dims):
+                waw = wb @ mat @ wb
+                schur[sq] += (a @ waw.reshape(len(a), d * d).conj().T).real
             schur = hermitize(schur)
             # small ridge keeps the factorization alive when constraints are
             # nearly dependent
@@ -331,9 +368,11 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
             except np.linalg.LinAlgError:
                 schur_l = None
 
+            # W R_d W, shared by the predictor and the corrector
+            wrw = [hermitize(wk @ rk @ wk) for wk, rk in zip(w, rd)]
+
             def newton(sigma_mu):
-                base = [sigma_mu * si - xk - hermitize(wk @ rk @ wk)
-                        for si, xk, wk, rk in zip(s_inv, x, w, rd)]
+                base = [sigma_mu * si - xk - v for si, xk, v in zip(s_inv, x, wrw)]
                 rhs = rp - a_of_x(split(base))
                 if schur_l is not None:
                     dy = np.linalg.solve(schur_l.T, np.linalg.solve(schur_l, rhs))
@@ -490,6 +529,8 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     chi = np.asarray(chi_omega, dtype=complex)
     if chi.ndim != 2 or chi.shape[0] != chi.shape[1]:
         raise ValueError(f"diamond_distance: chi_omega has shape {chi.shape}, not square")
+    if not np.all(np.isfinite(chi)):
+        raise ValueError("diamond_distance: chi_omega has non-finite entries")
     n = chi.shape[0]
     if d_in < 1:
         raise ValueError(f"diamond_distance: need d_in >= 1, got d_in={d_in}")

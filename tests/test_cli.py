@@ -287,6 +287,20 @@ def test_rejected_config_value_is_validation_error(tmp_path, capsys, command, cf
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["optimize", "benchmark"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, monkeypatch, command, tol):
+    # rejected before any processor is built or solve is run
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("processor built")
+
+    monkeypatch.setattr(cli, "_build_processor", unreachable)
+    cfg = {"processor": {"kind": "teleportation"}, "channel": _AD,
+           "method": "sdp_diamond", "methods": ["sdp_diamond"]}
+    assert main([command, "--config", _write(tmp_path, cfg), "--tol", tol]) == 1
+    assert "--tol must be finite and > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method", list(cli.METHODS))
 def test_every_method_runs_on_teleportation(tmp_path, method):
     cfg = {

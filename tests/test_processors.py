@@ -108,6 +108,29 @@ def test_dual_of_identity_is_identity():
         assert np.abs(out - np.eye(proc.d_prog)).max() <= 1e-8
 
 
+@pytest.mark.parametrize("p, path", [(1e-10, "cholesky"), (2e-8, "eigvalsh"),
+                                     (1e-6, "rejected")])
+def test_complete_positivity_check(monkeypatch, p, path):
+    # Lambda = (1 - p) id + p transpose on 4 x 4 programs: its Choi operator
+    # (1 - p) |Phi><Phi| + p SWAP has a unit diagonal and lambda_min = -p.  A
+    # shifted Cholesky factor accepts small p; the spectrum decides the rest
+    swap = np.eye(16).reshape(4, 4, 4, 4).transpose(1, 0, 2, 3).reshape(16, 16)
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a.shape) or eigvalsh(a))
+
+    def make():
+        return ProcessorMap((1 - p) * np.eye(16) + p * swap, d_prog=4, d_in=2, d_out=2)
+
+    if path == "rejected":
+        with pytest.raises(ValueError,
+                           match=r"not completely positive \(lambda_min = -1\.000e-06\)"):
+            make()
+    else:
+        make()
+    assert spectra == ([] if path == "cholesky" else [(16, 16)])
+
+
 # --- teleportation ------------------------------------------------------------
 
 

@@ -133,6 +133,20 @@ def test_solve_sdp_blocks_missing_from_constraints(case):
         1.0, abs(ref.primal_objective))
 
 
+def test_solve_sdp_without_constraints():
+    # min Tr X over X >= 0 alone: the solver runs X to 0 with no rows at all
+    sol = solve_sdp(SdpProblem([np.eye(2)], [np.zeros((0, 2, 2))], []))
+    assert (sol.status, sol.iterations) == ("optimal", 6)
+    assert 0.0 < sol.primal_objective <= 1e-8
+    assert sol.dual_vector.shape == (0,)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_solve_sdp_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        solve_sdp(SdpProblem(*_diag_example_parts()), tol=tol)
+
+
 def test_solve_sdp_detects_infeasible():
     prob = SdpProblem(objective=[np.zeros((2, 2))], constraints=[np.eye(2)[None]], rhs=[-1.0])
     sol = solve_sdp(prob)
@@ -194,16 +208,28 @@ def test_solve_sdp_keeps_real_blocks_real_among_complex_ones():
 
 
 # (status, iterations, objective) as recorded before the solver grouped blocks
-# of one size; stacking the blocks must not move the solver's path
+# of one size (the complex 1 x 1 case: before it solved 1 x 1 blocks
+# elementwise); stacking the blocks must not move the solver's path
+_COMPLEX_SCALARS = 64  # this seed's 1 x 1 blocks carry complex dtype
+
+
 @pytest.mark.parametrize("seed, block_dims, status, iterations, objective", [
     (61, (4, 4, 2, 1), "optimal", 17, -8.021933063105884),
     (62, (3, 3, 3, 1, 1), "optimal", 19, -25.654453590462676),
     (63, (2, 2, 2), "optimal", 11, 18.226785138846626),
+    pytest.param(_COMPLEX_SCALARS, (3, 1, 2, 1), "optimal", 14, 18.83984395559536,
+                 id="complex-scalars"),
 ])
 def test_solve_sdp_path_is_pinned(seed, block_dims, status, iterations, objective):
-    sol = solve_sdp(random_sdp(np.random.default_rng(seed), block_dims=block_dims, m=6))
+    prob = random_sdp(np.random.default_rng(seed), block_dims=block_dims, m=6)
+    if seed == _COMPLEX_SCALARS:
+        def cast(blocks):
+            return [b.astype(complex) if b.shape[-1] == 1 else b for b in blocks]
+        prob = SdpProblem(cast(prob.objective), cast(prob.constraints), prob.rhs)
+    sol = solve_sdp(prob)
     assert (sol.status, sol.iterations) == (status, iterations)
     assert sol.primal_objective == pytest.approx(objective, rel=1e-12)
+    assert [x.dtype for x in sol.primal_blocks] == [c.dtype for c in prob.objective]
 
 
 def _solves_inside(monkeypatch, call):
@@ -295,14 +321,17 @@ def test_diamond_symmetric_and_definite():
 
 
 @pytest.mark.parametrize("case", ["d_in_zero", "d_in_negative", "d_in_not_dividing",
-                                  "chi_not_square"])
+                                  "chi_not_square", "chi_nan", "chi_inf"])
 def test_diamond_distance_rejects_malformed_input(case):
-    shape, d_in, match = {"d_in_zero": ((4, 4), 0, "need d_in >= 1, got d_in=0"),
-                          "d_in_negative": ((4, 4), -2, "need d_in >= 1, got d_in=-2"),
-                          "d_in_not_dividing": ((4, 4), 3, "not divisible by d_in=3"),
-                          "chi_not_square": ((4, 2), 2, r"chi_omega has shape \(4, 2\)")}[case]
+    chi, d_in, match = {"d_in_zero": (np.zeros((4, 4)), 0, "need d_in >= 1, got d_in=0"),
+                        "d_in_negative": (np.zeros((4, 4)), -2, "need d_in >= 1, got d_in=-2"),
+                        "d_in_not_dividing": (np.zeros((4, 4)), 3, "not divisible by d_in=3"),
+                        "chi_not_square": (np.zeros((4, 2)), 2, r"chi_omega has shape \(4, 2\)"),
+                        "chi_nan": (np.diag([np.nan, 0, 0, 0]), 2, "chi_omega has non-finite"),
+                        "chi_inf": (np.diag([np.inf, 0, 0, -np.inf]), 2,
+                                    "chi_omega has non-finite")}[case]
     with pytest.raises(ValueError, match=match):
-        diamond_distance(np.zeros(shape), d_in)
+        diamond_distance(chi, d_in)
 
 
 def test_diamond_warns_on_trace():
