@@ -87,8 +87,13 @@ def herm_eig(m: np.ndarray) -> SpectralDecomposition:
 
     Raises ValueError with a symmetry diagnostic on non-Hermitian input.
     """
-    m = _require_hermitian(m, "herm_eig")
-    vals, vecs = np.linalg.eigh(m)
+    return _eigh_desc(_require_hermitian(m, "herm_eig"))
+
+
+def _eigh_desc(h: np.ndarray) -> SpectralDecomposition:
+    """``herm_eig`` without the check, for h Hermitian by construction (a
+    ``hermitize`` output)."""
+    vals, vecs = np.linalg.eigh(h)
     return SpectralDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 

@@ -19,7 +19,9 @@ A program is a ``DensityMatrix``.  Its feasible set follows the processor's
 spectrum-to-simplex, computed in closed form) or the single-port Choi set of
 the reduced port-based-teleportation map (projection by semismooth Newton on
 its d x d dual multiplier).  ``project_program`` makes that choice for the
-first-order methods and for the SDP programs' recovery step.
+SDP programs' recovery step.  The first-order methods keep their iterates
+as plain ndarrays and validate one program per run, the one they return;
+their target is checked once, before the first iterate.
 """
 
 from __future__ import annotations
@@ -41,10 +43,11 @@ from .channels import (
     max_entangled,
 )
 from .hermlin import (
+    _eigh_desc,
     _inv_sqrt_values,
     _sign_values,
-    herm_eig,
     hermitize,
+    is_hermitian,
     matrix_sqrt,
     partial_trace,
 )
@@ -139,7 +142,7 @@ class OptimResult:
 
 def _trace_cost(target: np.ndarray, mu: float) -> Callable:
     def terms(sim):
-        dec = herm_eig(hermitize(sim - target))
+        dec = _eigh_desc(hermitize(sim - target))
         vals, u = dec.eigenvalues, dec.eigenvectors
         return float(np.abs(vals).sum()), (u * _sign_values(vals)) @ u.conj().T
     return terms
@@ -150,7 +153,7 @@ def _smoothed_cost(target: np.ndarray, mu: float) -> Callable:
         raise ValueError(f"smoothed cost: mu must be positive, got {mu}")
 
     def terms(sim):
-        dec = herm_eig(hermitize(sim - target))
+        dec = _eigh_desc(hermitize(sim - target))
         vals, u = dec.eigenvalues, dec.eigenvectors
         return (float(huber_penalty(vals, mu).sum()),
                 (u * huber_penalty_deriv(vals, mu)) @ u.conj().T)
@@ -159,7 +162,7 @@ def _smoothed_cost(target: np.ndarray, mu: float) -> Callable:
 
 def _fidelity_terms(root: np.ndarray, sim: np.ndarray) -> Tuple[float, np.ndarray]:
     """Fidelity F of ``sim`` to ``root``^2 and X with grad F = L*[X]."""
-    dec = herm_eig(hermitize(root @ sim @ root))
+    dec = _eigh_desc(hermitize(root @ sim @ root))
     vals, u = dec.eigenvalues, dec.eigenvectors
     mid = root @ ((u * _inv_sqrt_values(vals)) @ u.conj().T) @ root
     return _fidelity_of_spectrum(vals), 0.5 * hermitize(mid)
@@ -182,30 +185,43 @@ def _gradient(proc: ProcessorMap, x: np.ndarray) -> np.ndarray:
     return hermitize(proc.dual(x))
 
 
+def _target(proc: ProcessorMap, chi_target) -> np.ndarray:
+    """``chi_target`` as an ndarray, checked once before any cost is made of it."""
+    t = as_matrix(chi_target)
+    d = proc.d_choi
+    if t.shape != (d, d):
+        raise ValueError(f"chi_target: shape {t.shape}, expected ({d}, {d})")
+    if not np.isfinite(t).all():
+        raise ValueError("chi_target: entries must be finite")
+    if not is_hermitian(t):
+        raise ValueError("chi_target: matrix is not Hermitian")
+    return t
+
+
 def simulation_cost(proc: ProcessorMap, chi_target, pi, kind: str = "C1",
                     mu: float = 1e-2) -> float:
     """Cost of simulating ``chi_target`` with program ``pi`` on ``proc``."""
     if kind not in GRAD_COST_KINDS:
         raise ValueError(f"simulation_cost: unknown kind {kind!r}")
-    return _COSTS[kind](as_matrix(chi_target), mu)(proc.apply_matrix(pi))[0]
+    return _COSTS[kind](_target(proc, chi_target), mu)(proc.apply_matrix(pi))[0]
 
 
 def grad_trace_cost(proc: ProcessorMap, chi_target, pi) -> np.ndarray:
     """Subgradient of the trace cost; exact gradient at differentiable points."""
-    return _gradient(proc, _trace_cost(as_matrix(chi_target), None)(proc.apply_matrix(pi))[1])
+    return _gradient(proc, _trace_cost(_target(proc, chi_target), None)(proc.apply_matrix(pi))[1])
 
 
 def grad_fidelity(proc: ProcessorMap, chi_target, pi) -> np.ndarray:
-    root = matrix_sqrt(as_matrix(chi_target))
+    root = matrix_sqrt(_target(proc, chi_target))
     return _gradient(proc, _fidelity_terms(root, proc.apply_matrix(pi))[1])
 
 
 def grad_infidelity(proc: ProcessorMap, chi_target, pi) -> np.ndarray:
-    return _gradient(proc, _infidelity_cost(as_matrix(chi_target), None)(proc.apply_matrix(pi))[1])
+    return _gradient(proc, _infidelity_cost(_target(proc, chi_target), None)(proc.apply_matrix(pi))[1])
 
 
 def grad_smoothed_cost(proc: ProcessorMap, chi_target, pi, mu: float) -> np.ndarray:
-    return _gradient(proc, _smoothed_cost(as_matrix(chi_target), mu)(proc.apply_matrix(pi))[1])
+    return _gradient(proc, _smoothed_cost(_target(proc, chi_target), mu)(proc.apply_matrix(pi))[1])
 
 
 # --- projections ------------------------------------------------------------
@@ -232,10 +248,14 @@ def project_to_states(x: np.ndarray) -> DensityMatrix:
     with theta = (sum_{j<=s} x_j - 1)/s and s the largest k for which
     x_k > (sum_{j<=k} x_j - 1)/k.
     """
-    dec = herm_eig(hermitize(np.asarray(x, dtype=complex)))
+    return DensityMatrix(_states_projection(x))
+
+
+def _states_projection(x: np.ndarray) -> np.ndarray:
+    dec = _eigh_desc(hermitize(np.asarray(x, dtype=complex)))
     lam = simplex_project(dec.eigenvalues)
     u = dec.eigenvectors
-    return DensityMatrix(hermitize((u * lam) @ u.conj().T))
+    return hermitize((u * lam) @ u.conj().T)
 
 
 class _DualPoint(NamedTuple):
@@ -268,6 +288,10 @@ def project_to_choi_set(x: np.ndarray, d: int) -> ChoiMatrix:
     (d Tr_out chi)^(-1/2) (x) I then puts the marginal on I/d to rounding.
     Raises on non-convergence with the residual in the message.
     """
+    return ChoiMatrix(_choi_projection(x, d), d, d)
+
+
+def _choi_projection(x: np.ndarray, d: int) -> np.ndarray:
     x = hermitize(np.asarray(x, dtype=complex))
     if x.shape != (d * d, d * d):
         raise ValueError(f"project_to_choi_set: shape {x.shape}, expected ({d*d}, {d*d})")
@@ -314,7 +338,7 @@ def project_to_choi_set(x: np.ndarray, d: int) -> ChoiMatrix:
         steps += 1
     w, v = np.linalg.eigh(d * (pt.resid + eye_d / d))
     a = kron_eye((v * w ** -0.5) @ v.conj().T)
-    return ChoiMatrix(hermitize(a @ ((pt.u * pt.pos) @ pt.u.conj().T) @ a), d, d)
+    return hermitize(a @ ((pt.u * pt.pos) @ pt.u.conj().T) @ a)
 
 
 def project_program(proc: ProcessorMap, x: np.ndarray) -> DensityMatrix:
@@ -323,6 +347,13 @@ def project_program(proc: ProcessorMap, x: np.ndarray) -> DensityMatrix:
     if proc.program_domain == "choi":
         return project_to_choi_set(x, proc.d_in)
     return project_to_states(x)
+
+
+def _projection(proc: ProcessorMap, x: np.ndarray) -> np.ndarray:
+    """``project_program``'s matrix, not validated: the first-order iterates."""
+    if proc.program_domain == "choi":
+        return _choi_projection(x, proc.d_in)
+    return _states_projection(x)
 
 
 # --- iterative methods ------------------------------------------------------
@@ -337,16 +368,17 @@ def _initial_program(proc: ProcessorMap, cfg: OptimConfig) -> np.ndarray:
     )
     m = hermitize(g @ g.conj().T)
     m /= np.trace(m).real
-    return project_program(proc, m).matrix
+    return _projection(proc, m)
 
 
 def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
     """Iterate ``step(pi, gradient at pi, it)`` from the initial program and
     keep the best iterate.  Each iterate costs one processor apply and one
     spectral decomposition, which give both its cost and its gradient.
-    A step returns a validated program, or an ndarray (the initial program
-    and Frank-Wolfe iterates) that is validated only if it ends up the best."""
-    terms = _COSTS[cfg.cost_kind](as_matrix(chi_target), cfg.mu)
+    Iterates are plain ndarrays; only the returned one is validated, as a
+    ``DensityMatrix`` or a ``ChoiMatrix`` by the program domain, and the
+    target is checked once before the first iterate."""
+    terms = _COSTS[cfg.cost_kind](_target(proc, chi_target), cfg.mu)
     pi = _initial_program(proc, cfg)
     cost, x = terms(proc.apply_matrix(pi))
     best = cost
@@ -363,12 +395,10 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
         if it >= STALL_WINDOW and trace[it - STALL_WINDOW][1] - best < cfg.tolerance:
             converged = True
             break
-    if not isinstance(best_pi, DensityMatrix):
-        m = hermitize(best_pi)
-        best_pi = (ChoiMatrix(m, proc.d_in, proc.d_out) if proc.program_domain == "choi"
-                   else DensityMatrix(m))
+    m = hermitize(best_pi)  # a Frank-Wolfe mix is Hermitian only to rounding
     return OptimResult(
-        program=best_pi,
+        program=(ChoiMatrix(m, proc.d_in, proc.d_out) if proc.program_domain == "choi"
+                 else DensityMatrix(m)),
         cost_trace=tuple(trace),
         converged=converged,
         final_cost=best,
@@ -378,7 +408,7 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
 def projected_subgradient(proc: ProcessorMap, chi_target, cfg: OptimConfig = OptimConfig()) -> OptimResult:
     """Subgradient step followed by projection back to the feasible set."""
     def step(pi, g, it):
-        return project_program(proc, as_matrix(pi) - cfg.learning_rate(it) * g)
+        return _projection(proc, pi - cfg.learning_rate(it) * g)
 
     return _run_loop(proc, chi_target, cfg, step)
 
@@ -397,7 +427,7 @@ def frank_wolfe(proc: ProcessorMap, chi_target, cfg: OptimConfig = OptimConfig()
             "use projected_subgradient for the reduced map"
         )
     def step(pi, g, it):
-        vals, vecs = np.linalg.eigh(hermitize(g))
+        vals, vecs = np.linalg.eigh(g)  # g is a hermitize output
         v = vecs[:, 0]  # eigenvector of the smallest eigenvalue
         vertex = np.outer(v, v.conj())
         w = 2.0 / (it + 2.0)
@@ -422,7 +452,7 @@ def learn_unitary_program(proc: ProcessorMap, u: np.ndarray) -> DensityMatrix:
     phi = max_entangled(d).matrix
     ext = np.kron(np.eye(d), u)
     chi_u = ext @ phi @ ext.conj().T
-    dec = herm_eig(hermitize(proc.dual(chi_u)))
+    dec = _eigh_desc(hermitize(proc.dual(chi_u)))
     if dec.eigenvalues.size > 1 and dec.eigenvalues[0] - dec.eigenvalues[1] < DEGENERACY_TOL:
         warnings.warn(
             "learn_unitary_program: top eigenvalue is degenerate; "

@@ -121,6 +121,8 @@ class SdpProblem:
         self.rhs = np.asarray(self.rhs, dtype=float)
         if self.rhs.ndim != 1:
             raise ValueError(f"SdpProblem: rhs has shape {self.rhs.shape}, expected (m,)")
+        if not np.isfinite(self.rhs).all():
+            raise ValueError("SdpProblem: rhs has a non-finite entry")
         if len(self.constraints) != len(self.objective):
             raise ValueError(f"SdpProblem: {len(self.constraints)} constraint stacks "
                              f"for {len(self.objective)} blocks")
@@ -133,11 +135,15 @@ class SdpProblem:
                                  f"expected {(self.rhs.size, d, d)}")
             # row 0 is the objective, row i + 1 constraint i
             rows = np.concatenate([c[None], a])
-            dev = np.abs(rows - rows.conj().swapaxes(1, 2)).max(axis=(1, 2))
-            bad = np.flatnonzero(dev > 1e-12 * np.maximum(1.0, np.abs(rows).max(axis=(1, 2))))
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=(1, 2)))
+            fault = "has a non-finite entry"
+            if not bad.size:
+                dev = np.abs(rows - rows.conj().swapaxes(1, 2)).max(axis=(1, 2))
+                bad = np.flatnonzero(dev > 1e-12 * np.maximum(1.0, np.abs(rows).max(axis=(1, 2))))
+                fault = "is not Hermitian"
             if bad.size:
                 who = "objective" if bad[0] == 0 else f"constraint {bad[0] - 1}"
-                raise ValueError(f"SdpProblem: {who}, block {blk} is not Hermitian")
+                raise ValueError(f"SdpProblem: {who}, block {blk} {fault}")
 
     @property
     def block_dims(self) -> List[int]:

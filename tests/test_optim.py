@@ -508,3 +508,99 @@ def test_pqc_subgradient_improves():
     res = projected_subgradient(proc, chi_a, OptimConfig(max_iters=80, cost_kind="Cmu",
                                                          mu=1e-2))
     assert res.final_cost <= res.cost_trace[0][1]
+
+
+@pytest.mark.parametrize("case", ["non_hermitian", "shape", "inf", "nan"])
+@pytest.mark.parametrize("kind", ["C1", "Cmu", "CF"])
+def test_first_order_target_is_checked_once(case, kind):
+    chi = choi_of_channel(depolarizing(0.5)).matrix.copy()
+    if case == "non_hermitian":
+        chi[0, 1] += 0.1
+    elif case == "shape":
+        chi = chi[:3, :3]
+    else:
+        chi[1, 1] = np.inf if case == "inf" else np.nan
+    match = {"non_hermitian": "chi_target: matrix is not Hermitian",
+             "shape": r"chi_target: shape \(3, 3\), expected \(4, 4\)",
+             "inf": "chi_target: entries must be finite",
+             "nan": "chi_target: entries must be finite"}[case]
+    cfg = OptimConfig(max_iters=5, cost_kind=kind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (projected_subgradient, frank_wolfe):
+            with pytest.raises(ValueError, match=match):
+                run(TELE, chi, cfg)
+        with pytest.raises(ValueError, match=match):
+            simulation_cost(TELE, chi, np.eye(4) / 4, kind)
+
+
+# final_cost of 20 iterations, recorded before the iterates became plain arrays
+FIRST_ORDER_PINS = {
+    ("tele", "subgradient", "C1"): 0.61485411005943,
+    ("tele", "frank_wolfe", "C1"): 0.6202965309277906,
+    ("tele", "subgradient", "Cmu"): 0.6550610651250027,
+    ("tele", "frank_wolfe", "Cmu"): 0.6594851825169358,
+    ("tele", "subgradient", "CF"): 0.1465870629135274,
+    ("tele", "frank_wolfe", "CF"): 0.14680982608925852,
+    ("pbt2", "subgradient", "C1"): 0.4999827511476558,
+    ("pbt2", "frank_wolfe", "C1"): 0.1805286560129753,
+    ("pbt2", "subgradient", "Cmu"): 0.4620043613891076,
+    ("pbt2", "frank_wolfe", "Cmu"): 0.11314646688567195,
+    ("pbt2", "subgradient", "CF"): 0.043800562950184196,
+    ("pbt2", "frank_wolfe", "CF"): 0.03413201104987351,
+    ("pqc3", "subgradient", "C1"): 0.42070463770304545,
+    ("pqc3", "frank_wolfe", "C1"): 0.17397082711205922,
+    ("pqc3", "subgradient", "Cmu"): 0.4588157144099694,
+    ("pqc3", "frank_wolfe", "Cmu"): 0.3042422767254902,
+    ("pqc3", "subgradient", "CF"): 0.021032860929171893,
+    ("pqc3", "frank_wolfe", "CF"): 0.024394703276690688,
+    ("red2", "subgradient", "C1"): 0.5638602646401373,
+    ("red2", "subgradient", "Cmu"): 0.3523348988583742,
+    ("red2", "subgradient", "CF"): 0.11323418154519982,
+}
+
+
+def test_first_order_path_is_pinned():
+    procs = {"tele": TELE, "pbt2": pbt_processor(2), "pqc3": pqc_processor(3),
+             "red2": pbt_reduced_map(2)}
+    runs = {"subgradient": projected_subgradient, "frank_wolfe": frank_wolfe}
+    for (key, method, kind), pinned in FIRST_ORDER_PINS.items():
+        i, j = list(procs).index(key), ("C1", "Cmu", "CF").index(kind)
+        chi = random_choi(2, np.random.default_rng(100 + 10 * i + j)).matrix
+        res = runs[method](procs[key], chi,
+                           OptimConfig(max_iters=20, cost_kind=kind, tolerance=0.0))
+        for value in (res.final_cost, res.cost_trace[-1][1]):
+            assert abs(value - pinned) <= 1e-12 * pinned, (key, method, kind)
+
+
+@pytest.mark.parametrize("key,method", [("tele", "subgradient"), ("tele", "frank_wolfe"),
+                                        ("red2", "subgradient")])
+def test_first_order_validates_one_program_per_run(key, method, monkeypatch):
+    proc = TELE if key == "tele" else pbt_reduced_map(2)
+    run = projected_subgradient if method == "subgradient" else frank_wolfe
+    chi = choi_of_channel(depolarizing(0.3)).matrix
+    calls = []
+    post_init = DensityMatrix.__post_init__
+
+    def counting(self):
+        calls.append(type(self))
+        post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    res = run(proc, chi, OptimConfig(max_iters=30, init="maximally_mixed", tolerance=0.0))
+    assert len(res.cost_trace) == 31
+    assert calls == [type(res.program)]
+    assert type(res.program) is (ChoiMatrix if key == "red2" else DensityMatrix)
+
+
+@pytest.mark.parametrize("key", ["tele", "red2"])
+def test_first_order_returned_program_is_still_checked(key, monkeypatch):
+    proc = TELE if key == "tele" else pbt_reduced_map(2)
+    # trace 1, lambda_min = -1e-6; on the reduced map the marginal stays I/2
+    bad = (np.diag([0.4, 0.3, 0.3 + 1e-6, -1e-6]).astype(complex) if key == "tele"
+           else np.eye(4) / 4 + (0.25 + 1e-6) * np.diag([1.0, -1.0, -1.0, 1.0]))
+    # the bad program simulates the target exactly, so it becomes the best iterate
+    chi = hermitize(proc.apply_matrix(bad))
+    monkeypatch.setattr(optim, "_projection", lambda proc, x: bad)
+    with pytest.raises(ValueError, match="min eigenvalue -1.000e-06"):
+        projected_subgradient(proc, chi, OptimConfig(max_iters=3, cost_kind="C1"))

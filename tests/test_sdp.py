@@ -97,10 +97,18 @@ def test_solve_sdp_matches_first_order_baseline():
 
 
 @pytest.mark.parametrize("case", ["block_count", "stack_vs_objective", "stack_vs_rhs",
-                                  "non_hermitian"])
+                                  "non_hermitian", "nan_rhs", "nan_objective",
+                                  "inf_constraint"])
 def test_sdp_problem_rejects_malformed_input(case):
     objective, constraints, rhs = _diag_example_parts()
-    if case == "block_count":
+    if case == "nan_rhs":
+        rhs[1], match = np.nan, "rhs has a non-finite entry"
+    elif case == "nan_objective":
+        objective[0][1, 1], match = np.nan, "objective, block 0 has a non-finite entry"
+    elif case == "inf_constraint":
+        constraints[0][1, 0, 0] = np.inf
+        match = "constraint 1, block 0 has a non-finite entry"
+    elif case == "block_count":
         constraints, match = constraints * 2, "2 constraint stacks for 1 blocks"
     elif case == "stack_vs_objective":
         constraints, match = [np.zeros((2, 3, 3))], r"constraints, block 0: shape \(2, 3, 3\)"
@@ -111,6 +119,12 @@ def test_sdp_problem_rejects_malformed_input(case):
         match = "constraint 1, block 0 is not Hermitian"
     with pytest.raises(ValueError, match=match):
         SdpProblem(objective, constraints, rhs)
+
+
+def test_sdp_problem_rejects_the_non_finite_scalar_problem():
+    # used to run one iteration from X = I and return status "breakdown"
+    with pytest.raises(ValueError, match="rhs has a non-finite entry"):
+        solve_sdp(SdpProblem([np.eye(2)], [np.eye(2)[None]], [np.nan]))
 
 
 @pytest.mark.parametrize("case", ["block_without_constraints"])
