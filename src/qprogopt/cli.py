@@ -504,9 +504,8 @@ def _verify_checks(level: str):
     yield ("simplex-spectrum projection",
            float(np.abs(np.diag(proj.matrix).real - [0.65, 0.35, 0.0]).max()), 1e-12)
 
-    prob = sdp.SdpProblem(objective=[np.eye(2)],
-                          constraints=[np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])],
-                          rhs=[1.0, 1.0])
+    rows = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    prob = sdp.SdpProblem(objective=[np.eye(2)], constraints=[({0: rows}, [1.0, 1.0])])
     sol = sdp.solve_sdp(prob)
     yield ("small SDP objective", abs(sol.primal_objective - 2.0), 1e-6)
 

@@ -9,11 +9,11 @@ primal standard form
 
 under the inner product <A, X> = Re Tr[A^dag X], with an infeasible-start
 primal-dual path-following iteration, Nesterov-Todd scaling and a fixed
-fraction-to-boundary factor of 0.98.  An ``SdpProblem`` holds each block's
-constraints as one (m, d_b, d_b) stack, zero where a constraint does not
-touch the block.  The solver keeps the rows with a nonzero entry, flattened,
-so A(X), A*(y), the Newton right-hand side and the Schur matrix
-sum_b <A_j, W_b A_i W_b> are matrix products (Fujisawa-Kojima-Nakata 1997).
+fraction-to-boundary factor of 0.98.  An ``SdpProblem`` takes its
+constraints in groups of rows, each naming only the blocks it touches, and
+keeps per block the rows with a nonzero entry, flattened, so A(X), A*(y), the
+Newton right-hand side and the Schur matrix sum_b <A_j, W_b A_i W_b> are
+matrix products over those rows (Fujisawa-Kojima-Nakata 1997).
 There is no real embedding: a block's dtype follows its data, so a block
 with real data is solved in real arithmetic and a complex Hermitian block in
 complex arithmetic.  Blocks of one size and one dtype of objective and of
@@ -25,13 +25,12 @@ class of 1 x 1 blocks, such as the t of Watrous's program, is SDPT3's linear
 part: its NT scaling, S^-1, factors and step test are elementwise on the
 real parts, which is what LAPACK computes for 1 x 1 matrices, bit for bit.
 A(X), A*(y) and the Schur sum run block by block, so neither the stacks nor
-the elementwise class change any rounding.  The programs below build their
-constraints the same way, one stack per group of rows, from the Hermitian
-basis and one ``proc.dual`` call on it.  The program pi enters as one
-variable block M per program block of the processor (``ProcessorMap.blocks``),
-pi = sum_blocks sum_c V_c M V_c^dag, so every stack A on pi becomes
-sum_c V_c^dag A V_c on M (``_program_terms``); a PBT program at N=3 is solved
-as blocks of 20, 20 and 4 instead of 64.
+the elementwise class change any rounding.  The programs below build each
+group from the Hermitian basis and one ``proc.dual`` call on it.  The program
+pi enters as one variable block M per program block of the processor
+(``ProcessorMap.blocks``), pi = sum_blocks sum_c V_c M V_c^dag, so every
+stack A on pi becomes sum_c V_c^dag A V_c on M (``_program_terms``); a PBT
+program at N=3 is solved as blocks of 20, 20 and 4 instead of 64.
 
 Built on top of it:
 
@@ -59,9 +58,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .channels import ChoiMatrix, DensityMatrix, as_matrix, bures_fidelity, trace_distance_cost
+from .channels import ChoiMatrix, DensityMatrix, bures_fidelity, trace_distance_cost
 from .hermlin import hermitize, partial_trace, spectral_norm
-from .optim import project_program
+from .optim import _target, project_program
 from .processors import ProcessorMap, pbt_reduced_map
 
 __all__ = [
@@ -101,49 +100,69 @@ def hermitian_basis(n: int) -> np.ndarray:
     return out
 
 
+def _check_rows(rows: np.ndarray, name) -> None:
+    """Reject a (k, d, d) stack with a non-finite matrix or, failing that, a
+    non-Hermitian one; ``name(i)`` names matrix i in the message."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=(1, 2)))
+    fault = "has a non-finite entry"
+    if not bad.size:
+        dev = np.abs(rows - rows.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        bad = np.flatnonzero(dev > 1e-12 * np.maximum(1.0, np.abs(rows).max(axis=(1, 2))))
+        fault = "is not Hermitian"
+    if bad.size:
+        raise ValueError(f"SdpProblem: {name(bad[0])} {fault}")
+
+
 @dataclass
 class SdpProblem:
     """Block standard-form SDP: min <C, X>, <A_i, X> = b_i, X >= 0.
 
-    ``objective`` holds one Hermitian (d_b, d_b) matrix per block and
-    ``constraints`` one (m, d_b, d_b) stack per block, whose entry i is
-    A_i's part in that block (a zero matrix where A_i does not touch it);
-    entries are real symmetric or complex.  ``rhs`` holds b_1..b_m.
+    ``objective`` holds one Hermitian (d_b, d_b) matrix per block, and
+    ``constraints`` the rows in groups ``(terms, rhs)``: ``terms`` maps a
+    block index b to a (k, d_b, d_b) stack T_b, the group's rows read
+    sum_b <T_b[i], X_b> = rhs[i], and a block it does not name is zero there.
+    Entries are real symmetric or complex; ``rhs`` is b_1..b_m in group order.
     """
 
     objective: List[np.ndarray]
-    constraints: List[np.ndarray]
-    rhs: np.ndarray
+    constraints: List[Tuple[Dict[int, np.ndarray], np.ndarray]]
+    rhs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.objective = [np.asarray(c) for c in self.objective]
-        self.constraints = [np.asarray(a) for a in self.constraints]
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        if self.rhs.ndim != 1:
-            raise ValueError(f"SdpProblem: rhs has shape {self.rhs.shape}, expected (m,)")
-        if not np.isfinite(self.rhs).all():
-            raise ValueError("SdpProblem: rhs has a non-finite entry")
-        if len(self.constraints) != len(self.objective):
-            raise ValueError(f"SdpProblem: {len(self.constraints)} constraint stacks "
-                             f"for {len(self.objective)} blocks")
-        for blk, (c, a) in enumerate(zip(self.objective, self.constraints)):
+        for blk, c in enumerate(self.objective):
             d = c.shape[0] if c.ndim == 2 else 0
             if d < 1 or c.shape != (d, d):
                 raise ValueError(f"SdpProblem: objective, block {blk}: shape {c.shape}")
-            if a.shape != (self.rhs.size, d, d):
-                raise ValueError(f"SdpProblem: constraints, block {blk}: shape {a.shape}, "
-                                 f"expected {(self.rhs.size, d, d)}")
-            # row 0 is the objective, row i + 1 constraint i
-            rows = np.concatenate([c[None], a])
-            bad = np.flatnonzero(~np.isfinite(rows).all(axis=(1, 2)))
-            fault = "has a non-finite entry"
-            if not bad.size:
-                dev = np.abs(rows - rows.conj().swapaxes(1, 2)).max(axis=(1, 2))
-                bad = np.flatnonzero(dev > 1e-12 * np.maximum(1.0, np.abs(rows).max(axis=(1, 2))))
-                fault = "is not Hermitian"
-            if bad.size:
-                who = "objective" if bad[0] == 0 else f"constraint {bad[0] - 1}"
-                raise ValueError(f"SdpProblem: {who}, block {blk} {fault}")
+            _check_rows(c[None], lambda _: f"objective, block {blk}")
+        dims, start = self.block_dims, 0
+        rows, stacks = [[] for _ in dims], [[] for _ in dims]
+        groups, self.constraints = self.constraints, []
+        for g, (terms, rhs) in enumerate(groups):
+            rhs = np.asarray(rhs, dtype=float)
+            if rhs.ndim != 1:
+                raise ValueError(f"SdpProblem: group {g}: rhs has shape {rhs.shape}, expected (k,)")
+            terms = {b: np.asarray(a) for b, a in terms.items()}
+            for b, a in terms.items():
+                if not 0 <= b < len(dims):
+                    raise ValueError(f"SdpProblem: group {g} names block {b} of {len(dims)}")
+                if a.shape != (rhs.size, dims[b], dims[b]):
+                    raise ValueError(f"SdpProblem: group {g}, block {b}: shape {a.shape}, "
+                                     f"expected {(rhs.size, dims[b], dims[b])}")
+                _check_rows(a, lambda i: f"constraint {start + i}, block {b}")
+                flat = a.reshape(rhs.size, -1)
+                nonzero = np.flatnonzero(np.any(flat != 0, axis=1))
+                rows[b].append(start + nonzero)
+                stacks[b].append(flat[nonzero])
+            self.constraints.append((terms, rhs))
+            start += rhs.size
+        self.rhs = np.concatenate([np.empty(0), *(rhs for _, rhs in self.constraints)])
+        if not np.isfinite(self.rhs).all():
+            raise ValueError("SdpProblem: rhs has a non-finite entry")
+        # per block: the rows with a nonzero entry (a slice when they are one
+        # range) and those entries flattened, real unless complex
+        self._rows = [_rows_index(np.concatenate([np.empty(0, int), *r])) for r in rows]
+        self._stacks = [np.concatenate([np.empty((0, d * d)), *a]) for a, d in zip(stacks, dims)]
 
     @property
     def block_dims(self) -> List[int]:
@@ -259,14 +278,8 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     b_scale = max(1.0, float(np.abs(problem.rhs).max(initial=0.0)))
     cmats = [c / c_scale for c in problem.objective]
     bvec = problem.rhs / b_scale
-    # rows[b]: constraints with a nonzero entry for block b (a slice when they
-    # are one range); stacks[b]: those entries flattened, shape
-    # (len(rows[b]), d_b^2), real unless complex
-    nonzero = [np.flatnonzero(np.any(a.reshape(m, d * d) != 0, axis=1))
-               for a, d in zip(problem.constraints, dims)]
-    stacks = [a[r].reshape(len(r), d * d) for a, r, d in zip(problem.constraints, nonzero, dims)]
+    rows, stacks = problem._rows, problem._stacks
     mats = [a.reshape(-1, d, d) for a, d in zip(stacks, dims)]
-    rows = [_rows_index(r) for r in nonzero]
     squares = [(r, r) if isinstance(r, slice) else np.ix_(r, r) for r in rows]
     # classes: the blocks of one size and one dtype of objective and of
     # constraints, whose iterates are kept as one (k, d, d) stack each;
@@ -432,8 +445,8 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
 
 class _SdpBuilder:
     """Assemble an SdpProblem from Hermitian variable blocks.  The objective
-    is a {block index: matrix} dict; constraints come in groups of stacked
-    rows, each given as {block index: (k, d_b, d_b) stack} terms."""
+    is a {block index: matrix} dict; ``groups`` holds the constraint groups
+    ``(terms, rhs)``, which go to the problem as they are."""
 
     def __init__(self):
         self.block_dims: List[int] = []
@@ -444,23 +457,10 @@ class _SdpBuilder:
         self.block_dims.append(n)
         return len(self.block_dims) - 1
 
-    def constraints(self, terms: Dict[int, np.ndarray], rhs) -> None:
-        """Rows i = 1..k: sum_blk <G_blk[i], X_blk> = rhs[i]."""
-        self.groups.append((terms, np.asarray(rhs, dtype=float)))
-
     def build(self) -> SdpProblem:
-        """The assembled problem.  The groups leave the builder and each block's
-        stacks are dropped as they are concatenated, so none is held twice."""
-        groups, self.groups = self.groups, []
-        constraints = [np.concatenate([terms.pop(b) if b in terms else np.zeros((rhs.size, d, d))
-                                       for terms, rhs in groups])
-                       for b, d in enumerate(self.block_dims)]
-        return SdpProblem(
-            objective=[self.objective.get(b, np.zeros((d, d)))
-                       for b, d in enumerate(self.block_dims)],
-            constraints=constraints,
-            rhs=np.concatenate([rhs for _, rhs in groups]),
-        )
+        return SdpProblem(objective=[self.objective.get(b, np.zeros((d, d)))
+                                     for b, d in enumerate(self.block_dims)],
+                          constraints=self.groups)
 
 
 # --- concrete programs --------------------------------------------------------
@@ -495,9 +495,9 @@ def _trace_builder(chi: np.ndarray, proc: ProcessorMap):
     bld.objective[p_blk] = np.eye(n)
     bld.objective[q_blk] = np.eye(n)
     # P - Q + Lambda(pi) = chi   (as <B_a, .> coordinates)
-    bld.constraints({p_blk: basis, q_blk: -basis,
-                     **_program_terms(proc, pi_blks, hermitize(proc.dual(basis)))},
-                    _coords(basis, chi))
+    bld.groups.append(({p_blk: basis, q_blk: -basis,
+                        **_program_terms(proc, pi_blks, hermitize(proc.dual(basis)))},
+                       _coords(basis, chi)))
     return bld, pi_blks
 
 
@@ -579,7 +579,7 @@ def _solve_program(bld: _SdpBuilder, pi_blks: List[int], proc: ProcessorMap, tol
     else:
         # Tr pi = 1: each block counts once per copy
         rows, rhs = np.eye(proc.d_prog, dtype=complex)[None], [1.0]
-    bld.constraints(_program_terms(proc, pi_blks, rows), rhs)
+    bld.groups.append((_program_terms(proc, pi_blks, rows), rhs))
     sol = solve_sdp(bld.build(), tol=tol)
     _warn_if_failed(sol, who, tol, stacklevel=4)
     pi = sum(vc @ sol.primal_blocks[blk] @ vc.conj().T
@@ -594,7 +594,7 @@ def optimize_program_trace(proc: ProcessorMap, chi_target,
     Returns the optimizing program (projected to exact feasibility) and the
     trace cost re-evaluated at it.
     """
-    chi_e = hermitize(as_matrix(chi_target))
+    chi_e = hermitize(_target(proc, chi_target))
     bld, pi_blks = _trace_builder(chi_e, proc)
     program = _solve_program(bld, pi_blks, proc, tol, "optimize_program_trace")
     value = trace_distance_cost(chi_e, proc.apply_matrix(program))
@@ -625,19 +625,19 @@ def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
     terms = {w_blk: basis, z_blk: -basis}
     if proc is not None:
         terms.update(_program_terms(proc, pi_blks, -d_in * hermitize(proc.dual(basis))))
-    bld.constraints(terms, -d_in * _coords(basis, chi))
+    bld.groups.append((terms, -d_in * _coords(basis, chi)))
     # V = t I - Tr_out Z
     fs = hermitian_basis(d_in)
-    bld.constraints({v_blk: fs, z_blk: np.kron(fs, np.eye(d_out, dtype=complex)),
-                     t_blk: -np.trace(fs, axis1=1, axis2=2).real.reshape(-1, 1, 1)},
-                    np.zeros(len(fs)))
+    bld.groups.append(({v_blk: fs, z_blk: np.kron(fs, np.eye(d_out, dtype=complex)),
+                        t_blk: -np.trace(fs, axis1=1, axis2=2).real.reshape(-1, 1, 1)},
+                       np.zeros(len(fs))))
     return bld, z_blk, pi_blks
 
 
 def optimize_program_diamond(proc: ProcessorMap, chi_target,
                              tol: float = DEFAULT_TOL) -> Tuple[DensityMatrix, float]:
     """Joint minimization of the diamond cost over program states."""
-    chi_e = hermitize(as_matrix(chi_target))
+    chi_e = hermitize(_target(proc, chi_target))
     bld, _, pi_blks = _watrous_builder(chi_e, proc.d_in, proc.d_out, proc)
     program = _solve_program(bld, pi_blks, proc, tol, "optimize_program_diamond")
     value = diamond_distance(chi_e - proc.apply_matrix(program), proc.d_in, tol=tol)
@@ -654,7 +654,7 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     (unitary) targets, where the unrestricted block could never be
     positive definite.
     """
-    chi_e = hermitize(as_matrix(chi_target))
+    chi_e = hermitize(_target(proc, chi_target))
     n = proc.d_choi
     vals, vecs = np.linalg.eigh(chi_e)
     support = vals > 1e-12 * float(vals.max())
@@ -674,11 +674,11 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     top, basis = hermitian_basis(r), hermitian_basis(n)
     corner = np.zeros((r * r, r + n, r + n), dtype=complex)
     corner[:, :r, :r] = top
-    bld.constraints({g_blk: corner}, _coords(top, d_supp))
+    bld.groups.append(({g_blk: corner}, _coords(top, d_supp)))
     corner = np.zeros((n * n, r + n, r + n), dtype=complex)
     corner[:, r:, r:] = basis
-    bld.constraints({g_blk: corner, **_program_terms(proc, pi_blks, -hermitize(proc.dual(basis)))},
-                    np.zeros(n * n))
+    lam = _program_terms(proc, pi_blks, -hermitize(proc.dual(basis)))
+    bld.groups.append(({g_blk: corner, **lam}, np.zeros(n * n)))
     program = _solve_program(bld, pi_blks, proc, tol, "optimize_program_fidelity")
     value = bures_fidelity(chi_e, proc.apply_matrix(program))
     return program, value

@@ -1,19 +1,20 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the code paths it is used to check:
-the PBT oracles build full-space operators with explicit embeddings (the
-reduced map from the square-root POVM rather than its closed form), the
-SDP baseline is a first-order splitting method, the diamond oracle
-maximizes over entangled pure inputs directly, channel actions are read off
-the Choi matrix, and the qubit Bell vectors are written out by hand.  PBT
-programs are permuted port by port and averaged over all port orders,
-random programs are drawn from a processor's program domain, and the
-Choi-set projection is Dykstra's alternating scheme instead of a Newton
-method on the dual.
+the PBT oracles build their own square-root POVM and full-space operators
+with explicit embeddings (the reduced map from that POVM rather than its
+closed form), the SDP baseline is a first-order splitting method, the
+diamond oracle maximizes over entangled pure inputs directly, channel
+actions are read off the Choi matrix, and the qubit Bell vectors are written
+out by hand.  PBT programs are permuted port by port and averaged over all
+port orders, random programs are drawn from a processor's program domain,
+and the Choi-set projection is Dykstra's alternating scheme instead of a
+Newton method on the dual.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from qprogopt.channels import DensityMatrix, max_entangled
 from qprogopt.hermlin import embed_operator, hermitize, partial_trace, permute_subsystems
-from qprogopt.processors import ProcessorMap, pbt_povm
+from qprogopt.processors import ProcessorMap
 from qprogopt.rand import random_choi, random_density
 
 
@@ -47,13 +48,37 @@ def pbt_apply_dense(n_ports: int, d: int, povm, pi: np.ndarray) -> np.ndarray:
     return out
 
 
+def pbt_srm_dense(n_ports: int, d: int = 2) -> list:
+    """Square-root measurement on (A_1..A_N, C), one element per port.
+
+    P_i = |Phi><Phi| on (A_i, C), written out as (1/d) sum_jl |j><l| (x)
+    |j><l|, and Sigma = sum_i P_i = V diag(w) V^dag from one ``eigh``.
+    Element i is Sigma^-1/2 P_i Sigma^-1/2 on the support of Sigma plus an
+    equal share of the projector onto its kernel.
+    """
+    units = np.eye(d * d).reshape(d, d, d, d)  # units[j, l] = |j><l|
+    projs = []
+    for i in range(n_ports):
+        proj = 0
+        for j, l in itertools.product(range(d), repeat=2):
+            factors = [units[j, l] if k == i else np.eye(d) for k in range(n_ports)]
+            proj = proj + functools.reduce(np.kron, factors + [units[j, l]]) / d
+        projs.append(proj)
+    w, v = np.linalg.eigh(sum(projs))
+    keep = w > 1e-9 * w.max()
+    supp = v[:, keep]
+    inv_half = (supp / np.sqrt(w[keep])) @ supp.conj().T
+    kernel = (np.eye(d ** (n_ports + 1)) - supp @ supp.conj().T) / n_ports
+    return [inv_half @ p @ inv_half + kernel for p in projs]
+
+
 def pbt_reduced_dense(n_ports: int, d: int = 2) -> np.ndarray:
     """Transfer matrix of the reduced PBT map from the dense square-root POVM.
 
     The port-1 POVM element on (A_1..A_N, C) is traced down to (A_1, C); the
     other ports contribute by permutation symmetry, hence the factor N.
     """
-    povm = pbt_povm(n_ports, d)
+    povm = pbt_srm_dense(n_ports, d)
     reduced = partial_trace(povm[0], [d] * (n_ports + 1), keep=[0, n_ports])
     p4 = reduced.reshape(d, d, d, d)  # legs (row a, row C, col a, col C)
     eye = np.eye(d)
@@ -129,9 +154,15 @@ def admm_baseline(problem, rho: float = 1.0, iters: int = 20000, tol: float = 1e
         ]
 
     cvec = np.concatenate([c.ravel() for c in problem.objective])
-    # row i: constraint i over all blocks, flattened like cvec
-    amat = np.concatenate([a.reshape(a.shape[0], -1) for a in problem.constraints], axis=1)
+    # row i: constraint i over all blocks, flattened like cvec; a group's rows
+    # are zero in the blocks it does not name
     bvec = problem.rhs
+    amat = np.zeros((bvec.size, cvec.size))
+    start = 0
+    for terms, rhs in problem.constraints:
+        for blk, a in terms.items():
+            amat[start : start + rhs.size, offsets[blk] : offsets[blk + 1]] = a.reshape(rhs.size, -1)
+        start += rhs.size
     gram = amat @ amat.T
     gram_inv = np.linalg.pinv(gram)
 
@@ -183,11 +214,8 @@ def random_sdp(rng: np.random.Generator, block_dims=(4, 3), m: int = 5):
     for blk, dim in enumerate(block_dims):
         s_blk = rand_pd(dim)
         cmats.append(s_blk + sum(y0[i] * amats[i][blk] for i in range(m + 1)))
-    return SdpProblem(
-        objective=cmats,
-        constraints=[np.array([row[blk] for row in amats]) for blk in range(len(block_dims))],
-        rhs=bvec,
-    )
+    terms = {blk: np.array([row[blk] for row in amats]) for blk in range(len(block_dims))}
+    return SdpProblem(objective=cmats, constraints=[(terms, bvec)])
 
 
 # --- diamond-norm oracle --------------------------------------------------------

@@ -34,6 +34,7 @@ from qprogopt.rand import random_choi, random_density, random_hermitian
 from oracles import (
     pbt_apply_dense,
     pbt_reduced_dense,
+    pbt_srm_dense,
     permute_ports,
     qubit_bell_basis,
     random_program,
@@ -233,10 +234,16 @@ def test_pbt_n1_gives_maximally_mixed_output():
     assert np.abs(proc.apply_matrix(PHI) - np.eye(4) / 4).max() <= 1e-12
 
 
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (2, 3)])
+def test_pbt_povm_matches_oracle(n, d):
+    for el, ref in zip(pbt_povm(n, d), pbt_srm_dense(n, d), strict=True):
+        assert np.abs(el - ref).max() <= 1e-12
+
+
 def test_pbt_full_matches_dense_oracle():
     rng = np.random.default_rng(16)
     for n, d, tol in ((1, 2, 1e-12), (1, 3, 1e-12), (2, 2, 1e-12), (3, 2, 1e-10)):
-        povm = pbt_povm(n, d)
+        povm = pbt_srm_dense(n, d)
         proc = pbt_processor(n, d)
         for _ in range(3):
             pi = random_density(d ** (2 * n), rng).matrix

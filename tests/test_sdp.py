@@ -61,8 +61,10 @@ def test_hermitian_basis_orthonormal():
 
 
 def _diag_example_parts():
-    """min Tr X s.t. X_00 = X_11 = 1, one 2 x 2 block: (objective, constraints, rhs)."""
-    return [np.eye(2)], [np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])], [1.0, 1.0]
+    """min Tr X s.t. X_00 = X_11 = 1, one 2 x 2 block: (objective, constraints),
+    the constraints as one group."""
+    rows = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    return [np.eye(2)], [({0: rows}, [1.0, 1.0])]
 
 
 def test_solve_sdp_diag_example():
@@ -98,33 +100,46 @@ def test_solve_sdp_matches_first_order_baseline():
 
 @pytest.mark.parametrize("case", ["block_count", "stack_vs_objective", "stack_vs_rhs",
                                   "non_hermitian", "nan_rhs", "nan_objective",
-                                  "inf_constraint"])
+                                  "inf_constraint", "block_out_of_range",
+                                  "rows_vs_group_rhs", "rhs_2d"])
 def test_sdp_problem_rejects_malformed_input(case):
-    objective, constraints, rhs = _diag_example_parts()
+    objective, [(terms, rhs)] = _diag_example_parts()
+    rows = terms[0]
+    constraints = [(terms, rhs)]
     if case == "nan_rhs":
         rhs[1], match = np.nan, "rhs has a non-finite entry"
     elif case == "nan_objective":
         objective[0][1, 1], match = np.nan, "objective, block 0 has a non-finite entry"
     elif case == "inf_constraint":
-        constraints[0][1, 0, 0] = np.inf
+        rows[1, 0, 0] = np.inf
         match = "constraint 1, block 0 has a non-finite entry"
     elif case == "block_count":
-        constraints, match = constraints * 2, "2 constraint stacks for 1 blocks"
+        terms[1], match = rows, "group 0 names block 1 of 1"
+    elif case == "block_out_of_range":
+        # a negative index would silently name the last block
+        constraints, match = [({-1: rows}, rhs)], "group 0 names block -1 of 1"
     elif case == "stack_vs_objective":
-        constraints, match = [np.zeros((2, 3, 3))], r"constraints, block 0: shape \(2, 3, 3\)"
+        terms[0], match = np.zeros((2, 3, 3)), r"group 0, block 0: shape \(2, 3, 3\)"
     elif case == "stack_vs_rhs":
-        rhs, match = rhs + [1.0], r"constraints, block 0: shape \(2, 2, 2\)"
+        rhs.append(1.0)
+        match = r"group 0, block 0: shape \(2, 2, 2\), expected \(3, 2, 2\)"
+    elif case == "rows_vs_group_rhs":
+        # a second group carrying every row of the problem, as a dense stack would
+        constraints = [({0: rows[:1]}, rhs[:1]), ({0: rows}, rhs[1:])]
+        match = r"group 1, block 0: shape \(2, 2, 2\), expected \(1, 2, 2\)"
+    elif case == "rhs_2d":
+        constraints, match = [(terms, [rhs])], r"group 0: rhs has shape \(1, 2\), expected \(k,\)"
     else:
-        constraints[0][1, 0, 1] = 0.5  # constraint 1 loses its symmetry
+        rows[1, 0, 1] = 0.5  # constraint 1 loses its symmetry
         match = "constraint 1, block 0 is not Hermitian"
     with pytest.raises(ValueError, match=match):
-        SdpProblem(objective, constraints, rhs)
+        SdpProblem(objective, constraints)
 
 
 def test_sdp_problem_rejects_the_non_finite_scalar_problem():
     # used to run one iteration from X = I and return status "breakdown"
     with pytest.raises(ValueError, match="rhs has a non-finite entry"):
-        solve_sdp(SdpProblem([np.eye(2)], [np.eye(2)[None]], [np.nan]))
+        solve_sdp(SdpProblem([np.eye(2)], [({0: np.eye(2)[None]}, [np.nan])]))
 
 
 @pytest.mark.parametrize("case", ["block_without_constraints"])
@@ -133,15 +148,15 @@ def test_solve_sdp_blocks_missing_from_constraints(case):
     # zero block 1 in constraints 0, 2 and 4, and take the right-hand sides
     # at X = I so the problem stays strictly feasible; the trailing trace row
     # keeps the dual strictly feasible
-    stacks = [a.copy() for a in base.constraints]
-    stacks[1][[0, 2, 4]] = 0.0
-    rhs = sum(np.trace(a, axis1=1, axis2=2) for a in stacks)
-    ref = solve_sdp(SdpProblem(base.objective, stacks, rhs))
+    [(terms, _)] = base.constraints
+    terms = {b: a.copy() for b, a in terms.items()}
+    terms[1][[0, 2, 4]] = 0.0
+    rhs = sum(np.trace(a, axis1=1, axis2=2) for a in terms.values())
+    ref = solve_sdp(SdpProblem(base.objective, [(terms, rhs)]))
     assert ref.status == "optimal"
-    # a block with a positive definite cost and no constraint entries sits at X = 0
+    # a block with a positive definite cost that no group names sits at X = 0
     extra = np.array([[2.0, 0.5], [0.5, 1.0]])
-    sol = solve_sdp(SdpProblem(base.objective + [extra],
-                               stacks + [np.zeros((rhs.size, 2, 2))], rhs))
+    sol = solve_sdp(SdpProblem(base.objective + [extra], [(terms, rhs)]))
     assert sol.status == "optimal"
     assert abs(sol.primal_objective - ref.primal_objective) <= 1e-7 * max(
         1.0, abs(ref.primal_objective))
@@ -149,7 +164,7 @@ def test_solve_sdp_blocks_missing_from_constraints(case):
 
 def test_solve_sdp_without_constraints():
     # min Tr X over X >= 0 alone: the solver runs X to 0 with no rows at all
-    sol = solve_sdp(SdpProblem([np.eye(2)], [np.zeros((0, 2, 2))], []))
+    sol = solve_sdp(SdpProblem([np.eye(2)], []))
     assert (sol.status, sol.iterations) == ("optimal", 6)
     assert 0.0 < sol.primal_objective <= 1e-8
     assert sol.dual_vector.shape == (0,)
@@ -162,7 +177,7 @@ def test_solve_sdp_rejects_bad_tol(tol):
 
 
 def test_solve_sdp_detects_infeasible():
-    prob = SdpProblem(objective=[np.zeros((2, 2))], constraints=[np.eye(2)[None]], rhs=[-1.0])
+    prob = SdpProblem(objective=[np.zeros((2, 2))], constraints=[({0: np.eye(2)[None]}, [-1.0])])
     sol = solve_sdp(prob)
     assert sol.status in ("infeasible", "max_iter")
     assert sol.status != "optimal"
@@ -172,11 +187,10 @@ def test_solve_sdp_hermitian_blocks():
     # min <Y, X0> + <diag(1, 2), X1> s.t. Tr X0 = Tr X1 = 1: X0 is the -1
     # eigenprojector of Pauli Y, and the real block X1 stays real
     pauli_y = np.array([[0, -1j], [1j, 0]])
-    eye, zero = np.eye(2), np.zeros((2, 2))
+    eye = np.eye(2)
     prob = SdpProblem(
         objective=[pauli_y, np.diag([1.0, 2.0])],
-        constraints=[np.array([eye, zero]), np.array([zero, eye])],
-        rhs=[1.0, 1.0],
+        constraints=[({0: eye[None]}, [1.0]), ({1: eye[None]}, [1.0])],
     )
     sol = solve_sdp(prob)
     assert sol.status == "optimal"
@@ -202,19 +216,17 @@ def test_solve_sdp_keeps_real_blocks_real_among_complex_ones():
     # three 2 x 2 blocks, complex, real, complex: min <C_b, X_b> s.t. Tr X_b = 1
     # puts each X_b on the lowest eigenvector of C_b
     pauli_y = np.array([[0, -1j], [1j, 0]])
-    eye, zero = np.eye(2), np.zeros((2, 2))
+    eye = np.eye(2)[None]
     objective = [pauli_y, np.diag([1.0, 2.0]), np.array([[1.0, 0.5 + 0.5j], [0.5 - 0.5j, 0.0]])]
-    constraints = [np.array([eye, zero, zero]), np.array([zero, eye, zero]),
-                   np.array([zero, zero, eye])]
-    sol = solve_sdp(SdpProblem(objective, constraints, np.ones(3)))
+    sol = solve_sdp(SdpProblem(objective, [({b: eye}, [1.0]) for b in range(3)]))
     assert sol.status == "optimal"
     assert [x.dtype for x in sol.primal_blocks] == [np.complex128, np.float64, np.complex128]
     for c, x in zip(objective, sol.primal_blocks):
         v = np.linalg.eigh(c)[1][:, 0]
         assert np.abs(x - np.outer(v, v.conj())).max() <= 1e-6
     order = [0, 2, 1]
-    ref = solve_sdp(SdpProblem([objective[b] for b in order], [constraints[b] for b in order],
-                               np.ones(3)))
+    ref = solve_sdp(SdpProblem([objective[b] for b in order],
+                               [({order.index(b): eye}, [1.0]) for b in range(3)]))
     assert ref.primal_blocks[2].dtype == np.float64
     assert abs(sol.primal_objective - ref.primal_objective) <= 1e-10
     for b, x in zip(order, ref.primal_blocks):
@@ -239,7 +251,9 @@ def test_solve_sdp_path_is_pinned(seed, block_dims, status, iterations, objectiv
     if seed == _COMPLEX_SCALARS:
         def cast(blocks):
             return [b.astype(complex) if b.shape[-1] == 1 else b for b in blocks]
-        prob = SdpProblem(cast(prob.objective), cast(prob.constraints), prob.rhs)
+        [(terms, rhs)] = prob.constraints
+        prob = SdpProblem(cast(prob.objective),
+                          [(dict(zip(terms, cast(terms.values()))), rhs)])
     sol = solve_sdp(prob)
     assert (sol.status, sol.iterations) == (status, iterations)
     assert sol.primal_objective == pytest.approx(objective, rel=1e-12)
@@ -377,6 +391,23 @@ def test_pauli_targets_are_exact():
     assert vd <= 1e-6
     _, vf = optimize_program_fidelity(TELE, chi_p)
     assert vf >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("fault", ["non_hermitian", "shape", "nan"])
+@pytest.mark.parametrize("optimize", [optimize_program_trace, optimize_program_diamond,
+                                      optimize_program_fidelity], ids=lambda f: f.__name__)
+def test_joint_programs_reject_bad_targets(optimize, fault):
+    # checked as the first-order methods check it: no silent hermitizing and
+    # no opaque numpy error
+    chi = np.eye(4, dtype=complex) / 4
+    if fault == "non_hermitian":
+        chi[0, 1], match = 0.3, "matrix is not Hermitian"
+    elif fault == "nan":
+        chi[2, 2], match = np.nan, "entries must be finite"
+    else:
+        chi, match = np.eye(9) / 9, r"shape \(9, 9\), expected \(4, 4\)"
+    with pytest.raises(ValueError, match=f"chi_target: {match}"):
+        optimize(TELE, chi)
 
 
 def test_optimize_trace_value_consistency():
