@@ -22,7 +22,6 @@ __all__ = [
     "matrix_function",
     "matrix_sqrt",
     "matrix_inv_sqrt",
-    "matrix_sign",
     "partial_trace",
     "permute_subsystems",
     "embed_operator",
@@ -34,7 +33,7 @@ __all__ = [
 # Relative deviation max|M - M^dag| / max|M| above which a matrix is rejected
 # as non-Hermitian.
 HERMITICITY_RTOL = 1e-12
-# Spectral cutoffs of matrix_sqrt, matrix_inv_sqrt and matrix_sign (see there).
+# Spectral cutoffs of matrix_sqrt, matrix_inv_sqrt and _sign_values (see there).
 SPECTRAL_RCOND = 1e-12
 SQRT_NEG_TOL = 1e-10
 SIGN_CLUSTER_GAP = 1e-10
@@ -149,12 +148,6 @@ def _inv_sqrt_values(vals: np.ndarray) -> np.ndarray:
     out = np.zeros_like(vals)
     out[support] = vals[support] ** -0.5
     return out
-
-
-def matrix_sign(m: np.ndarray) -> np.ndarray:
-    """Matrix sign with sign(0) := 0, computed spectrally (see ``_sign_values``)."""
-    dec = herm_eig(m)
-    return (dec.eigenvectors * _sign_values(dec.eigenvalues)) @ dec.eigenvectors.conj().T
 
 
 def _sign_values(vals: np.ndarray) -> np.ndarray:

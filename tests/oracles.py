@@ -8,8 +8,9 @@ diamond oracle maximizes over entangled pure inputs directly, channel
 actions are read off the Choi matrix, and the qubit Bell vectors are written
 out by hand.  PBT programs are permuted port by port and averaged over all
 port orders, random programs are drawn from a processor's program domain,
-and the Choi-set projection is Dykstra's alternating scheme instead of a
-Newton method on the dual.
+the Choi-set projection is Dykstra's alternating scheme instead of a
+Newton method on the dual, and the matrix sign comes from ``np.linalg.eigh``
+and an array loop over eigenvalue clusters.
 """
 
 from __future__ import annotations
@@ -21,7 +22,14 @@ import math
 import numpy as np
 
 from qprogopt.channels import DensityMatrix, max_entangled
-from qprogopt.hermlin import embed_operator, hermitize, partial_trace, permute_subsystems
+from qprogopt.hermlin import (
+    SIGN_CLUSTER_GAP,
+    SIGN_ZERO_TOL,
+    embed_operator,
+    hermitize,
+    partial_trace,
+    permute_subsystems,
+)
 from qprogopt.processors import ProcessorMap
 from qprogopt.rand import random_choi, random_density
 
@@ -348,3 +356,29 @@ def dykstra_choi_projection(x: np.ndarray, d: int, tol: float = 1e-11,
             out = psd_part(x)
             return out / np.trace(out).real
     raise RuntimeError(f"dykstra_choi_projection: no convergence in {max_iters} rounds")
+
+
+def cluster_signs(vals: np.ndarray) -> np.ndarray:
+    """Signs of descending eigenvalues, one per cluster of values closer than
+    SIGN_CLUSTER_GAP: the cluster's mean beyond SIGN_ZERO_TOL gives its sign,
+    and a cluster within it maps to 0."""
+    signs = np.zeros_like(vals)
+    i = 0
+    while i < vals.size:
+        j = i + 1
+        while j < vals.size and vals[j - 1] - vals[j] < SIGN_CLUSTER_GAP:
+            j += 1
+        mean = vals[i:j].mean()
+        if mean > SIGN_ZERO_TOL:
+            signs[i:j] = 1.0
+        elif mean < -SIGN_ZERO_TOL:
+            signs[i:j] = -1.0
+        i = j
+    return signs
+
+
+def matrix_sign(m: np.ndarray) -> np.ndarray:
+    """Matrix sign of a Hermitian matrix with sign(0) := 0, by the cluster rule."""
+    vals, vecs = np.linalg.eigh(np.asarray(m, dtype=complex))
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    return (vecs * cluster_signs(vals)) @ vecs.conj().T

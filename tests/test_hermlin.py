@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from qprogopt.hermlin import (
-    SIGN_CLUSTER_GAP,
-    SIGN_ZERO_TOL,
     _sign_values,
     herm_eig,
     hermitize,
     is_hermitian,
     matrix_function,
     matrix_inv_sqrt,
-    matrix_sign,
     matrix_sqrt,
     partial_trace,
     permute_subsystems,
@@ -20,6 +17,8 @@ from qprogopt.hermlin import (
 )
 from qprogopt.channels import max_entangled
 from qprogopt.rand import random_density, random_hermitian
+
+from oracles import cluster_signs, matrix_sign
 
 
 def test_herm_eig_identity():
@@ -70,23 +69,6 @@ def test_matrix_sign_convention():
     assert np.allclose(s, np.diag([1.0, 0.0, -1.0]))
 
 
-def _cluster_signs_reference(vals):
-    """The cluster rule of matrix_sign as an array loop."""
-    signs = np.zeros_like(vals)
-    i = 0
-    while i < vals.size:
-        j = i + 1
-        while j < vals.size and vals[j - 1] - vals[j] < SIGN_CLUSTER_GAP:
-            j += 1
-        mean = vals[i:j].mean()
-        if mean > SIGN_ZERO_TOL:
-            signs[i:j] = 1.0
-        elif mean < -SIGN_ZERO_TOL:
-            signs[i:j] = -1.0
-        i = j
-    return signs
-
-
 def test_sign_values_match_the_cluster_rule():
     # spectra with clusters straddling the gap and zero tolerances
     rng = np.random.default_rng(70)
@@ -95,7 +77,7 @@ def test_sign_values_match_the_cluster_rule():
         n = int(rng.integers(0, 9))
         noise = rng.choice([0.0, 1e-12, 1e-11, 1e-10, 1.0])
         vals = np.sort(rng.choice(levels, size=n) + noise * rng.normal(size=n))[::-1].copy()
-        assert np.array_equal(_sign_values(vals), _cluster_signs_reference(vals))
+        assert np.array_equal(_sign_values(vals), cluster_signs(vals))
 
 
 def test_matrix_function_exp():

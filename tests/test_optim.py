@@ -20,7 +20,6 @@ from qprogopt.hermlin import (
     hermitize,
     matrix_function,
     matrix_inv_sqrt,
-    matrix_sign,
     matrix_sqrt,
     partial_trace,
 )
@@ -53,7 +52,7 @@ from qprogopt.rand import (
     random_traceless_direction,
 )
 
-from oracles import random_program, simplex_grid_project
+from oracles import matrix_sign, random_program, simplex_grid_project
 
 TELE = teleportation_processor(2)
 PHI = max_entangled(2).matrix

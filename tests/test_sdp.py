@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +239,10 @@ def test_solve_sdp_keeps_real_blocks_real_among_complex_ones():
 # of one size (the complex 1 x 1 case: before it solved 1 x 1 blocks
 # elementwise); stacking the blocks must not move the solver's path
 _COMPLEX_SCALARS = 64  # this seed's 1 x 1 blocks carry complex dtype
+# this seed's blocks all carry complex dtype; its iterates diverge and
+# overflow in the Newton step before the loop's tests see a non-finite value,
+# and the suite turns numpy's warnings into errors
+_COMPLEX_DIVERGING = 153
 
 
 @pytest.mark.parametrize("seed, block_dims, status, iterations, objective", [
@@ -245,12 +251,15 @@ _COMPLEX_SCALARS = 64  # this seed's 1 x 1 blocks carry complex dtype
     (63, (2, 2, 2), "optimal", 11, 18.226785138846626),
     pytest.param(_COMPLEX_SCALARS, (3, 1, 2, 1), "optimal", 14, 18.83984395559536,
                  id="complex-scalars"),
+    pytest.param(_COMPLEX_DIVERGING, (3, 2), "breakdown", 36, 5.158423497985118,
+                 id="complex-diverging"),
 ])
 def test_solve_sdp_path_is_pinned(seed, block_dims, status, iterations, objective):
     prob = random_sdp(np.random.default_rng(seed), block_dims=block_dims, m=6)
-    if seed == _COMPLEX_SCALARS:
+    if seed in (_COMPLEX_SCALARS, _COMPLEX_DIVERGING):
         def cast(blocks):
-            return [b.astype(complex) if b.shape[-1] == 1 else b for b in blocks]
+            return [b.astype(complex) if seed == _COMPLEX_DIVERGING or b.shape[-1] == 1 else b
+                    for b in blocks]
         [(terms, rhs)] = prob.constraints
         prob = SdpProblem(cast(prob.objective),
                           [(dict(zip(terms, cast(terms.values()))), rhs)])
@@ -261,38 +270,36 @@ def test_solve_sdp_path_is_pinned(seed, block_dims, status, iterations, objectiv
 
 
 def _solves_inside(monkeypatch, call):
-    """(status, iterations, objective) of every solve_sdp run by call()."""
+    """call()'s result and the SdpSolution of every solve_sdp it ran."""
     solves = []
 
     def spy(problem, tol=sdp.DEFAULT_TOL):
-        sol = solve_sdp(problem, tol)
-        solves.append((sol.status, sol.iterations, sol.primal_objective))
-        return sol
+        solves.append(solve_sdp(problem, tol))
+        return solves[-1]
 
     monkeypatch.setattr(sdp, "solve_sdp", spy)
-    call()
-    return solves
+    return call(), solves
 
 
 def test_diamond_solve_path_is_pinned(monkeypatch):
     rng = np.random.default_rng(64)
     chi = random_choi(2, rng).matrix - random_choi(2, rng).matrix
-    [(status, iterations, objective)] = _solves_inside(monkeypatch,
-                                                       lambda: diamond_distance(chi, 2))
-    assert (status, iterations) == ("optimal", 21)
-    assert objective == pytest.approx(0.598110083053048, rel=1e-12)
+    _, [sol] = _solves_inside(monkeypatch, lambda: diamond_distance(chi, 2))
+    assert (sol.status, sol.iterations) == ("optimal", 21)
+    assert sol.primal_objective == pytest.approx(0.598110083053048, rel=1e-12)
 
 
 def test_choi_diamond_solve_paths_are_pinned(monkeypatch):
-    # the re-evaluation of this program is fragile: it breaks down after 41
-    # iterations (reported as max_iter before breakdowns had their own status)
-    # and keeps its best iterate, within 50 tol of optimal, so it does not warn
+    # the joint solve's Z block, repaired for the projected program, gives the
+    # value, so a second (re-evaluating) solve would be waste
     chi_a = choi_of_channel(amplitude_damping(0.5)).matrix
-    joint, reeval = _solves_inside(monkeypatch, lambda: optimize_choi_diamond(6, 2, chi_a))
-    assert joint[:2] == ("optimal", 20)
-    assert joint[2] == pytest.approx(0.14765711053759226, rel=1e-12)
-    assert reeval[:2] == ("breakdown", 41)
-    assert reeval[2] == pytest.approx(0.1476571246100078, rel=1e-12)
+    (_, value), solves = _solves_inside(monkeypatch, lambda: optimize_choi_diamond(6, 2, chi_a))
+    assert len(solves) == 1
+    [joint] = solves
+    assert (joint.status, joint.iterations) == ("optimal", 20)
+    assert joint.primal_objective == pytest.approx(0.14765711053759226, rel=1e-12)
+    assert value == pytest.approx(0.14765711148518787, rel=1e-12)
+    assert value <= joint.dual_objective + 100 * sdp.DEFAULT_TOL
 
 
 # --- diamond distance -----------------------------------------------------------
@@ -376,6 +383,83 @@ def test_diamond_sandwich_random_instances():
         cd = diamond_distance(a - b, 2)
         assert c1 <= cd + 1e-7
         assert cd <= 2.0 * c1 + 1e-7
+
+
+def _pauli_pairs(rng):
+    """(p, r) Pauli probability pairs on qubits and qutrits, 12 random and
+    three depolarizing ones per dimension, whose diamond distance is
+    ||p - r||_1."""
+    pairs = []
+    for d in (2, 3):
+        pairs += [(rng.dirichlet(np.ones(d * d)), rng.dirichlet(np.ones(d * d)))
+                  for _ in range(12)]
+        for q1, q2 in ((0.0, 0.2), (0.0, 0.9), (0.3, 0.7)):
+            # depolarizing(q, d) as a Pauli mixture
+            pairs.append(tuple(np.r_[1 - q + q / d**2, np.full(d * d - 1, q / d**2)]
+                               for q in (q1, q2)))
+    return pairs
+
+
+def test_flat_marginal_certifies_pauli_pairs_without_a_solve(monkeypatch):
+    for p, r in _pauli_pairs(np.random.default_rng(171)):
+        d = math.isqrt(len(p))
+        chi = choi_of_channel(pauli_channel(p)).matrix - choi_of_channel(pauli_channel(r)).matrix
+        value, solves = _solves_inside(monkeypatch, lambda: diamond_distance(chi, d))
+        assert solves == []
+        assert abs(value - np.abs(p - r).sum()) <= 1e-12
+
+
+def test_diamond_value_lies_between_the_watrous_bounds():
+    # random pairs fall through to the SDP, Pauli pairs do not; both kinds
+    # stay above the maximally entangled input's value and agree with a
+    # Watrous solve of their own
+    rng = np.random.default_rng(172)
+    pairs = [(d, random_choi(d, rng).matrix - random_choi(d, rng).matrix)
+             for d in (2,) * 8 + (3,) * 2]
+    for p, r in _pauli_pairs(rng):
+        pairs.append((math.isqrt(len(p)), choi_of_channel(pauli_channel(p)).matrix
+                      - choi_of_channel(pauli_channel(r)).matrix))
+    assert len(pairs) == 40
+    for d, chi in pairs:
+        value = diamond_distance(chi, d)
+        assert value >= np.abs(np.linalg.eigvalsh(chi)).sum() - 1e-12
+        bld, _, _ = sdp._watrous_builder(chi, d, d)
+        sol = solve_sdp(bld.build())
+        assert sol.status == "optimal"
+        assert abs(value - sol.primal_objective) <= 1e-6
+
+
+@pytest.mark.parametrize("proc", [pbt_processor(2), pbt_processor(3),
+                                  *(pbt_reduced_map(n) for n in range(1, 9))],
+                         ids=lambda proc: proc.label)
+def test_program_diamond_value_comes_from_the_joint_solve(proc, monkeypatch):
+    chi_a = choi_of_channel(amplitude_damping(0.5)).matrix
+    (program, value), solves = _solves_inside(monkeypatch,
+                                              lambda: optimize_program_diamond(proc, chi_a))
+    assert len(solves) == 1
+    with warnings.catch_warnings():
+        # a stall short of tol 1e-10 (reduced N=5 and 6) still returns a
+        # repaired upper bound, which is all this comparison needs
+        warnings.simplefilter("ignore", UserWarning)
+        exact = diamond_distance(chi_a - proc.apply_matrix(program), proc.d_in, tol=1e-10)
+    assert abs(value - exact) <= 1e-6
+
+
+@pytest.mark.parametrize("fault", [{"status": "max_iter"}, {"dual_objective": -1.0}],
+                         ids=["not-optimal", "dual-far-below"])
+def test_program_diamond_re_solves_when_the_joint_solve_is_not_trusted(fault, monkeypatch):
+    proc, chi_a = pbt_reduced_map(2), choi_of_channel(amplitude_damping(0.5)).matrix
+    solves = []
+
+    def spy(problem, tol=sdp.DEFAULT_TOL):
+        solves.append(solve_sdp(problem, tol))
+        return dataclasses.replace(solves[-1], **fault) if len(solves) == 1 else solves[-1]
+
+    monkeypatch.setattr(sdp, "solve_sdp", spy)
+    program, value = optimize_program_diamond(proc, chi_a)
+    assert len(solves) == 2
+    monkeypatch.undo()
+    assert value == diamond_distance(chi_a - proc.apply_matrix(program), 2)
 
 
 # --- program optimization ---------------------------------------------------------
