@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -437,11 +436,7 @@ def test_program_diamond_value_comes_from_the_joint_solve(proc, monkeypatch):
     (program, value), solves = _solves_inside(monkeypatch,
                                               lambda: optimize_program_diamond(proc, chi_a))
     assert len(solves) == 1
-    with warnings.catch_warnings():
-        # a stall short of tol 1e-10 (reduced N=5 and 6) still returns a
-        # repaired upper bound, which is all this comparison needs
-        warnings.simplefilter("ignore", UserWarning)
-        exact = diamond_distance(chi_a - proc.apply_matrix(program), proc.d_in, tol=1e-10)
+    exact = diamond_distance(chi_a - proc.apply_matrix(program), proc.d_in)
     assert abs(value - exact) <= 1e-6
 
 
