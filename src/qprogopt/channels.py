@@ -186,12 +186,15 @@ def weyl_unitaries(d: int) -> list:
     """The d^2 clock/shift products W[a*d+b] = X^a Z^b, Tr(W_i^dag W_j) = d delta_ij.
 
     For d = 2 these are I, Z, X, XZ = -iY, i.e. the Pauli frame up to phase.
+    The clock phases omega^k are exact where they are one of 1, i, -1, -i
+    (4k divisible by d), so real frames such as d = 2 stay exactly real.
     """
     if d < 2:
         raise ValueError(f"weyl_unitaries: need d >= 2, got {d}")
-    omega = np.exp(2j * np.pi / d)
+    k = np.arange(d)
+    quarter = np.array([1, 1j, -1, -1j])[(4 * k // d) % 4]
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)  # |j> -> |j+1 mod d>
-    clock = np.diag(omega ** np.arange(d))
+    clock = np.diag(np.where(4 * k % d == 0, quarter, np.exp(2j * np.pi / d) ** k))
     out = []
     xa = np.eye(d, dtype=complex)
     for _a in range(d):

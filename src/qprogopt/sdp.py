@@ -14,20 +14,26 @@ constraints in groups of rows, each naming only the blocks it touches, and
 keeps per block the rows with a nonzero entry, flattened, so A(X), A*(y), the
 Newton right-hand side and the Schur matrix sum_b <A_j, W_b A_i W_b> are
 matrix products over those rows (Fujisawa-Kojima-Nakata 1997).
-There is no real embedding: a block's dtype follows its data, so a block
-with real data is solved in real arithmetic and a complex Hermitian block in
-complex arithmetic.  Blocks of one size and one dtype of objective and of
-constraints form a class whose X, S, W and S^-1 are one (k, d, d) stack, as
-in SDPT3's grouped blocks: the NT scaling, S^-1, the Cholesky factors, the
-step test over [dX; dS] (primal and dual at once) and each inner product
-(one product and one sum, added up in block order) run once per class.  A
-class of 1 x 1 blocks, such as the t of Watrous's program, is SDPT3's linear
-part: its NT scaling, S^-1, factors and step test are elementwise on the
-real parts, which is what LAPACK computes for 1 x 1 matrices, bit for bit.
-A(X), A*(y) and the Schur sum run block by block, so neither the stacks nor
-the elementwise class change any rounding.  The programs below build each
-group from the Hermitian basis and one ``proc.dual`` call on it.  The program
-pi enters as one variable block M per program block of the processor
+There is no real embedding of complex data: a block's dtype follows its data,
+so a block with real data is solved in real arithmetic and a complex
+Hermitian block in complex arithmetic.  Blocks of one size and one dtype of
+objective and of constraints form a class whose X, S, W and S^-1 are one
+(k, d, d) stack, as in SDPT3's grouped blocks: the NT scaling, S^-1, the
+Cholesky factors, the step test over [dX; dS] (primal and dual at once) and
+each inner product (one product and one sum, added up in block order) run
+once per class.  A class of 1 x 1 blocks, such as the t of Watrous's program, is
+SDPT3's linear part: its NT scaling, S^-1, factors and step test are
+elementwise on the real parts, which is what LAPACK computes for 1 x 1
+matrices, bit for bit.  A(X), A*(y) and the Schur sum run block by block, so
+neither the stacks nor the elementwise class change any rounding.  The
+programs below build each group from the Hermitian basis and one
+``proc.dual`` call on it.  When their data (the target, the processor's
+transfer and its program blocks) have no imaginary part, the program is
+invariant under entrywise conjugation, so its optimum is attained on real
+symmetric blocks (Gatermann-Parrilo's fixed-point reduction): the groups then
+use only the basis's real symmetric members, n(n+1)/2 rows per n x n
+constraint instead of n^2, and every block is real (``_real_data``).  The
+program pi enters as one variable block M per program block of the processor
 (``ProcessorMap.blocks``), pi = sum_blocks sum_c V_c M V_c^dag, so every
 stack A on pi becomes sum_c V_c^dag A V_c on M (``_program_terms``); a PBT
 program at N=3 is solved as blocks of 20, 20 and 4 instead of 64.
@@ -101,6 +107,16 @@ def hermitian_basis(n: int) -> np.ndarray:
     out[a + 1, k, l] = 1j * inv_sqrt2
     out[a + 1, l, k] = -1j * inv_sqrt2
     return out
+
+
+def _real_data(chi: np.ndarray, proc: Optional[ProcessorMap] = None) -> bool:
+    """True when chi and, with a processor, its transfer and every program
+    block have no nonzero imaginary part.  Such a program is invariant under
+    entrywise conjugation, and it is convex, so (X + conj X) / 2 is feasible
+    with the same objective: the optimum is attained on real symmetric blocks
+    (the fixed-point reduction of Gatermann-Parrilo)."""
+    arrays = [chi] if proc is None else [chi, proc.transfer, *proc.blocks]
+    return not any(np.any(np.imag(a)) for a in arrays)
 
 
 def _check_rows(rows: np.ndarray, name) -> None:
@@ -452,12 +468,22 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
 class _SdpBuilder:
     """Assemble an SdpProblem from Hermitian variable blocks.  The objective
     is a {block index: matrix} dict; ``groups`` holds the constraint groups
-    ``(terms, rhs)``, which go to the problem as they are."""
+    ``(terms, rhs)``, which go to the problem as they are.  ``real`` says
+    that the program's data are real (``_real_data``), so its blocks are
+    real symmetric."""
 
-    def __init__(self):
+    def __init__(self, real: bool):
+        self.real = real
         self.block_dims: List[int] = []
         self.objective: Dict[int, np.ndarray] = {}
         self.groups: List[Tuple[Dict[int, np.ndarray], np.ndarray]] = []
+
+    def basis(self, n: int) -> np.ndarray:
+        """``hermitian_basis(n)``, or for real data only its real symmetric
+        members (the n diagonal units and the real off-diagonal elements,
+        indices n + 2j) as a real stack."""
+        basis = hermitian_basis(n)
+        return basis[np.r_[:n, n:n * n:2]].real if self.real else basis
 
     def add_block(self, n: int) -> int:
         self.block_dims.append(n)
@@ -477,11 +503,16 @@ def _program_blocks(bld: _SdpBuilder, proc: ProcessorMap) -> List[int]:
     return [bld.add_block(v.shape[2]) for v in proc.blocks]
 
 
-def _program_terms(proc: ProcessorMap, pi_blks: List[int], a: np.ndarray) -> Dict[int, np.ndarray]:
+def _program_terms(proc: ProcessorMap, pi_blks: List[int], a: np.ndarray,
+                   real: bool) -> Dict[int, np.ndarray]:
     """Constraint terms on pi = sum_blocks sum_c V_c M V_c^dag of a (k, d_prog,
-    d_prog) stack A: <A_i, pi> = sum_blocks <sum_c V_c^dag A_i V_c, M>."""
+    d_prog) stack A: <A_i, pi> = sum_blocks <sum_c V_c^dag A_i V_c, M>, real
+    stacks from the real parts of A and V_c for real data."""
+    blocks = proc.blocks
+    if real:
+        a, blocks = a.real, [v.real for v in blocks]
     return {blk: hermitize(sum(vc.conj().T @ a @ vc for vc in v))
-            for blk, v in zip(pi_blks, proc.blocks)}
+            for blk, v in zip(pi_blks, blocks)}
 
 
 def _trace_builder(chi: np.ndarray, proc: ProcessorMap):
@@ -493,8 +524,8 @@ def _trace_builder(chi: np.ndarray, proc: ProcessorMap):
     caller.  Returns the builder and the program block indices.
     """
     n = chi.shape[0]
-    basis = hermitian_basis(n)
-    bld = _SdpBuilder()
+    bld = _SdpBuilder(_real_data(chi, proc))
+    basis = bld.basis(n)
     p_blk = bld.add_block(n)
     q_blk = bld.add_block(n)
     pi_blks = _program_blocks(bld, proc)
@@ -502,7 +533,7 @@ def _trace_builder(chi: np.ndarray, proc: ProcessorMap):
     bld.objective[q_blk] = np.eye(n)
     # P - Q + Lambda(pi) = chi   (as <B_a, .> coordinates)
     bld.groups.append(({p_blk: basis, q_blk: -basis,
-                        **_program_terms(proc, pi_blks, hermitize(proc.dual(basis)))},
+                        **_program_terms(proc, pi_blks, hermitize(proc.dual(basis)), bld.real)},
                        _coords(basis, chi)))
     return bld, pi_blks
 
@@ -545,13 +576,16 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     """Diamond norm of the map whose (normalized) Choi matrix is chi_omega.
 
     chi_omega should be the Hermitian difference of two Choi matrices
-    (ordering: input copy, output); a warning is emitted when it is not
-    traceless.  The returned value is certified: it is 2 ||Tr_out Z||_inf for
-    a Z repaired to exact feasibility, an attainable upper bound on the true
-    minimum.  One eigendecomposition gives the lower bound 2 Tr chi_+
-    (||chi||_1 for traceless chi: the maximally entangled input) and the
-    feasible Z = d_in chi_+; when the two agree to ``tol`` (chi_+ has a flat
-    marginal, as for Pauli channels) no SDP is solved.
+    (ordering: input copy, output).  When it is not traceless a warning is
+    emitted and the value is still the optimum of Watrous's program, which
+    is then not the diamond norm: chi = I/4 gives 2.0, where the map
+    rho -> Tr(rho) I/2 has diamond norm 1.  The returned value is certified:
+    it is 2 ||Tr_out Z||_inf for a Z repaired to exact feasibility, an
+    attainable upper bound on the true minimum.  One eigendecomposition
+    gives the lower bound 2 Tr chi_+ (||chi||_1 for traceless chi: the
+    maximally entangled input) and the feasible Z = d_in chi_+; when the two
+    agree to ``tol`` (chi_+ has a flat marginal, as for Pauli channels) no
+    SDP is solved.
     """
     chi = np.asarray(chi_omega, dtype=complex)
     if chi.ndim != 2 or chi.shape[0] != chi.shape[1]:
@@ -568,7 +602,8 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     if abs(np.trace(chi)) > 1e-8:
         warnings.warn(
             f"diamond_distance: chi has trace {np.trace(chi):.3e}; expected a "
-            f"traceless Choi difference",
+            f"traceless Choi difference, and the value returned is Watrous's "
+            f"optimum, not the diamond norm",
             stacklevel=2,
         )
     vals, vecs = np.linalg.eigh(chi)
@@ -591,14 +626,14 @@ def _solve_program(bld: _SdpBuilder, pi_blks: List[int], proc: ProcessorMap, tol
     single-port Choi set), solve, re-embed pi from its blocks and project it
     to exact feasibility.  Returns the projected program and the solution."""
     if proc.program_domain == "choi":
-        fs = hermitian_basis(proc.d_in)
+        fs = bld.basis(proc.d_in)
         # Tr_out pi = I/d (includes unit trace)
-        rows = np.kron(fs, np.eye(proc.d_in, dtype=complex))
+        rows = np.kron(fs, np.eye(proc.d_in, dtype=fs.dtype))
         rhs = np.trace(fs, axis1=1, axis2=2).real / proc.d_in
     else:
         # Tr pi = 1: each block counts once per copy
         rows, rhs = np.eye(proc.d_prog, dtype=complex)[None], [1.0]
-    bld.groups.append((_program_terms(proc, pi_blks, rows), rhs))
+    bld.groups.append((_program_terms(proc, pi_blks, rows, bld.real), rhs))
     sol = solve_sdp(bld.build(), tol=tol)
     _warn_if_failed(sol, who, tol, stacklevel=4)
     pi = sum(vc @ sol.primal_blocks[blk] @ vc.conj().T
@@ -632,8 +667,8 @@ def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
     program block indices (none without a processor).
     """
     n = d_in * d_out
-    basis = hermitian_basis(n)
-    bld = _SdpBuilder()
+    bld = _SdpBuilder(_real_data(chi, proc))
+    basis = bld.basis(n)
     z_blk = bld.add_block(n)
     w_blk = bld.add_block(n)
     v_blk = bld.add_block(d_in)
@@ -643,11 +678,11 @@ def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
     # W = Z - d (chi - Lambda(pi))
     terms = {w_blk: basis, z_blk: -basis}
     if proc is not None:
-        terms.update(_program_terms(proc, pi_blks, -d_in * hermitize(proc.dual(basis))))
+        terms.update(_program_terms(proc, pi_blks, -d_in * hermitize(proc.dual(basis)), bld.real))
     bld.groups.append((terms, -d_in * _coords(basis, chi)))
     # V = t I - Tr_out Z
-    fs = hermitian_basis(d_in)
-    bld.groups.append(({v_blk: fs, z_blk: np.kron(fs, np.eye(d_out, dtype=complex)),
+    fs = bld.basis(d_in)
+    bld.groups.append(({v_blk: fs, z_blk: np.kron(fs, np.eye(d_out, dtype=fs.dtype)),
                         t_blk: -np.trace(fs, axis1=1, axis2=2).real.reshape(-1, 1, 1)},
                        np.zeros(len(fs))))
     return bld, z_blk, pi_blks
@@ -684,29 +719,29 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     """
     chi_e = hermitize(_target(proc, chi_target))
     n = proc.d_choi
-    vals, vecs = np.linalg.eigh(chi_e)
+    bld = _SdpBuilder(_real_data(chi_e, proc))
+    vals, vecs = np.linalg.eigh(chi_e.real if bld.real else chi_e)
     support = vals > 1e-12 * float(vals.max())
-    d_supp = np.diag(vals[support]).astype(complex)
+    d_supp = np.diag(vals[support]).astype(vecs.dtype)
     v_supp = vecs[:, support]
     r = d_supp.shape[0]
 
-    bld = _SdpBuilder()
     g_blk = bld.add_block(r + n)
     pi_blks = _program_blocks(bld, proc)
     # objective corner: -Re Tr[V X] for the (r x n) off-diagonal slot X
-    obj = np.zeros((r + n, r + n), dtype=complex)
+    obj = np.zeros((r + n, r + n), dtype=vecs.dtype)
     obj[:r, r:] = -0.5 * v_supp.conj().T
     obj[r:, :r] = -0.5 * v_supp
     bld.objective[g_blk] = obj
     # top-left corner = D, bottom-right corner = Lambda(pi)
-    top, basis = hermitian_basis(r), hermitian_basis(n)
-    corner = np.zeros((r * r, r + n, r + n), dtype=complex)
+    top, basis = bld.basis(r), bld.basis(n)
+    corner = np.zeros((len(top), r + n, r + n), dtype=top.dtype)
     corner[:, :r, :r] = top
     bld.groups.append(({g_blk: corner}, _coords(top, d_supp)))
-    corner = np.zeros((n * n, r + n, r + n), dtype=complex)
+    corner = np.zeros((len(basis), r + n, r + n), dtype=basis.dtype)
     corner[:, r:, r:] = basis
-    lam = _program_terms(proc, pi_blks, -hermitize(proc.dual(basis)))
-    bld.groups.append(({g_blk: corner, **lam}, np.zeros(n * n)))
+    lam = _program_terms(proc, pi_blks, -hermitize(proc.dual(basis)), bld.real)
+    bld.groups.append(({g_blk: corner, **lam}, np.zeros(len(basis))))
     program, _ = _solve_program(bld, pi_blks, proc, tol, "optimize_program_fidelity")
     value = bures_fidelity(chi_e, proc.apply_matrix(program))
     return program, value

@@ -1,5 +1,9 @@
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -22,3 +26,19 @@ def test_all_names_resolve(module):
 def test_weyl_frame_has_one_home():
     assert qprogopt.weyl_unitaries is qprogopt.channels.weyl_unitaries
     assert qprogopt.processors.weyl_unitaries is qprogopt.channels.weyl_unitaries
+
+
+def test_the_package_imports_no_scipy():
+    # scipy is a test-only dependency: neither the library nor its CLI loads it
+    code = ("import importlib, json, pkgutil, sys, qprogopt\n"
+            "names = [m.name for m in pkgutil.iter_modules(qprogopt.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('qprogopt.' + name)\n"
+            "print(json.dumps([names, [m for m in sys.modules if m.startswith('scipy')]]))\n")
+    src = os.path.dirname(os.path.dirname(qprogopt.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    names, scipy_modules = json.loads(out.stdout)
+    assert {"cli", "sdp"} <= set(names)
+    assert scipy_modules == []

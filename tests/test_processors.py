@@ -147,7 +147,18 @@ def test_weyl_qubit_frame():
         assert np.isclose(overlap, 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("d", [2, 3])
+def test_weyl_phases_are_exact():
+    # exact +-1 and +-i clock phases keep the qubit frame, and so
+    # teleportation's transfer, real: its SDP programs solve in real arithmetic
+    x = np.array([[0, 1], [1, 0]])
+    z = np.diag([1, -1])
+    for w, t in zip(weyl_unitaries(2), [np.eye(2), z, x, x @ z]):
+        assert np.array_equal(w, t)
+    assert np.array_equal(weyl_unitaries(4)[1], np.diag([1, 1j, -1, -1j]))
+    assert not np.any(teleportation_processor(2).transfer.imag)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_weyl_orthogonality_and_unitarity(d):
     ws = weyl_unitaries(d)
     assert len(ws) == d * d
