@@ -9,7 +9,7 @@ trace-distance cost and the diamond distance.
 
 import numpy as np
 
-from qprogopt.channels import amplitude_damping, choi_of_channel, trace_distance_cost
+from qprogopt.channels import amplitude_damping, choi_of_channel, cost_eval
 from qprogopt.processors import pbt_processor
 from qprogopt.sdp import diamond_distance, optimize_program_diamond, optimize_program_trace
 
@@ -23,7 +23,7 @@ for n in (2, 3):
         for _ in range(n - 1):
             prog = np.kron(prog, chi_e)
         sim = proc.apply_matrix(prog)
-        c1_choi = trace_distance_cost(chi_e, sim)
+        c1_choi = cost_eval("C1", chi_e, sim)
         cd_choi = diamond_distance(chi_e - sim, 2)
         _, c1_opt = optimize_program_trace(proc, chi_e)
         _, cd_opt = optimize_program_diamond(proc, chi_e)

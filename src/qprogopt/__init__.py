@@ -44,10 +44,7 @@ from .optim import (
     OptimConfig,
     OptimResult,
     simulation_cost,
-    grad_trace_cost,
-    grad_fidelity,
-    grad_infidelity,
-    grad_smoothed_cost,
+    simulation_gradient,
     project_to_states,
     project_to_choi_set,
     projected_subgradient,

@@ -5,6 +5,12 @@ matrix, a ``ChoiMatrix``: a ``DensityMatrix`` with the input and output
 dimensions ``d_in`` and ``d_out``.  The Weyl frame ``weyl_unitaries`` serves
 the zoo and ``processors``.
 
+The costs C1, CF and C_mu and their gradient observables live here, in the
+one value-and-gradient table ``_COSTS``: from one spectral decomposition, the
+cost and the Choi-space X whose dual L*[X] under a processor map L is the
+gradient in the program.  ``cost_eval`` and ``optim`` read it; F, CR and the
+Schatten-p distance are value-only.
+
 Conventions used throughout the package:
 
 * Choi matrices are normalized to unit trace, ``chi = (I (x) E)(Phi)`` with
@@ -20,17 +26,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
 from .hermlin import (
+    _eigh_desc,
+    _inv_sqrt_values,
+    _sign_values,
     hermitize,
     is_hermitian,
     matrix_sqrt,
     partial_trace,
     schatten_norm,
-    trace_norm,
 )
 
 __all__ = [
@@ -47,14 +55,10 @@ __all__ = [
     "pauli_channel",
     "unitary_channel",
     "rotation",
-    "trace_distance_cost",
     "bures_fidelity",
-    "infidelity_cost",
     "relative_entropy_cost",
-    "schatten_cost",
     "huber_penalty",
     "huber_penalty_deriv",
-    "huber_cost",
     "cost_eval",
     "COST_KINDS",
 ]
@@ -268,18 +272,24 @@ def rotation(theta: float) -> KrausChannel:
 # --- cost functions --------------------------------------------------------
 
 
+def _checked(x: MatrixLike, who: str) -> np.ndarray:
+    """``x`` as an ndarray, rejected unless it is square, finite and Hermitian."""
+    m = as_matrix(x)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{who}: expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{who}: entries must be finite")
+    if not is_hermitian(m):
+        raise ValueError(f"{who}: matrix is not Hermitian")
+    return m
+
+
 def _pair(target: MatrixLike, sim: MatrixLike):
-    a = as_matrix(target)
-    b = as_matrix(sim)
+    a = _checked(target, "cost: target")
+    b = _checked(sim, "cost: sim")
     if a.shape != b.shape:
         raise ValueError(f"cost: shape mismatch {a.shape} vs {b.shape}")
     return a, b
-
-
-def trace_distance_cost(target: MatrixLike, sim: MatrixLike) -> float:
-    """Trace-norm distance ||chi_target - chi_sim||_1 (in [0, 2] for states)."""
-    a, b = _pair(target, sim)
-    return trace_norm(a - b)
 
 
 def bures_fidelity(target: MatrixLike, sim: MatrixLike) -> float:
@@ -300,11 +310,6 @@ def _fidelity_of_spectrum(vals: np.ndarray) -> float:
     floor = vals.size * np.finfo(float).eps * max(float(vals.max()), 0.0)
     f = float(np.sqrt(vals[vals > floor]).sum())
     return min(max(f, 0.0), 1.0)
-
-
-def infidelity_cost(target: MatrixLike, sim: MatrixLike) -> float:
-    f = bures_fidelity(target, sim)
-    return 1.0 - f * f
 
 
 def relative_entropy_cost(target: MatrixLike, sim: MatrixLike) -> float:
@@ -335,12 +340,6 @@ def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return ent - cross
 
 
-def schatten_cost(target: MatrixLike, sim: MatrixLike, p: float) -> float:
-    """Schatten p-norm of the Choi difference, real p >= 1."""
-    a, b = _pair(target, sim)
-    return schatten_norm(a - b, p)
-
-
 def huber_penalty(x: np.ndarray, mu: float) -> np.ndarray:
     """Quadratic/absolute penalty: x^2/(2 mu) inside |x| < mu, |x| - mu/2 outside."""
     x = np.asarray(x, dtype=float)
@@ -352,40 +351,70 @@ def huber_penalty_deriv(x: np.ndarray, mu: float) -> np.ndarray:
     return np.where(np.abs(x) < mu, x / mu, np.sign(x))
 
 
-def huber_cost(target: MatrixLike, sim: MatrixLike, mu: float) -> float:
-    """Smoothed trace distance sum_j h_mu(lambda_j(chi_sim - chi_target))."""
-    if mu <= 0:
-        raise ValueError(f"huber_cost: mu must be positive, got {mu}")
-    a, b = _pair(target, sim)
-    vals = np.linalg.eigvalsh(hermitize(b - a))
-    return float(huber_penalty(vals, mu).sum())
+# --- the value-and-gradient table --------------------------------------------
+#
+# A cost maker takes the target Choi matrix and mu once per run and returns
+# terms(chi_pi) -> (cost, X), where the gradient in the program is L*[X].
 
 
+def _trace_cost(target: np.ndarray, mu: float) -> Callable:
+    def terms(sim):
+        dec = _eigh_desc(hermitize(sim - target))
+        vals, u = dec.eigenvalues, dec.eigenvectors
+        return float(np.abs(vals).sum()), (u * _sign_values(vals)) @ u.conj().T
+    return terms
+
+
+def _smoothed_cost(target: np.ndarray, mu: float) -> Callable:
+    if mu is None or mu <= 0:
+        raise ValueError(f"smoothed cost: mu must be positive, got {mu}")
+
+    def terms(sim):
+        dec = _eigh_desc(hermitize(sim - target))
+        vals, u = dec.eigenvalues, dec.eigenvectors
+        return (float(huber_penalty(vals, mu).sum()),
+                (u * huber_penalty_deriv(vals, mu)) @ u.conj().T)
+    return terms
+
+
+def _fidelity_terms(root: np.ndarray, sim: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Fidelity F of ``sim`` to ``root``^2 and X with grad F = L*[X]."""
+    dec = _eigh_desc(hermitize(root @ sim @ root))
+    vals, u = dec.eigenvalues, dec.eigenvectors
+    mid = root @ ((u * _inv_sqrt_values(vals)) @ u.conj().T) @ root
+    return _fidelity_of_spectrum(vals), 0.5 * hermitize(mid)
+
+
+def _infidelity_cost(target: np.ndarray, mu: float) -> Callable:
+    root = matrix_sqrt(target)
+
+    def terms(sim):
+        f, x = _fidelity_terms(root, sim)
+        return 1.0 - f * f, -2.0 * f * x
+    return terms
+
+
+_COSTS = {"C1": _trace_cost, "CF": _infidelity_cost, "Cmu": _smoothed_cost}
 COST_KINDS = ("C1", "F", "CF", "CR", "Cp", "Cmu")
 
 
-def cost_eval(
-    kind: str,
-    target: MatrixLike,
-    sim: MatrixLike,
-    p: float | None = None,
-    mu: float | None = None,
-) -> float:
-    """Evaluate one of the channel-comparison costs between two Choi matrices."""
-    if kind == "C1":
-        return trace_distance_cost(target, sim)
+def cost_eval(kind: str, target: MatrixLike, sim: MatrixLike,
+              p: float | None = None, mu: float | None = None) -> float:
+    """Evaluate one of the channel-comparison costs between two Choi matrices.
+
+    C1, CF and Cmu come from the value-and-gradient table ``_COSTS``; F, CR
+    and the Schatten-p distance Cp are value-only.  Both inputs must be
+    square, finite, Hermitian and of one shape.
+    """
+    if kind not in COST_KINDS:
+        raise ValueError(f"cost_eval: unknown cost kind {kind!r}; expected one of {COST_KINDS}")
     if kind == "F":
         return bures_fidelity(target, sim)
-    if kind == "CF":
-        return infidelity_cost(target, sim)
     if kind == "CR":
         return relative_entropy_cost(target, sim)
+    a, b = _pair(target, sim)
     if kind == "Cp":
         if p is None:
             raise ValueError("cost_eval: kind 'Cp' needs the p parameter")
-        return schatten_cost(target, sim, p)
-    if kind == "Cmu":
-        if mu is None:
-            raise ValueError("cost_eval: kind 'Cmu' needs the mu parameter")
-        return huber_cost(target, sim, mu)
-    raise ValueError(f"cost_eval: unknown cost kind {kind!r}; expected one of {COST_KINDS}")
+        return schatten_norm(a - b, p)
+    return _COSTS[kind](a, mu)(b)[0]

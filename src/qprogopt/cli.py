@@ -491,8 +491,7 @@ def _verify_checks(level: str):
     chi_e = rand.random_choi(2, rng).matrix
     pi = 0.5 * rand.random_density(4, rng).matrix + 0.5 * np.eye(4) / 4
     for kind, tol in (("C1", 1e-4), ("Cmu", 1e-6)):
-        g = (optim.grad_trace_cost(tele, chi_e, pi) if kind == "C1"
-             else optim.grad_smoothed_cost(tele, chi_e, pi, 1e-2))
+        g = optim.simulation_gradient(tele, chi_e, pi, kind, 1e-2)
         direction = rand.random_traceless_direction(4, rng)
         eps = 1e-5
         fd = (optim.simulation_cost(tele, chi_e, pi + eps * direction, kind, 1e-2)

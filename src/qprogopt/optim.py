@@ -9,10 +9,10 @@ processor map and ``L*`` its dual,
 * infidelity:      grad = -2 F grad F;
 * smoothed trace:  grad = L*[h'_mu(chi_pi - chi_target)] (Huber derivative).
 
-Each cost of ``_COSTS`` maps a simulated Choi matrix to its value and the
-Choi-space observable whose dual is the gradient, from one spectral
-decomposition; ``simulation_cost``, the ``grad_*`` functions and the
-iterative methods all read that one table.
+The value and the observable inside ``L*`` come from one spectral
+decomposition, in the value-and-gradient table of ``channels``;
+``simulation_cost``, ``simulation_gradient`` and the iterative methods all
+read that one table.
 
 A program is a ``DensityMatrix``.  Its feasible set follows the processor's
 ``program_domain``: the density matrices (Euclidean projection =
@@ -29,28 +29,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from .channels import (
-    ChoiMatrix,
-    DensityMatrix,
-    as_matrix,
-    _fidelity_of_spectrum,
-    huber_penalty,
-    huber_penalty_deriv,
-    max_entangled,
-)
-from .hermlin import (
-    _eigh_desc,
-    _inv_sqrt_values,
-    _sign_values,
-    hermitize,
-    is_hermitian,
-    matrix_sqrt,
-    partial_trace,
-)
+from .channels import _COSTS, ChoiMatrix, DensityMatrix, _checked, max_entangled
+from .hermlin import _eigh_desc, hermitize, partial_trace
 from .processors import ProcessorMap
 
 __all__ = [
@@ -58,10 +42,7 @@ __all__ = [
     "OptimResult",
     "LearningRate",
     "simulation_cost",
-    "grad_trace_cost",
-    "grad_fidelity",
-    "grad_infidelity",
-    "grad_smoothed_cost",
+    "simulation_gradient",
     "simplex_project",
     "project_to_states",
     "project_to_choi_set",
@@ -135,49 +116,7 @@ class OptimResult:
 
 
 # --- costs and gradients ------------------------------------------------------
-#
-# A cost maker takes the target Choi matrix and mu once per run and returns
-# terms(chi_pi) -> (cost, X), where the gradient in the program is L*[X].
 
-
-def _trace_cost(target: np.ndarray, mu: float) -> Callable:
-    def terms(sim):
-        dec = _eigh_desc(hermitize(sim - target))
-        vals, u = dec.eigenvalues, dec.eigenvectors
-        return float(np.abs(vals).sum()), (u * _sign_values(vals)) @ u.conj().T
-    return terms
-
-
-def _smoothed_cost(target: np.ndarray, mu: float) -> Callable:
-    if mu is None or mu <= 0:
-        raise ValueError(f"smoothed cost: mu must be positive, got {mu}")
-
-    def terms(sim):
-        dec = _eigh_desc(hermitize(sim - target))
-        vals, u = dec.eigenvalues, dec.eigenvectors
-        return (float(huber_penalty(vals, mu).sum()),
-                (u * huber_penalty_deriv(vals, mu)) @ u.conj().T)
-    return terms
-
-
-def _fidelity_terms(root: np.ndarray, sim: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Fidelity F of ``sim`` to ``root``^2 and X with grad F = L*[X]."""
-    dec = _eigh_desc(hermitize(root @ sim @ root))
-    vals, u = dec.eigenvalues, dec.eigenvectors
-    mid = root @ ((u * _inv_sqrt_values(vals)) @ u.conj().T) @ root
-    return _fidelity_of_spectrum(vals), 0.5 * hermitize(mid)
-
-
-def _infidelity_cost(target: np.ndarray, mu: float) -> Callable:
-    root = matrix_sqrt(target)
-
-    def terms(sim):
-        f, x = _fidelity_terms(root, sim)
-        return 1.0 - f * f, -2.0 * f * x
-    return terms
-
-
-_COSTS = {"C1": _trace_cost, "CF": _infidelity_cost, "Cmu": _smoothed_cost}
 GRAD_COST_KINDS = tuple(_COSTS)
 
 
@@ -187,41 +126,30 @@ def _gradient(proc: ProcessorMap, x: np.ndarray) -> np.ndarray:
 
 def _target(proc: ProcessorMap, chi_target) -> np.ndarray:
     """``chi_target`` as an ndarray, checked once before any cost is made of it."""
-    t = as_matrix(chi_target)
+    t = _checked(chi_target, "chi_target")
     d = proc.d_choi
     if t.shape != (d, d):
         raise ValueError(f"chi_target: shape {t.shape}, expected ({d}, {d})")
-    if not np.isfinite(t).all():
-        raise ValueError("chi_target: entries must be finite")
-    if not is_hermitian(t):
-        raise ValueError("chi_target: matrix is not Hermitian")
     return t
+
+
+def _terms(proc: ProcessorMap, chi_target, pi, kind: str, mu: float, who: str):
+    if kind not in GRAD_COST_KINDS:
+        raise ValueError(f"{who}: unknown kind {kind!r}")
+    return _COSTS[kind](_target(proc, chi_target), mu)(proc.apply_matrix(pi))
 
 
 def simulation_cost(proc: ProcessorMap, chi_target, pi, kind: str = "C1",
                     mu: float = 1e-2) -> float:
     """Cost of simulating ``chi_target`` with program ``pi`` on ``proc``."""
-    if kind not in GRAD_COST_KINDS:
-        raise ValueError(f"simulation_cost: unknown kind {kind!r}")
-    return _COSTS[kind](_target(proc, chi_target), mu)(proc.apply_matrix(pi))[0]
+    return _terms(proc, chi_target, pi, kind, mu, "simulation_cost")[0]
 
 
-def grad_trace_cost(proc: ProcessorMap, chi_target, pi) -> np.ndarray:
-    """Subgradient of the trace cost; exact gradient at differentiable points."""
-    return _gradient(proc, _trace_cost(_target(proc, chi_target), None)(proc.apply_matrix(pi))[1])
-
-
-def grad_fidelity(proc: ProcessorMap, chi_target, pi) -> np.ndarray:
-    root = matrix_sqrt(_target(proc, chi_target))
-    return _gradient(proc, _fidelity_terms(root, proc.apply_matrix(pi))[1])
-
-
-def grad_infidelity(proc: ProcessorMap, chi_target, pi) -> np.ndarray:
-    return _gradient(proc, _infidelity_cost(_target(proc, chi_target), None)(proc.apply_matrix(pi))[1])
-
-
-def grad_smoothed_cost(proc: ProcessorMap, chi_target, pi, mu: float) -> np.ndarray:
-    return _gradient(proc, _smoothed_cost(_target(proc, chi_target), mu)(proc.apply_matrix(pi))[1])
+def simulation_gradient(proc: ProcessorMap, chi_target, pi, kind: str = "C1",
+                        mu: float = 1e-2) -> np.ndarray:
+    """Gradient in ``pi`` of ``simulation_cost``; for C1 a subgradient, exact
+    at differentiable points."""
+    return _gradient(proc, _terms(proc, chi_target, pi, kind, mu, "simulation_gradient")[1])
 
 
 # --- projections ------------------------------------------------------------

@@ -67,7 +67,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .channels import ChoiMatrix, DensityMatrix, bures_fidelity, trace_distance_cost
+from .channels import ChoiMatrix, DensityMatrix, bures_fidelity, cost_eval
 from .hermlin import hermitize, partial_trace, spectral_norm
 from .optim import _target, project_program
 from .processors import ProcessorMap, pbt_reduced_map
@@ -651,7 +651,7 @@ def optimize_program_trace(proc: ProcessorMap, chi_target,
     chi_e = hermitize(_target(proc, chi_target))
     bld, pi_blks = _trace_builder(chi_e, proc)
     program, _ = _solve_program(bld, pi_blks, proc, tol, "optimize_program_trace")
-    value = trace_distance_cost(chi_e, proc.apply_matrix(program))
+    value = cost_eval("C1", chi_e, proc.apply_matrix(program))
     return program, value
 
 

@@ -18,17 +18,14 @@ from qprogopt.channels import (
     max_entangled,
     pauli_channel,
     rotation,
-    trace_distance_cost,
 )
 from qprogopt.hermlin import hermitize
 from qprogopt.optim import (
     OptimConfig,
-    grad_infidelity,
-    grad_smoothed_cost,
-    grad_trace_cost,
     learn_unitary_program,
     projected_subgradient,
     simulation_cost,
+    simulation_gradient,
 )
 from qprogopt.processors import (
     amplitude_damping_hamiltonian,
@@ -148,7 +145,7 @@ def test_criterion_5_optimized_beats_choi():
             prog_choi = chi_e.copy()
             for _ in range(n - 1):
                 prog_choi = np.kron(prog_choi, chi_e)
-            base_c1 = trace_distance_cost(chi_e, proc.apply_matrix(prog_choi))
+            base_c1 = cost_eval("C1", chi_e, proc.apply_matrix(prog_choi))
             base_cd = diamond_distance(chi_e - proc.apply_matrix(prog_choi), 2)
             _, v1 = optimize_program_trace(proc, chi_e)
             _, vd = optimize_program_diamond(proc, chi_e)
@@ -173,7 +170,7 @@ def test_criterion_6_unitary_learning_law():
     pi = pi1.copy()
     worst = 0.0
     for k in range(1, 50):
-        g = grad_infidelity(TELE, chi_u, pi)
+        g = simulation_gradient(TELE, chi_u, pi, "CF")
         vals, vecs = np.linalg.eigh(hermitize(g))
         v = vecs[:, 0]
         pi = (k / (k + 2)) * pi + (2 / (k + 2)) * np.outer(v, v.conj())
@@ -188,11 +185,7 @@ def test_criterion_6_unitary_learning_law():
 
 
 def _fd_check(proc, chi_e, pi, kind, mu, eps, rng, n_dirs=20):
-    g = {
-        "C1": lambda: grad_trace_cost(proc, chi_e, pi),
-        "CF": lambda: grad_infidelity(proc, chi_e, pi),
-        "Cmu": lambda: grad_smoothed_cost(proc, chi_e, pi, mu),
-    }[kind]()
+    g = simulation_gradient(proc, chi_e, pi, kind, mu)
     worst = 0.0
     for _ in range(n_dirs):
         direction = random_traceless_direction(proc.d_prog, rng)
@@ -317,7 +310,7 @@ def test_criterion_11_pqc_special_points():
         prog = np.zeros((4, 4), dtype=complex)
         prog[0, 0] = 1.0
         chi_ad = choi_of_channel(amplitude_damping(p)).matrix
-        worst = max(worst, trace_distance_cost(chi_ad, proc.apply_matrix(prog)))
+        worst = max(worst, cost_eval("C1", chi_ad, proc.apply_matrix(prog)))
     _report(
         "11 (PQC amplitude-damping points)",
         worst <= 1e-10,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qprogopt.channels import (
+    COST_KINDS,
     ChoiMatrix,
     DensityMatrix,
     KrausChannel,
@@ -13,12 +14,10 @@ from qprogopt.channels import (
     cost_eval,
     dephasing,
     depolarizing,
-    huber_cost,
     max_entangled,
     pauli_channel,
     relative_entropy_cost,
     rotation,
-    trace_distance_cost,
     unitary_channel,
 )
 from qprogopt.hermlin import partial_trace
@@ -168,7 +167,24 @@ def test_cost_eval_unknown_kind():
 
 def test_cost_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
-        trace_distance_cost(np.eye(4) / 4, np.eye(9) / 9)
+        cost_eval("C1", np.eye(4) / 4, np.eye(9) / 9)
+
+
+@pytest.mark.parametrize("fault", ["non_square", "nan", "non_hermitian"])
+def test_cost_rejects_bad_input(fault):
+    # no silent hermitizing, no reading of one triangle, no opaque numpy error
+    chi = np.eye(4, dtype=complex) / 4
+    bad = chi.copy()
+    if fault == "non_square":
+        bad, match = np.ones((4, 2)) / 8, r"expected a square matrix, got shape \(4, 2\)"
+    elif fault == "nan":
+        bad[1, 1], match = np.nan, "entries must be finite"
+    else:
+        bad[0, 1], match = 0.05, "matrix is not Hermitian"  # strictly upper-triangular
+    for kind in COST_KINDS:
+        for target, sim in ((chi, bad), (bad, chi)):
+            with pytest.raises(ValueError, match=match):
+                cost_eval(kind, target, sim, p=2.0, mu=1e-2)
 
 
 def test_fuchs_van_de_graaf_chain():
@@ -177,7 +193,7 @@ def test_fuchs_van_de_graaf_chain():
     for _ in range(25):
         a = random_choi(d, rng).matrix
         b = random_choi(d, rng).matrix
-        c1 = trace_distance_cost(a, b)
+        c1 = cost_eval("C1", a, b)
         cf = cost_eval("CF", a, b)
         assert c1 <= 2.0 * math.sqrt(cf) + 1e-9
         assert d * c1 <= 2.0 * d * math.sqrt(cf) + 1e-9
@@ -189,7 +205,7 @@ def test_quantum_pinsker():
     for _ in range(25):
         a = random_choi(2, rng).matrix
         b = random_choi(2, rng).matrix
-        c1 = trace_distance_cost(a, b)
+        c1 = cost_eval("C1", a, b)
         cr = relative_entropy_cost(a, b)
         assert math.isfinite(cr)
         assert c1 <= PINSKER * math.sqrt(cr) + 1e-9
@@ -208,8 +224,8 @@ def test_huber_sandwich():
         for _ in range(10):
             a = random_choi(2, rng).matrix
             b = random_choi(2, rng).matrix
-            c1 = trace_distance_cost(a, b)
-            cmu = huber_cost(a, b, mu)
+            c1 = cost_eval("C1", a, b)
+            cmu = cost_eval("Cmu", a, b, mu=mu)
             d = a.shape[0]
             assert cmu <= c1 + 1e-9
             assert c1 <= cmu + mu * d / 2.0 + 1e-9
@@ -218,7 +234,7 @@ def test_huber_sandwich():
 def test_huber_rejects_bad_mu():
     chi = max_entangled(2).matrix
     with pytest.raises(ValueError):
-        huber_cost(chi, chi, 0.0)
+        cost_eval("Cmu", chi, chi, mu=0.0)
 
 
 def test_choi_linear_in_channel_mixture():

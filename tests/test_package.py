@@ -42,3 +42,21 @@ def test_the_package_imports_no_scipy():
     names, scipy_modules = json.loads(out.stdout)
     assert {"cli", "sdp"} <= set(names)
     assert scipy_modules == []
+
+
+def test_public_surface_is_pinned():
+    # an addition or removal of a public name shows up as a diff of this list
+    assert sorted(qprogopt.__all__) == [
+        "CapacityError", "ChoiMatrix", "DensityMatrix", "KrausChannel", "LearningRate",
+        "OptimConfig", "OptimResult", "ProcessorMap", "SdpProblem", "SdpSolution",
+        "SpectralDecomposition", "amplitude_damping", "channels", "choi_of_channel",
+        "cost_eval", "dephasing", "depolarizing", "diamond_distance", "frank_wolfe",
+        "herm_eig", "hermlin", "learn_unitary_program", "matrix_function", "max_entangled",
+        "mpqc_processor", "optim", "optimize_choi_diamond", "optimize_program_diamond",
+        "optimize_program_fidelity", "optimize_program_trace", "partial_trace",
+        "pauli_channel", "pbt_povm", "pbt_processor", "pbt_reduced_map",
+        "permute_subsystems", "pqc_processor", "processors", "project_to_choi_set",
+        "project_to_states", "projected_subgradient", "rotation", "sdp", "simulation_cost",
+        "simulation_gradient", "solve_sdp", "symmetric_param_count",
+        "teleportation_processor", "unitary_channel", "weyl_unitaries",
+    ]

@@ -10,8 +10,8 @@ from qprogopt.channels import (
     amplitude_damping,
     choi_of_channel,
     depolarizing,
+    cost_eval,
     max_entangled,
-    trace_distance_cost,
 )
 from qprogopt.hermlin import matrix_function
 from qprogopt.processors import (
@@ -349,7 +349,7 @@ def test_pbt_reduced_identity_error_decreases():
     prev = math.inf
     for n in range(2, 6):
         red = pbt_reduced_map(n, 2)
-        err = trace_distance_cost(PHI, red.apply_matrix(PHI))
+        err = cost_eval("C1", PHI, red.apply_matrix(PHI))
         assert err < prev
         prev = err
 
@@ -362,7 +362,7 @@ def test_pbt_identity_simulation_is_depolarizing_threshold():
     chi_dep = choi_of_channel(depolarizing(0.5)).matrix
     assert np.abs(out - chi_dep).max() <= 1e-10
     # with the matching complement program the target at threshold is exact
-    assert trace_distance_cost(chi_dep, red.apply_matrix(PHI)) <= 1e-10
+    assert cost_eval("C1", chi_dep, red.apply_matrix(PHI)) <= 1e-10
 
 
 def test_pbt_reduced_linear():
@@ -486,7 +486,7 @@ def test_pqc_amplitude_damping_special_point():
         prog = np.zeros((4, 4), dtype=complex)
         prog[0, 0] = 1.0
         chi_ad = choi_of_channel(amplitude_damping(p)).matrix
-        assert trace_distance_cost(chi_ad, proc.apply_matrix(prog)) <= 1e-10
+        assert cost_eval("C1", chi_ad, proc.apply_matrix(prog)) <= 1e-10
 
 
 def test_pqc_basis_program_is_gate_product():

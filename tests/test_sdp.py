@@ -12,7 +12,6 @@ from qprogopt.channels import (
     max_entangled,
     pauli_channel,
     rotation,
-    trace_distance_cost,
     unitary_channel,
 )
 from qprogopt.hermlin import partial_trace
@@ -460,7 +459,7 @@ def test_diamond_sandwich_random_instances():
     for _ in range(5):
         a = random_choi(2, rng).matrix
         b = random_choi(2, rng).matrix
-        c1 = trace_distance_cost(a, b)
+        c1 = cost_eval("C1", a, b)
         cd = diamond_distance(a - b, 2)
         assert c1 <= cd + 1e-7
         assert cd <= 2.0 * c1 + 1e-7
