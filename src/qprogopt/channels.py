@@ -381,7 +381,13 @@ def _fidelity_terms(root: np.ndarray, sim: np.ndarray) -> Tuple[float, np.ndarra
     """Fidelity F of ``sim`` to ``root``^2 and X with grad F = L*[X]."""
     dec = _eigh_desc(hermitize(root @ sim @ root))
     vals, u = dec.eigenvalues, dec.eigenvectors
-    mid = root @ ((u * _inv_sqrt_values(vals)) @ u.conj().T) @ root
+    try:
+        inv_sqrt = _inv_sqrt_values(vals)
+    except ValueError:  # a negative eigenvalue above the support cutoff
+        lam = float(np.linalg.eigvalsh(sim).min())
+        raise ValueError(f"CF: sim is not positive semidefinite on the target's support "
+                         f"(lambda_min(sim) = {lam:.6g})") from None
+    mid = root @ ((u * inv_sqrt) @ u.conj().T) @ root
     return _fidelity_of_spectrum(vals), 0.5 * hermitize(mid)
 
 

@@ -9,7 +9,13 @@ primal standard form
 
 under the inner product <A, X> = Re Tr[A^dag X], with an infeasible-start
 primal-dual path-following iteration, Nesterov-Todd scaling and a fixed
-fraction-to-boundary factor of 0.98.  An ``SdpProblem`` takes its
+fraction-to-boundary factor of 0.98.  Each iteration is Mehrotra's
+predictor-corrector: the corrector aims at sigma mu with sigma = (mu_aff /
+mu)^3, never below the complementarity the stopping test needs, and carries
+Mehrotra's second-order term, the predictor's sym(dX dS) in NT-scaled space
+(Todd-Toh-Tutuncu 1998), unless that term shortens the step below the
+predictor's.  The Schur matrix gets a ridge only when its Cholesky
+factorization fails.  An ``SdpProblem`` takes its
 constraints in groups of rows, each naming only the blocks it touches, and
 keeps per block the rows with a nonzero entry, flattened, so A(X), A*(y), the
 Newton right-hand side and the Schur matrix sum_b <A_j, W_b A_i W_b> are
@@ -207,22 +213,40 @@ class _NumericalBreakdown(Exception):
     """Interior-point linear algebra collapsed (indefinite or non-finite)."""
 
 
-def _nt_scaling(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """W with W S W = X for (k, d, d) stacks of Hermitian positive definite X, S;
-    for d = 1, elementwise on the real parts."""
+def _nt_scaling(x: np.ndarray, s: np.ndarray):
+    """NT scaling of (k, d, d) stacks of Hermitian positive definite X, S:
+    (W, G, lambda) with W S W = X, G = X^1/2 Q Lambda^-1/2 from
+    eigh(X^1/2 S X^1/2) = Q Lambda^2 Q^dag, so W = G G^dag and
+    G^-1 X G^-dag = G^dag S G = Lambda = diag(lambda).  For d = 1, W is
+    elementwise on the real parts and G and lambda are None."""
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s))):
         raise _NumericalBreakdown("non-finite iterate")
     if x.shape[1] == 1:
         rx = np.sqrt(np.clip(x.real, 1e-300, None))
-        return (rx * np.clip(rx * s.real * rx, 1e-300, None) ** -0.5) * rx
+        return (rx * np.clip(rx * s.real * rx, 1e-300, None) ** -0.5) * rx, None, None
     wx, vx = np.linalg.eigh(x)
     wx = np.clip(wx, 1e-300, None)
     rx = (vx * np.sqrt(wx)[:, None]) @ vx.conj().swapaxes(1, 2)
-    inner = hermitize(rx @ s @ rx)
-    wi, vi = np.linalg.eigh(inner)
+    wi, vi = np.linalg.eigh(hermitize(rx @ s @ rx))
     wi = np.clip(wi, 1e-300, None)
-    inner_inv_sqrt = (vi * (wi ** -0.5)[:, None]) @ vi.conj().swapaxes(1, 2)
-    return hermitize(rx @ inner_inv_sqrt @ rx)
+    g = (rx @ vi) * (wi ** -0.25)[:, None]
+    return hermitize(g @ g.conj().swapaxes(1, 2)), g, np.sqrt(wi)
+
+
+def _second_order(g, lam, s, s_inv, dx, ds) -> np.ndarray:
+    """Mehrotra's second-order term G C G^dag of one class, from the
+    predictor (dX, dS) in NT-scaled space: dX~ = G^-1 dX G^-dag with
+    G^-1 = Lambda^-1 G^dag S, dS~ = G^dag dS G, and
+    C_ij = [sym(dX~ dS~)]_ij 2 / (lambda_i + lambda_j).  For d = 1
+    (g None) it is dX dS S^-1 on the real parts."""
+    if g is None:
+        return dx.real * ds.real * s_inv
+    gh = g.conj().swapaxes(1, 2)
+    sg = s @ g
+    dxt = (sg.conj().swapaxes(1, 2) @ dx @ sg) / (lam[:, :, None] * lam[:, None, :])
+    p = dxt @ (gh @ ds @ g)
+    c = (p + p.conj().swapaxes(1, 2)) / (lam[:, :, None] + lam[:, None, :])
+    return hermitize(g @ c @ gh)
 
 
 def _inverse(s: np.ndarray) -> np.ndarray:
@@ -285,7 +309,17 @@ def _rows_index(r: np.ndarray):
 
 
 def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
-    """Infeasible-start primal-dual interior-point method with NT scaling."""
+    """Infeasible-start primal-dual interior-point method with NT scaling.
+
+    Each iteration solves the Newton system twice on one Schur factor: the
+    predictor (affine step) and the corrector, which aims at sigma mu,
+    sigma = (mu_aff / mu)^3, floored at tol (1 + |p| + |d|) / (2 n) so that
+    no step aims below the complementarity the stopping test needs, and
+    subtracts Mehrotra's second-order term G C G^dag (``_second_order``).
+    The term only moves centrality: A(dX) = r_p and dS = R_d - A*(dy) hold
+    for any right-hand side.  When the corrected step min(alpha_p, alpha_d)
+    is shorter than the predictor's, the corrector without the term is taken.
+    """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"solve_sdp: tol must be finite and > 0, got {tol!r}")
     dims = problem.block_dims
@@ -391,7 +425,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                 break
 
             try:
-                w = [_nt_scaling(xk, sk) for xk, sk in zip(x, s)]
+                w, g, lam = zip(*(_nt_scaling(xk, sk) for xk, sk in zip(x, s)))
                 s_inv = [_inverse(sk) for sk in s]
                 factors = [_chol(np.concatenate([xk, sk])) for xk, sk in zip(x, s)]
 
@@ -400,20 +434,25 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                     waw = wb @ mat @ wb
                     schur[sq] += (a @ waw.reshape(len(a), d * d).conj().T).real
                 schur = hermitize(schur)
-                # small ridge keeps the factorization alive when constraints are
-                # nearly dependent
-                schur += (1e-13 * max(1.0, float(np.trace(schur)) / max(m, 1))) * np.eye(m)
-
+                # a small ridge keeps the factorization alive when constraints
+                # are nearly dependent; only then, because A(dX) misses r_p by
+                # ridge * dy, which near the optimum stalls a tight tol
                 try:
                     schur_l = np.linalg.cholesky(schur)
                 except np.linalg.LinAlgError:
-                    schur_l = None
+                    schur += (1e-13 * max(1.0, float(np.trace(schur)) / max(m, 1))) * np.eye(m)
+                    try:
+                        schur_l = np.linalg.cholesky(schur)
+                    except np.linalg.LinAlgError:
+                        schur_l = None
 
                 # W R_d W, shared by the predictor and the corrector
                 wrw = [hermitize(wk @ rk @ wk) for wk, rk in zip(w, rd)]
 
-                def newton(sigma_mu):
-                    base = [sigma_mu * si - xk - v for si, xk, v in zip(s_inv, x, wrw)]
+                def newton(sigma_mu, second):
+                    """The step with dX + W dS W = sigma_mu S^-1 - X - second."""
+                    base = [sigma_mu * si - xk - v - t
+                            for si, xk, v, t in zip(s_inv, x, wrw, second)]
                     rhs = rp - a_of_x(split(base))
                     if schur_l is not None:
                         dy = np.linalg.solve(schur_l.T, np.linalg.solve(schur_l, rhs))
@@ -427,16 +466,26 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                     return dx, dy, ds
 
                 # predictor
-                dx_a, dy_a, ds_a = newton(0.0)
+                no_term = [0.0] * len(x)
+                dx_a, dy_a, ds_a = newton(0.0, no_term)
                 ap, ad = _steps(tau, factors, dx_a, ds_a)
+                step_a = min(ap, ad)
                 mu_aff = mean_dot([xk + ap * dk for xk, dk in zip(x, dx_a)],
                                   [sk + ad * dk for sk, dk in zip(s, ds_a)])
                 ratio = min(max(mu_aff, 0.0) / mu, 1.0)
                 sigma = max(ratio**3, 1e-8)
+                # the centering target, never below the complementarity (half
+                # the gap) that the stopping test needs
+                target = max(sigma * mu, tol * (1.0 + abs(pobj) + abs(dobj)) / (2.0 * n_total))
 
-                # corrector / centering
-                dx, dy, ds = newton(sigma * mu)
+                # corrector: centering plus Mehrotra's second-order term, or
+                # centering alone when the term shortens the step
+                second = [_second_order(*args) for args in zip(g, lam, s, s_inv, dx_a, ds_a)]
+                dx, dy, ds = newton(target, second)
                 ap, ad = _steps(tau, factors, dx, ds)
+                if min(ap, ad) < step_a:
+                    dx, dy, ds = newton(target, no_term)
+                    ap, ad = _steps(tau, factors, dx, ds)
             except _NumericalBreakdown:
                 status = "breakdown"
                 break

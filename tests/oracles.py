@@ -200,8 +200,13 @@ def admm_baseline(problem, rho: float = 1.0, iters: int = 20000, tol: float = 1e
     return float(cvec @ z)
 
 
-def random_sdp(rng: np.random.Generator, block_dims=(4, 3), m: int = 5):
-    """Strictly feasible random block SDP with bounded solutions."""
+def random_sdp(rng: np.random.Generator, block_dims=(4, 3), m: int = 5, face: bool = False):
+    """Strictly feasible random block SDP with bounded solutions.
+
+    With ``face`` the problem gets one more row, <v v^T, X_0> = 0 for a random
+    unit vector v, and its feasible point lies on that face: the dual stays
+    strictly feasible, but no X is (``facial_reduction`` undoes it).
+    """
     from qprogopt.sdp import SdpProblem
 
     def rand_sym(dim):
@@ -215,15 +220,38 @@ def random_sdp(rng: np.random.Generator, block_dims=(4, 3), m: int = 5):
     amats = [[rand_sym(dim) for dim in block_dims] for _ in range(m)]
     # keep the feasible set bounded: one constraint fixes the total trace
     amats.append([np.eye(dim) for dim in block_dims])
+    if face:
+        v = rng.normal(size=block_dims[0])
+        v /= np.linalg.norm(v)
+        amats.append([np.outer(v, v)] + [np.zeros((dim, dim)) for dim in block_dims[1:]])
     x0 = [rand_pd(dim) for dim in block_dims]
+    if face:
+        off_v = np.eye(block_dims[0]) - np.outer(v, v)
+        x0[0] = off_v @ x0[0] @ off_v
     bvec = [sum(float(np.sum(a * x)) for a, x in zip(row, x0)) for row in amats]
-    y0 = rng.normal(size=m + 1)
+    y0 = rng.normal(size=len(amats))
     cmats = []
     for blk, dim in enumerate(block_dims):
         s_blk = rand_pd(dim)
-        cmats.append(s_blk + sum(y0[i] * amats[i][blk] for i in range(m + 1)))
+        cmats.append(s_blk + sum(y0[i] * amats[i][blk] for i in range(len(amats))))
     terms = {blk: np.array([row[blk] for row in amats]) for blk in range(len(block_dims))}
     return SdpProblem(objective=cmats, constraints=[(terms, bvec)])
+
+
+def facial_reduction(problem):
+    """The strictly feasible problem of ``random_sdp(..., face=True)``, with the
+    same optimal value: every feasible X_0 is P Y P^T for an orthonormal basis
+    P of the kernel of the last row's v v^T, so block 0 becomes Y and that row
+    goes."""
+    from qprogopt.sdp import SdpProblem
+
+    [(terms, rhs)] = problem.constraints
+    w, u = np.linalg.eigh(terms[0][-1])
+    p = u[:, w < 0.5]
+    terms = {blk: a[:-1] for blk, a in terms.items()}
+    terms[0] = p.T @ terms[0] @ p
+    objective = [p.T @ problem.objective[0] @ p, *problem.objective[1:]]
+    return SdpProblem(objective=objective, constraints=[(terms, rhs[:-1])])
 
 
 # --- diamond-norm oracle --------------------------------------------------------

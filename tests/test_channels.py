@@ -187,6 +187,13 @@ def test_cost_rejects_bad_input(fault):
                 cost_eval(kind, target, sim, p=2.0, mu=1e-2)
 
 
+def test_infidelity_names_an_indefinite_sim():
+    # a Hermitian sim with a negative eigenvalue on the target's support: the
+    # error names sim and its least eigenvalue, not CF's inverse square root
+    with pytest.raises(ValueError, match=r"CF: sim .* \(lambda_min\(sim\) = -0\.1\)"):
+        cost_eval("CF", np.eye(4) / 4, np.diag([0.5, 0.3, 0.3, -0.1]))
+
+
 def test_fuchs_van_de_graaf_chain():
     rng = np.random.default_rng(3)
     d = 2

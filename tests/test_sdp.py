@@ -36,7 +36,7 @@ from qprogopt.sdp import (
     solve_sdp,
 )
 
-from oracles import admm_baseline, diamond_grid_oracle, random_sdp
+from oracles import admm_baseline, diamond_grid_oracle, facial_reduction, random_sdp
 
 TELE = teleportation_processor(2)
 PHI = max_entangled(2).matrix
@@ -202,13 +202,35 @@ def test_solve_sdp_hermitian_blocks():
     assert np.abs(x1 - np.diag([1.0, 0.0])).max() <= 1e-6
 
 
-@pytest.mark.parametrize("seed, block_dims", [(3104, (3, 2)), (9034, (2, 2, 2))])
+def _complex(prob, blocks=lambda b: True):
+    """prob with the chosen blocks' objective and constraint stacks cast to complex."""
+    [(terms, rhs)] = prob.constraints
+
+    def cast(stacks):
+        return [b.astype(complex) if blocks(b) else b for b in stacks]
+    return SdpProblem(cast(prob.objective), [(dict(zip(terms, cast(terms.values()))), rhs)])
+
+
+@pytest.mark.parametrize("seed, block_dims", [(0, (3, 2)), (1, (2, 2, 2))])
 def test_solve_sdp_divergence_keeps_best_iterate(seed, block_dims):
-    # these strictly feasible instances stall and then blow up; without a
-    # Farkas ray that is a breakdown, not infeasibility
-    prob = random_sdp(np.random.default_rng(seed), block_dims=block_dims, m=7)
+    # no X of these instances is strictly feasible, so the iterates run into
+    # the face and blow up; without a Farkas ray that is a breakdown, not
+    # infeasibility, and the best iterate is kept
+    prob = random_sdp(np.random.default_rng(seed), block_dims=block_dims, m=5, face=True)
     sol = solve_sdp(prob)
     assert sol.status == "breakdown"
+    ref = admm_baseline(facial_reduction(prob))
+    assert abs(sol.primal_objective - ref) <= 1e-6 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("seed, block_dims, m, cast", [
+    (3104, (3, 2), 7, False), (9034, (2, 2, 2), 7, False), (153, (3, 2), 6, True)])
+def test_solve_sdp_former_breakdowns_solve(seed, block_dims, m, cast):
+    # these strictly feasible instances (the last with every block complex)
+    # stalled and blew up before the corrector had its second-order term
+    prob = random_sdp(np.random.default_rng(seed), block_dims=block_dims, m=m)
+    sol = solve_sdp(_complex(prob) if cast else prob)
+    assert sol.status == "optimal"
     ref = admm_baseline(prob)
     assert abs(sol.primal_objective - ref) <= 1e-6 * max(1.0, abs(ref))
 
@@ -234,34 +256,31 @@ def test_solve_sdp_keeps_real_blocks_real_among_complex_ones():
         assert np.abs(sol.primal_blocks[b] - x).max() <= 1e-10
 
 
-# (status, iterations, objective) as recorded before the solver grouped blocks
-# of one size (the complex 1 x 1 case: before it solved 1 x 1 blocks
-# elementwise); stacking the blocks must not move the solver's path
+# (status, iterations, objective) of the solver's path: a change that moves
+# the path re-pins them and says why; one that only restructures must not
 _COMPLEX_SCALARS = 64  # this seed's 1 x 1 blocks carry complex dtype
-# this seed's blocks all carry complex dtype; its iterates diverge and
-# overflow in the Newton step before the loop's tests see a non-finite value,
-# and the suite turns numpy's warnings into errors
-_COMPLEX_DIVERGING = 153
+# this seed's face instance (no strictly feasible X) with every block complex;
+# its iterates diverge and overflow in the Newton step before the loop's tests
+# see a non-finite value, and the suite turns numpy's warnings into errors
+_COMPLEX_DIVERGING = 0
 
 
 @pytest.mark.parametrize("seed, block_dims, status, iterations, objective", [
-    (61, (4, 4, 2, 1), "optimal", 17, -8.021933063105884),
-    (62, (3, 3, 3, 1, 1), "optimal", 19, -25.654453590462676),
-    (63, (2, 2, 2), "optimal", 11, 18.226785138846626),
-    pytest.param(_COMPLEX_SCALARS, (3, 1, 2, 1), "optimal", 14, 18.83984395559536,
+    pytest.param(61, (4, 4, 2, 1), "optimal", 11, -8.021932510897122, id="61"),
+    pytest.param(62, (3, 3, 3, 1, 1), "optimal", 11, -25.65445312058436, id="62"),
+    pytest.param(63, (2, 2, 2), "optimal", 8, 18.226784884038562, id="63"),
+    pytest.param(_COMPLEX_SCALARS, (3, 1, 2, 1), "optimal", 9, 18.839843519928166,
                  id="complex-scalars"),
-    pytest.param(_COMPLEX_DIVERGING, (3, 2), "breakdown", 36, 5.158423497985118,
+    pytest.param(_COMPLEX_DIVERGING, (3, 2), "breakdown", 71, 36.66161550069424,
                  id="complex-diverging"),
 ])
 def test_solve_sdp_path_is_pinned(seed, block_dims, status, iterations, objective):
-    prob = random_sdp(np.random.default_rng(seed), block_dims=block_dims, m=6)
-    if seed in (_COMPLEX_SCALARS, _COMPLEX_DIVERGING):
-        def cast(blocks):
-            return [b.astype(complex) if seed == _COMPLEX_DIVERGING or b.shape[-1] == 1 else b
-                    for b in blocks]
-        [(terms, rhs)] = prob.constraints
-        prob = SdpProblem(cast(prob.objective),
-                          [(dict(zip(terms, cast(terms.values()))), rhs)])
+    prob = random_sdp(np.random.default_rng(seed), block_dims=block_dims, m=6,
+                      face=seed == _COMPLEX_DIVERGING)
+    if seed == _COMPLEX_SCALARS:
+        prob = _complex(prob, lambda b: b.shape[-1] == 1)
+    elif seed == _COMPLEX_DIVERGING:
+        prob = _complex(prob)
     sol = solve_sdp(prob)
     assert (sol.status, sol.iterations) == (status, iterations)
     assert sol.primal_objective == pytest.approx(objective, rel=1e-12)
@@ -284,8 +303,8 @@ def test_diamond_solve_path_is_pinned(monkeypatch):
     rng = np.random.default_rng(64)
     chi = random_choi(2, rng).matrix - random_choi(2, rng).matrix
     _, [sol] = _solves_inside(monkeypatch, lambda: diamond_distance(chi, 2))
-    assert (sol.status, sol.iterations) == ("optimal", 21)
-    assert sol.primal_objective == pytest.approx(0.598110083053048, rel=1e-12)
+    assert (sol.status, sol.iterations) == ("optimal", 13)
+    assert sol.primal_objective == pytest.approx(0.5981100850218776, rel=1e-12)
 
 
 def test_choi_diamond_solve_paths_are_pinned(monkeypatch):
@@ -296,9 +315,9 @@ def test_choi_diamond_solve_paths_are_pinned(monkeypatch):
     (_, value), solves = _solves_inside(monkeypatch, lambda: optimize_choi_diamond(6, 2, chi_a))
     assert len(solves) == 1
     [joint] = solves
-    assert (joint.status, joint.iterations) == ("optimal", 20)
-    assert joint.primal_objective == pytest.approx(0.14765711050262117, rel=1e-12)
-    assert value == pytest.approx(0.14765711293222678, rel=1e-12)
+    assert (joint.status, joint.iterations) == ("optimal", 11)
+    assert joint.primal_objective == pytest.approx(0.14765712095686578, rel=1e-12)
+    assert value == pytest.approx(0.14765711877279014, rel=1e-12)
     assert value <= joint.dual_objective + 100 * sdp.DEFAULT_TOL
 
 
