@@ -513,6 +513,15 @@ def _verify_checks(level: str):
     yield ("diamond vs closed form (depolarizing)",
            abs(sdp.diamond_distance(chi_i - chi_d, 2) - 0.45), 1e-6)
 
+    # a generator of its own, so the checks above and below keep their inputs
+    blocks_rng = np.random.default_rng(20241)
+    lost = 0.0
+    for proc in (tele, processors.pqc_processor(2)):
+        pi = rand.random_density(proc.d_prog, blocks_rng).matrix
+        part = proc.block_coords.embed(proc.block_coords.part(pi))
+        lost = max(lost, float(np.abs(proc.apply_matrix(pi) - proc.apply_matrix(part)).max()))
+    yield ("program blocks lose no output (tele, pqc)", lost, 1e-12)
+
     if level == "full":
         for n in (2, 3):
             full = processors.pbt_processor(n, 2)

@@ -19,9 +19,22 @@ A program is a ``DensityMatrix``.  Its feasible set follows the processor's
 spectrum-to-simplex, computed in closed form) or the single-port Choi set of
 the reduced port-based-teleportation map (projection by semismooth Newton on
 its d x d dual multiplier).  ``project_program`` makes that choice for the
-SDP programs' recovery step.  The first-order methods keep their iterates
-as plain ndarrays and validate one program per run, the one they return;
-their target is checked once, before the first iterate.
+SDP programs' recovery step.
+
+The first-order methods iterate in the processor's block coordinates
+(``ProcessorMap.block_coords``): one (nb, m, m) stack of block matrices per
+block size, which the map cannot tell from the whole program.  The gradient
+of a block-structured program is block-structured, and so is its projection,
+so the iteration is the one on whole programs, with one stacked ``eigh`` per
+size class (none for 1 x 1 blocks) and one simplex projection of the whole
+spectrum, each eigenvalue counted once per copy of its block.  The
+Frank-Wolfe vertex is the least eigenvector of the gradient's blocks, spread
+evenly over the copies of its block.  A random initial program is replaced by
+its block part, which has the same cost.  Iterates are plain ndarrays; one
+program per run is re-embedded and validated, the one returned, and the
+target is checked once, before the first iterate.  With the single block
+V = I (the reduced PBT map), the coordinates are the program itself and the
+arithmetic is that of the whole-program loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -155,17 +168,21 @@ def simulation_gradient(proc: ProcessorMap, chi_target, pi, kind: str = "C1",
 # --- projections ------------------------------------------------------------
 
 
-def simplex_project(x: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the probability simplex."""
+def simplex_project(x: np.ndarray, counts: Optional[np.ndarray] = None) -> np.ndarray:
+    """Euclidean projection of a real vector onto the probability simplex.
+
+    With ``counts``, entry i stands for counts[i] equal entries: the result
+    is the y >= 0 with sum_i counts_i y_i = 1 nearest to x in the norm
+    sum_i counts_i (x_i - y_i)^2, y_i = max(x_i - theta, 0).
+    """
     x = np.asarray(x, dtype=float)
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, x.size + 1)
-    thresholds = (css - 1.0) / ks
-    s = int(np.nonzero(u > thresholds)[0][-1]) + 1
-    theta = (css[s - 1] - 1.0) / s
-    out = np.clip(x - theta, 0.0, None)
-    return out / out.sum()
+    w = np.ones(x.size) if counts is None else np.asarray(counts, dtype=float)
+    order = x.argsort()[::-1]
+    u, wu = x[order], w[order]
+    thresholds = ((wu * u).cumsum() - 1.0) / wu.cumsum()
+    theta = thresholds[(u > thresholds).nonzero()[0][-1]]
+    out = np.maximum(x - theta, 0.0)
+    return out / (w * out).sum()
 
 
 def project_to_states(x: np.ndarray) -> DensityMatrix:
@@ -176,14 +193,30 @@ def project_to_states(x: np.ndarray) -> DensityMatrix:
     with theta = (sum_{j<=s} x_j - 1)/s and s the largest k for which
     x_k > (sum_{j<=k} x_j - 1)/k.
     """
-    return DensityMatrix(_states_projection(x))
+    return DensityMatrix(_states_projection([hermitize(np.asarray(x, dtype=complex))[None]])[0][0])
 
 
-def _states_projection(x: np.ndarray) -> np.ndarray:
-    dec = _eigh_desc(hermitize(np.asarray(x, dtype=complex)))
-    lam = simplex_project(dec.eigenvalues)
-    u = dec.eigenvectors
-    return hermitize((u * lam) @ u.conj().T)
+def _spectrum(stack: np.ndarray):
+    """Ascending eigenvalues and eigenvectors of a Hermitian (nb, m, m) stack;
+    a 1 x 1 block is its own spectrum (vectors None)."""
+    if stack.shape[-1] == 1:
+        return stack[:, :, 0].real, None
+    return np.linalg.eigh(stack)
+
+
+def _states_projection(stacks: list, counts: Optional[np.ndarray] = None) -> list:
+    """``project_to_states`` in block coordinates: one stacked ``eigh`` per class,
+    then one simplex projection of the whole spectrum, each eigenvalue counted
+    ``counts`` times (once per copy of its block; the identity block by default)."""
+    spectra = [_spectrum(st) for st in stacks]
+    lam = simplex_project(np.concatenate([w.ravel() for w, _ in spectra]), counts)
+    out, start = [], 0
+    for w, u in spectra:
+        lk = lam[start:start + w.size].reshape(w.shape)
+        start += w.size
+        out.append(lk[:, :, None].astype(complex) if u is None
+                   else hermitize((u * lk[:, None, :]) @ u.conj().swapaxes(-1, -2)))
+    return out
 
 
 class _DualPoint(NamedTuple):
@@ -277,45 +310,55 @@ def project_program(proc: ProcessorMap, x: np.ndarray) -> DensityMatrix:
     return project_to_states(x)
 
 
-def _projection(proc: ProcessorMap, x: np.ndarray) -> np.ndarray:
-    """``project_program``'s matrix, not validated: the first-order iterates."""
+def _projection(proc: ProcessorMap, stacks: list) -> list:
+    """``project_program`` in block coordinates, not validated: the first-order
+    iterates.  The Choi set is projected on the re-embedded program."""
+    coords = proc.block_coords
     if proc.program_domain == "choi":
-        return _choi_projection(x, proc.d_in)
-    return _states_projection(x)
+        return coords.part(_choi_projection(coords.embed(stacks), proc.d_in))
+    return _states_projection(stacks, coords.counts)
 
 
 # --- iterative methods ------------------------------------------------------
 
 
-def _initial_program(proc: ProcessorMap, cfg: OptimConfig) -> np.ndarray:
+def _initial_program(proc: ProcessorMap, cfg: OptimConfig) -> list:
+    """The initial program in block coordinates.  A random program is replaced by
+    its block part, a feasible program with the same cost."""
+    coords = proc.block_coords
     if cfg.init == "maximally_mixed":
-        return np.eye(proc.d_prog, dtype=complex) / proc.d_prog
+        return [np.tile(np.eye(m, dtype=complex) / proc.d_prog, (nb, 1, 1))
+                for nb, m, _ in coords.shapes]
     rng = np.random.default_rng(cfg.seed)
     g = rng.normal(size=(proc.d_prog, proc.d_prog)) + 1j * rng.normal(
         size=(proc.d_prog, proc.d_prog)
     )
     m = hermitize(g @ g.conj().T)
     m /= np.trace(m).real
-    return _projection(proc, m)
+    if proc.program_domain == "choi":
+        m = _choi_projection(m, proc.d_in)
+    return coords.part(m)
 
 
 def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
-    """Iterate ``step(pi, gradient at pi, it)`` from the initial program and
-    keep the best iterate.  Each iterate costs one processor apply and one
-    spectral decomposition, which give both its cost and its gradient.
-    Iterates are plain ndarrays; only the returned one is validated, as a
-    ``DensityMatrix`` or a ``ChoiMatrix`` by the program domain, and the
-    target is checked once before the first iterate."""
+    """Iterate ``step(program, gradient, it)`` from the initial program and
+    keep the best iterate.  Programs and gradients are in the processor's
+    block coordinates (``ProcessorMap.block_coords``): each iterate costs one
+    apply and one dual on the block stacks, and one spectral decomposition of
+    the simulated channel, which gives both its cost and its gradient.  The
+    best iterate is re-embedded and validated once, as a ``DensityMatrix`` or
+    a ``ChoiMatrix`` by the program domain; the target is checked once before
+    the first iterate."""
     terms = _COSTS[cfg.cost_kind](_target(proc, chi_target), cfg.mu)
     pi = _initial_program(proc, cfg)
-    cost, x = terms(proc.apply_matrix(pi))
+    cost, x = terms(proc.apply_matrix(pi, blocks=True))
     best = cost
     best_pi = pi
     trace: List[Tuple[int, float]] = [(0, best)]
     converged = False
     for it in range(1, cfg.max_iters + 1):
-        pi = step(pi, _gradient(proc, x), it)
-        cost, x = terms(proc.apply_matrix(pi))
+        pi = step(pi, proc.dual(x, blocks=True), it)
+        cost, x = terms(proc.apply_matrix(pi, blocks=True))
         if cost < best:
             best = cost
             best_pi = pi
@@ -323,7 +366,8 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
         if it >= STALL_WINDOW and trace[it - STALL_WINDOW][1] - best < cfg.tolerance:
             converged = True
             break
-    m = hermitize(best_pi)  # a Frank-Wolfe mix is Hermitian only to rounding
+    # a Frank-Wolfe mix is Hermitian only to rounding
+    m = hermitize(proc.block_coords.embed(best_pi))
     return OptimResult(
         program=(ChoiMatrix(m, proc.d_in, proc.d_out) if proc.program_domain == "choi"
                  else DensityMatrix(m)),
@@ -336,7 +380,8 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
 def projected_subgradient(proc: ProcessorMap, chi_target, cfg: OptimConfig = OptimConfig()) -> OptimResult:
     """Subgradient step followed by projection back to the feasible set."""
     def step(pi, g, it):
-        return _projection(proc, pi - cfg.learning_rate(it) * g)
+        lr = cfg.learning_rate(it)
+        return _projection(proc, [pk - lr * gk for pk, gk in zip(pi, g)])
 
     return _run_loop(proc, chi_target, cfg, step)
 
@@ -345,21 +390,28 @@ def frank_wolfe(proc: ProcessorMap, chi_target, cfg: OptimConfig = OptimConfig()
     """Conditional-gradient iteration with the exact 2/(i+2) step weight.
 
     Each step mixes toward the eigenvector of the smallest eigenvalue of the
-    current gradient.  Requires a differentiable cost; the trace cost is
-    accepted but its subgradient may stall near kinks, where the smoothed
-    cost is the better choice.
+    current gradient, spread evenly over the copies of its block.  Requires
+    a differentiable cost; the trace cost is accepted but its subgradient may
+    stall near kinks, where the smoothed cost is the better choice.
     """
     if proc.program_domain == "choi":
         raise ValueError(
             "frank_wolfe: pure-state vertices leave the Choi-constrained set; "
             "use projected_subgradient for the reduced map"
         )
+    copies = proc.block_coords.copies
+
     def step(pi, g, it):
-        vals, vecs = np.linalg.eigh(g)  # g is a hermitize output
-        v = vecs[:, 0]  # eigenvector of the smallest eigenvalue
-        vertex = np.outer(v, v.conj())
+        spectra = [_spectrum(gk) for gk in g]
+        lows = [vals.argmin() for vals, _ in spectra]
+        k = min(range(len(g)), key=lambda c: spectra[c][0].flat[lows[c]])
+        vals, vecs = spectra[k]
+        b, j = divmod(int(lows[k]), vals.shape[1])
         w = 2.0 / (it + 2.0)
-        return (1.0 - w) * pi + w * vertex
+        out = [(1.0 - w) * pk for pk in pi]
+        v = vecs[b, :, j] if vecs is not None else np.ones(1)
+        out[k][b] += (w / copies[k][b]) * (v[:, None] * v.conj())
+        return out
 
     return _run_loop(proc, chi_target, cfg, step)
 

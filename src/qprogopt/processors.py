@@ -27,10 +27,15 @@ a plain Kronecker power of a Choi matrix.  PQC programs order registers as
 Every processor also carries its program symmetry as ``blocks``: stacks of
 isometry copies V_c (d_prog x m), with programs pi = sum_blocks sum_c V_c M
 V_c^dag losing no output of the map, so the SDP programs search the m x m
-blocks M only.  ``pbt_processor`` has the S_N isotypic blocks of its port
-relabelings (N=3 qubits: 20, 20 twice, and 4, instead of 64), built on
-first use, so a processor that no SDP program solves never builds them;
-the others keep the single block V = I.
+blocks M only, and the first-order methods iterate on them
+(``block_coords``).  ``pbt_processor`` has the S_N isotypic blocks of its
+port relabelings (N=3 qubits: 20, 20 twice, and 4, instead of 64);
+``teleportation_processor(d)`` has d^2 one-dimensional Bell blocks
+(I (x) W_i)|Phi>, since the map sees only the Bell-diagonal part of the
+program; ``pqc_processor`` and ``mpqc_processor`` have one 2 x 2 block on R_0
+per basis string of R_1..R_N, since each R_j only controls its gate and is
+then traced out.  Blocks are built on first use; ``pbt_reduced_map`` keeps
+the single block V = I.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -49,6 +54,7 @@ from .hermlin import embed_operator, hermitize, matrix_function, matrix_inv_sqrt
 __all__ = [
     "CapacityError",
     "ProcessorMap",
+    "BlockCoords",
     "teleportation_processor",
     "pbt_povm",
     "pbt_processor",
@@ -135,6 +141,11 @@ class ProcessorMap:
                 ) from None
 
     @functools.cached_property
+    def block_coords(self) -> "BlockCoords":
+        """The program's block coordinates and the block transfer S E, built on first use."""
+        return BlockCoords.of(self)
+
+    @functools.cached_property
     def blocks(self) -> tuple:
         """The program blocks of ``symmetry``, checked to be an orthonormal basis."""
         dp = self.d_prog
@@ -151,33 +162,124 @@ class ProcessorMap:
     def d_choi(self) -> int:
         return self.d_in * self.d_out
 
-    def apply_matrix(self, pi: MatrixLike) -> np.ndarray:
-        """Raw Choi-space matrix of the simulated channel (no wrapping)."""
+    def apply_matrix(self, pi: Union[MatrixLike, list], blocks: bool = False) -> np.ndarray:
+        """Raw Choi-space matrix of the simulated channel (no wrapping).
+
+        With ``blocks``, ``pi`` is given in block coordinates (one (nb, m, m)
+        stack per size class of ``block_coords``) and the block transfer S E
+        maps it, unchecked: the first-order methods' iterates.
+        """
+        dc = self.d_choi
+        if blocks:
+            coords = self.block_coords
+            vec = pi[0].ravel() if len(pi) == 1 else np.concatenate([p.ravel() for p in pi])
+            return hermitize((coords.transfer @ vec).reshape(dc, dc))
         m = as_matrix(pi)
         if m.shape != (self.d_prog, self.d_prog):
             raise ValueError(
                 f"ProcessorMap {self.label!r}: program shape {m.shape}, "
                 f"expected ({self.d_prog}, {self.d_prog})"
             )
-        dc = self.d_choi
         return hermitize((self.transfer @ m.ravel()).reshape(dc, dc))
 
-    def dual(self, x: np.ndarray) -> np.ndarray:
+    def dual(self, x: np.ndarray, blocks: bool = False) -> Union[np.ndarray, list]:
         """Adjoint map on Choi-space observables, vec(Lambda*(X)) = S^dag vec(X).
 
         ``x`` is one (d_choi, d_choi) observable or a stack of shape
         (k, d_choi, d_choi); the result has the matching shape over d_prog.
+        With ``blocks``, ``x`` is one observable and the result is the block
+        part of the Hermitian part of Lambda*(X) in block coordinates, one
+        (nb, m, m) stack per size class: M_b = sum_c V_c^dag Lambda*(X) V_c /
+        copies, read off (S E)^dag vec(X).
         """
         x = np.asarray(x, dtype=complex)
         dc, dp = self.d_choi, self.d_prog
-        if x.shape[-2:] != (dc, dc) or x.ndim not in (2, 3):
+        if x.shape[-2:] != (dc, dc) or x.ndim not in (2, 3) or (blocks and x.ndim != 2):
             raise ValueError(
                 f"ProcessorMap {self.label!r}: observable shape {x.shape}, "
-                f"expected ([k,] {dc}, {dc})"
+                f"expected ({'' if blocks else '[k,] '}{dc}, {dc})"
             )
         # X S^* = (X^* S)^*, which spares a conjugated copy of S per call
+        if blocks:
+            coords = self.block_coords
+            flat = np.conj(x.reshape(1, dc * dc).conj() @ coords.transfer)[0]
+            return [hermitize(flat[sl].reshape(shape) / copies)
+                    for sl, shape, copies in zip(coords.slices, coords.shapes, coords.copies)]
         flat = np.conj(x.reshape(-1, dc * dc).conj() @ self.transfer)
         return flat.reshape(x.shape[:-2] + (dp, dp))
+
+
+class BlockCoords(NamedTuple):
+    """A processor's programs in block coordinates.
+
+    The blocks of one size m form a class, kept as one (nb, m, m) stack of
+    block matrices M_b (``shapes``, in order of first appearance in
+    ``blocks``); the program is pi = sum_b sum_c V_c M_b V_c^dag.  ``transfer``
+    is S E, the transfer S times the embedding E of the stacks' concatenated
+    row-major vecs into vec(pi), and class k owns its columns ``slices[k]``.
+    ``copies[k]`` holds each block's copy count, shaped (nb, 1, 1), and
+    ``counts`` each block eigenvalue's multiplicity in pi, in the order of the
+    stacks' eigenvalues.  With the single block V = I, ``transfer`` is S
+    itself and the coordinates are pi[None]: no arithmetic changes.
+    """
+
+    transfer: np.ndarray
+    isometries: tuple  # per class, the blocks' (copies, d_prog, m) stacks
+    copies: tuple
+    shapes: tuple
+    slices: tuple
+    counts: np.ndarray
+    identity: bool
+
+    @classmethod
+    def of(cls, proc: "ProcessorMap") -> "BlockCoords":
+        blocks = proc.blocks
+        sizes = list(dict.fromkeys(v.shape[2] for v in blocks))
+        isometries = tuple(tuple(v for v in blocks if v.shape[2] == m) for m in sizes)
+        copies = tuple(np.array([float(len(v)) for v in members])[:, None, None]
+                       for members in isometries)
+        shapes = tuple((len(members), m, m) for members, m in zip(isometries, sizes))
+        ends = np.cumsum([nb * m * m for nb, m, _ in shapes]).tolist()
+        slices = tuple(slice(e - nb * m * m, e) for e, (nb, m, _) in zip(ends, shapes))
+        counts = np.concatenate([np.repeat(c.ravel(), m) for c, m in zip(copies, sizes)])
+        identity = proc.symmetry is None
+        transfer = (proc.transfer if identity else
+                    _block_transfer(proc.transfer, proc.d_prog, [v for c in isometries for v in c]))
+        return cls(transfer, isometries, copies, shapes, slices, counts, identity)
+
+    def embed(self, stacks: list) -> np.ndarray:
+        """The program pi = sum_b sum_c V_c M_b V_c^dag of block coordinates."""
+        if self.identity:
+            return stacks[0][0]
+        return sum(vc @ mb @ vc.conj().T for stack, members in zip(stacks, self.isometries)
+                   for mb, v in zip(stack, members) for vc in v)
+
+    def part(self, pi: np.ndarray) -> list:
+        """Block coordinates of the block part of pi, M_b = sum_c V_c^dag pi V_c / copies."""
+        if self.identity:
+            return [np.asarray(pi, dtype=complex)[None]]
+        return [np.array([sum(vc.conj().T @ pi @ vc for vc in v) / len(v) for v in members])
+                for members in self.isometries]
+
+
+def _block_transfer(s: np.ndarray, dp: int, blocks: list) -> np.ndarray:
+    """S E, E_b = sum_c V_c (x) V_c^*, so (S E)[r, (k, l)] = sum_c sum_ij S[r, (i, j)]
+    V_c[i, k] V_c^*[j, l]; two 2-D products per copy, in real arithmetic when S and
+    the blocks are real."""
+    real = not np.any(s.imag) and not any(np.any(v.imag) for v in blocks)
+    if real:
+        s, blocks = s.real, [v.real for v in blocks]
+    rows = s.shape[0]
+    s2 = s.reshape(rows * dp, dp)  # [(r, i), j]
+    cols = []
+    for v in blocks:
+        m = v.shape[2]
+        acc = 0
+        for vc in v:
+            t = (s2 @ vc.conj()).reshape(rows, dp, m).transpose(0, 2, 1)  # [r, l, i]
+            acc = acc + (t.reshape(rows * m, dp) @ vc).reshape(rows, m, m)  # [r, l, k]
+        cols.append(acc.transpose(0, 2, 1).reshape(rows, m * m))
+    return np.concatenate(cols, axis=1).astype(complex)
 
 
 def _transfer_from_kraus(kraus: np.ndarray) -> np.ndarray:
@@ -203,7 +305,16 @@ def teleportation_processor(d: int = 2) -> ProcessorMap:
     ws = weyl_unitaries(d)
     kraus = np.stack([np.kron(w.conj(), w) / d for w in ws])
     return ProcessorMap(_transfer_from_kraus(kraus), d_prog=d * d, d_in=d, d_out=d,
-                        label=f"teleportation[d={d}]")
+                        label=f"teleportation[d={d}]",
+                        symmetry=functools.partial(_bell_blocks, d))
+
+
+def _bell_blocks(d: int) -> tuple:
+    """One block per Bell vector (I (x) W_i)|Phi>: each W_j^* (x) W_j is diagonal in
+    the Bell basis, and its phases average the off-diagonal Bell entries to zero, so
+    the map sees only the program's Bell-diagonal part."""
+    phi = np.eye(d).ravel() / math.sqrt(d)
+    return tuple((np.kron(np.eye(d), w) @ phi)[None, :, None] for w in weyl_unitaries(d))
 
 
 # --- port-based teleportation ----------------------------------------------
@@ -459,7 +570,16 @@ def _circuit_processor(kind: str, n_gates: int, cap: int, h0, h1,
     # K_m[(b, a'), r] = U[(a', m), (b, r)] / sqrt(d_A), Choi ordered (B, A)
     kraus = u4.transpose(1, 2, 0, 3).reshape(d_reg, d_a * d_a, d_reg) / math.sqrt(d_a)
     return ProcessorMap(_transfer_from_kraus(kraus), d_prog=d_reg,
-                        d_in=d_a, d_out=d_a, label=f"{kind}[N={n_gates}]")
+                        d_in=d_a, d_out=d_a, label=f"{kind}[N={n_gates}]",
+                        symmetry=functools.partial(_register_blocks, reg_dim**n_gates))
+
+
+def _register_blocks(strings: int) -> tuple:
+    """One 2 x 2 block on R_0 per basis string s of R_1..R_N, spanned by |0, s> and
+    |1, s>: U = sum_s U_s (x) |s><s| and R_1..R_N are traced out, so the map sees only
+    the blocks <s| pi |s> on R_0."""
+    eye = np.eye(2 * strings)
+    return tuple(eye[:, [s, strings + s]][None] for s in range(strings))
 
 
 def pqc_processor(n_gates: int, h0: Optional[np.ndarray] = None,

@@ -201,7 +201,9 @@ class SdpSolution:
     primal_objective: float
     dual_objective: float
     gap: float
-    status: str  # optimal | max_iter | infeasible | breakdown (best iterate kept)
+    # optimal | max_iter | breakdown (best iterate kept) | infeasible | unbounded
+    # (last iterate kept: the Farkas or the primal ray)
+    status: str
     iterations: int
     residual_primal: float
     residual_dual: float
@@ -419,6 +421,15 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                 if math.sqrt(sum(dots(ray, ray))) / y_norm <= 1e-6:
                     status = "infeasible"
                     break
+            # primal-unboundedness certificate: an improving primal ray, with
+            # A(X) vanishing relative to ||X||; the objective test comes first,
+            # so a bounded solve pays one compare
+            if pobj < -1.0:
+                x_norm = math.sqrt(sum(dots(x, x)))
+                if (x_norm > 1e3 and math.hypot(*(bvec - rp)) / x_norm <= 1e-6
+                        and pobj / x_norm < -1e-6):
+                    status = "unbounded"
+                    break
             # a blow-up without a Farkas ray is a breakdown: keep the best iterate
             if not np.isfinite(mu) or mu > 1e150 or y_norm > 1e150 or mu <= 0.0:
                 status = "breakdown"
@@ -493,10 +504,12 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
             s = [hermitize(sk + ad * dk) for sk, dk in zip(s, ds)]
             y = y + ad * dy
 
-    if status != "infeasible" and best is not None:
+    # a certificate keeps the last iterate, the ray; anything else the best one
+    certified = status in ("infeasible", "unbounded")
+    if not certified and best is not None:
         _, x, y, s = best
     _, _, _, pobj, dobj, res_p, res_d, gap_rel = residuals(x, y, s)
-    if status != "infeasible":
+    if not certified:
         status = "optimal" if max(res_p, res_d, gap_rel) <= tol else status
     # undo the data scaling: X carries the b scale, (y, S) carry the C scale
     unit = c_scale * b_scale
@@ -589,15 +602,16 @@ def _trace_builder(chi: np.ndarray, proc: ProcessorMap):
 
 def _warn_if_failed(sol: SdpSolution, who: str, tol: float = DEFAULT_TOL,
                     stacklevel: int = 3) -> None:
-    """Raise on infeasibility; warn when a solve stopped far from tolerance.
+    """Raise on infeasibility or unboundedness (every program built here is
+    bounded and strictly feasible); warn when a solve stopped far from tolerance.
 
     Stalls within ~50x of the target tolerance stay silent: no entry point
     reports a solver objective.  Each re-evaluates its cost at the projected
     program or repairs a diamond Z to exact feasibility there, and
     ``optimize_program_diamond`` re-solves when its joint solve is not optimal.
     """
-    if sol.status == "infeasible":
-        raise RuntimeError(f"{who}: solver reported infeasibility")
+    if sol.status in ("infeasible", "unbounded"):
+        raise RuntimeError(f"{who}: solver reported the problem {sol.status}")
     if sol.status != "optimal":
         gap_rel = sol.gap / (1.0 + abs(sol.primal_objective) + abs(sol.dual_objective))
         merit = max(gap_rel, sol.residual_primal, sol.residual_dual)

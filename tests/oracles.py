@@ -10,7 +10,9 @@ out by hand.  PBT programs are permuted port by port and averaged over all
 port orders, random programs are drawn from a processor's program domain,
 the Choi-set projection is Dykstra's alternating scheme instead of a
 Newton method on the dual, and the matrix sign comes from ``np.linalg.eigh``
-and an array loop over eigenvalue clusters.
+and an array loop over eigenvalue clusters.  The dense first-order loop
+iterates on whole programs, with its own spectrum-to-simplex projection and
+Frank-Wolfe vertex, where the library iterates on the program blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import math
 
 import numpy as np
 
-from qprogopt.channels import DensityMatrix, max_entangled
+from qprogopt import optim
+from qprogopt.channels import _COSTS, DensityMatrix, max_entangled
 from qprogopt.hermlin import (
     SIGN_CLUSTER_GAP,
     SIGN_ZERO_TOL,
@@ -410,3 +413,49 @@ def matrix_sign(m: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(np.asarray(m, dtype=complex))
     vals, vecs = vals[::-1], vecs[:, ::-1]
     return (vecs * cluster_signs(vals)) @ vecs.conj().T
+
+
+# --- the first-order loop on whole programs -------------------------------------
+
+
+def _dense_states_projection(x: np.ndarray) -> np.ndarray:
+    """Closest density matrix: eigenvalues descending, theta from the sorted
+    prefix sums, lambda = max(x - theta, 0) renormalized."""
+    vals, vecs = np.linalg.eigh(hermitize(x))
+    vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
+    u = np.sort(vals)[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, u.size + 1)
+    s = int(np.nonzero(u > (css - 1.0) / ks)[0][-1]) + 1
+    lam = np.clip(vals - (css[s - 1] - 1.0) / s, 0.0, None)
+    lam = lam / lam.sum()
+    return hermitize((vecs * lam) @ vecs.conj().T)
+
+
+def dense_first_order(proc: ProcessorMap, chi: np.ndarray, cfg, method: str):
+    """``projected_subgradient`` or ``frank_wolfe`` (``method``) iterating on
+    whole d_prog x d_prog programs from the maximally mixed one: the dense
+    apply and dual, a full eigendecomposition per projection and the
+    eigenvector of the gradient's least eigenvalue as the Frank-Wolfe vertex.
+    The cost table and the Choi-set projection are the library's.  Runs all
+    ``cfg.max_iters`` iterations (no stall rule) and returns the cost trace and
+    the best program."""
+    terms = _COSTS[cfg.cost_kind](chi, cfg.mu)
+    pi = np.eye(proc.d_prog, dtype=complex) / proc.d_prog
+    cost, x = terms(proc.apply_matrix(pi))
+    best, best_pi, trace = cost, pi, [(0, cost)]
+    for it in range(1, cfg.max_iters + 1):
+        g = hermitize(proc.dual(x))
+        if method == "frank_wolfe":
+            v = np.linalg.eigh(g)[1][:, 0]
+            w = 2.0 / (it + 2.0)
+            pi = (1.0 - w) * pi + w * np.outer(v, v.conj())
+        elif proc.program_domain == "choi":
+            pi = optim._choi_projection(pi - cfg.learning_rate(it) * g, proc.d_in)
+        else:
+            pi = _dense_states_projection(pi - cfg.learning_rate(it) * g)
+        cost, x = terms(proc.apply_matrix(pi))
+        if cost < best:
+            best, best_pi = cost, pi
+        trace.append((it, best))
+    return tuple(trace), best_pi

@@ -50,7 +50,7 @@ from qprogopt.rand import (
     random_traceless_direction,
 )
 
-from oracles import matrix_sign, random_program, simplex_grid_project
+from oracles import dense_first_order, matrix_sign, random_program, simplex_grid_project
 
 TELE = teleportation_processor(2)
 PHI = max_entangled(2).matrix
@@ -228,9 +228,9 @@ def test_one_apply_per_iterate(key, method, monkeypatch):
     calls = []
     apply = ProcessorMap.apply_matrix
 
-    def counting(self, pi):
-        calls.append(1)
-        return apply(self, pi)
+    def counting(self, pi, blocks=False):
+        calls.append(blocks)
+        return apply(self, pi, blocks)
 
     monkeypatch.setattr(ProcessorMap, "apply_matrix", counting)
     run = projected_subgradient if method == "subgradient" else frank_wolfe
@@ -239,7 +239,8 @@ def test_one_apply_per_iterate(key, method, monkeypatch):
         calls.clear()
         res = run(proc, chi, OptimConfig(max_iters=12, cost_kind=kind, tolerance=0.0))
         assert len(res.cost_trace) == 13
-        assert len(calls) == 13  # the initial program and one per iteration
+        # the initial program and one per iteration, all in block coordinates
+        assert calls == [True] * 13
 
 
 def test_grad_smoothed_rejects_bad_mu():
@@ -602,11 +603,51 @@ def test_first_order_validates_one_program_per_run(key, method, monkeypatch):
 @pytest.mark.parametrize("key", ["tele", "red2"])
 def test_first_order_returned_program_is_still_checked(key, monkeypatch):
     proc = TELE if key == "tele" else pbt_reduced_map(2)
-    # trace 1, lambda_min = -1e-6; on the reduced map the marginal stays I/2
-    bad = (np.diag([0.4, 0.3, 0.3 + 1e-6, -1e-6]).astype(complex) if key == "tele"
-           else np.eye(4) / 4 + (0.25 + 1e-6) * np.diag([1.0, -1.0, -1.0, 1.0]))
+    # block coordinates of a program of trace 1 and lambda_min = -1e-6: Bell weights
+    # on teleportation; on the reduced map the marginal stays I/2
+    bad = ([np.array([0.4, 0.3, 0.3 + 1e-6, -1e-6], dtype=complex).reshape(4, 1, 1)]
+           if key == "tele" else
+           [(np.eye(4) / 4 + (0.25 + 1e-6) * np.diag([1.0, -1.0, -1.0, 1.0]))[None] + 0j])
     # the bad program simulates the target exactly, so it becomes the best iterate
-    chi = hermitize(proc.apply_matrix(bad))
+    chi = hermitize(proc.apply_matrix(bad, blocks=True))
     monkeypatch.setattr(optim, "_projection", lambda proc, x: bad)
     with pytest.raises(ValueError, match="min eigenvalue -1.000e-06"):
         projected_subgradient(proc, chi, OptimConfig(max_iters=3, cost_kind="C1"))
+
+
+# --- block coordinates against the dense loop -----------------------------------
+
+DENSE_PROCS = {"tele": TELE, "pbt2": pbt_processor(2), "pqc3": pqc_processor(3),
+               "pbt3": pbt_processor(3)}
+RUNS = {"subgradient": projected_subgradient, "frank_wolfe": frank_wolfe}
+
+
+@pytest.mark.parametrize("key", list(DENSE_PROCS))
+@pytest.mark.parametrize("method", sorted(RUNS))
+@pytest.mark.parametrize("kind", ["C1", "Cmu", "CF"])
+def test_block_loop_matches_the_dense_loop(key, method, kind):
+    # the targets of FIRST_ORDER_PINS, with PBT N=3 after them; measured worst
+    # 1.2e-13 over these 24 runs.  CF = 1 - F^2 is rounded on the scale of F^2,
+    # so its differences are relative to 1
+    proc = DENSE_PROCS[key]
+    i, j = list(DENSE_PROCS).index(key), ("C1", "Cmu", "CF").index(kind)
+    chi = random_choi(2, np.random.default_rng(100 + 10 * i + j)).matrix
+    cfg = OptimConfig(max_iters=60, cost_kind=kind, tolerance=0.0)
+    res = RUNS[method](proc, chi, cfg)
+    trace, _ = dense_first_order(proc, chi, cfg, method)
+    assert [it for it, _ in res.cost_trace] == [it for it, _ in trace]
+    for (_, got), (_, want) in zip(res.cost_trace, trace):
+        scale = 1.0 if kind == "CF" else abs(want)
+        assert abs(got - want) <= 1e-12 * scale, (got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["C1", "Cmu", "CF"])
+def test_reduced_map_loop_is_bit_identical_to_the_dense_loop(n, kind):
+    proc = pbt_reduced_map(n)
+    chi = random_choi(2, np.random.default_rng(230 + n)).matrix
+    cfg = OptimConfig(max_iters=30, cost_kind=kind, tolerance=0.0)
+    res = projected_subgradient(proc, chi, cfg)
+    trace, best = dense_first_order(proc, chi, cfg, "subgradient")
+    assert res.cost_trace == trace
+    assert np.array_equal(res.program.matrix, hermitize(best))

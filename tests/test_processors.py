@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -13,7 +14,7 @@ from qprogopt.channels import (
     cost_eval,
     max_entangled,
 )
-from qprogopt.hermlin import matrix_function
+from qprogopt.hermlin import hermitize, matrix_function
 from qprogopt.processors import (
     CapacityError,
     ProcessorMap,
@@ -459,10 +460,52 @@ def test_processor_rejects_blocks_that_are_not_a_basis():
             bad.blocks
 
 
+SYMMETRIC = {
+    **{f"tele d={d}": functools.partial(teleportation_processor, d) for d in (2, 3)},
+    **{f"pqc N={n}": functools.partial(pqc_processor, n) for n in (1, 2, 3)},
+    **{f"pqc N={n} damping": functools.partial(pqc_processor, n,
+                                               h0=amplitude_damping_hamiltonian(0.3))
+       for n in (1, 2, 3)},
+    **{f"mpqc N={n}": functools.partial(mpqc_processor, n) for n in (1, 2)},
+    **{f"pbt N={n}": functools.partial(pbt_processor, n) for n in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("key", list(SYMMETRIC))
+def test_declared_symmetry_loses_no_output(key):
+    proc = SYMMETRIC[key]()
+    rng = np.random.default_rng(26)
+    for _ in range(3):
+        pi = random_density(proc.d_prog, rng).matrix
+        lost = proc.apply_matrix(pi) - proc.apply_matrix(_block_part(proc, pi))
+        assert np.linalg.norm(lost) <= 1e-12
+
+
+@pytest.mark.parametrize("key", list(SYMMETRIC))
+def test_block_coordinates_apply_and_dual(key):
+    proc = SYMMETRIC[key]()
+    coords = proc.block_coords
+    rng = np.random.default_rng(27)
+    pi = random_density(proc.d_prog, rng).matrix
+    stacks = coords.part(pi)
+    assert [s.shape for s in stacks] == list(coords.shapes)
+    assert np.abs(coords.embed(stacks) - _block_part(proc, pi)).max() <= 1e-12
+    assert np.abs(proc.apply_matrix(stacks, blocks=True) - proc.apply_matrix(pi)).max() <= 1e-12
+    x = random_hermitian(proc.d_choi, rng)
+    dual = coords.embed(proc.dual(x, blocks=True))
+    assert np.abs(dual - _block_part(proc, hermitize(proc.dual(x)))).max() <= 1e-12
+    # each block eigenvalue counts once per copy: the counts add up to d_prog
+    assert coords.counts.sum() == proc.d_prog
+
+
 def test_processors_without_a_symmetry_keep_the_identity_block():
-    for proc in (teleportation_processor(2), pbt_reduced_map(3), pqc_processor(2)):
+    tele = teleportation_processor(2)
+    plain = ProcessorMap(tele.transfer, tele.d_prog, tele.d_in, tele.d_out)
+    for proc in (pbt_reduced_map(2), pbt_reduced_map(3), plain):
         (v,) = proc.blocks
         assert np.array_equal(v, np.eye(proc.d_prog)[None])
+        # the block coordinates are pi[None] and the block transfer is S itself
+        assert proc.block_coords.transfer is proc.transfer
 
 
 # --- circuit processors ---------------------------------------------------------

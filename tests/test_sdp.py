@@ -184,6 +184,31 @@ def test_solve_sdp_detects_infeasible():
     assert sol.status != "optimal"
 
 
+def _unbounded_examples():
+    """min -X00 + X11 s.t. X11 = 1 (X00 grows without bound), and min -Tr X over
+    3 x 3 blocks with X01 + X10 = 0 (any diagonal X)."""
+    off = np.zeros((3, 3))
+    off[0, 1] = off[1, 0] = 1.0
+    return [SdpProblem(objective=[np.diag([-1.0, 1.0])],
+                       constraints=[({0: np.diag([0.0, 1.0])[None]}, [1.0])]),
+            SdpProblem(objective=[-np.eye(3)], constraints=[({0: off[None]}, [0.0])])]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_solve_sdp_detects_unbounded(case):
+    prob = _unbounded_examples()[case]
+    sol = solve_sdp(prob)
+    assert sol.status == "unbounded"
+    # the last iterate is kept: a ray along which the objective falls and A(X) stays put
+    (x,) = sol.primal_blocks
+    assert sol.primal_objective < -1e3
+    [(terms, rhs)] = prob.constraints
+    ax = np.einsum("kij,ij->k", terms[0], x)
+    assert np.abs(ax - rhs).max() <= 1e-6 * np.linalg.norm(x)
+    with pytest.raises(RuntimeError, match="reported the problem unbounded"):
+        sdp._warn_if_failed(sol, "test")
+
+
 def test_solve_sdp_hermitian_blocks():
     # min <Y, X0> + <diag(1, 2), X1> s.t. Tr X0 = Tr X1 = 1: X0 is the -1
     # eigenprojector of Pauli Y, and the real block X1 stays real
