@@ -366,8 +366,8 @@ def _trace_cost(target: np.ndarray, mu: float) -> Callable:
 
 
 def _smoothed_cost(target: np.ndarray, mu: float) -> Callable:
-    if mu is None or mu <= 0:
-        raise ValueError(f"smoothed cost: mu must be positive, got {mu}")
+    if mu is None or not 0 < mu < math.inf:
+        raise ValueError(f"smoothed cost: mu must be positive and finite, got {mu}")
 
     def terms(sim):
         dec = _eigh_desc(hermitize(sim - target))

@@ -268,8 +268,8 @@ def _run_point(cfg: dict, method: str, proc: ProcessorMap, n_ports: int,
     if cost_kind not in COST_KINDS:
         raise ConfigError(f"cost {cost_kind!r} not one of {COST_KINDS}")
     mu = _number(cfg.get("mu", 1e-2), "mu", float)
-    if cost_kind == "Cmu" and mu <= 0:
-        raise ConfigError(f"mu must be positive for cost 'Cmu', got {mu}")
+    if cost_kind == "Cmu" and not 0 < mu < math.inf:
+        raise ConfigError(f"mu must be positive and finite for cost 'Cmu', got {mu}")
     kind, cost, iterations, program = METHODS[method](
         cfg=cfg, proc=proc, n_ports=n_ports, channel=channel,
         chi_e=ch.choi_of_channel(channel).matrix, cost_kind=cost_kind, mu=mu, tol=tol,

@@ -86,8 +86,10 @@ class LearningRate:
     def __post_init__(self):
         if self.kind not in ("inv_sqrt", "harmonic"):
             raise ValueError(f"LearningRate: unknown kind {self.kind!r}")
-        if self.a <= 0:
-            raise ValueError("LearningRate: a must be positive")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"LearningRate: a must be positive and finite, got {self.a}")
+        if not math.isfinite(self.b):
+            raise ValueError(f"LearningRate: b must be finite, got {self.b}")
         if self.kind == "harmonic" and self.b <= -1:  # a/(b + k) must stay finite and positive
             raise ValueError(f"LearningRate: harmonic b must be > -1, got {self.b}")
 
@@ -114,8 +116,11 @@ class OptimConfig:
             raise ValueError(
                 f"OptimConfig: cost_kind {self.cost_kind!r} not in {GRAD_COST_KINDS}"
             )
-        if self.cost_kind == "Cmu" and self.mu <= 0:
-            raise ValueError("OptimConfig: mu must be positive for the smoothed cost")
+        if not math.isfinite(self.tolerance):
+            raise ValueError(f"OptimConfig: tolerance must be finite, got {self.tolerance}")
+        if self.cost_kind == "Cmu" and not 0 < self.mu < math.inf:
+            raise ValueError(f"OptimConfig: mu must be positive and finite for the "
+                             f"smoothed cost, got {self.mu}")
         if self.init not in ("maximally_mixed", "random"):
             raise ValueError(f"OptimConfig: unknown init {self.init!r}")
 

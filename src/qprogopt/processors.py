@@ -24,18 +24,18 @@ interleave port wires as (A_1, B_1, A_2, B_2, ...), so ``chi^(tensor N)`` is
 a plain Kronecker power of a Choi matrix.  PQC programs order registers as
 (R_0, R_1, ..., R_N).  Choi outputs are always ordered (input copy, output).
 
-Every processor also carries its program symmetry as ``blocks``: stacks of
-isometry copies V_c (d_prog x m), with programs pi = sum_blocks sum_c V_c M
-V_c^dag losing no output of the map, so the SDP programs search the m x m
-blocks M only, and the first-order methods iterate on them
-(``block_coords``).  ``pbt_processor`` has the S_N isotypic blocks of its
-port relabelings (N=3 qubits: 20, 20 twice, and 4, instead of 64);
-``teleportation_processor(d)`` has d^2 one-dimensional Bell blocks
-(I (x) W_i)|Phi>, since the map sees only the Bell-diagonal part of the
-program; ``pqc_processor`` and ``mpqc_processor`` have one 2 x 2 block on R_0
-per basis string of R_1..R_N, since each R_j only controls its gate and is
-then traced out.  Blocks are built on first use; ``pbt_reduced_map`` keeps
-the single block V = I.
+Every processor also carries its program symmetry as ``block_coords``:
+isometry copies V_c (d_prog x m) per block, with programs pi = sum_blocks
+sum_c V_c M V_c^dag losing no output of the map, grouped by block size, and
+the block transfer S E.  Both program searches read it: the SDP programs
+search the m x m blocks M only, and the first-order methods iterate on them.
+``pbt_processor`` has the S_N isotypic blocks of its port relabelings (N=3
+qubits: 20, 20 twice, and 4, instead of 64); ``teleportation_processor(d)``
+has d^2 one-dimensional Bell blocks (I (x) W_i)|Phi>, since the map sees only
+the Bell-diagonal part of the program; ``pqc_processor`` and
+``mpqc_processor`` have one 2 x 2 block on R_0 per basis string of R_1..R_N,
+since each R_j only controls its gate and is then traced out.  Blocks are
+built on first use; ``pbt_reduced_map`` keeps the single block V = I.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ class ProcessorMap:
     # uses the latter.
     program_domain: str = "states"
     # program symmetry: a function returning one (copies, d_prog, m) stack of
-    # isometries V_c per block, called on the first use of ``blocks``.  The
-    # map must not tell a program pi from its block part sum_blocks sum_c
-    # V_c M V_c^dag, M = sum_c V_c^dag pi V_c / copies, so the SDP programs
-    # search M alone; None is the one block V = I.
+    # isometries V_c per block, called on the first use of ``block_coords``.
+    # The map must not tell a program pi from its block part sum_blocks sum_c
+    # V_c M V_c^dag, M = sum_c V_c^dag pi V_c / copies, so both program
+    # searches work on M alone; None is the one block V = I.
     symmetry: Optional[Callable[[], tuple]] = None
 
     def __post_init__(self):
@@ -142,21 +142,9 @@ class ProcessorMap:
 
     @functools.cached_property
     def block_coords(self) -> "BlockCoords":
-        """The program's block coordinates and the block transfer S E, built on first use."""
+        """The program's block coordinates and the block transfer S E, built on first
+        use and checked to be an orthonormal basis of the program space."""
         return BlockCoords.of(self)
-
-    @functools.cached_property
-    def blocks(self) -> tuple:
-        """The program blocks of ``symmetry``, checked to be an orthonormal basis."""
-        dp = self.d_prog
-        if self.symmetry is None:
-            return (np.eye(dp)[None],)
-        blocks = tuple(np.asarray(v) for v in self.symmetry())
-        cols = np.concatenate([np.concatenate(list(v), axis=1) for v in blocks], axis=1)
-        if cols.shape != (dp, dp) or np.abs(cols.conj().T @ cols - np.eye(dp)).max() > 1e-10:
-            raise ValueError(f"ProcessorMap {self.label!r}: the program blocks' columns are "
-                             f"not an orthonormal basis of the {dp}-dim program space")
-        return blocks
 
     @property
     def d_choi(self) -> int:
@@ -187,40 +175,42 @@ class ProcessorMap:
 
         ``x`` is one (d_choi, d_choi) observable or a stack of shape
         (k, d_choi, d_choi); the result has the matching shape over d_prog.
-        With ``blocks``, ``x`` is one observable and the result is the block
-        part of the Hermitian part of Lambda*(X) in block coordinates, one
-        (nb, m, m) stack per size class: M_b = sum_c V_c^dag Lambda*(X) V_c /
-        copies, read off (S E)^dag vec(X).
+        With ``blocks``, the result is the block part of the Hermitian part
+        of Lambda*(X) in block coordinates, one (nb, m, m) stack per size
+        class, or (k, nb, m, m) for a stack: M_b = sum_c V_c^dag Lambda*(X)
+        V_c / copies, read off (S E)^dag vec(X).
         """
         x = np.asarray(x, dtype=complex)
         dc, dp = self.d_choi, self.d_prog
-        if x.shape[-2:] != (dc, dc) or x.ndim not in (2, 3) or (blocks and x.ndim != 2):
+        if x.shape[-2:] != (dc, dc) or x.ndim not in (2, 3):
             raise ValueError(
                 f"ProcessorMap {self.label!r}: observable shape {x.shape}, "
-                f"expected ({'' if blocks else '[k,] '}{dc}, {dc})"
+                f"expected ([k,] {dc}, {dc})"
             )
         # X S^* = (X^* S)^*, which spares a conjugated copy of S per call
         if blocks:
             coords = self.block_coords
-            flat = np.conj(x.reshape(1, dc * dc).conj() @ coords.transfer)[0]
-            return [hermitize(flat[sl].reshape(shape) / copies)
+            flat = np.conj(x.reshape(-1, dc * dc).conj() @ coords.transfer)
+            return [hermitize(flat[:, sl].reshape(x.shape[:-2] + shape) / copies)
                     for sl, shape, copies in zip(coords.slices, coords.shapes, coords.copies)]
         flat = np.conj(x.reshape(-1, dc * dc).conj() @ self.transfer)
         return flat.reshape(x.shape[:-2] + (dp, dp))
 
 
 class BlockCoords(NamedTuple):
-    """A processor's programs in block coordinates.
+    """A processor's programs in block coordinates, the one program-block map
+    that both program searches read.
 
     The blocks of one size m form a class, kept as one (nb, m, m) stack of
-    block matrices M_b (``shapes``, in order of first appearance in
-    ``blocks``); the program is pi = sum_b sum_c V_c M_b V_c^dag.  ``transfer``
-    is S E, the transfer S times the embedding E of the stacks' concatenated
-    row-major vecs into vec(pi), and class k owns its columns ``slices[k]``.
-    ``copies[k]`` holds each block's copy count, shaped (nb, 1, 1), and
-    ``counts`` each block eigenvalue's multiplicity in pi, in the order of the
-    stacks' eigenvalues.  With the single block V = I, ``transfer`` is S
-    itself and the coordinates are pi[None]: no arithmetic changes.
+    block matrices M_b (``shapes``; classes in order of first appearance in
+    ``symmetry``), and the program is pi = sum_b sum_c V_c M_b V_c^dag.
+    ``transfer`` is S E, the transfer S times the embedding E of the stacks'
+    concatenated row-major vecs into vec(pi), and class k owns its columns
+    ``slices[k]``.  ``copies[k]`` holds each block's copy count, shaped
+    (nb, 1, 1), and ``counts`` each block eigenvalue's multiplicity in pi, in
+    the order of the stacks' eigenvalues.  ``real`` says that S and every V_c
+    have no imaginary part.  With the single block V = I, ``transfer`` equals
+    S and the coordinates are pi[None], exactly.
     """
 
     transfer: np.ndarray
@@ -229,11 +219,16 @@ class BlockCoords(NamedTuple):
     shapes: tuple
     slices: tuple
     counts: np.ndarray
-    identity: bool
+    real: bool
 
     @classmethod
     def of(cls, proc: "ProcessorMap") -> "BlockCoords":
-        blocks = proc.blocks
+        dp = proc.d_prog
+        blocks = [np.asarray(v) for v in proc.symmetry()] if proc.symmetry else [np.eye(dp)[None]]
+        cols = np.concatenate([np.concatenate(list(v), axis=1) for v in blocks], axis=1)
+        if cols.shape != (dp, dp) or np.abs(cols.conj().T @ cols - np.eye(dp)).max() > 1e-10:
+            raise ValueError(f"ProcessorMap {proc.label!r}: the program blocks' columns are "
+                             f"not an orthonormal basis of the {dp}-dim program space")
         sizes = list(dict.fromkeys(v.shape[2] for v in blocks))
         isometries = tuple(tuple(v for v in blocks if v.shape[2] == m) for m in sizes)
         copies = tuple(np.array([float(len(v)) for v in members])[:, None, None]
@@ -242,31 +237,26 @@ class BlockCoords(NamedTuple):
         ends = np.cumsum([nb * m * m for nb, m, _ in shapes]).tolist()
         slices = tuple(slice(e - nb * m * m, e) for e, (nb, m, _) in zip(ends, shapes))
         counts = np.concatenate([np.repeat(c.ravel(), m) for c, m in zip(copies, sizes)])
-        identity = proc.symmetry is None
-        transfer = (proc.transfer if identity else
-                    _block_transfer(proc.transfer, proc.d_prog, [v for c in isometries for v in c]))
-        return cls(transfer, isometries, copies, shapes, slices, counts, identity)
+        real = not np.any(proc.transfer.imag) and not any(np.any(v.imag) for v in blocks)
+        transfer = _block_transfer(proc.transfer, dp, [v for c in isometries for v in c], real)
+        return cls(transfer, isometries, copies, shapes, slices, counts, real)
 
     def embed(self, stacks: list) -> np.ndarray:
         """The program pi = sum_b sum_c V_c M_b V_c^dag of block coordinates."""
-        if self.identity:
-            return stacks[0][0]
         return sum(vc @ mb @ vc.conj().T for stack, members in zip(stacks, self.isometries)
                    for mb, v in zip(stack, members) for vc in v)
 
     def part(self, pi: np.ndarray) -> list:
-        """Block coordinates of the block part of pi, M_b = sum_c V_c^dag pi V_c / copies."""
-        if self.identity:
-            return [np.asarray(pi, dtype=complex)[None]]
-        return [np.array([sum(vc.conj().T @ pi @ vc for vc in v) / len(v) for v in members])
+        """Block coordinates of the block part of pi, M_b = sum_c V_c^dag pi V_c / copies;
+        a (k, d_prog, d_prog) stack gives (k, nb, m, m) stacks."""
+        return [np.stack([sum(vc.conj().T @ pi @ vc for vc in v) / len(v) for v in members], -3)
                 for members in self.isometries]
 
 
-def _block_transfer(s: np.ndarray, dp: int, blocks: list) -> np.ndarray:
+def _block_transfer(s: np.ndarray, dp: int, blocks: list, real: bool) -> np.ndarray:
     """S E, E_b = sum_c V_c (x) V_c^*, so (S E)[r, (k, l)] = sum_c sum_ij S[r, (i, j)]
     V_c[i, k] V_c^*[j, l]; two 2-D products per copy, in real arithmetic when S and
-    the blocks are real."""
-    real = not np.any(s.imag) and not any(np.any(v.imag) for v in blocks)
+    the blocks are ``real``."""
     if real:
         s, blocks = s.real, [v.real for v in blocks]
     rows = s.shape[0]

@@ -39,10 +39,12 @@ invariant under entrywise conjugation, so its optimum is attained on real
 symmetric blocks (Gatermann-Parrilo's fixed-point reduction): the groups then
 use only the basis's real symmetric members, n(n+1)/2 rows per n x n
 constraint instead of n^2, and every block is real (``_real_data``).  The
-program pi enters as one variable block M per program block of the processor
-(``ProcessorMap.blocks``), pi = sum_blocks sum_c V_c M V_c^dag, so every
-stack A on pi becomes sum_c V_c^dag A V_c on M (``_program_terms``); a PBT
-program at N=3 is solved as blocks of 20, 20 and 4 instead of 64.
+program pi enters as one variable block M_b per program block, in the
+classes of ``ProcessorMap.block_coords`` (pi = sum_b sum_c V_c M_b V_c^dag,
+as in the first-order methods), and a stack A on pi as copies_b times its
+block part on M_b (``_program_terms``): ``proc.dual(X, blocks=True)`` for A =
+Lambda*(X), ``block_coords.part`` for the feasibility rows.  A PBT program at
+N=3 is solved as blocks of 20, 20 and 4 instead of 64.
 
 Built on top of it:
 
@@ -54,12 +56,12 @@ Built on top of it:
   of the reduced port-based-teleportation map.
 
 Returned programs are ``DensityMatrix`` values (a ``ChoiMatrix`` for the
-reduced PBT map), re-embedded from their blocks and projected back to exact
-feasibility by ``optim.project_program``, and every quoted value is attained
-by the returned (feasible) program: trace and fidelity optima are
-re-evaluated there, and a diamond value is 2 ||Tr_out Z'||_inf for a Z'
-repaired to exact feasibility at it (``_repaired_value``).  That Z' comes
-from one eigendecomposition where chi_+ has a flat marginal
+reduced PBT map), re-embedded from their blocks (``block_coords.embed``)
+and projected back to exact feasibility by ``optim.project_program``, and
+every quoted value is attained by the returned (feasible) program: trace and
+fidelity optima are re-evaluated there, and a diamond value is 2 ||Tr_out
+Z'||_inf for a Z' repaired to exact feasibility at it (``_repaired_value``).
+That Z' comes from one eigendecomposition where chi_+ has a flat marginal
 (``diamond_distance``) or from the joint solve (``optimize_program_diamond``);
 a second solve runs only when neither certifies the value.
 """
@@ -117,12 +119,12 @@ def hermitian_basis(n: int) -> np.ndarray:
 
 def _real_data(chi: np.ndarray, proc: Optional[ProcessorMap] = None) -> bool:
     """True when chi and, with a processor, its transfer and every program
-    block have no nonzero imaginary part.  Such a program is invariant under
-    entrywise conjugation, and it is convex, so (X + conj X) / 2 is feasible
-    with the same objective: the optimum is attained on real symmetric blocks
-    (the fixed-point reduction of Gatermann-Parrilo)."""
-    arrays = [chi] if proc is None else [chi, proc.transfer, *proc.blocks]
-    return not any(np.any(np.imag(a)) for a in arrays)
+    block have no nonzero imaginary part (``block_coords.real``).  Such a
+    program is invariant under entrywise conjugation, and it is convex, so
+    (X + conj X) / 2 is feasible with the same objective: the optimum is
+    attained on real symmetric blocks (the fixed-point reduction of
+    Gatermann-Parrilo)."""
+    return not np.any(np.imag(chi)) and (proc is None or proc.block_coords.real)
 
 
 def _check_rows(rows: np.ndarray, name) -> None:
@@ -560,21 +562,21 @@ class _SdpBuilder:
 # --- concrete programs --------------------------------------------------------
 
 
-def _program_blocks(bld: _SdpBuilder, proc: ProcessorMap) -> List[int]:
-    """Add one variable block M per program block of ``proc`` (size m x m)."""
-    return [bld.add_block(v.shape[2]) for v in proc.blocks]
+def _program_blocks(bld: _SdpBuilder, proc: ProcessorMap) -> List[List[int]]:
+    """Add one m x m variable block M_b per program block, by ``proc.block_coords`` class."""
+    return [[bld.add_block(m) for _ in range(nb)] for nb, m, _ in proc.block_coords.shapes]
 
 
-def _program_terms(proc: ProcessorMap, pi_blks: List[int], a: np.ndarray,
+def _program_terms(proc: ProcessorMap, pi_blks: List[List[int]], parts: list,
                    real: bool) -> Dict[int, np.ndarray]:
-    """Constraint terms on pi = sum_blocks sum_c V_c M V_c^dag of a (k, d_prog,
-    d_prog) stack A: <A_i, pi> = sum_blocks <sum_c V_c^dag A_i V_c, M>, real
-    stacks from the real parts of A and V_c for real data."""
-    blocks = proc.blocks
-    if real:
-        a, blocks = a.real, [v.real for v in blocks]
-    return {blk: hermitize(sum(vc.conj().T @ a @ vc for vc in v))
-            for blk, v in zip(pi_blks, blocks)}
+    """Terms on the program blocks of a (k, d_prog, d_prog) stack A from its block parts
+    (one (k, nb, m, m) stack per class): <A_i, pi> = sum_b <copies_b part_b(A_i), M_b>;
+    real stacks for real data."""
+    terms = {}
+    for blks, copies, part in zip(pi_blks, proc.block_coords.copies, parts):
+        stack = hermitize(copies * part)
+        terms.update(zip(blks, (stack.real if real else stack).swapaxes(0, 1)))
+    return terms
 
 
 def _trace_builder(chi: np.ndarray, proc: ProcessorMap):
@@ -595,7 +597,7 @@ def _trace_builder(chi: np.ndarray, proc: ProcessorMap):
     bld.objective[q_blk] = np.eye(n)
     # P - Q + Lambda(pi) = chi   (as <B_a, .> coordinates)
     bld.groups.append(({p_blk: basis, q_blk: -basis,
-                        **_program_terms(proc, pi_blks, hermitize(proc.dual(basis)), bld.real)},
+                        **_program_terms(proc, pi_blks, proc.dual(basis, blocks=True), bld.real)},
                        _coords(basis, chi)))
     return bld, pi_blks
 
@@ -682,7 +684,7 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     return _repaired_value(sol.primal_blocks[z_blk], chi, d_in, d_out)
 
 
-def _solve_program(bld: _SdpBuilder, pi_blks: List[int], proc: ProcessorMap, tol: float,
+def _solve_program(bld: _SdpBuilder, pi_blks: List[List[int]], proc: ProcessorMap, tol: float,
                    who: str) -> Tuple[DensityMatrix, SdpSolution]:
     """Add the feasible-program constraints on pi (unit trace, or the Choi
     marginal Tr_out pi = I/d for a processor whose program domain is the
@@ -695,12 +697,12 @@ def _solve_program(bld: _SdpBuilder, pi_blks: List[int], proc: ProcessorMap, tol
         rhs = np.trace(fs, axis1=1, axis2=2).real / proc.d_in
     else:
         # Tr pi = 1: each block counts once per copy
-        rows, rhs = np.eye(proc.d_prog, dtype=complex)[None], [1.0]
-    bld.groups.append((_program_terms(proc, pi_blks, rows, bld.real), rhs))
+        rows, rhs = np.eye(proc.d_prog)[None], [1.0]
+    coords = proc.block_coords
+    bld.groups.append((_program_terms(proc, pi_blks, coords.part(rows), bld.real), rhs))
     sol = solve_sdp(bld.build(), tol=tol)
     _warn_if_failed(sol, who, tol, stacklevel=4)
-    pi = sum(vc @ sol.primal_blocks[blk] @ vc.conj().T
-             for blk, v in zip(pi_blks, proc.blocks) for vc in v)
+    pi = coords.embed([np.array([sol.primal_blocks[b] for b in blks]) for blks in pi_blks])
     return project_program(proc, pi), sol
 
 
@@ -741,7 +743,8 @@ def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
     # W = Z - d (chi - Lambda(pi))
     terms = {w_blk: basis, z_blk: -basis}
     if proc is not None:
-        terms.update(_program_terms(proc, pi_blks, -d_in * hermitize(proc.dual(basis)), bld.real))
+        terms.update(_program_terms(proc, pi_blks, proc.dual(-d_in * basis, blocks=True),
+                                    bld.real))
     bld.groups.append((terms, -d_in * _coords(basis, chi)))
     # V = t I - Tr_out Z
     fs = bld.basis(d_in)
@@ -803,7 +806,7 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     bld.groups.append(({g_blk: corner}, _coords(top, d_supp)))
     corner = np.zeros((len(basis), r + n, r + n), dtype=basis.dtype)
     corner[:, r:, r:] = basis
-    lam = _program_terms(proc, pi_blks, -hermitize(proc.dual(basis)), bld.real)
+    lam = _program_terms(proc, pi_blks, proc.dual(-basis, blocks=True), bld.real)
     bld.groups.append(({g_blk: corner, **lam}, np.zeros(len(basis))))
     program, _ = _solve_program(bld, pi_blks, proc, tol, "optimize_program_fidelity")
     value = bures_fidelity(chi_e, proc.apply_matrix(program))

@@ -12,7 +12,9 @@ the Choi-set projection is Dykstra's alternating scheme instead of a
 Newton method on the dual, and the matrix sign comes from ``np.linalg.eigh``
 and an array loop over eigenvalue clusters.  The dense first-order loop
 iterates on whole programs, with its own spectrum-to-simplex projection and
-Frank-Wolfe vertex, where the library iterates on the program blocks.
+Frank-Wolfe vertex, where the library iterates on the program blocks.  The
+SDP's program terms conjugate a whole-program stack by every isometry copy,
+where the library reads them off the block transfer.
 """
 
 from __future__ import annotations
@@ -125,6 +127,14 @@ def random_program(proc: ProcessorMap, rng: np.random.Generator) -> DensityMatri
     if proc.program_domain == "choi":
         return random_choi(proc.d_in, rng)
     return random_density(proc.d_prog, rng)
+
+
+def program_terms(proc: ProcessorMap, a: np.ndarray) -> list:
+    """Sum_c V_c^dag A_i V_c of a (k, d_prog, d_prog) stack A, one (k, m, m) stack
+    per program block in class order: the terms <A_i, pi> puts on the block M
+    of pi = sum_blocks sum_c V_c M V_c^dag."""
+    return [hermitize(sum(vc.conj().T @ a @ vc for vc in v))
+            for members in proc.block_coords.isometries for v in members]
 
 
 # --- channels from their Choi matrices ------------------------------------------

@@ -242,6 +242,9 @@ def test_huber_rejects_bad_mu():
     chi = max_entangled(2).matrix
     with pytest.raises(ValueError):
         cost_eval("Cmu", chi, chi, mu=0.0)
+    for mu in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            cost_eval("Cmu", chi, chi, mu=mu)
 
 
 def test_choi_linear_in_channel_mixture():

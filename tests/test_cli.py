@@ -274,6 +274,19 @@ _SUBGRADIENT = {"processor": {"kind": "teleportation"}, "channel": _AD, "method"
     ("optimize", _SUBGRADIENT | {"save_program": 5}, "save_program must be"),
     ("optimize", {"processor": {"kind": "teleportation"}, "channel": _AD,
                   "method": "closed_form_unitary"}, "needs a unitary target channel"),
+    # non-finite optimizer settings
+    ("optimize", _SUBGRADIENT | {"optimizer": {"learning_rate": {"a": math.inf}}},
+     "a must be positive and finite"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"learning_rate": {"kind": "harmonic",
+                                                                 "b": math.inf}}},
+     "b must be finite"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"tolerance": -math.inf}},
+     "tolerance must be finite"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"tolerance": math.nan}}, "optimizer.tolerance"),
+    ("optimize", _SUBGRADIENT | {"cost": "Cmu", "mu": math.inf}, "mu must be positive and finite"),
+    ("optimize", {"processor": {"kind": "teleportation"}, "channel": _AD,
+                  "method": "choi_baseline", "cost": "Cmu", "mu": math.inf},
+     "mu must be positive and finite"),
 ], ids=["p-range", "pqc-N", "teleportation-d", "cost-kind", "benchmark-grid-p", "N-list",
         "N-fraction", "max_iters-string", "max_iters-zero", "max_iters-fraction",
         "learning-rate-kind", "learning-rate-a", "init", "tolerance-string", "mu-string",
@@ -281,10 +294,12 @@ _SUBGRADIENT = {"processor": {"kind": "teleportation"}, "channel": _AD, "method"
         "channel-dimension", "document-type", "processor-type", "channel-type",
         "optimizer-type", "learning-rate-type", "channel-kind-type", "method-type",
         "values-type", "methods-type", "harmonic-b", "out-type", "gnuplot_out-empty",
-        "save_program-type", "closed-form-non-unitary"])
+        "save_program-type", "closed-form-non-unitary", "learning-rate-a-inf",
+        "harmonic-b-inf", "tolerance-inf", "tolerance-nan", "mu-inf", "baseline-mu-inf"])
 def test_rejected_config_value_is_validation_error(tmp_path, capsys, command, cfg, message):
     assert main([command, "--config", _write(tmp_path, cfg)]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
 
 
 @pytest.mark.parametrize("command", ["optimize", "benchmark"])

@@ -349,6 +349,13 @@ def test_learning_rate_validation():
         LearningRate("geometric")
     with pytest.raises(ValueError, match="harmonic b"):
         LearningRate("harmonic", b=-1.0)
+    # a non-finite step size used to reach simplex_project as an IndexError
+    for a in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="a must be positive and finite"):
+            LearningRate("inv_sqrt", a=a)
+    for b in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="b must be finite"):
+            LearningRate("harmonic", b=b)
     assert LearningRate("harmonic", a=2.0, b=3.0)(1) == 0.5
 
 
@@ -359,6 +366,13 @@ def test_optim_config_validation():
         OptimConfig(cost_kind="CR")
     with pytest.raises(ValueError):
         OptimConfig(cost_kind="Cmu", mu=0.0)
+    # a NaN tolerance used to run every iteration, and mu = inf to report cost 0
+    for tolerance in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            OptimConfig(tolerance=tolerance)
+    for mu in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            OptimConfig(cost_kind="Cmu", mu=mu)
 
 
 def test_subgradient_pauli_target():

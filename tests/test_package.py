@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import qprogopt
+from qprogopt.processors import BlockCoords, ProcessorMap
 
 
 @pytest.mark.parametrize("module", ["hermlin", "channels", "processors", "optim", "sdp", "rand"])
@@ -59,4 +60,20 @@ def test_public_surface_is_pinned():
         "project_to_states", "projected_subgradient", "rotation", "sdp", "simulation_cost",
         "simulation_gradient", "solve_sdp", "symmetric_param_count",
         "teleportation_processor", "unitary_channel", "weyl_unitaries",
+    ]
+
+
+def test_processor_surface_is_pinned():
+    # one program-block representation: a second one shows up as a diff here
+    def public(cls):
+        return sorted({name for name in dir(cls) if not name.startswith("_")}
+                      | set(getattr(cls, "__dataclass_fields__", ())))
+
+    assert public(ProcessorMap) == [
+        "apply_matrix", "block_coords", "d_choi", "d_in", "d_out", "d_prog", "dual", "label",
+        "program_domain", "symmetry", "transfer",
+    ]
+    assert public(BlockCoords) == [
+        "copies", "count", "counts", "embed", "index", "isometries", "of", "part", "real",
+        "shapes", "slices", "transfer",
     ]

@@ -399,10 +399,15 @@ def test_symmetric_param_count():
         assert symmetric_param_count(n, 2) <= (n + 15) ** 15
 
 
+def _isometries(proc):
+    """The (copies, d_prog, m) isometry stack of each program block, in class order."""
+    return [v for members in proc.block_coords.isometries for v in members]
+
+
 def _block_part(proc, pi):
     """E(pi) = sum_blocks sum_c V_c (sum_c' V_c'^dag pi V_c' / copies) V_c^dag."""
     return sum(vc @ (sum(w.conj().T @ pi @ w for w in v) / len(v)) @ vc.conj().T
-               for v in proc.blocks for vc in v)
+               for v in _isometries(proc) for vc in v)
 
 
 def _blocked(n):
@@ -419,7 +424,7 @@ BLOCKED = [1, 2, 3]
 @pytest.mark.parametrize("n", BLOCKED)
 def test_program_blocks_orthonormal_and_complete(n):
     proc, _, _ = _blocked(n)
-    cols = np.concatenate([np.concatenate(list(v), axis=1) for v in proc.blocks], axis=1)
+    cols = np.concatenate([np.concatenate(list(v), axis=1) for v in _isometries(proc)], axis=1)
     assert cols.shape == (proc.d_prog, proc.d_prog)
     assert np.abs(cols.conj().T @ cols - np.eye(proc.d_prog)).max() <= 1e-12
 
@@ -429,7 +434,7 @@ def test_program_blocks_commute_with_the_symmetry(n):
     proc, us, _ = _blocked(n)
     rng = np.random.default_rng(23)
     pi = sum(vc @ random_hermitian(v.shape[2], rng) @ vc.conj().T
-             for v in proc.blocks for vc in v)
+             for v in _isometries(proc) for vc in v)
     for u in us:
         assert np.abs(u @ pi @ u.conj().T - pi).max() <= 1e-12
 
@@ -447,17 +452,17 @@ def test_program_blocks_lose_no_output(n):
 
 @pytest.mark.parametrize("n, count", [(1, 16), (2, 136), (3, 816)])
 def test_pbt_block_sizes_give_symmetric_param_count(n, count):
-    sizes = [v.shape[2] for v in pbt_processor(n).blocks]
+    sizes = [v.shape[2] for v in _isometries(pbt_processor(n))]
     assert sum(m * m for m in sizes) == symmetric_param_count(n) == count
 
 
 def test_processor_rejects_blocks_that_are_not_a_basis():
     proc = pbt_processor(2)
-    for blocks in (proc.blocks[:1], (2.0 * np.eye(proc.d_prog)[None],)):
+    for blocks in (_isometries(proc)[:1], (2.0 * np.eye(proc.d_prog)[None],)):
         bad = ProcessorMap(proc.transfer, proc.d_prog, proc.d_in, proc.d_out,
                            symmetry=lambda b=blocks: b)
         with pytest.raises(ValueError, match="orthonormal basis"):
-            bad.blocks
+            bad.block_coords
 
 
 SYMMETRIC = {
@@ -496,16 +501,24 @@ def test_block_coordinates_apply_and_dual(key):
     assert np.abs(dual - _block_part(proc, hermitize(proc.dual(x)))).max() <= 1e-12
     # each block eigenvalue counts once per copy: the counts add up to d_prog
     assert coords.counts.sum() == proc.d_prog
+    # stacks: (k, nb, m, m) per class, matrix by matrix as the single calls
+    xs = np.array([random_hermitian(proc.d_choi, rng) for _ in range(3)])
+    pis = np.array([random_density(proc.d_prog, rng).matrix for _ in range(3)])
+    for stacked, single in ((proc.dual(xs, blocks=True), [proc.dual(x, blocks=True) for x in xs]),
+                            (coords.part(pis), [coords.part(p) for p in pis])):
+        assert [s.shape for s in stacked] == [(3,) + shape for shape in coords.shapes]
+        for k, one in enumerate(single):
+            assert all(np.abs(s[k] - o).max() <= 1e-12 for s, o in zip(stacked, one))
 
 
 def test_processors_without_a_symmetry_keep_the_identity_block():
     tele = teleportation_processor(2)
     plain = ProcessorMap(tele.transfer, tele.d_prog, tele.d_in, tele.d_out)
     for proc in (pbt_reduced_map(2), pbt_reduced_map(3), plain):
-        (v,) = proc.blocks
+        (v,) = _isometries(proc)
         assert np.array_equal(v, np.eye(proc.d_prog)[None])
-        # the block coordinates are pi[None] and the block transfer is S itself
-        assert proc.block_coords.transfer is proc.transfer
+        # the block coordinates are pi[None] and the block transfer is S, bit for bit
+        assert np.array_equal(proc.block_coords.transfer, proc.transfer)
 
 
 # --- circuit processors ---------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -14,10 +15,11 @@ from qprogopt.channels import (
     rotation,
     unitary_channel,
 )
-from qprogopt.hermlin import partial_trace
+from qprogopt.hermlin import hermitize, partial_trace
 from qprogopt.optim import learn_unitary_program
 from qprogopt.processors import (
     ProcessorMap,
+    mpqc_processor,
     pbt_processor,
     pbt_reduced_map,
     pqc_processor,
@@ -36,7 +38,13 @@ from qprogopt.sdp import (
     solve_sdp,
 )
 
-from oracles import admm_baseline, diamond_grid_oracle, facial_reduction, random_sdp
+from oracles import (
+    admm_baseline,
+    diamond_grid_oracle,
+    facial_reduction,
+    program_terms,
+    random_sdp,
+)
 
 TELE = teleportation_processor(2)
 PHI = max_entangled(2).matrix
@@ -426,6 +434,42 @@ def test_program_blocks_are_real_only_for_real_data(case, real, monkeypatch):
         assert any(np.iscomplexobj(a) for a in stacks) != real
 
 
+# --- program terms ---------------------------------------------------------------
+
+TERMS = {
+    **{f"pbt N={n}": functools.partial(pbt_processor, n) for n in (2, 3)},
+    **{f"tele d={d}": functools.partial(teleportation_processor, d) for d in (2, 3)},
+    "pqc N=3": functools.partial(pqc_processor, 3),
+    "mpqc N=2": functools.partial(mpqc_processor, 2),
+    "pbt_reduced N=3": functools.partial(pbt_reduced_map, 3),
+}
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex-basis", "real-basis"])
+@pytest.mark.parametrize("key", list(TERMS))
+def test_program_terms_match_the_isometry_conjugation(key, real):
+    # the block parts times the copies are sum_c V_c^dag A V_c, for the
+    # Choi-space groups (block dual of the basis) and the feasibility rows
+    proc = TERMS[key]()
+    bld = sdp._SdpBuilder(real)
+    pi_blks = sdp._program_blocks(bld, proc)
+    basis = bld.basis(proc.d_choi)
+    if proc.program_domain == "choi":
+        rows = np.kron(bld.basis(proc.d_in), np.eye(proc.d_out))
+    else:
+        rows = np.eye(proc.d_prog)[None]
+    real = real and proc.block_coords.real
+    for parts, a in ((proc.dual(-3.0 * basis, blocks=True), -3.0 * hermitize(proc.dual(basis))),
+                     (proc.block_coords.part(rows), rows)):
+        terms = sdp._program_terms(proc, pi_blks, parts, real)
+        expected = program_terms(proc, a)
+        assert list(terms) == [b for blks in pi_blks for b in blks]
+        assert not real or all(np.isrealobj(t) for t in terms.values())
+        for t, e in zip(terms.values(), expected):
+            assert t.shape == e.shape
+            assert np.abs(t - e).max() <= 1e-12
+
+
 # --- diamond distance -----------------------------------------------------------
 
 
@@ -747,7 +791,8 @@ def test_sdp_handles_full_pbt_program():
 def test_block_reduction_is_lossless(optimize):
     blocked = pbt_processor(3)
     trivial = ProcessorMap(blocked.transfer, blocked.d_prog, blocked.d_in, blocked.d_out)
-    assert len(trivial.blocks) == 1 and len(blocked.blocks) > 1
+    assert trivial.block_coords.shapes == ((1, 64, 64),)
+    assert blocked.block_coords.shapes == ((2, 20, 20), (1, 4, 4))
     for channel in (amplitude_damping(0.3), amplitude_damping(0.7), depolarizing(0.4)):
         chi = choi_of_channel(channel).matrix
         _, value = optimize(blocked, chi)
