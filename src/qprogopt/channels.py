@@ -152,6 +152,8 @@ class KrausChannel:
                     f"KrausChannel: operator shape {k.shape}, expected "
                     f"({self.d_out}, {self.d_in})"
                 )
+            if not np.isfinite(k).all():
+                raise ValueError("KrausChannel: an operator has a non-finite entry")
         comp = sum(k.conj().T @ k for k in ops)
         dev = float(np.abs(comp - np.eye(self.d_in)).max())
         if dev > KRAUS_COMPLETENESS_TOL:

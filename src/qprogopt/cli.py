@@ -30,7 +30,7 @@ import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,7 +75,10 @@ def _parse_complex_matrix(data) -> np.ndarray:
 
 
 def _number(value, key: str, kind=int):
-    """``kind(value)``, or a ConfigError naming the key if that fails or changes a float."""
+    """``kind(value)``, or a ConfigError naming the key if that fails, changes a float or
+    meets NaN."""
+    if isinstance(value, float) and math.isnan(value):
+        raise ConfigError(f"{key} must not be NaN")
     try:
         out = kind(value)
     except (TypeError, ValueError):
@@ -127,9 +130,10 @@ def _build_processor(spec: dict, n: int) -> ProcessorMap:
     return _construct(make, n, h0, h1)
 
 
-def _build_channel(spec: dict, value: Optional[float] = None) -> ch.KrausChannel:
-    """The channel of a config's ``channel`` section; ``value`` (a grid point)
-    replaces its scalar parameter ``p`` or ``theta``."""
+def _build_channel(spec: dict, value: Optional[float] = None) -> Tuple[ch.KrausChannel, float]:
+    """The channel of a config's ``channel`` section and its scalar parameter
+    ``p`` or ``theta`` (NaN for pauli and unitary channels); ``value`` (a grid
+    point) replaces that parameter."""
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in CHANNEL_KINDS:
         raise ConfigError(f"channel.kind {kind!r} not one of {sorted(CHANNEL_KINDS)}")
@@ -139,23 +143,14 @@ def _build_channel(spec: dict, value: Optional[float] = None) -> ch.KrausChannel
             raise ConfigError(f"channel.{key} is required for channel kind {kind!r}")
         value = spec[key]
     if kind == "pauli":
-        return _construct(ch.pauli_channel, value)
+        return _construct(ch.pauli_channel, value), math.nan
     if kind == "unitary":
-        return _construct(ch.unitary_channel, _parse_complex_matrix(value))
+        return _construct(ch.unitary_channel, _parse_complex_matrix(value)), math.nan
     value = _number(value, f"channel.{key}", float)
     if kind == "depolarizing":
-        return _construct(ch.depolarizing, value, _number(spec.get("d", 2), "channel.d"))
+        return _construct(ch.depolarizing, value, _number(spec.get("d", 2), "channel.d")), value
     return _construct({"amplitude_damping": ch.amplitude_damping, "dephasing": ch.dephasing,
-                       "rotation": ch.rotation}[kind], value)
-
-
-def _channel_param(spec: dict, value: Optional[float]) -> float:
-    if value is not None:
-        return float(value)
-    for key in ("p", "theta"):
-        if key in spec:
-            return float(spec[key])
-    return math.nan
+                       "rotation": ch.rotation}[kind], value), value
 
 
 def _optim_config(cfg: dict, cost: str, mu: float, seed) -> optim.OptimConfig:
@@ -261,7 +256,7 @@ def _run_point(cfg: dict, method: str, proc: ProcessorMap, n_ports: int,
                channel_spec: dict, value: Optional[float], tol: float,
                seed: Optional[int]) -> ResultRow:
     t0 = time.perf_counter()
-    channel = _build_channel(channel_spec, value)
+    channel, param = _build_channel(channel_spec, value)
     if channel.d_in != proc.d_in:
         raise ConfigError(f"channel dimension {channel.d_in} != processor dimension {proc.d_in}")
     cost_kind = cfg.get("cost", "C1")
@@ -274,8 +269,8 @@ def _run_point(cfg: dict, method: str, proc: ProcessorMap, n_ports: int,
         cfg=cfg, proc=proc, n_ports=n_ports, channel=channel,
         chi_e=ch.choi_of_channel(channel).matrix, cost_kind=cost_kind, mu=mu, tol=tol,
         seed=seed)
-    return ResultRow(_channel_param(channel_spec, value), method, n_ports, kind, cost,
-                     iterations, time.perf_counter() - t0, program)
+    return ResultRow(param, method, n_ports, kind, cost, iterations, time.perf_counter() - t0,
+                     program)
 
 
 def _save_program(path: str, matrix: np.ndarray, structure: str, cfg: dict) -> None:
@@ -455,7 +450,7 @@ def _verify_checks(level: str):
     yield ("Schatten chain inf<=2<=1", max(0.0, s_inf - s_2, s_2 - s_1), 0.0)
 
     for kind in ("amplitude_damping", "depolarizing", "dephasing"):
-        channel = _build_channel({"kind": kind, "p": 0.35})
+        channel, _ = _build_channel({"kind": kind, "p": 0.35})
         chi = ch.choi_of_channel(channel)
         marg = partial_trace(chi.matrix, [2, 2], [0])
         yield (f"choi marginal {kind}", float(np.abs(marg - np.eye(2) / 2).max()), 1e-9)
@@ -557,8 +552,6 @@ def _verify_checks(level: str):
 
 def cmd_verify(args) -> int:
     level = args.level
-    if level not in ("fast", "full"):
-        raise ConfigError(f"unknown verify level {level!r} (use fast or full)")
     failures = 0
     t0 = time.perf_counter()
     for name, residual, tol in _verify_checks(level):

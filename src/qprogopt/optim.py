@@ -178,14 +178,20 @@ def simplex_project(x: np.ndarray, counts: Optional[np.ndarray] = None) -> np.nd
 
     With ``counts``, entry i stands for counts[i] equal entries: the result
     is the y >= 0 with sum_i counts_i y_i = 1 nearest to x in the norm
-    sum_i counts_i (x_i - y_i)^2, y_i = max(x_i - theta, 0).
+    sum_i counts_i (x_i - y_i)^2, y_i = max(x_i - theta, 0).  An input for
+    which no threshold is active (a non-finite entry, or sums beyond the float
+    range or precision) raises ValueError.
     """
     x = np.asarray(x, dtype=float)
     w = np.ones(x.size) if counts is None else np.asarray(counts, dtype=float)
     order = x.argsort()[::-1]
     u, wu = x[order], w[order]
     thresholds = ((wu * u).cumsum() - 1.0) / wu.cumsum()
-    theta = thresholds[(u > thresholds).nonzero()[0][-1]]
+    active = (u > thresholds).nonzero()[0]
+    if not active.size:
+        raise ValueError("simplex_project: no active threshold; the input is not finite "
+                         "or too large to project")
+    theta = thresholds[active[-1]]
     out = np.maximum(x - theta, 0.0)
     return out / (w * out).sum()
 
@@ -361,16 +367,18 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
     best_pi = pi
     trace: List[Tuple[int, float]] = [(0, best)]
     converged = False
-    for it in range(1, cfg.max_iters + 1):
-        pi = step(pi, proc.dual(x, blocks=True), it)
-        cost, x = terms(proc.apply_matrix(pi, blocks=True))
-        if cost < best:
-            best = cost
-            best_pi = pi
-        trace.append((it, best))
-        if it >= STALL_WINDOW and trace[it - STALL_WINDOW][1] - best < cfg.tolerance:
-            converged = True
-            break
+    # a huge step overflows; the projections and the eigen-solvers then raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, cfg.max_iters + 1):
+            pi = step(pi, proc.dual(x, blocks=True), it)
+            cost, x = terms(proc.apply_matrix(pi, blocks=True))
+            if cost < best:
+                best = cost
+                best_pi = pi
+            trace.append((it, best))
+            if it >= STALL_WINDOW and trace[it - STALL_WINDOW][1] - best < cfg.tolerance:
+                converged = True
+                break
     # a Frank-Wolfe mix is Hermitian only to rounding
     m = hermitize(proc.block_coords.embed(best_pi))
     return OptimResult(

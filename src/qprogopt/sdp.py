@@ -42,9 +42,9 @@ constraint instead of n^2, and every block is real (``_real_data``).  The
 program pi enters as one variable block M_b per program block, in the
 classes of ``ProcessorMap.block_coords`` (pi = sum_b sum_c V_c M_b V_c^dag,
 as in the first-order methods), and a stack A on pi as copies_b times its
-block part on M_b (``_program_terms``): ``proc.dual(X, blocks=True)`` for A =
-Lambda*(X), ``block_coords.part`` for the feasibility rows.  A PBT program at
-N=3 is solved as blocks of 20, 20 and 4 instead of 64.
+block part on M_b (``_SdpBuilder.terms``): ``proc.dual(X, blocks=True)`` for
+A = Lambda*(X), ``block_coords.part`` for the feasibility rows.  A PBT program
+at N=3 is solved as blocks of 20, 20 and 4 instead of 64.
 
 Built on top of it:
 
@@ -529,83 +529,10 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     )
 
 
-class _SdpBuilder:
-    """Assemble an SdpProblem from Hermitian variable blocks.  The objective
-    is a {block index: matrix} dict; ``groups`` holds the constraint groups
-    ``(terms, rhs)``, which go to the problem as they are.  ``real`` says
-    that the program's data are real (``_real_data``), so its blocks are
-    real symmetric."""
-
-    def __init__(self, real: bool):
-        self.real = real
-        self.block_dims: List[int] = []
-        self.objective: Dict[int, np.ndarray] = {}
-        self.groups: List[Tuple[Dict[int, np.ndarray], np.ndarray]] = []
-
-    def basis(self, n: int) -> np.ndarray:
-        """``hermitian_basis(n)``, or for real data only its real symmetric
-        members (the n diagonal units and the real off-diagonal elements,
-        indices n + 2j) as a real stack."""
-        basis = hermitian_basis(n)
-        return basis[np.r_[:n, n:n * n:2]].real if self.real else basis
-
-    def add_block(self, n: int) -> int:
-        self.block_dims.append(n)
-        return len(self.block_dims) - 1
-
-    def build(self) -> SdpProblem:
-        return SdpProblem(objective=[self.objective.get(b, np.zeros((d, d)))
-                                     for b, d in enumerate(self.block_dims)],
-                          constraints=self.groups)
-
-
-# --- concrete programs --------------------------------------------------------
-
-
-def _program_blocks(bld: _SdpBuilder, proc: ProcessorMap) -> List[List[int]]:
-    """Add one m x m variable block M_b per program block, by ``proc.block_coords`` class."""
-    return [[bld.add_block(m) for _ in range(nb)] for nb, m, _ in proc.block_coords.shapes]
-
-
-def _program_terms(proc: ProcessorMap, pi_blks: List[List[int]], parts: list,
-                   real: bool) -> Dict[int, np.ndarray]:
-    """Terms on the program blocks of a (k, d_prog, d_prog) stack A from its block parts
-    (one (k, nb, m, m) stack per class): <A_i, pi> = sum_b <copies_b part_b(A_i), M_b>;
-    real stacks for real data."""
-    terms = {}
-    for blks, copies, part in zip(pi_blks, proc.block_coords.copies, parts):
-        stack = hermitize(copies * part)
-        terms.update(zip(blks, (stack.real if real else stack).swapaxes(0, 1)))
-    return terms
-
-
-def _trace_builder(chi: np.ndarray, proc: ProcessorMap):
-    """P/Q split program for ||chi - Lambda(pi)||_1:
-
-        min Tr P + Tr Q  s.t.  P - Q + Lambda(pi) = chi,  P, Q >= 0.
-
-    The feasibility constraints of the program blocks are left to the
-    caller.  Returns the builder and the program block indices.
-    """
-    n = chi.shape[0]
-    bld = _SdpBuilder(_real_data(chi, proc))
-    basis = bld.basis(n)
-    p_blk = bld.add_block(n)
-    q_blk = bld.add_block(n)
-    pi_blks = _program_blocks(bld, proc)
-    bld.objective[p_blk] = np.eye(n)
-    bld.objective[q_blk] = np.eye(n)
-    # P - Q + Lambda(pi) = chi   (as <B_a, .> coordinates)
-    bld.groups.append(({p_blk: basis, q_blk: -basis,
-                        **_program_terms(proc, pi_blks, proc.dual(basis, blocks=True), bld.real)},
-                       _coords(basis, chi)))
-    return bld, pi_blks
-
-
-def _warn_if_failed(sol: SdpSolution, who: str, tol: float = DEFAULT_TOL,
-                    stacklevel: int = 3) -> None:
+def _warn_if_failed(sol: SdpSolution, who: str, tol: float = DEFAULT_TOL) -> None:
     """Raise on infeasibility or unboundedness (every program built here is
-    bounded and strictly feasible); warn when a solve stopped far from tolerance.
+    bounded and strictly feasible); warn when a solve stopped far from tolerance,
+    naming the line that called the entry point that called ``_SdpBuilder.solve``.
 
     Stalls within ~50x of the target tolerance stay silent: no entry point
     reports a solver objective.  Each re-evaluates its cost at the projected
@@ -622,8 +549,83 @@ def _warn_if_failed(sol: SdpSolution, who: str, tol: float = DEFAULT_TOL,
                 f"{who}: interior point stopped at status {sol.status} "
                 f"(gap {sol.gap:.3e}, residuals {sol.residual_primal:.3e}/"
                 f"{sol.residual_dual:.3e})",
-                stacklevel=stacklevel,
+                stacklevel=4,
             )
+
+
+class _SdpBuilder:
+    """Build, solve and recover one SdpProblem.  ``real`` says that the data
+    (chi and, with a processor, its transfer and program blocks) are real
+    (``_real_data``), so every block is real symmetric.  The objective is a
+    {block index: matrix} dict and ``groups`` the constraint groups
+    ``(terms, rhs)``; with a processor, pi enters as the blocks ``pi_blks``."""
+
+    def __init__(self, chi: np.ndarray, proc: Optional[ProcessorMap] = None):
+        self.real = _real_data(chi, proc)
+        self.proc = proc
+        self.pi_blks: List[List[int]] = []
+        self.block_dims: List[int] = []
+        self.objective: Dict[int, np.ndarray] = {}
+        self.groups: List[Tuple[Dict[int, np.ndarray], np.ndarray]] = []
+
+    def basis(self, n: int) -> np.ndarray:
+        """``hermitian_basis(n)``, or for real data only its real symmetric
+        members (the n diagonal units and the real off-diagonal elements,
+        indices n + 2j) as a real stack."""
+        basis = hermitian_basis(n)
+        return basis[np.r_[:n, n:n * n:2]].real if self.real else basis
+
+    def add_block(self, n: int, objective: Optional[np.ndarray] = None) -> int:
+        self.block_dims.append(n)
+        if objective is not None:
+            self.objective[len(self.block_dims) - 1] = objective
+        return len(self.block_dims) - 1
+
+    def terms(self, parts: list) -> Dict[int, np.ndarray]:
+        """Terms on the program blocks of a (k, d_prog, d_prog) stack A from its block
+        parts (one (k, nb, m, m) stack per class of ``proc.block_coords``):
+        <A_i, pi> = sum_b <copies_b part_b(A_i), M_b>; real stacks for real data.
+        The first call adds one m x m variable block M_b per program block, by class."""
+        coords = self.proc.block_coords
+        if not self.pi_blks:
+            self.pi_blks = [[self.add_block(m) for _ in range(nb)] for nb, m, _ in coords.shapes]
+        terms = {}
+        for blks, copies, part in zip(self.pi_blks, coords.copies, parts):
+            stack = hermitize(copies * part)
+            terms.update(zip(blks, (stack.real if self.real else stack).swapaxes(0, 1)))
+        return terms
+
+    def build(self) -> SdpProblem:
+        return SdpProblem(objective=[self.objective.get(b, np.zeros((d, d)))
+                                     for b, d in enumerate(self.block_dims)],
+                          constraints=self.groups)
+
+    def solve(self, tol: float, who: str) -> Tuple[Optional[DensityMatrix], SdpSolution]:
+        """Solve, raising or warning for ``who`` (``_warn_if_failed``).  With a
+        processor, first add pi's feasibility rows (unit trace, or Tr_out pi = I/d
+        for the single-port Choi set); return pi re-embedded from its blocks and
+        projected to exact feasibility (None without a processor) and the solution."""
+        proc = self.proc
+        if proc is not None:
+            if proc.program_domain == "choi":
+                fs = self.basis(proc.d_in)
+                # Tr_out pi = I/d (includes unit trace)
+                rows = np.kron(fs, np.eye(proc.d_in, dtype=fs.dtype))
+                rhs = np.trace(fs, axis1=1, axis2=2).real / proc.d_in
+            else:
+                # Tr pi = 1: each block counts once per copy
+                rows, rhs = np.eye(proc.d_prog)[None], [1.0]
+            self.groups.append((self.terms(proc.block_coords.part(rows)), rhs))
+        sol = solve_sdp(self.build(), tol=tol)
+        _warn_if_failed(sol, who, tol)
+        if proc is None:
+            return None, sol
+        pi = proc.block_coords.embed([np.array([sol.primal_blocks[b] for b in blks])
+                                      for blks in self.pi_blks])
+        return project_program(proc, pi), sol
+
+
+# --- concrete programs --------------------------------------------------------
 
 
 def _repaired_value(z: np.ndarray, chi: np.ndarray, d_in: int, d_out: int) -> float:
@@ -678,44 +680,31 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     upper = _repaired_value(hermitize((vecs * (d_in * pos)) @ vecs.conj().T), chi, d_in, d_out)
     if upper - 2.0 * float(pos.sum()) <= tol:
         return upper
-    bld, z_blk, _ = _watrous_builder(chi, d_in, d_out)
-    sol = solve_sdp(bld.build(), tol=tol)
-    _warn_if_failed(sol, "diamond_distance", tol)
+    bld, z_blk = _watrous_builder(chi, d_in, d_out)
+    _, sol = bld.solve(tol, "diamond_distance")
     return _repaired_value(sol.primal_blocks[z_blk], chi, d_in, d_out)
-
-
-def _solve_program(bld: _SdpBuilder, pi_blks: List[List[int]], proc: ProcessorMap, tol: float,
-                   who: str) -> Tuple[DensityMatrix, SdpSolution]:
-    """Add the feasible-program constraints on pi (unit trace, or the Choi
-    marginal Tr_out pi = I/d for a processor whose program domain is the
-    single-port Choi set), solve, re-embed pi from its blocks and project it
-    to exact feasibility.  Returns the projected program and the solution."""
-    if proc.program_domain == "choi":
-        fs = bld.basis(proc.d_in)
-        # Tr_out pi = I/d (includes unit trace)
-        rows = np.kron(fs, np.eye(proc.d_in, dtype=fs.dtype))
-        rhs = np.trace(fs, axis1=1, axis2=2).real / proc.d_in
-    else:
-        # Tr pi = 1: each block counts once per copy
-        rows, rhs = np.eye(proc.d_prog)[None], [1.0]
-    coords = proc.block_coords
-    bld.groups.append((_program_terms(proc, pi_blks, coords.part(rows), bld.real), rhs))
-    sol = solve_sdp(bld.build(), tol=tol)
-    _warn_if_failed(sol, who, tol, stacklevel=4)
-    pi = coords.embed([np.array([sol.primal_blocks[b] for b in blks]) for blks in pi_blks])
-    return project_program(proc, pi), sol
 
 
 def optimize_program_trace(proc: ProcessorMap, chi_target,
                            tol: float = DEFAULT_TOL) -> Tuple[DensityMatrix, float]:
-    """Joint minimization of the trace cost over program states.
+    """Joint minimization of the trace cost over program states, by the P/Q
+    split program for ||chi - Lambda(pi)||_1:
+
+        min Tr P + Tr Q  s.t.  P - Q + Lambda(pi) = chi,  P, Q >= 0.
 
     Returns the optimizing program (projected to exact feasibility) and the
     trace cost re-evaluated at it.
     """
     chi_e = hermitize(_target(proc, chi_target))
-    bld, pi_blks = _trace_builder(chi_e, proc)
-    program, _ = _solve_program(bld, pi_blks, proc, tol, "optimize_program_trace")
+    n = chi_e.shape[0]
+    bld = _SdpBuilder(chi_e, proc)
+    basis = bld.basis(n)
+    p_blk = bld.add_block(n, np.eye(n))
+    q_blk = bld.add_block(n, np.eye(n))
+    # P - Q + Lambda(pi) = chi   (as <B_a, .> coordinates)
+    bld.groups.append(({p_blk: basis, q_blk: -basis,
+                        **bld.terms(proc.dual(basis, blocks=True))}, _coords(basis, chi_e)))
+    program, _ = bld.solve(tol, "optimize_program_trace")
     value = cost_eval("C1", chi_e, proc.apply_matrix(program))
     return program, value
 
@@ -727,31 +716,27 @@ def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
         min 2t  s.t.  W = Z - d_in Delta >= 0,  V = t I - Tr_out Z >= 0,  Z >= 0.
 
     t is a real 1 x 1 block.  Without a processor Delta = chi is fixed; with
-    one, the program blocks of pi are added (their feasibility constraints
-    are left to the caller).  Returns the builder, the Z block index and the
-    program block indices (none without a processor).
+    one, the program blocks of pi are added (``_SdpBuilder.terms``).  Returns
+    the builder and the Z block index.
     """
     n = d_in * d_out
-    bld = _SdpBuilder(_real_data(chi, proc))
+    bld = _SdpBuilder(chi, proc)
     basis = bld.basis(n)
     z_blk = bld.add_block(n)
     w_blk = bld.add_block(n)
     v_blk = bld.add_block(d_in)
-    t_blk = bld.add_block(1)
-    pi_blks = [] if proc is None else _program_blocks(bld, proc)
-    bld.objective[t_blk] = np.array([[2.0]])
+    t_blk = bld.add_block(1, np.array([[2.0]]))
     # W = Z - d (chi - Lambda(pi))
     terms = {w_blk: basis, z_blk: -basis}
     if proc is not None:
-        terms.update(_program_terms(proc, pi_blks, proc.dual(-d_in * basis, blocks=True),
-                                    bld.real))
+        terms.update(bld.terms(proc.dual(-d_in * basis, blocks=True)))
     bld.groups.append((terms, -d_in * _coords(basis, chi)))
     # V = t I - Tr_out Z
     fs = bld.basis(d_in)
     bld.groups.append(({v_blk: fs, z_blk: np.kron(fs, np.eye(d_out, dtype=fs.dtype)),
                         t_blk: -np.trace(fs, axis1=1, axis2=2).real.reshape(-1, 1, 1)},
                        np.zeros(len(fs))))
-    return bld, z_blk, pi_blks
+    return bld, z_blk
 
 
 def optimize_program_diamond(proc: ProcessorMap, chi_target,
@@ -764,8 +749,8 @@ def optimize_program_diamond(proc: ProcessorMap, chi_target,
     its dual objective, is ``diamond_distance`` solved again at pi'.
     """
     chi_e = hermitize(_target(proc, chi_target))
-    bld, z_blk, pi_blks = _watrous_builder(chi_e, proc.d_in, proc.d_out, proc)
-    program, sol = _solve_program(bld, pi_blks, proc, tol, "optimize_program_diamond")
+    bld, z_blk = _watrous_builder(chi_e, proc.d_in, proc.d_out, proc)
+    program, sol = bld.solve(tol, "optimize_program_diamond")
     delta = hermitize(chi_e - proc.apply_matrix(program))
     value = _repaired_value(sol.primal_blocks[z_blk], delta, proc.d_in, proc.d_out)
     if sol.status != "optimal" or value > sol.dual_objective + 100.0 * tol:
@@ -785,20 +770,18 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     """
     chi_e = hermitize(_target(proc, chi_target))
     n = proc.d_choi
-    bld = _SdpBuilder(_real_data(chi_e, proc))
+    bld = _SdpBuilder(chi_e, proc)
     vals, vecs = np.linalg.eigh(chi_e.real if bld.real else chi_e)
     support = vals > 1e-12 * float(vals.max())
     d_supp = np.diag(vals[support]).astype(vecs.dtype)
     v_supp = vecs[:, support]
     r = d_supp.shape[0]
 
-    g_blk = bld.add_block(r + n)
-    pi_blks = _program_blocks(bld, proc)
     # objective corner: -Re Tr[V X] for the (r x n) off-diagonal slot X
     obj = np.zeros((r + n, r + n), dtype=vecs.dtype)
     obj[:r, r:] = -0.5 * v_supp.conj().T
     obj[r:, :r] = -0.5 * v_supp
-    bld.objective[g_blk] = obj
+    g_blk = bld.add_block(r + n, obj)
     # top-left corner = D, bottom-right corner = Lambda(pi)
     top, basis = bld.basis(r), bld.basis(n)
     corner = np.zeros((len(top), r + n, r + n), dtype=top.dtype)
@@ -806,9 +789,9 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     bld.groups.append(({g_blk: corner}, _coords(top, d_supp)))
     corner = np.zeros((len(basis), r + n, r + n), dtype=basis.dtype)
     corner[:, r:, r:] = basis
-    lam = _program_terms(proc, pi_blks, proc.dual(-basis, blocks=True), bld.real)
+    lam = bld.terms(proc.dual(-basis, blocks=True))
     bld.groups.append(({g_blk: corner, **lam}, np.zeros(len(basis))))
-    program, _ = _solve_program(bld, pi_blks, proc, tol, "optimize_program_fidelity")
+    program, _ = bld.solve(tol, "optimize_program_fidelity")
     value = bures_fidelity(chi_e, proc.apply_matrix(program))
     return program, value
 

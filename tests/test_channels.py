@@ -264,6 +264,11 @@ def test_kraus_channel_completeness_check():
     bad = (np.eye(2, dtype=complex) * 0.5,)
     with pytest.raises(ValueError, match="deviates"):
         KrausChannel(bad, 2, 2)
+    # NaN fails no comparison with the tolerance, so it is rejected on its own
+    with pytest.raises(ValueError, match="non-finite"):
+        KrausChannel((np.full((2, 2), np.nan),), 2, 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        rotation(math.nan)
 
 
 def test_choi_matrix_marginal_check():

@@ -94,13 +94,14 @@ def test_optimize_saves_program(tmp_path):
     assert np.isclose(np.trace(prog).real, 1.0, atol=1e-8)
 
 
-def test_benchmark_grid_with_baseline(tmp_path):
+@pytest.mark.parametrize("cost, method", [("C1", "sdp_trace"), ("Cdiamond", "sdp_diamond")])
+def test_benchmark_grid_with_baseline(tmp_path, cost, method):
     cfg = {
         "processor": {"kind": "pbt", "N": [2], "d": 2},
         "channel": {"kind": "amplitude_damping", "param": "p",
                      "values": [0.3, 0.7]},
-        "methods": ["sdp_trace", "choi_baseline"],
-        "cost": "C1",
+        "methods": [method, "choi_baseline"],
+        "cost": cost,
     }
     out = tmp_path / "bench.csv"
     code = main(["benchmark", "--config", _write(tmp_path, cfg),
@@ -114,7 +115,7 @@ def test_benchmark_grid_with_baseline(tmp_path):
     assert [r[0] for r in rows] == ["0.3", "0.3", "0.7", "0.7"]
     by_key = {(r[0], r[1]): float(r[4]) for r in rows}
     for p in ("0.3", "0.7"):
-        assert by_key[(p, "sdp_trace")] <= by_key[(p, "choi_baseline")] + 1e-8
+        assert by_key[(p, method)] <= by_key[(p, "choi_baseline")] + 1e-8
 
 
 def test_benchmark_mpqc_never_worse_than_pqc(tmp_path):
@@ -282,11 +283,31 @@ _SUBGRADIENT = {"processor": {"kind": "teleportation"}, "channel": _AD, "method"
      "b must be finite"),
     ("optimize", _SUBGRADIENT | {"optimizer": {"tolerance": -math.inf}},
      "tolerance must be finite"),
-    ("optimize", _SUBGRADIENT | {"optimizer": {"tolerance": math.nan}}, "optimizer.tolerance"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"tolerance": math.nan}},
+     "optimizer.tolerance must not be NaN"),
     ("optimize", _SUBGRADIENT | {"cost": "Cmu", "mu": math.inf}, "mu must be positive and finite"),
     ("optimize", {"processor": {"kind": "teleportation"}, "channel": _AD,
                   "method": "choi_baseline", "cost": "Cmu", "mu": math.inf},
      "mu must be positive and finite"),
+    # NaN settings
+    ("optimize", _SUBGRADIENT | {"optimizer": {"learning_rate": {"a": math.nan}}},
+     "optimizer.learning_rate.a must not be NaN"),
+    ("optimize", _SUBGRADIENT | {"cost": "Cmu", "mu": math.nan}, "mu must not be NaN"),
+    ("optimize", _SUBGRADIENT | {"channel": {"kind": "rotation", "theta": math.nan}},
+     "channel.theta must not be NaN"),
+    # processor and channel sections
+    ("optimize", {"processor": {"kind": "foo"}, "channel": _AD, "method": "sdp_trace"},
+     "processor.kind 'foo' not one of"),
+    ("optimize", {"processor": {"kind": "pqc", "N": 1, "H0": [["a", "b"]]}, "channel": _AD,
+                  "method": "sdp_trace"}, "matrix entries must be nested [re, im] pairs"),
+    ("optimize", {"processor": {"kind": "pqc", "N": 1, "H0": [[1, 0], [0, 1]]}, "channel": _AD,
+                  "method": "sdp_trace"}, "matrix must have shape (n, n, 2)"),
+    ("optimize", {"processor": {"kind": "teleportation"}, "method": "sdp_trace"},
+     "config needs a 'channel' section"),
+    ("benchmark", {"processor": {"kind": "pbt", "N": []}, "channel": _AD,
+                   "methods": ["sdp_trace"]}, "processor.N grid is empty"),
+    ("benchmark", {"processor": {"kind": "teleportation"}, "channel": _AD},
+     "benchmark config needs 'methods'"),
 ], ids=["p-range", "pqc-N", "teleportation-d", "cost-kind", "benchmark-grid-p", "N-list",
         "N-fraction", "max_iters-string", "max_iters-zero", "max_iters-fraction",
         "learning-rate-kind", "learning-rate-a", "init", "tolerance-string", "mu-string",
@@ -295,7 +316,9 @@ _SUBGRADIENT = {"processor": {"kind": "teleportation"}, "channel": _AD, "method"
         "optimizer-type", "learning-rate-type", "channel-kind-type", "method-type",
         "values-type", "methods-type", "harmonic-b", "out-type", "gnuplot_out-empty",
         "save_program-type", "closed-form-non-unitary", "learning-rate-a-inf",
-        "harmonic-b-inf", "tolerance-inf", "tolerance-nan", "mu-inf", "baseline-mu-inf"])
+        "harmonic-b-inf", "tolerance-inf", "tolerance-nan", "mu-inf", "baseline-mu-inf",
+        "learning-rate-a-nan", "mu-nan", "theta-nan", "processor-kind", "H0-entries",
+        "H0-shape", "no-channel", "N-grid-empty", "no-methods"])
 def test_rejected_config_value_is_validation_error(tmp_path, capsys, command, cfg, message):
     assert main([command, "--config", _write(tmp_path, cfg)]) == 1
     err = capsys.readouterr().err
@@ -375,11 +398,18 @@ def test_benchmark_point_failure_keeps_other_rows(tmp_path, capsys, monkeypatch)
     assert "(1, 0.7, 'sdp_trace')" in err and "solver broke" in err
 
 
-def test_optimize_solver_failure_is_numerical_failure(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("cfg, message", [
+    ({"processor": {"kind": "teleportation"}, "channel": _AD, "method": "sdp_trace"},
+     "numerical failure: solver broke"),
+    # a finite but huge step overflows the projected spectrum
+    (_SUBGRADIENT | {"optimizer": {"max_iters": 5, "learning_rate": {"a": 1e308}}},
+     "numerical failure: simplex_project"),
+], ids=["sdp-trace", "subgradient-huge-step"])
+def test_optimize_solver_failure_is_numerical_failure(tmp_path, capsys, monkeypatch, cfg,
+                                                      message):
     _failing_sdp_trace(monkeypatch, 0.5)
-    cfg = {"processor": {"kind": "teleportation"}, "channel": _AD, "method": "sdp_trace"}
     assert main(["optimize", "--config", _write(tmp_path, cfg)]) == 2
-    assert "numerical failure: solver broke" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_unitary_channel_is_simulated_exactly(tmp_path):

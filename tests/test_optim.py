@@ -295,6 +295,11 @@ def test_project_examples_against_grid_oracle():
     out2 = project_to_states(np.diag(x2).astype(complex))
     assert np.allclose(np.diag(out2.matrix).real, [1.0, 0.0], atol=1e-12)
 
+    # no threshold is active on a non-finite input
+    for bad in ([np.inf, 0.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="no active threshold"):
+            simplex_project(np.array(bad))
+
 
 def test_projection_firmly_nonexpansive():
     rng = np.random.default_rng(38)

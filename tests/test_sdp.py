@@ -449,22 +449,23 @@ TERMS = {
 @pytest.mark.parametrize("key", list(TERMS))
 def test_program_terms_match_the_isometry_conjugation(key, real):
     # the block parts times the copies are sum_c V_c^dag A V_c, for the
-    # Choi-space groups (block dual of the basis) and the feasibility rows
+    # Choi-space groups (block dual of the basis) and the feasibility rows; a
+    # target with an imaginary part asks for the complex basis
     proc = TERMS[key]()
-    bld = sdp._SdpBuilder(real)
-    pi_blks = sdp._program_blocks(bld, proc)
+    target = np.eye(proc.d_choi) if real else sdp.hermitian_basis(proc.d_choi)[proc.d_choi + 1]
+    bld = sdp._SdpBuilder(target, proc)
+    assert bld.real == (real and proc.block_coords.real)
     basis = bld.basis(proc.d_choi)
     if proc.program_domain == "choi":
         rows = np.kron(bld.basis(proc.d_in), np.eye(proc.d_out))
     else:
         rows = np.eye(proc.d_prog)[None]
-    real = real and proc.block_coords.real
     for parts, a in ((proc.dual(-3.0 * basis, blocks=True), -3.0 * hermitize(proc.dual(basis))),
                      (proc.block_coords.part(rows), rows)):
-        terms = sdp._program_terms(proc, pi_blks, parts, real)
+        terms = bld.terms(parts)
         expected = program_terms(proc, a)
-        assert list(terms) == [b for blks in pi_blks for b in blks]
-        assert not real or all(np.isrealobj(t) for t in terms.values())
+        assert list(terms) == [b for blks in bld.pi_blks for b in blks]
+        assert not bld.real or all(np.isrealobj(t) for t in terms.values())
         for t, e in zip(terms.values(), expected):
             assert t.shape == e.shape
             assert np.abs(t - e).max() <= 1e-12
@@ -591,7 +592,7 @@ def test_diamond_value_lies_between_the_watrous_bounds():
     for d, chi in pairs:
         value = diamond_distance(chi, d)
         assert value >= np.abs(np.linalg.eigvalsh(chi)).sum() - 1e-12
-        bld, _, _ = sdp._watrous_builder(chi, d, d)
+        bld, _ = sdp._watrous_builder(chi, d, d)
         sol = solve_sdp(bld.build())
         assert sol.status == "optimal"
         assert abs(value - sol.primal_objective) <= 1e-6
@@ -607,6 +608,25 @@ def test_program_diamond_value_comes_from_the_joint_solve(proc, monkeypatch):
     assert len(solves) == 1
     exact = diamond_distance(chi_a - proc.apply_matrix(program), proc.d_in)
     assert abs(value - exact) <= 1e-6
+
+
+def test_stalled_solve_warns_at_the_caller(monkeypatch):
+    # a solve that stops far from tol warns at the line that called the entry point
+    def stalled(problem, tol=sdp.DEFAULT_TOL):
+        return dataclasses.replace(solve_sdp(problem, tol), status="max_iter",
+                                   residual_primal=1.0)
+
+    monkeypatch.setattr(sdp, "solve_sdp", stalled)
+    proc, chi_a = pbt_processor(2), choi_of_channel(amplitude_damping(0.5)).matrix
+    calls = {"diamond_distance": lambda: diamond_distance(chi_a - PHI, 2),
+             **{f.__name__: functools.partial(f, proc, chi_a)
+                for f in (optimize_program_trace, optimize_program_diamond,
+                          optimize_program_fidelity)}}
+    for who, call in calls.items():
+        with pytest.warns(UserWarning, match="stopped at status max_iter") as record:
+            call()
+        assert str(record[0].message).startswith(f"{who}:")
+        assert record[0].filename == __file__
 
 
 @pytest.mark.parametrize("fault", [{"status": "max_iter"}, {"dual_objective": -1.0}],
