@@ -158,20 +158,21 @@ def _optim_config(cfg: dict, cost: str, mu: float, seed) -> optim.OptimConfig:
     lr = _section(oc, "learning_rate", "optimizer.learning_rate")
     if oc.get("init") == "random" and seed is None:
         raise ConfigError("optimizer.init 'random' is stochastic: a seed is mandatory")
+    config, rate = optim.OptimConfig, optim.LearningRate  # their defaults fill absent keys
     return _construct(
-        optim.OptimConfig,
-        max_iters=_number(oc.get("max_iters", 200), "optimizer.max_iters"),
+        config,
+        max_iters=_number(oc.get("max_iters", config.max_iters), "optimizer.max_iters"),
         learning_rate=_construct(
-            optim.LearningRate,
-            kind=lr.get("kind", "inv_sqrt"),
-            a=_number(lr.get("a", 1.0), "optimizer.learning_rate.a", float),
-            b=_number(lr.get("b", 0.0), "optimizer.learning_rate.b", float),
+            rate,
+            kind=lr.get("kind", rate.kind),
+            a=_number(lr.get("a", rate.a), "optimizer.learning_rate.a", float),
+            b=_number(lr.get("b", rate.b), "optimizer.learning_rate.b", float),
         ),
-        tolerance=_number(oc.get("tolerance", 1e-9), "optimizer.tolerance", float),
+        tolerance=_number(oc.get("tolerance", config.tolerance), "optimizer.tolerance", float),
         cost_kind=cost,
         mu=mu,
         seed=0 if seed is None else _number(seed, "seed"),
-        init=oc.get("init", "maximally_mixed"),
+        init=oc.get("init", config.init),
     )
 
 
@@ -262,7 +263,7 @@ def _run_point(cfg: dict, method: str, proc: ProcessorMap, n_ports: int,
     cost_kind = cfg.get("cost", "C1")
     if cost_kind not in COST_KINDS:
         raise ConfigError(f"cost {cost_kind!r} not one of {COST_KINDS}")
-    mu = _number(cfg.get("mu", 1e-2), "mu", float)
+    mu = _number(cfg.get("mu", optim.OptimConfig.mu), "mu", float)
     if cost_kind == "Cmu" and not 0 < mu < math.inf:
         raise ConfigError(f"mu must be positive and finite for cost 'Cmu', got {mu}")
     kind, cost, iterations, program = METHODS[method](
@@ -576,7 +577,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--gnuplot", default=None,
                        help="two-column (param, cost) export path")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
     p = sub.add_parser("verify")
     p.add_argument("level", nargs="?", default="fast", choices=["fast", "full"])
     sub.add_parser("channels")

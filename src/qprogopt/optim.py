@@ -18,8 +18,9 @@ A program is a ``DensityMatrix``.  Its feasible set follows the processor's
 ``program_domain``: the density matrices (Euclidean projection =
 spectrum-to-simplex, computed in closed form) or the single-port Choi set of
 the reduced port-based-teleportation map (projection by semismooth Newton on
-its d x d dual multiplier).  ``project_program`` makes that choice for the
-SDP programs' recovery step.
+its d x d dual multiplier).  Both searches leave by one step: ``_projection``
+projects in block coordinates, every first-order iterate and every SDP
+program's solved blocks, and ``_program`` re-embeds and validates.
 
 The first-order methods iterate in the processor's block coordinates
 (``ProcessorMap.block_coords``): one (nb, m, m) stack of block matrices per
@@ -59,7 +60,6 @@ __all__ = [
     "simplex_project",
     "project_to_states",
     "project_to_choi_set",
-    "project_program",
     "projected_subgradient",
     "frank_wolfe",
     "learn_unitary_program",
@@ -313,21 +313,23 @@ def _choi_projection(x: np.ndarray, d: int) -> np.ndarray:
     return hermitize(a @ ((pt.u * pt.pos) @ pt.u.conj().T) @ a)
 
 
-def project_program(proc: ProcessorMap, x: np.ndarray) -> DensityMatrix:
-    """Closest feasible program of ``proc``: a density matrix, or a
-    single-port Choi matrix when the processor's program domain is "choi"."""
-    if proc.program_domain == "choi":
-        return project_to_choi_set(x, proc.d_in)
-    return project_to_states(x)
-
-
 def _projection(proc: ProcessorMap, stacks: list) -> list:
-    """``project_program`` in block coordinates, not validated: the first-order
-    iterates.  The Choi set is projected on the re-embedded program."""
+    """Closest feasible program of ``proc`` in block coordinates, not validated:
+    ``project_to_states`` by blocks, or ``project_to_choi_set`` of the
+    re-embedded program on the Choi domain."""
     coords = proc.block_coords
     if proc.program_domain == "choi":
         return coords.part(_choi_projection(coords.embed(stacks), proc.d_in))
     return _states_projection(stacks, coords.counts)
+
+
+def _program(proc: ProcessorMap, stacks: list) -> DensityMatrix:
+    """The program of block coordinates, hermitized (a Frank-Wolfe mix is Hermitian
+    only to rounding) and validated as a ``ChoiMatrix`` or a ``DensityMatrix``."""
+    m = hermitize(proc.block_coords.embed(stacks))
+    if proc.program_domain == "choi":
+        return ChoiMatrix(m, proc.d_in, proc.d_out)
+    return DensityMatrix(m)
 
 
 # --- iterative methods ------------------------------------------------------
@@ -357,14 +359,12 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
     block coordinates (``ProcessorMap.block_coords``): each iterate costs one
     apply and one dual on the block stacks, and one spectral decomposition of
     the simulated channel, which gives both its cost and its gradient.  The
-    best iterate is re-embedded and validated once, as a ``DensityMatrix`` or
-    a ``ChoiMatrix`` by the program domain; the target is checked once before
-    the first iterate."""
+    best iterate is re-embedded and validated once (``_program``); the target
+    is checked once before the first iterate."""
     terms = _COSTS[cfg.cost_kind](_target(proc, chi_target), cfg.mu)
     pi = _initial_program(proc, cfg)
     cost, x = terms(proc.apply_matrix(pi, blocks=True))
-    best = cost
-    best_pi = pi
+    best, best_pi = cost, pi
     trace: List[Tuple[int, float]] = [(0, best)]
     converged = False
     # a huge step overflows; the projections and the eigen-solvers then raise
@@ -373,21 +373,13 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
             pi = step(pi, proc.dual(x, blocks=True), it)
             cost, x = terms(proc.apply_matrix(pi, blocks=True))
             if cost < best:
-                best = cost
-                best_pi = pi
+                best, best_pi = cost, pi
             trace.append((it, best))
             if it >= STALL_WINDOW and trace[it - STALL_WINDOW][1] - best < cfg.tolerance:
                 converged = True
                 break
-    # a Frank-Wolfe mix is Hermitian only to rounding
-    m = hermitize(proc.block_coords.embed(best_pi))
-    return OptimResult(
-        program=(ChoiMatrix(m, proc.d_in, proc.d_out) if proc.program_domain == "choi"
-                 else DensityMatrix(m)),
-        cost_trace=tuple(trace),
-        converged=converged,
-        final_cost=best,
-    )
+    return OptimResult(program=_program(proc, best_pi), cost_trace=tuple(trace),
+                       converged=converged, final_cost=best)
 
 
 def projected_subgradient(proc: ProcessorMap, chi_target, cfg: OptimConfig = OptimConfig()) -> OptimResult:

@@ -56,11 +56,12 @@ Built on top of it:
   of the reduced port-based-teleportation map.
 
 Returned programs are ``DensityMatrix`` values (a ``ChoiMatrix`` for the
-reduced PBT map), re-embedded from their blocks (``block_coords.embed``)
-and projected back to exact feasibility by ``optim.project_program``, and
-every quoted value is attained by the returned (feasible) program: trace and
-fidelity optima are re-evaluated there, and a diamond value is 2 ||Tr_out
-Z'||_inf for a Z' repaired to exact feasibility at it (``_repaired_value``).
+reduced PBT map): the solved blocks take the first-order methods' step back
+to exact feasibility (``optim._projection``, one ``eigh`` per block class,
+and ``optim._program``), and every quoted value is attained by the returned
+(feasible) program: trace and fidelity optima are re-evaluated there, and a
+diamond value is 2 ||Tr_out Z'||_inf for a Z' repaired to exact feasibility
+at it (``_repaired_value``).
 That Z' comes from one eigendecomposition where chi_+ has a flat marginal
 (``diamond_distance``) or from the joint solve (``optimize_program_diamond``);
 a second solve runs only when neither certifies the value.
@@ -77,7 +78,7 @@ import numpy as np
 
 from .channels import ChoiMatrix, DensityMatrix, bures_fidelity, cost_eval
 from .hermlin import hermitize, partial_trace, spectral_norm
-from .optim import _target, project_program
+from .optim import _program, _projection, _target
 from .processors import ProcessorMap, pbt_reduced_map
 
 __all__ = [
@@ -603,8 +604,8 @@ class _SdpBuilder:
     def solve(self, tol: float, who: str) -> Tuple[Optional[DensityMatrix], SdpSolution]:
         """Solve, raising or warning for ``who`` (``_warn_if_failed``).  With a
         processor, first add pi's feasibility rows (unit trace, or Tr_out pi = I/d
-        for the single-port Choi set); return pi re-embedded from its blocks and
-        projected to exact feasibility (None without a processor) and the solution."""
+        for the single-port Choi set); return pi, its blocks projected to exact
+        feasibility (None without a processor), and the solution."""
         proc = self.proc
         if proc is not None:
             if proc.program_domain == "choi":
@@ -620,9 +621,8 @@ class _SdpBuilder:
         _warn_if_failed(sol, who, tol)
         if proc is None:
             return None, sol
-        pi = proc.block_coords.embed([np.array([sol.primal_blocks[b] for b in blks])
-                                      for blks in self.pi_blks])
-        return project_program(proc, pi), sol
+        stacks = [np.array([sol.primal_blocks[b] for b in blks]) for blks in self.pi_blks]
+        return _program(proc, _projection(proc, stacks)), sol
 
 
 # --- concrete programs --------------------------------------------------------
@@ -746,7 +746,7 @@ def optimize_program_diamond(proc: ProcessorMap, chi_target,
     The value is the joint solve's Z block repaired for the projected
     program pi' (``_repaired_value`` on chi - Lambda(pi')).  Only when the
     joint solve is not optimal, or that value lies more than 100 tol above
-    its dual objective, is ``diamond_distance`` solved again at pi'.
+    its dual objective, is Watrous's program on chi - Lambda(pi') solved again.
     """
     chi_e = hermitize(_target(proc, chi_target))
     bld, z_blk = _watrous_builder(chi_e, proc.d_in, proc.d_out, proc)
@@ -754,7 +754,9 @@ def optimize_program_diamond(proc: ProcessorMap, chi_target,
     delta = hermitize(chi_e - proc.apply_matrix(program))
     value = _repaired_value(sol.primal_blocks[z_blk], delta, proc.d_in, proc.d_out)
     if sol.status != "optimal" or value > sol.dual_objective + 100.0 * tol:
-        value = diamond_distance(delta, proc.d_in, tol=tol)
+        bld, z_blk = _watrous_builder(delta, proc.d_in, proc.d_out)
+        _, sol = bld.solve(tol, "optimize_program_diamond")
+        value = _repaired_value(sol.primal_blocks[z_blk], delta, proc.d_in, proc.d_out)
     return program, value
 
 

@@ -264,6 +264,10 @@ def test_kraus_channel_completeness_check():
     bad = (np.eye(2, dtype=complex) * 0.5,)
     with pytest.raises(ValueError, match="deviates"):
         KrausChannel(bad, 2, 2)
+    with pytest.raises(ValueError, match="at least one Kraus operator"):
+        KrausChannel((), 2, 2)
+    with pytest.raises(ValueError, match=r"operator shape \(2, 3\), expected \(2, 2\)"):
+        KrausChannel((np.eye(2, 3),), 2, 2)
     # NaN fails no comparison with the tolerance, so it is rejected on its own
     with pytest.raises(ValueError, match="non-finite"):
         KrausChannel((np.full((2, 2), np.nan),), 2, 2)
@@ -284,3 +288,15 @@ def test_bures_fidelity_symmetric():
     a = random_choi(2, rng).matrix
     b = random_choi(2, rng).matrix
     assert np.isclose(bures_fidelity(a, b), bures_fidelity(b, a), atol=1e-10)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: DensityMatrix(np.ones((2, 3)) / 2), "expected square matrix"),
+    (lambda: DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]])), "not Hermitian"),
+    (lambda: ChoiMatrix(np.eye(4) / 4, 2, 3), r"dim 4 != d_in\*d_out = 6"),
+    (lambda: pauli_channel(np.ones(3) / 3), "need d\\^2 probabilities, got 3"),
+    (lambda: cost_eval("Cp", np.eye(4) / 4, np.eye(4) / 4), "needs the p parameter"),
+], ids=["density-not-square", "density-not-hermitian", "choi-dims", "pauli-count", "Cp-no-p"])
+def test_channels_reject_malformed_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

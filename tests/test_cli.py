@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qprogopt import cli, sdp
-from qprogopt.channels import amplitude_damping, choi_of_channel
+from qprogopt import cli, optim, sdp
+from qprogopt.channels import DensityMatrix, amplitude_damping, choi_of_channel
 from qprogopt.cli import load_program, main
 
 
@@ -198,6 +198,24 @@ def test_missing_channel_parameter_is_validation_error(tmp_path, capsys):
     assert "channel.p" in capsys.readouterr().err
 
 
+def test_unset_options_take_the_library_defaults(tmp_path, monkeypatch):
+    # the CLI writes no default of its own: a config without an optimizer section
+    # runs OptimConfig's max_iters, and --tol defaults to the SDP tolerance
+    monkeypatch.setattr(optim.OptimConfig, "max_iters", 7)
+    monkeypatch.setattr(sdp, "DEFAULT_TOL", 1e-5)
+    tols = []
+    program = DensityMatrix(np.eye(4) / 4)
+    monkeypatch.setattr(sdp, "optimize_program_trace",
+                        lambda proc, chi, tol: tols.append(tol) or (program, 0.0))
+    ad = {"processor": {"kind": "teleportation"}, "channel": _AD}
+    out = tmp_path / "row.csv"
+    assert main(["optimize", "--config", _write(tmp_path, ad | {"method": "subgradient"}),
+                 "--out", str(out)]) == 0
+    assert out.read_text().strip().splitlines()[1].split(",")[5] == "7"
+    assert main(["optimize", "--config", _write(tmp_path, ad | {"method": "sdp_trace"})]) == 0
+    assert tols == [1e-5]
+
+
 def test_internal_key_error_propagates(tmp_path, monkeypatch):
     # a KeyError from inside the library is a bug, not a config problem
     def broken(*_args, **_kwargs):
@@ -321,6 +339,16 @@ _SUBGRADIENT = {"processor": {"kind": "teleportation"}, "channel": _AD, "method"
         "H0-shape", "no-channel", "N-grid-empty", "no-methods"])
 def test_rejected_config_value_is_validation_error(tmp_path, capsys, command, cfg, message):
     assert main([command, "--config", _write(tmp_path, cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("path, message", [
+    ("", "--config PATH is required"),
+    ("missing.json", "cannot read config"),
+], ids=["empty", "unreadable"])
+def test_config_path_is_validation_error(tmp_path, capsys, path, message):
+    assert main(["optimize", "--config", str(tmp_path / path) if path else path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
 

@@ -24,7 +24,7 @@ from qprogopt.hermlin import (
     matrix_sqrt,
     partial_trace,
 )
-from qprogopt import optim
+from qprogopt import optim, sdp
 from qprogopt.optim import (
     LearningRate,
     OptimConfig,
@@ -619,19 +619,34 @@ def test_first_order_validates_one_program_per_run(key, method, monkeypatch):
     assert type(res.program) is (ChoiMatrix if key == "red2" else DensityMatrix)
 
 
-@pytest.mark.parametrize("key", ["tele", "red2"])
-def test_first_order_returned_program_is_still_checked(key, monkeypatch):
+def _infeasible_blocks(key):
+    """A processor, block coordinates of a program of trace 1 and lambda_min = -1e-6
+    (Bell weights on teleportation; on the reduced map the marginal stays I/2) and
+    the target that program simulates exactly."""
     proc = TELE if key == "tele" else pbt_reduced_map(2)
-    # block coordinates of a program of trace 1 and lambda_min = -1e-6: Bell weights
-    # on teleportation; on the reduced map the marginal stays I/2
     bad = ([np.array([0.4, 0.3, 0.3 + 1e-6, -1e-6], dtype=complex).reshape(4, 1, 1)]
            if key == "tele" else
            [(np.eye(4) / 4 + (0.25 + 1e-6) * np.diag([1.0, -1.0, -1.0, 1.0]))[None] + 0j])
+    return proc, bad, hermitize(proc.apply_matrix(bad, blocks=True))
+
+
+@pytest.mark.parametrize("key", ["tele", "red2"])
+def test_first_order_returned_program_is_still_checked(key, monkeypatch):
+    proc, bad, chi = _infeasible_blocks(key)
     # the bad program simulates the target exactly, so it becomes the best iterate
-    chi = hermitize(proc.apply_matrix(bad, blocks=True))
     monkeypatch.setattr(optim, "_projection", lambda proc, x: bad)
     with pytest.raises(ValueError, match="min eigenvalue -1.000e-06"):
         projected_subgradient(proc, chi, OptimConfig(max_iters=3, cost_kind="C1"))
+
+
+@pytest.mark.parametrize("key", ["tele", "red2"])
+def test_sdp_returned_program_is_still_checked(key, monkeypatch):
+    # the SDP recovery projects the solved blocks by the same step, so its
+    # program is validated where the first-order methods' is
+    proc, bad, chi = _infeasible_blocks(key)
+    monkeypatch.setattr(sdp, "_projection", lambda proc, x: bad)
+    with pytest.raises(ValueError, match="min eigenvalue -1.000e-06"):
+        sdp.optimize_program_trace(proc, chi)
 
 
 # --- block coordinates against the dense loop -----------------------------------
@@ -670,3 +685,12 @@ def test_reduced_map_loop_is_bit_identical_to_the_dense_loop(n, kind):
     trace, best = dense_first_order(proc, chi, cfg, "subgradient")
     assert res.cost_trace == trace
     assert np.array_equal(res.program.matrix, hermitize(best))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: simulation_cost(TELE, PHI, np.eye(4) / 4, "C2"), "simulation_cost: unknown kind"),
+    (lambda: learn_unitary_program(TELE, np.eye(3)), r"unitary shape \(3, 3\), expected"),
+], ids=["cost-kind", "unitary-shape"])
+def test_optim_rejects_malformed_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -615,3 +615,21 @@ def test_program_dimension_mismatch():
         proc.apply_matrix(np.eye(8) / 8)
     with pytest.raises(ValueError, match="observable shape"):
         proc.dual(np.eye(8))
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ProcessorMap(np.zeros((16, 9)), d_prog=4, d_in=2, d_out=2),
+     r"transfer shape \(16, 9\), expected \(16, 16\)"),
+    (lambda: ProcessorMap(np.zeros((16, 16)), d_prog=4, d_in=2, d_out=2),
+     r"dual\(I\) deviates from I"),
+    (lambda: pbt_povm(0), "need N >= 1"),
+    (lambda: pbt_povm(2, 1), "need d >= 2"),
+    (lambda: symmetric_param_count(0), "need N >= 1"),
+    (lambda: amplitude_damping_hamiltonian(1.5), r"outside \[0, 1\]"),
+    (lambda: pqc_processor(1, np.eye(4), np.eye(2)), "square and same shape"),
+    (lambda: mpqc_processor(1, np.eye(3), np.eye(3)), "with a qubit R0"),
+], ids=["transfer-shape", "not-trace-preserving", "povm-N", "povm-d", "param-count-N",
+        "damping-p", "hamiltonian-shapes", "hamiltonian-odd"])
+def test_processors_reject_malformed_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
