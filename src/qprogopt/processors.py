@@ -36,6 +36,15 @@ the Bell-diagonal part of the program; ``pqc_processor`` and
 ``mpqc_processor`` have one 2 x 2 block on R_0 per basis string of R_1..R_N,
 since each R_j only controls its gate and is then traced out.  Blocks are
 built on first use; ``pbt_reduced_map`` keeps the single block V = I.
+
+``teleportation_processor``, ``pbt_processor`` and ``pbt_reduced_map`` are
+built once per process and argument tuple and then shared, so a sweep over
+targets reuses one map and its ``block_coords``.  A shared map must not
+change, so every ``ProcessorMap`` holds a read-only copy of its transfer and
+``block_coords`` a read-only transfer, isometries, copies and counts.  The
+size caps bound the cache; keys are typed, so ``pbt_processor(2, 2.0)``
+fails as a fresh build does instead of returning ``pbt_processor(2, 2)``.  ``pqc_processor`` and ``mpqc_processor`` take
+Hamiltonian arrays, which are no cache keys, and are built on every call.
 """
 
 from __future__ import annotations
@@ -89,7 +98,8 @@ class ProcessorMap:
     and the dual is vec(Lambda*(X)) = S^dag vec(X).  The dual is generally
     not trace preserving.  Construction checks trace preservation as
     Lambda*(I) = I and complete positivity on the map's Choi operator
-    J[(m, r), (n, c)] = S[(r, c), (m, n)].
+    J[(m, r), (n, c)] = S[(r, c), (m, n)].  The map keeps a read-only copy of
+    the transfer it is given, so it stays the map that passed these checks.
     """
 
     transfer: np.ndarray
@@ -109,7 +119,7 @@ class ProcessorMap:
     symmetry: Optional[Callable[[], tuple]] = None
 
     def __post_init__(self):
-        s = np.asarray(self.transfer, dtype=complex)
+        s = _read_only(np.array(self.transfer, dtype=complex))
         dc, dp = self.d_choi, self.d_prog
         if s.shape != (dc * dc, dp * dp):
             raise ValueError(
@@ -210,7 +220,8 @@ class BlockCoords(NamedTuple):
     (nb, 1, 1), and ``counts`` each block eigenvalue's multiplicity in pi, in
     the order of the stacks' eigenvalues.  ``real`` says that S and every V_c
     have no imaginary part.  With the single block V = I, ``transfer`` equals
-    S and the coordinates are pi[None], exactly.
+    S and the coordinates are pi[None], exactly.  Every array is read-only,
+    since a processor and its blocks may be shared.
     """
 
     transfer: np.ndarray
@@ -224,21 +235,24 @@ class BlockCoords(NamedTuple):
     @classmethod
     def of(cls, proc: "ProcessorMap") -> "BlockCoords":
         dp = proc.d_prog
-        blocks = [np.asarray(v) for v in proc.symmetry()] if proc.symmetry else [np.eye(dp)[None]]
+        blocks = [_read_only(np.array(v))
+                  for v in (proc.symmetry() if proc.symmetry else [np.eye(dp)[None]])]
         cols = np.concatenate([np.concatenate(list(v), axis=1) for v in blocks], axis=1)
         if cols.shape != (dp, dp) or np.abs(cols.conj().T @ cols - np.eye(dp)).max() > 1e-10:
             raise ValueError(f"ProcessorMap {proc.label!r}: the program blocks' columns are "
                              f"not an orthonormal basis of the {dp}-dim program space")
         sizes = list(dict.fromkeys(v.shape[2] for v in blocks))
         isometries = tuple(tuple(v for v in blocks if v.shape[2] == m) for m in sizes)
-        copies = tuple(np.array([float(len(v)) for v in members])[:, None, None]
+        copies = tuple(_read_only(np.array([float(len(v)) for v in members])[:, None, None])
                        for members in isometries)
         shapes = tuple((len(members), m, m) for members, m in zip(isometries, sizes))
         ends = np.cumsum([nb * m * m for nb, m, _ in shapes]).tolist()
         slices = tuple(slice(e - nb * m * m, e) for e, (nb, m, _) in zip(ends, shapes))
-        counts = np.concatenate([np.repeat(c.ravel(), m) for c, m in zip(copies, sizes)])
+        counts = _read_only(np.concatenate([np.repeat(c.ravel(), m)
+                                            for c, m in zip(copies, sizes)]))
         real = not np.any(proc.transfer.imag) and not any(np.any(v.imag) for v in blocks)
-        transfer = _block_transfer(proc.transfer, dp, [v for c in isometries for v in c], real)
+        transfer = _read_only(_block_transfer(proc.transfer, dp,
+                                              [v for c in isometries for v in c], real))
         return cls(transfer, isometries, copies, shapes, slices, counts, real)
 
     def embed(self, stacks: list) -> np.ndarray:
@@ -251,6 +265,12 @@ class BlockCoords(NamedTuple):
         a (k, d_prog, d_prog) stack gives (k, nb, m, m) stacks."""
         return [np.stack([sum(vc.conj().T @ pi @ vc for vc in v) / len(v) for v in members], -3)
                 for members in self.isometries]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only in place."""
+    a.flags.writeable = False
+    return a
 
 
 def _block_transfer(s: np.ndarray, dp: int, blocks: list, real: bool) -> np.ndarray:
@@ -286,8 +306,14 @@ def teleportation_processor(d: int = 2) -> ProcessorMap:
     """Teleportation over an arbitrary two-qudit program.
 
     The map conjugates the program with (W_i^* (x) W_i)/d for the d^2
-    teleportation unitaries; it is self-dual.
+    teleportation unitaries; it is self-dual.  Built once per process and
+    ``d``, then shared.
     """
+    return _teleportation_processor(d)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _teleportation_processor(d: int) -> ProcessorMap:
     if d > TELEPORTATION_MAX_D:
         raise CapacityError(
             f"teleportation_processor: d = {d} exceeds cap {TELEPORTATION_MAX_D}"
@@ -354,7 +380,13 @@ def _port_transfer(elements: list, d: int) -> np.ndarray:
 
 
 def pbt_processor(n_ports: int, d: int = 2) -> ProcessorMap:
-    """Full port-based-teleportation processor on a d^(2N) program space."""
+    """Full port-based-teleportation processor on a d^(2N) program space, built
+    once per process and (N, d), then shared."""
+    return _pbt_processor(n_ports, d)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _pbt_processor(n_ports: int, d: int) -> ProcessorMap:
     d_prog = d ** (2 * n_ports)
     if d_prog > PBT_FULL_MAX_PROG_DIM:
         raise CapacityError(
@@ -473,8 +505,14 @@ def pbt_reduced_map(n_ports: int, d: int = 2) -> ProcessorMap:
     the whole d^2 space, but only Choi-constrained programs correspond to
     actual PBT resource states.  It needs only p = Tr_{A_2..A_N} Pi_1 on (A_1, C),
     which is U (x) U^* invariant: alpha I + beta Phi+ (Phi+ = sum_ij |ii><jj|), with
-    Tr p = d^(N+1)/N and Tr(p Phi+) = d^(N+2) F / N.
+    Tr p = d^(N+1)/N and Tr(p Phi+) = d^(N+2) F / N.  Built once per process
+    and (N, d), then shared.
     """
+    return _pbt_reduced_map(n_ports, d)
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _pbt_reduced_map(n_ports: int, d: int) -> ProcessorMap:
     if n_ports < 1 or d < 2:
         raise ValueError(f"pbt_reduced_map: need N >= 1 and d >= 2, got N={n_ports}, d={d}")
     if n_ports > PBT_REDUCED_MAX_PORTS:

@@ -800,5 +800,8 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
 
 def optimize_choi_diamond(n_ports: int, d: int, chi_target,
                           tol: float = DEFAULT_TOL) -> Tuple[ChoiMatrix, float]:
-    """Diamond-optimal single-port Choi program of the reduced PBT map."""
+    """Diamond-optimal single-port Choi program of the reduced PBT map.
+
+    ``pbt_reduced_map(n_ports, d)`` is built on the first call per process and
+    shared, read-only, by every later call with the same (N, d)."""
     return optimize_program_diamond(pbt_reduced_map(n_ports, d), chi_target, tol=tol)

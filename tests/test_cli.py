@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qprogopt import cli, optim, sdp
+from qprogopt import cli, optim, processors, sdp
 from qprogopt.channels import DensityMatrix, amplitude_damping, choi_of_channel
 from qprogopt.cli import load_program, main
 
@@ -74,6 +74,26 @@ def test_optimize_deterministic_csv(tmp_path):
     assert main(["optimize", "--config", path, "--out", str(out1)]) == 0
     assert main(["optimize", "--config", path, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_optimize_reuses_the_processor_in_process(tmp_path, capsys, monkeypatch):
+    processors._pbt_processor.cache_clear()
+    builds = []
+    port_transfer = processors._port_transfer
+    monkeypatch.setattr(processors, "_port_transfer",
+                        lambda *args: builds.append(args) or port_transfer(*args))
+    cfg = {
+        "processor": {"kind": "pbt", "N": 3, "d": 2},
+        "channel": {"kind": "amplitude_damping", "p": 0.5},
+        "method": "sdp_trace",
+    }
+    path = _write(tmp_path, cfg)
+    rows = []
+    for _ in range(2):
+        assert main(["optimize", "--config", path]) == 0
+        rows.append(capsys.readouterr().out.strip().splitlines()[1].split(",")[:6])
+    assert len(builds) == 1
+    assert rows[0] == rows[1] and rows[0][:4] == ["0.5", "sdp_trace", "3", "C1"]
 
 
 def test_optimize_saves_program(tmp_path):

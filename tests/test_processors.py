@@ -14,6 +14,7 @@ from qprogopt.channels import (
     cost_eval,
     max_entangled,
 )
+from qprogopt import processors
 from qprogopt.hermlin import hermitize, matrix_function
 from qprogopt.processors import (
     CapacityError,
@@ -91,8 +92,9 @@ def test_stacked_dual_matches_per_element():
             assert np.abs(out - proc.dual(x)).max() <= 1e-12
 
 
+# two equal maps built apart: the named constructors share one map per argument
 @pytest.mark.parametrize("make", [
-    lambda: teleportation_processor(2),
+    lambda: ProcessorMap(np.eye(16), d_prog=4, d_in=2, d_out=2),
     lambda: DensityMatrix(np.eye(2) / 2),
     lambda: choi_of_channel(amplitude_damping(0.3)),
     lambda: amplitude_damping(0.3),
@@ -131,6 +133,87 @@ def test_complete_positivity_check(monkeypatch, p, path):
     else:
         make()
     assert spectra == ([] if path == "cholesky" else [(16, 16)])
+
+
+def test_processor_map_keeps_its_own_arrays():
+    # a map that aliased the caller's transfer would change after its checks:
+    # zeroing the array used to make dual(I) = 0
+    transfer, iso = np.eye(16, dtype=complex), np.eye(4)[None]
+    proc = ProcessorMap(transfer, d_prog=4, d_in=2, d_out=2, symmetry=lambda: (iso,))
+    coords = proc.block_coords
+    assert transfer.flags.writeable and iso.flags.writeable
+    transfer[:], iso[:] = 0, 0
+    assert np.array_equal(proc.dual(np.eye(4)), np.eye(4))
+    assert np.array_equal(coords.isometries[0][0], np.eye(4)[None])
+
+
+# --- shared maps --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("calls", [
+    [lambda: teleportation_processor(), lambda: teleportation_processor(2),
+     lambda: teleportation_processor(d=2)],
+    [lambda: pbt_processor(3), lambda: pbt_processor(3, 2), lambda: pbt_processor(n_ports=3),
+     lambda: pbt_processor(3, d=2), lambda: pbt_processor(n_ports=3, d=2)],
+    [lambda: pbt_reduced_map(4), lambda: pbt_reduced_map(4, 2),
+     lambda: pbt_reduced_map(n_ports=4), lambda: pbt_reduced_map(n_ports=4, d=2)],
+], ids=["teleportation", "pbt", "pbt_reduced"])
+def test_named_constructors_share_one_map_per_argument(calls):
+    first = calls[0]()
+    assert all(call() is first for call in calls)
+
+
+@pytest.mark.parametrize("make, build, args", [
+    (teleportation_processor, processors._teleportation_processor, (2,)),
+    (teleportation_processor, processors._teleportation_processor, (3,)),
+    (pbt_processor, processors._pbt_processor, (2, 2)),
+    (pbt_processor, processors._pbt_processor, (3, 2)),
+    (pbt_reduced_map, processors._pbt_reduced_map, (4, 2)),
+])
+def test_shared_map_equals_a_fresh_build(make, build, args):
+    shared, fresh = make(*args), build.__wrapped__(*args)
+    assert shared is not fresh
+    assert (shared.label, shared.d_prog, shared.program_domain) == (
+        fresh.label, fresh.d_prog, fresh.program_domain)
+    assert np.array_equal(shared.transfer, fresh.transfer)
+    assert np.array_equal(shared.block_coords.transfer, fresh.block_coords.transfer)
+
+
+@pytest.mark.parametrize("call, build, error", [
+    (lambda: pbt_processor(4), processors._pbt_processor, CapacityError),
+    (lambda: teleportation_processor(6), processors._teleportation_processor, CapacityError),
+    (lambda: pbt_reduced_map(9), processors._pbt_reduced_map, CapacityError),
+    (lambda: pbt_reduced_map(0), processors._pbt_reduced_map, ValueError),
+])
+def test_invalid_arguments_raise_on_every_call(call, build, error):
+    cached = build.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(error):
+            call()
+    assert build.cache_info().currsize == cached
+
+
+def test_a_float_argument_is_not_the_integer_key():
+    pbt_processor(2, 2)
+    with pytest.raises(TypeError):
+        pbt_processor(2, 2.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: teleportation_processor(2),
+    lambda: pbt_processor(2),
+    lambda: pbt_reduced_map(3),
+    lambda: pqc_processor(2),
+], ids=["teleportation", "pbt", "pbt_reduced", "pqc"])
+def test_processor_arrays_are_read_only(make):
+    proc = make()
+    coords = proc.block_coords
+    arrays = [proc.transfer, coords.transfer, coords.counts, *coords.copies,
+              *(v for members in coords.isometries for v in members)]
+    for a in arrays:
+        corner = (0,) * a.ndim
+        with pytest.raises(ValueError, match="read-only"):
+            a[corner] = a[corner]  # the same value: a writable array keeps its data
 
 
 # --- teleportation ------------------------------------------------------------

@@ -25,7 +25,7 @@ from qprogopt.processors import (
     pqc_processor,
     teleportation_processor,
 )
-from qprogopt import sdp
+from qprogopt import processors, sdp
 from qprogopt.rand import random_choi, random_density
 from qprogopt.sdp import (
     SdpProblem,
@@ -762,6 +762,18 @@ def test_optimize_choi_beats_target_choi_program():
     chi, val = optimize_choi_diamond(3, 2, chi_a)
     at_choi = diamond_distance(chi_a - red.apply_matrix(chi_a), 2)
     assert val < at_choi - 1e-3
+
+
+def test_optimize_choi_diamond_builds_its_map_once(monkeypatch):
+    processors._pbt_reduced_map.cache_clear()
+    builds = []
+    port_transfer = processors._port_transfer
+    monkeypatch.setattr(processors, "_port_transfer",
+                        lambda *args: builds.append(args) or port_transfer(*args))
+    chi_a = choi_of_channel(amplitude_damping(0.5)).matrix
+    (first, v1), (second, v2) = (optimize_choi_diamond(4, 2, chi_a) for _ in range(2))
+    assert len(builds) == 1
+    assert v1 == v2 and np.array_equal(first.matrix, second.matrix)
 
 
 def test_reduced_n1_output_independent_of_correlations():
