@@ -421,7 +421,8 @@ def cmd_processors(_args) -> int:
     caps = {
         "teleportation": f"2 <= d <= {processors.TELEPORTATION_MAX_D}",
         "pbt": f"program dim d^(2N) <= {processors.PBT_FULL_MAX_PROG_DIM}",
-        "pbt_reduced": f"N <= {processors.PBT_REDUCED_MAX_PORTS}",
+        "pbt_reduced": f"N <= {processors.PBT_REDUCED_MAX_PORTS}, "
+                       f"d <= {processors.TELEPORTATION_MAX_D}",
         "pqc": f"N <= {processors.PQC_MAX_GATES}",
         "mpqc": f"N <= {processors.MPQC_MAX_GATES}",
     }

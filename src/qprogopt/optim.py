@@ -180,18 +180,33 @@ def simplex_project(x: np.ndarray, counts: Optional[np.ndarray] = None) -> np.nd
     is the y >= 0 with sum_i counts_i y_i = 1 nearest to x in the norm
     sum_i counts_i (x_i - y_i)^2, y_i = max(x_i - theta, 0).  An input for
     which no threshold is active (a non-finite entry, or sums beyond the float
-    range or precision) raises ValueError.
+    range) raises ValueError; where only the float precision stops the sums,
+    x - max(x) is projected instead.
     """
     x = np.asarray(x, dtype=float)
     w = np.ones(x.size) if counts is None else np.asarray(counts, dtype=float)
     order = x.argsort()[::-1]
-    u, wu = x[order], w[order]
-    thresholds = ((wu * u).cumsum() - 1.0) / wu.cumsum()
-    active = (u > thresholds).nonzero()[0]
+    wu = w[order]
+
+    def thresholds(v):
+        u = v[order]
+        t = ((wu * u).cumsum() - 1.0) / wu.cumsum()
+        return t, (u > t).nonzero()[0]
+
+    t, active = thresholds(x)
+    if not active.size and x.size and np.isfinite(t).all():
+        # finite sums too large to hold the 1 (entries from about 2^53 up): the
+        # projection is the same for x - max(x), whose sums hold it unless they
+        # overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x - x.max()
+            t, active = thresholds(x)
+        if not np.isfinite(t).all():
+            active = active[:0]
     if not active.size:
         raise ValueError("simplex_project: no active threshold; the input is not finite "
                          "or too large to project")
-    theta = thresholds[active[-1]]
+    theta = t[active[-1]]
     out = np.maximum(x - theta, 0.0)
     return out / (w * out).sum()
 

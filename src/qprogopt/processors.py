@@ -78,7 +78,7 @@ __all__ = [
 PROCESSOR_CPTP_TOL = 1e-8
 
 # Size caps, enforced with CapacityError rather than silent slowness.
-TELEPORTATION_MAX_D = 5  # the transfer matrix has d^8 entries
+TELEPORTATION_MAX_D = 5  # the transfer matrix has d^8 entries; caps pbt_reduced_map's d too
 PBT_FULL_MAX_PROG_DIM = 64  # full PBT: d^(2N) <= 64, i.e. N <= 3 for qubits
 PBT_REDUCED_MAX_PORTS = 8
 PQC_MAX_GATES = 6
@@ -155,6 +155,12 @@ class ProcessorMap:
         """The program's block coordinates and the block transfer S E, built on first
         use and checked to be an orthonormal basis of the program space."""
         return BlockCoords.of(self)
+
+    @functools.cached_property
+    def _sdp_templates(self) -> dict:
+        """The SDP programs of this map (``sdp._Template``), each built on first use
+        and kept, like ``block_coords``, for as long as the map lives."""
+        return {}
 
     @property
     def d_choi(self) -> int:
@@ -519,6 +525,8 @@ def _pbt_reduced_map(n_ports: int, d: int) -> ProcessorMap:
         raise CapacityError(
             f"pbt_reduced_map: N = {n_ports} exceeds cap {PBT_REDUCED_MAX_PORTS}"
         )
+    if d > TELEPORTATION_MAX_D:
+        raise CapacityError(f"pbt_reduced_map: d = {d} exceeds cap {TELEPORTATION_MAX_D}")
     beta = (d ** (n_ports + 2) * _pbt_fidelity(n_ports, d) - d**n_ports) / (n_ports * (d * d - 1))
     alpha = d ** (n_ports - 1) / n_ports - beta / d
     reduced = alpha * np.eye(d * d) + beta * d * max_entangled(d).matrix

@@ -46,6 +46,20 @@ block part on M_b (``_SdpBuilder.terms``): ``proc.dual(X, blocks=True)`` for
 A = Lambda*(X), ``block_coords.part`` for the feasibility rows.  A PBT program
 at N=3 is solved as blocks of 20, 20 and 4 instead of 64.
 
+Each program is built once as a template (``_Template``): the blocks, the
+objective, the constraint rows already checked and scanned by
+``SdpProblem``, the program blocks, and the linear map chi -> b.  A target
+sets only the rhs of one group, <B_a, chi> over the basis (the fidelity
+program: <B_a, D> and its objective corner), which ``SdpProblem.with_data``
+swaps in, checking only the new data; the rows and every template array
+are shared and read-only.  The templates of a processor are kept on it
+(``ProcessorMap._sdp_templates``), keyed by (program, real) and, for the
+fidelity program, whose block size is r + d_choi, by the target's support
+rank r too; those of ``diamond_distance`` by (d_in, d_out, real), for the
+eight most recently used keys (``_free_watrous_template``).  A solve on a
+template is bit for bit the solve of a fresh build, since the rows, their
+order and the rhs arithmetic are the same.
+
 Built on top of it:
 
 * ``diamond_distance`` -- worst-case channel distance of a Hermitian Choi
@@ -69,17 +83,19 @@ a second solve runs only when neither certifies the value.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .channels import ChoiMatrix, DensityMatrix, bures_fidelity, cost_eval
 from .hermlin import hermitize, partial_trace, spectral_norm
 from .optim import _program, _projection, _target
-from .processors import ProcessorMap, pbt_reduced_map
+from .processors import ProcessorMap, _read_only, pbt_reduced_map
 
 __all__ = [
     "SdpProblem",
@@ -191,10 +207,37 @@ class SdpProblem:
         # range) and those entries flattened, real unless complex
         self._rows = [_rows_index(np.concatenate([np.empty(0, int), *r])) for r in rows]
         self._stacks = [np.concatenate([np.empty((0, d * d)), *a]) for a, d in zip(stacks, dims)]
+        # fresh arrays that no solve writes, shared by every ``with_data`` copy
+        for a in (*self._stacks, *(r for r in self._rows if isinstance(r, np.ndarray))):
+            _read_only(a)
 
     @property
     def block_dims(self) -> List[int]:
         return [c.shape[0] for c in self.objective]
+
+    def with_data(self, rhs, objective: Optional[Dict[int, np.ndarray]] = None) -> "SdpProblem":
+        """This problem with the right-hand side ``rhs`` and, for the blocks that
+        ``objective`` names, new objective matrices.  Only the new data are checked
+        (length, finite, shape, Hermitian); the constraint rows, checked and
+        scanned once, are shared."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != self.rhs.shape:
+            raise ValueError(f"SdpProblem: rhs has shape {rhs.shape}, expected {self.rhs.shape}")
+        if not np.isfinite(rhs).all():
+            raise ValueError("SdpProblem: rhs has a non-finite entry")
+        new = copy.copy(self)
+        new.rhs = rhs
+        ends = np.cumsum([b.size for _, b in self.constraints])[:-1]
+        new.constraints = [(terms, b) for (terms, _), b in zip(self.constraints, np.split(rhs, ends))]
+        if objective:
+            new.objective = list(self.objective)
+            for blk, c in objective.items():
+                c = np.asarray(c)
+                if not 0 <= blk < len(self.objective) or c.shape != self.objective[blk].shape:
+                    raise ValueError(f"SdpProblem: objective, block {blk}: shape {c.shape}")
+                _check_rows(c[None], lambda _: f"objective, block {blk}")
+                new.objective[blk] = c
+        return new
 
 
 @dataclass
@@ -533,7 +576,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
 def _warn_if_failed(sol: SdpSolution, who: str, tol: float = DEFAULT_TOL) -> None:
     """Raise on infeasibility or unboundedness (every program built here is
     bounded and strictly feasible); warn when a solve stopped far from tolerance,
-    naming the line that called the entry point that called ``_SdpBuilder.solve``.
+    naming the line that called the entry point that called ``_Template.solve``.
 
     Stalls within ~50x of the target tolerance stay silent: no entry point
     reports a solver objective.  Each re-evaluates its cost at the projected
@@ -554,20 +597,63 @@ def _warn_if_failed(sol: SdpSolution, who: str, tol: float = DEFAULT_TOL) -> Non
             )
 
 
+class _Template(NamedTuple):
+    """One SDP program, built once and shared read-only: ``problem`` holds the
+    checked and scanned rows, and the data it was built on, which every solve
+    replaces.  A target sets only the rhs of group ``target[0]``, scale
+    <B_a, x> over the basis ``target[1]`` with scale ``target[2]``, and, for
+    the fidelity program, the objective of block ``blk``.  ``blk`` is the block its caller reads (Z of
+    Watrous's program, the fidelity program's one block), and ``pi_blks`` the
+    program blocks (``_SdpBuilder.terms``)."""
+
+    problem: SdpProblem
+    pi_blks: tuple
+    target: tuple
+    blk: Optional[int]
+
+    def solve(self, proc: Optional[ProcessorMap], x: np.ndarray, tol: float, who: str,
+              objective: Optional[Dict[int, np.ndarray]] = None
+              ) -> Tuple[Optional[DensityMatrix], SdpSolution]:
+        """Solve for the target x, raising or warning for ``who`` (``_warn_if_failed``);
+        return pi, its blocks projected to exact feasibility (None without a
+        processor), and the solution.  ``proc`` is passed, not kept, so that a
+        map and its templates form no reference cycle."""
+        group, basis, scale = self.target
+        rhs = [scale * _coords(basis, x) if g == group else b
+               for g, (_, b) in enumerate(self.problem.constraints)]
+        sol = solve_sdp(self.problem.with_data(np.concatenate(rhs), objective), tol=tol)
+        _warn_if_failed(sol, who, tol)
+        if proc is None:
+            return None, sol
+        stacks = [np.array([sol.primal_blocks[b] for b in blks]) for blks in self.pi_blks]
+        return _program(proc, _projection(proc, stacks)), sol
+
+
+def _template(proc: ProcessorMap, key: tuple, build: Callable[[], _Template]) -> _Template:
+    """The template under ``key`` on ``proc``, built by ``build`` on first use."""
+    tpl = proc._sdp_templates.get(key)
+    if tpl is None:
+        tpl = proc._sdp_templates[key] = build()
+    return tpl
+
+
 class _SdpBuilder:
-    """Build, solve and recover one SdpProblem.  ``real`` says that the data
-    (chi and, with a processor, its transfer and program blocks) are real
+    """Build one SdpProblem, or its template.  ``real`` says that the data (chi
+    and, with a processor, its transfer and program blocks) are real
     (``_real_data``), so every block is real symmetric.  The objective is a
     {block index: matrix} dict and ``groups`` the constraint groups
-    ``(terms, rhs)``; with a processor, pi enters as the blocks ``pi_blks``."""
+    ``(terms, rhs)``; with a processor, pi enters as the blocks ``pi_blks``.
+    A template built on a placeholder chi passes its ``real`` instead."""
 
-    def __init__(self, chi: np.ndarray, proc: Optional[ProcessorMap] = None):
-        self.real = _real_data(chi, proc)
+    def __init__(self, chi: np.ndarray, proc: Optional[ProcessorMap] = None,
+                 real: Optional[bool] = None):
+        self.real = _real_data(chi, proc) if real is None else real
         self.proc = proc
         self.pi_blks: List[List[int]] = []
         self.block_dims: List[int] = []
         self.objective: Dict[int, np.ndarray] = {}
         self.groups: List[Tuple[Dict[int, np.ndarray], np.ndarray]] = []
+        self.target: tuple = ()
 
     def basis(self, n: int) -> np.ndarray:
         """``hermitian_basis(n)``, or for real data only its real symmetric
@@ -581,6 +667,13 @@ class _SdpBuilder:
         if objective is not None:
             self.objective[len(self.block_dims) - 1] = objective
         return len(self.block_dims) - 1
+
+    def add_target_group(self, terms: Dict[int, np.ndarray], basis: np.ndarray,
+                         x: np.ndarray, scale: float = 1.0) -> None:
+        """Add the group whose rhs is scale <B_a, x> over ``basis``: the one
+        group that a target sets."""
+        self.target = (len(self.groups), basis, scale)
+        self.groups.append((terms, scale * _coords(basis, x)))
 
     def terms(self, parts: list) -> Dict[int, np.ndarray]:
         """Terms on the program blocks of a (k, d_prog, d_prog) stack A from its block
@@ -601,11 +694,11 @@ class _SdpBuilder:
                                      for b, d in enumerate(self.block_dims)],
                           constraints=self.groups)
 
-    def solve(self, tol: float, who: str) -> Tuple[Optional[DensityMatrix], SdpSolution]:
-        """Solve, raising or warning for ``who`` (``_warn_if_failed``).  With a
-        processor, first add pi's feasibility rows (unit trace, or Tr_out pi = I/d
-        for the single-port Choi set); return pi, its blocks projected to exact
-        feasibility (None without a processor), and the solution."""
+    def template(self, blk: Optional[int] = None) -> _Template:
+        """The template of this program, every array read-only (``SdpProblem``
+        marks the rows it scans; this, the data it was given).  With a
+        processor, pi's feasibility rows come last: unit trace, or Tr_out pi =
+        I/d for the single-port Choi set."""
         proc = self.proc
         if proc is not None:
             if proc.program_domain == "choi":
@@ -617,12 +710,11 @@ class _SdpBuilder:
                 # Tr pi = 1: each block counts once per copy
                 rows, rhs = np.eye(proc.d_prog)[None], [1.0]
             self.groups.append((self.terms(proc.block_coords.part(rows)), rhs))
-        sol = solve_sdp(self.build(), tol=tol)
-        _warn_if_failed(sol, who, tol)
-        if proc is None:
-            return None, sol
-        stacks = [np.array([sol.primal_blocks[b] for b in blks]) for blks in self.pi_blks]
-        return _program(proc, _projection(proc, stacks)), sol
+        problem = self.build()
+        for a in (*problem.objective, problem.rhs, self.target[1],
+                  *(a for terms, b in problem.constraints for a in (b, *terms.values()))):
+            _read_only(a)
+        return _Template(problem, tuple(map(tuple, self.pi_blks)), self.target, blk)
 
 
 # --- concrete programs --------------------------------------------------------
@@ -637,6 +729,25 @@ def _repaired_value(z: np.ndarray, chi: np.ndarray, d_in: int, d_out: int) -> fl
     shift = max(0.0, -lo1, -lo2)
     z = z + shift * np.eye(z.shape[0])
     return 2.0 * spectral_norm(partial_trace(z, [d_in, d_out], keep=[0]))
+
+
+def _watrous_template(chi: np.ndarray, d_in: int, d_out: int,
+                      proc: Optional[ProcessorMap] = None,
+                      real: Optional[bool] = None) -> _Template:
+    """The template of Watrous's program (``_watrous_builder``)."""
+    bld, z_blk = _watrous_builder(chi, d_in, d_out, proc, real)
+    return bld.template(z_blk)
+
+
+@functools.lru_cache(maxsize=8)
+def _free_watrous_template(d_in: int, d_out: int, real: bool) -> _Template:
+    """Watrous's program without a processor, built once per (d_in, d_out, real)
+    on a zero target, since every solve sets the target's rhs.  The eight
+    most recently used are kept, twice the four keys (qubit and qutrit,
+    real and complex) of a seeded diamond-distance sweep; the cache is
+    bounded because a template grows as (d_in d_out)^4: 0.45 MB for a
+    complex qutrit map, 26 MB for d_in = d_out = 5."""
+    return _watrous_template(np.zeros((d_in * d_out,) * 2), d_in, d_out, real=real)
 
 
 def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL) -> float:
@@ -680,9 +791,21 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     upper = _repaired_value(hermitize((vecs * (d_in * pos)) @ vecs.conj().T), chi, d_in, d_out)
     if upper - 2.0 * float(pos.sum()) <= tol:
         return upper
-    bld, z_blk = _watrous_builder(chi, d_in, d_out)
-    _, sol = bld.solve(tol, "diamond_distance")
-    return _repaired_value(sol.primal_blocks[z_blk], chi, d_in, d_out)
+    tpl = _free_watrous_template(d_in, d_out, _real_data(chi))
+    _, sol = tpl.solve(None, chi, tol, "diamond_distance")
+    return _repaired_value(sol.primal_blocks[tpl.blk], chi, d_in, d_out)
+
+
+def _trace_template(chi: np.ndarray, proc: ProcessorMap) -> _Template:
+    n = proc.d_choi
+    bld = _SdpBuilder(chi, proc)
+    basis = bld.basis(n)
+    p_blk = bld.add_block(n, np.eye(n))
+    q_blk = bld.add_block(n, np.eye(n))
+    # P - Q + Lambda(pi) = chi   (as <B_a, .> coordinates)
+    bld.add_target_group({p_blk: basis, q_blk: -basis,
+                          **bld.terms(proc.dual(basis, blocks=True))}, basis, chi)
+    return bld.template()
 
 
 def optimize_program_trace(proc: ProcessorMap, chi_target,
@@ -696,21 +819,15 @@ def optimize_program_trace(proc: ProcessorMap, chi_target,
     trace cost re-evaluated at it.
     """
     chi_e = hermitize(_target(proc, chi_target))
-    n = chi_e.shape[0]
-    bld = _SdpBuilder(chi_e, proc)
-    basis = bld.basis(n)
-    p_blk = bld.add_block(n, np.eye(n))
-    q_blk = bld.add_block(n, np.eye(n))
-    # P - Q + Lambda(pi) = chi   (as <B_a, .> coordinates)
-    bld.groups.append(({p_blk: basis, q_blk: -basis,
-                        **bld.terms(proc.dual(basis, blocks=True))}, _coords(basis, chi_e)))
-    program, _ = bld.solve(tol, "optimize_program_trace")
+    tpl = _template(proc, ("trace", _real_data(chi_e, proc)),
+                    lambda: _trace_template(chi_e, proc))
+    program, _ = tpl.solve(proc, chi_e, tol, "optimize_program_trace")
     value = cost_eval("C1", chi_e, proc.apply_matrix(program))
     return program, value
 
 
 def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
-                     proc: Optional[ProcessorMap] = None):
+                     proc: Optional[ProcessorMap] = None, real: Optional[bool] = None):
     """Watrous's diamond-norm program (arXiv:1207.5726) for Delta = chi - Lambda(pi):
 
         min 2t  s.t.  W = Z - d_in Delta >= 0,  V = t I - Tr_out Z >= 0,  Z >= 0.
@@ -720,7 +837,7 @@ def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
     the builder and the Z block index.
     """
     n = d_in * d_out
-    bld = _SdpBuilder(chi, proc)
+    bld = _SdpBuilder(chi, proc, real)
     basis = bld.basis(n)
     z_blk = bld.add_block(n)
     w_blk = bld.add_block(n)
@@ -730,7 +847,7 @@ def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
     terms = {w_blk: basis, z_blk: -basis}
     if proc is not None:
         terms.update(bld.terms(proc.dual(-d_in * basis, blocks=True)))
-    bld.groups.append((terms, -d_in * _coords(basis, chi)))
+    bld.add_target_group(terms, basis, chi, -d_in)
     # V = t I - Tr_out Z
     fs = bld.basis(d_in)
     bld.groups.append(({v_blk: fs, z_blk: np.kron(fs, np.eye(d_out, dtype=fs.dtype)),
@@ -749,15 +866,34 @@ def optimize_program_diamond(proc: ProcessorMap, chi_target,
     its dual objective, is Watrous's program on chi - Lambda(pi') solved again.
     """
     chi_e = hermitize(_target(proc, chi_target))
-    bld, z_blk = _watrous_builder(chi_e, proc.d_in, proc.d_out, proc)
-    program, sol = bld.solve(tol, "optimize_program_diamond")
+    d_in, d_out = proc.d_in, proc.d_out
+    tpl = _template(proc, ("diamond", _real_data(chi_e, proc)),
+                    lambda: _watrous_template(chi_e, d_in, d_out, proc))
+    program, sol = tpl.solve(proc, chi_e, tol, "optimize_program_diamond")
     delta = hermitize(chi_e - proc.apply_matrix(program))
-    value = _repaired_value(sol.primal_blocks[z_blk], delta, proc.d_in, proc.d_out)
+    value = _repaired_value(sol.primal_blocks[tpl.blk], delta, d_in, d_out)
     if sol.status != "optimal" or value > sol.dual_objective + 100.0 * tol:
-        bld, z_blk = _watrous_builder(delta, proc.d_in, proc.d_out)
-        _, sol = bld.solve(tol, "optimize_program_diamond")
-        value = _repaired_value(sol.primal_blocks[z_blk], delta, proc.d_in, proc.d_out)
+        tpl = _free_watrous_template(d_in, d_out, _real_data(delta))
+        _, sol = tpl.solve(None, delta, tol, "optimize_program_diamond")
+        value = _repaired_value(sol.primal_blocks[tpl.blk], delta, d_in, d_out)
     return program, value
+
+
+def _fidelity_template(chi: np.ndarray, proc: ProcessorMap, d_supp: np.ndarray,
+                       obj: np.ndarray) -> _Template:
+    r, n = d_supp.shape[0], proc.d_choi
+    bld = _SdpBuilder(chi, proc)
+    g_blk = bld.add_block(r + n, obj)
+    # top-left corner = D, bottom-right corner = Lambda(pi)
+    top, basis = bld.basis(r), bld.basis(n)
+    corner = np.zeros((len(top), r + n, r + n), dtype=top.dtype)
+    corner[:, :r, :r] = top
+    bld.add_target_group({g_blk: corner}, top, d_supp)
+    corner = np.zeros((len(basis), r + n, r + n), dtype=basis.dtype)
+    corner[:, r:, r:] = basis
+    lam = bld.terms(proc.dual(-basis, blocks=True))
+    bld.groups.append(({g_blk: corner, **lam}, np.zeros(len(basis))))
+    return bld.template(g_blk)
 
 
 def optimize_program_fidelity(proc: ProcessorMap, chi_target,
@@ -768,12 +904,13 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     chi_target = V D V^dag restricted to its support.  Working on the
     support keeps the feasible set strictly solvable even for pure
     (unitary) targets, where the unrestricted block could never be
-    positive definite.
+    positive definite.  The program's blocks depend on the target only
+    through the support rank r, so its template is kept per r.
     """
     chi_e = hermitize(_target(proc, chi_target))
     n = proc.d_choi
-    bld = _SdpBuilder(chi_e, proc)
-    vals, vecs = np.linalg.eigh(chi_e.real if bld.real else chi_e)
+    real = _real_data(chi_e, proc)
+    vals, vecs = np.linalg.eigh(chi_e.real if real else chi_e)
     support = vals > 1e-12 * float(vals.max())
     d_supp = np.diag(vals[support]).astype(vecs.dtype)
     v_supp = vecs[:, support]
@@ -783,17 +920,9 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     obj = np.zeros((r + n, r + n), dtype=vecs.dtype)
     obj[:r, r:] = -0.5 * v_supp.conj().T
     obj[r:, :r] = -0.5 * v_supp
-    g_blk = bld.add_block(r + n, obj)
-    # top-left corner = D, bottom-right corner = Lambda(pi)
-    top, basis = bld.basis(r), bld.basis(n)
-    corner = np.zeros((len(top), r + n, r + n), dtype=top.dtype)
-    corner[:, :r, :r] = top
-    bld.groups.append(({g_blk: corner}, _coords(top, d_supp)))
-    corner = np.zeros((len(basis), r + n, r + n), dtype=basis.dtype)
-    corner[:, r:, r:] = basis
-    lam = bld.terms(proc.dual(-basis, blocks=True))
-    bld.groups.append(({g_blk: corner, **lam}, np.zeros(len(basis))))
-    program, _ = bld.solve(tol, "optimize_program_fidelity")
+    tpl = _template(proc, ("fidelity", real, r),
+                    lambda: _fidelity_template(chi_e, proc, d_supp, obj))
+    program, _ = tpl.solve(proc, d_supp, tol, "optimize_program_fidelity", {tpl.blk: obj})
     value = bures_fidelity(chi_e, proc.apply_matrix(program))
     return program, value
 
@@ -803,5 +932,6 @@ def optimize_choi_diamond(n_ports: int, d: int, chi_target,
     """Diamond-optimal single-port Choi program of the reduced PBT map.
 
     ``pbt_reduced_map(n_ports, d)`` is built on the first call per process and
-    shared, read-only, by every later call with the same (N, d)."""
+    shared, read-only, by every later call with the same (N, d), and so is
+    its diamond program's template."""
     return optimize_program_diamond(pbt_reduced_map(n_ports, d), chi_target, tol=tol)

@@ -557,3 +557,66 @@ def test_pqc_with_explicit_hamiltonians(tmp_path):
     assert main(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
     cost = float(out.read_text().strip().splitlines()[1].split(",")[4])
     assert cost <= 1e-6  # exact Stinespring point is feasible
+
+
+def test_benchmark_csv_is_identical_cold_warm_and_after_clearing_the_caches(tmp_path,
+                                                                            monkeypatch):
+    # the paper's amplitude-damping grid on PBT N=2: a warm run reuses the
+    # processor and every SDP template, and writes the same bytes
+    cfg = {"processor": {"kind": "pbt", "N": 2, "d": 2},
+           "channel": {"kind": "amplitude_damping", "values": [0.1, 0.3, 0.5, 0.7, 0.9]},
+           "methods": ["sdp_diamond", "sdp_trace", "sdp_fidelity", "choi_baseline"],
+           "cost": "Cdiamond"}
+    path = _write(tmp_path, cfg)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**cfg, "channel": {**cfg["channel"], "values": [0.2]}}))
+
+    def clear():
+        processors._pbt_processor.cache_clear()
+        sdp._free_watrous_template.cache_clear()
+
+    def run(name, config=path):
+        out = tmp_path / name
+        assert main(["benchmark", "--config", str(config), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    builds = []
+    post_init = sdp.SdpProblem.__post_init__
+    monkeypatch.setattr(sdp.SdpProblem, "__post_init__",
+                        lambda self: builds.append(1) or post_init(self))
+    clear()
+    cold = run("cold.csv")
+    assert len(builds) == 3  # the diamond, trace and fidelity (rank 2) programs
+    warm = run("warm.csv")
+    assert len(builds) == 3
+    clear()
+    run("other.csv", other)  # p = 0.2 builds the templates this time
+    assert len(builds) == 6
+    assert run("cleared.csv") == warm == cold
+    assert len(builds) == 6
+    assert len(cold.splitlines()) == 21
+
+
+def test_successive_calls_share_no_arguments(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_optimize", lambda args: seen.append(vars(args)) or 0)
+    monkeypatch.setattr(sdp, "DEFAULT_TOL", 1e-6)
+    assert main(["optimize", "--config", "a.json", "--out", "a.csv", "--seed", "3",
+                 "--tol", "1e-4", "--gnuplot", "a.gp"]) == 0
+    assert main(["optimize", "--config", "b.json"]) == 0
+    assert seen[0] == {"command": "optimize", "config": "a.json", "out": "a.csv",
+                       "gnuplot": "a.gp", "seed": 3, "tol": 1e-4}
+    assert seen[1] == {"command": "optimize", "config": "b.json", "out": None,
+                       "gnuplot": None, "seed": None, "tol": 1e-6}
+    for argv in (["optimize"], ["optimize", "--config", "b.json", "--seed", "x"], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def test_reduced_map_dimension_cap_is_validation_error(tmp_path, capsys):
+    cfg = {"processor": {"kind": "pbt_reduced", "N": 2, "d": 6},
+           "channel": {"kind": "depolarizing", "p": 0.5, "d": 6},
+           "method": "sdp_trace"}
+    assert main(["optimize", "--config", _write(tmp_path, cfg)]) == 1
+    assert "d = 6 exceeds cap 5" in capsys.readouterr().err

@@ -301,6 +301,14 @@ def test_project_examples_against_grid_oracle():
             simplex_project(np.array(bad))
 
 
+def test_simplex_project_of_a_huge_finite_input():
+    # the sums of entries from about 2^53 up lose the 1 of every threshold;
+    # the projection of x - max(x) is the same and keeps it
+    assert np.array_equal(simplex_project(np.array([1e16, 0.0])), [1.0, 0.0])
+    assert np.array_equal(simplex_project(np.array([0.0, 1e16]), np.array([2.0, 4.0])),
+                          [0.0, 0.25])
+
+
 def test_projection_firmly_nonexpansive():
     rng = np.random.default_rng(38)
     for _ in range(10):

@@ -716,3 +716,11 @@ def test_program_dimension_mismatch():
 def test_processors_reject_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_pbt_reduced_map_caps_d_as_teleportation_does():
+    # both transfers have d^8 entries: d = 6 is refused before any array is made
+    cached = processors._pbt_reduced_map.cache_info().currsize
+    with pytest.raises(CapacityError, match=f"d = 6 exceeds cap {processors.TELEPORTATION_MAX_D}"):
+        pbt_reduced_map(2, 6)
+    assert processors._pbt_reduced_map.cache_info().currsize == cached

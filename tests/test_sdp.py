@@ -842,3 +842,149 @@ def test_optimize_program_warns_not_failed(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         optimize_program_trace(TELE, choi_of_channel(dephasing_like(0.3)).matrix)
+
+
+# --- templates: each program built once per processor --------------------------
+
+AD_SWEEP = [choi_of_channel(amplitude_damping(p)).matrix for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+PROGRAMS = {"trace": optimize_program_trace, "diamond": optimize_program_diamond,
+            "fidelity": optimize_program_fidelity}
+TEMPLATE_PROCS = {"pbt N=2": functools.partial(pbt_processor, 2),
+                  "pbt_reduced N=3": functools.partial(pbt_reduced_map, 3)}
+
+
+def _count_builds(monkeypatch) -> list:
+    """A list that grows by one per SdpProblem construction."""
+    builds = []
+    post_init = SdpProblem.__post_init__
+    monkeypatch.setattr(SdpProblem, "__post_init__",
+                        lambda self: builds.append(1) or post_init(self))
+    return builds
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("program", list(PROGRAMS))
+@pytest.mark.parametrize("key", list(TEMPLATE_PROCS))
+def test_a_target_sweep_builds_each_program_once(key, program, real, monkeypatch):
+    proc = TEMPLATE_PROCS[key]()
+    proc._sdp_templates.clear()
+    if not real:
+        monkeypatch.setattr(sdp, "_real_data", lambda *_: False)
+    builds = _count_builds(monkeypatch)
+    for chi in AD_SWEEP:
+        PROGRAMS[program](proc, chi)
+    assert len(builds) == 1
+    [(name, is_real, *_)] = proc._sdp_templates
+    assert (name, is_real) == (program, real)
+
+
+def _solutions(monkeypatch, call) -> list:
+    _, solves = _solves_inside(monkeypatch, call)
+    monkeypatch.undo()
+    return solves
+
+
+def _assert_identical(cold, warm):
+    assert len(cold) == len(warm) >= 1
+    for a, b in zip(cold, warm):
+        assert (a.status, a.iterations) == (b.status, b.iterations)
+        assert (a.primal_objective, a.dual_objective, a.gap) == (
+            b.primal_objective, b.dual_objective, b.gap)
+        assert (a.residual_primal, a.residual_dual) == (b.residual_primal, b.residual_dual)
+        assert np.array_equal(a.dual_vector, b.dual_vector)
+        assert all(np.array_equal(x, y) for x, y in zip(a.primal_blocks, b.primal_blocks))
+        assert a.history == b.history
+
+
+@pytest.mark.parametrize("program", list(PROGRAMS))
+@pytest.mark.parametrize("key", list(TEMPLATE_PROCS))
+def test_cold_and_warm_solves_are_identical(key, program, monkeypatch):
+    proc, chi = TEMPLATE_PROCS[key](), AD_SWEEP[2]
+    proc._sdp_templates.clear()
+    sdp._free_watrous_template.cache_clear()
+    cold = _solutions(monkeypatch, lambda: PROGRAMS[program](proc, chi))
+    # a warm solve on the template that another target built
+    proc._sdp_templates.clear()
+    PROGRAMS[program](proc, AD_SWEEP[0])
+    _assert_identical(cold, _solutions(monkeypatch, lambda: PROGRAMS[program](proc, chi)))
+    assert len(proc._sdp_templates) == 1
+
+
+def test_diamond_distance_cold_and_warm_solves_are_identical(monkeypatch):
+    rng = np.random.default_rng(64)
+    chis = [random_choi(2, rng).matrix - random_choi(2, rng).matrix for _ in range(2)]
+    # the template is built on a zero target: solve as a build from chis[0] does
+    bld, _ = sdp._watrous_builder(chis[0], 2, 2)
+    fresh = solve_sdp(bld.build())
+    sdp._free_watrous_template.cache_clear()
+    cold = _solutions(monkeypatch, lambda: diamond_distance(chis[0], 2))
+    _assert_identical([fresh], cold)
+    sdp._free_watrous_template.cache_clear()
+    diamond_distance(chis[1], 2)
+    _assert_identical(cold, _solutions(monkeypatch, lambda: diamond_distance(chis[0], 2)))
+    assert sdp._free_watrous_template.cache_info().currsize == 1
+
+
+def test_free_watrous_templates_keep_the_eight_most_recently_used(monkeypatch):
+    sdp._free_watrous_template.cache_clear()
+    keys = [(d_in, d_out, real) for d_in in (1, 2) for d_out in (1, 2) for real in (True, False)]
+    for key in keys:
+        sdp._free_watrous_template(*key)
+    assert sdp._free_watrous_template.cache_info().currsize == 8
+    sdp._free_watrous_template(*keys[0])  # now the most recently used
+    sdp._free_watrous_template(1, 3, True)  # a ninth key evicts keys[1]
+    builds = _count_builds(monkeypatch)
+    sdp._free_watrous_template(*keys[0])
+    assert not builds
+    sdp._free_watrous_template(*keys[1])
+    assert len(builds) == 1
+
+
+def test_forced_complex_data_get_their_own_template(monkeypatch):
+    proc = pbt_processor(2)
+    proc._sdp_templates.clear()
+    optimize_program_trace(proc, AD_SWEEP[2])
+    monkeypatch.setattr(sdp, "_real_data", lambda *_: False)
+    _, [sol] = _solves_inside(monkeypatch, lambda: optimize_program_trace(proc, AD_SWEEP[2]))
+    assert sol.primal_blocks[0].dtype == complex
+    real, cplx = (proc._sdp_templates[("trace", flag)] for flag in (True, False))
+    assert not any(np.iscomplexobj(a) for a in real.problem._stacks)
+    assert all(np.iscomplexobj(a) for a in cplx.problem._stacks)
+
+
+def _arrays(obj):
+    """Every ndarray in obj, a nest of lists, tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from _arrays(item)
+
+
+def test_template_arrays_are_read_only():
+    proc = pbt_processor(2)
+    optimize_program_fidelity(proc, AD_SWEEP[1])
+    tpl = proc._sdp_templates[("fidelity", True, 2)]
+    arrays = [a for a in _arrays([tpl.target, list(vars(tpl.problem).values())]) if a.size]
+    assert len(arrays) >= 10
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1.0
+
+
+def test_with_data_checks_only_the_new_data():
+    problem = SdpProblem([np.eye(2), np.eye(1)],
+                         [({0: np.eye(2)[None], 1: np.ones((1, 1, 1))}, [1.0])])
+    new = problem.with_data([2.0], {1: np.array([[3.0]])})
+    assert new._stacks is problem._stacks and new._rows is problem._rows
+    assert new.constraints[0][0] is problem.constraints[0][0]
+    assert new.rhs.tolist() == [2.0] and new.constraints[0][1].tolist() == [2.0]
+    assert new.objective[1].tolist() == [[3.0]] and problem.objective[1].tolist() == [[1.0]]
+    assert solve_sdp(new).primal_objective == pytest.approx(2.0, abs=1e-7)
+    for rhs, objective, message in (([1.0, 2.0], None, "rhs has shape"),
+                                    ([np.inf], None, "non-finite"),
+                                    ([1.0], {0: np.eye(3)}, "shape"),
+                                    ([1.0], {2: np.eye(1)}, "block 2"),
+                                    ([1.0], {0: np.triu(np.ones((2, 2)))}, "not Hermitian")):
+        with pytest.raises(ValueError, match=message):
+            problem.with_data(rhs, objective)
