@@ -156,12 +156,6 @@ class ProcessorMap:
         use and checked to be an orthonormal basis of the program space."""
         return BlockCoords.of(self)
 
-    @functools.cached_property
-    def _sdp_templates(self) -> dict:
-        """The SDP programs of this map (``sdp._Template``), each built on first use
-        and kept, like ``block_coords``, for as long as the map lives."""
-        return {}
-
     @property
     def d_choi(self) -> int:
         return self.d_in * self.d_out

@@ -46,19 +46,20 @@ block part on M_b (``_SdpBuilder.terms``): ``proc.dual(X, blocks=True)`` for
 A = Lambda*(X), ``block_coords.part`` for the feasibility rows.  A PBT program
 at N=3 is solved as blocks of 20, 20 and 4 instead of 64.
 
-Each program is built once as a template (``_Template``): the blocks, the
-objective, the constraint rows already checked and scanned by
-``SdpProblem``, the program blocks, and the linear map chi -> b.  A target
-sets only the rhs of one group, <B_a, chi> over the basis (the fidelity
-program: <B_a, D> and its objective corner), which ``SdpProblem.with_data``
-swaps in, checking only the new data; the rows and every template array
-are shared and read-only.  The templates of a processor are kept on it
-(``ProcessorMap._sdp_templates``), keyed by (program, real) and, for the
-fidelity program, whose block size is r + d_choi, by the target's support
-rank r too; those of ``diamond_distance`` by (d_in, d_out, real), for the
-eight most recently used keys (``_free_watrous_template``).  A solve on a
-template is bit for bit the solve of a fresh build, since the rows, their
-order and the rhs arithmetic are the same.
+Each program is built once as a template (``_Template``) from the processor,
+``real`` and its block shape alone: the blocks, the constraint rows already
+checked and scanned by ``SdpProblem``, the program blocks, and the linear map
+chi -> b.  The target's rows hold zeros and the fidelity objective is zero
+until a solve writes <B_a, chi> over the basis (the fidelity program: <B_a,
+D> and its objective corner) with ``SdpProblem.with_data``, which checks only
+the new data; the rows and every template array are shared and read-only.
+The templates of a processor are kept in ``_TEMPLATES``, a weak-keyed map
+from the processor, so they live as long as it does, keyed by (program,
+real) and, for the fidelity program, whose block size is r + d_choi, by the
+target's support rank r too; those of ``diamond_distance`` by (d_in, d_out,
+real), for the eight most recently used keys (``_free_watrous_template``).
+A solve on a template is bit for bit the solve of a fresh build on its
+target, since the rows, their order and the rhs arithmetic are the same.
 
 Built on top of it:
 
@@ -86,14 +87,16 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import operator
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .channels import ChoiMatrix, DensityMatrix, bures_fidelity, cost_eval
-from .hermlin import hermitize, partial_trace, spectral_norm
+from .hermlin import SQRT_NEG_TOL, hermitize, partial_trace, spectral_norm
 from .optim import _program, _projection, _target
 from .processors import ProcessorMap, _read_only, pbt_reduced_map
 
@@ -599,12 +602,12 @@ def _warn_if_failed(sol: SdpSolution, who: str, tol: float = DEFAULT_TOL) -> Non
 
 class _Template(NamedTuple):
     """One SDP program, built once and shared read-only: ``problem`` holds the
-    checked and scanned rows, and the data it was built on, which every solve
-    replaces.  A target sets only the rhs of group ``target[0]``, scale
-    <B_a, x> over the basis ``target[1]`` with scale ``target[2]``, and, for
-    the fidelity program, the objective of block ``blk``.  ``blk`` is the block its caller reads (Z of
-    Watrous's program, the fidelity program's one block), and ``pi_blks`` the
-    program blocks (``_SdpBuilder.terms``)."""
+    checked and scanned rows, with zeros for the target's data, which every
+    solve writes.  A target sets only ``rhs[target[0]]``, scale <B_a, x> over
+    the basis ``target[1]`` with scale ``target[2]``, and, for the fidelity
+    program, the objective of block ``blk``.  ``blk`` is the block its caller
+    reads (Z of Watrous's program, the fidelity program's one block), and
+    ``pi_blks`` the program blocks (``_SdpBuilder.terms``)."""
 
     problem: SdpProblem
     pi_blks: tuple
@@ -617,11 +620,11 @@ class _Template(NamedTuple):
         """Solve for the target x, raising or warning for ``who`` (``_warn_if_failed``);
         return pi, its blocks projected to exact feasibility (None without a
         processor), and the solution.  ``proc`` is passed, not kept, so that a
-        map and its templates form no reference cycle."""
-        group, basis, scale = self.target
-        rhs = [scale * _coords(basis, x) if g == group else b
-               for g, (_, b) in enumerate(self.problem.constraints)]
-        sol = solve_sdp(self.problem.with_data(np.concatenate(rhs), objective), tol=tol)
+        template holds no reference to its map."""
+        rows, basis, scale = self.target
+        rhs = self.problem.rhs.copy()
+        rhs[rows] = scale * _coords(basis, x)
+        sol = solve_sdp(self.problem.with_data(rhs, objective), tol=tol)
         _warn_if_failed(sol, who, tol)
         if proc is None:
             return None, sol
@@ -629,25 +632,28 @@ class _Template(NamedTuple):
         return _program(proc, _projection(proc, stacks)), sol
 
 
+# processor -> {key: template}; weak keys, so a map's templates go with it
+_TEMPLATES: "weakref.WeakKeyDictionary[ProcessorMap, dict]" = weakref.WeakKeyDictionary()
+
+
 def _template(proc: ProcessorMap, key: tuple, build: Callable[[], _Template]) -> _Template:
-    """The template under ``key`` on ``proc``, built by ``build`` on first use."""
-    tpl = proc._sdp_templates.get(key)
+    """The template under ``key`` of ``proc``, built by ``build`` on first use."""
+    templates = _TEMPLATES.setdefault(proc, {})
+    tpl = templates.get(key)
     if tpl is None:
-        tpl = proc._sdp_templates[key] = build()
+        tpl = templates[key] = build()
     return tpl
 
 
 class _SdpBuilder:
-    """Build one SdpProblem, or its template.  ``real`` says that the data (chi
+    """Build one program's template.  ``real`` says that the data (the target
     and, with a processor, its transfer and program blocks) are real
     (``_real_data``), so every block is real symmetric.  The objective is a
     {block index: matrix} dict and ``groups`` the constraint groups
-    ``(terms, rhs)``; with a processor, pi enters as the blocks ``pi_blks``.
-    A template built on a placeholder chi passes its ``real`` instead."""
+    ``(terms, rhs)``; with a processor, pi enters as the blocks ``pi_blks``."""
 
-    def __init__(self, chi: np.ndarray, proc: Optional[ProcessorMap] = None,
-                 real: Optional[bool] = None):
-        self.real = _real_data(chi, proc) if real is None else real
+    def __init__(self, proc: Optional[ProcessorMap], real: bool):
+        self.real = real
         self.proc = proc
         self.pi_blks: List[List[int]] = []
         self.block_dims: List[int] = []
@@ -669,11 +675,12 @@ class _SdpBuilder:
         return len(self.block_dims) - 1
 
     def add_target_group(self, terms: Dict[int, np.ndarray], basis: np.ndarray,
-                         x: np.ndarray, scale: float = 1.0) -> None:
+                         scale: float = 1.0) -> None:
         """Add the group whose rhs is scale <B_a, x> over ``basis``: the one
-        group that a target sets."""
-        self.target = (len(self.groups), basis, scale)
-        self.groups.append((terms, scale * _coords(basis, x)))
+        group that a target x sets, zero until a solve does."""
+        start = sum(len(b) for _, b in self.groups)
+        self.target = (slice(start, start + len(basis)), basis, scale)
+        self.groups.append((terms, np.zeros(len(basis))))
 
     def terms(self, parts: list) -> Dict[int, np.ndarray]:
         """Terms on the program blocks of a (k, d_prog, d_prog) stack A from its block
@@ -688,11 +695,6 @@ class _SdpBuilder:
             stack = hermitize(copies * part)
             terms.update(zip(blks, (stack.real if self.real else stack).swapaxes(0, 1)))
         return terms
-
-    def build(self) -> SdpProblem:
-        return SdpProblem(objective=[self.objective.get(b, np.zeros((d, d)))
-                                     for b, d in enumerate(self.block_dims)],
-                          constraints=self.groups)
 
     def template(self, blk: Optional[int] = None) -> _Template:
         """The template of this program, every array read-only (``SdpProblem``
@@ -710,7 +712,9 @@ class _SdpBuilder:
                 # Tr pi = 1: each block counts once per copy
                 rows, rhs = np.eye(proc.d_prog)[None], [1.0]
             self.groups.append((self.terms(proc.block_coords.part(rows)), rhs))
-        problem = self.build()
+        problem = SdpProblem(objective=[self.objective.get(b, np.zeros((d, d)))
+                                        for b, d in enumerate(self.block_dims)],
+                             constraints=self.groups)
         for a in (*problem.objective, problem.rhs, self.target[1],
                   *(a for terms, b in problem.constraints for a in (b, *terms.values()))):
             _read_only(a)
@@ -731,23 +735,43 @@ def _repaired_value(z: np.ndarray, chi: np.ndarray, d_in: int, d_out: int) -> fl
     return 2.0 * spectral_norm(partial_trace(z, [d_in, d_out], keep=[0]))
 
 
-def _watrous_template(chi: np.ndarray, d_in: int, d_out: int,
-                      proc: Optional[ProcessorMap] = None,
-                      real: Optional[bool] = None) -> _Template:
-    """The template of Watrous's program (``_watrous_builder``)."""
-    bld, z_blk = _watrous_builder(chi, d_in, d_out, proc, real)
+def _watrous_template(proc: Optional[ProcessorMap], real: bool, d_in: int,
+                      d_out: int) -> _Template:
+    """Watrous's diamond-norm program (arXiv:1207.5726) for Delta = chi - Lambda(pi):
+
+        min 2t  s.t.  W = Z - d_in Delta >= 0,  V = t I - Tr_out Z >= 0,  Z >= 0.
+
+    t is a real 1 x 1 block.  Without a processor Delta = chi; with one, the
+    program blocks of pi are added (``_SdpBuilder.terms``).  ``blk`` is Z.
+    """
+    n = d_in * d_out
+    bld = _SdpBuilder(proc, real)
+    basis = bld.basis(n)
+    z_blk = bld.add_block(n)
+    w_blk = bld.add_block(n)
+    v_blk = bld.add_block(d_in)
+    t_blk = bld.add_block(1, np.array([[2.0]]))
+    # W = Z - d (chi - Lambda(pi))
+    terms = {w_blk: basis, z_blk: -basis}
+    if proc is not None:
+        terms.update(bld.terms(proc.dual(-d_in * basis, blocks=True)))
+    bld.add_target_group(terms, basis, -d_in)
+    # V = t I - Tr_out Z
+    fs = bld.basis(d_in)
+    bld.groups.append(({v_blk: fs, z_blk: np.kron(fs, np.eye(d_out, dtype=fs.dtype)),
+                        t_blk: -np.trace(fs, axis1=1, axis2=2).real.reshape(-1, 1, 1)},
+                       np.zeros(len(fs))))
     return bld.template(z_blk)
 
 
 @functools.lru_cache(maxsize=8)
 def _free_watrous_template(d_in: int, d_out: int, real: bool) -> _Template:
-    """Watrous's program without a processor, built once per (d_in, d_out, real)
-    on a zero target, since every solve sets the target's rhs.  The eight
-    most recently used are kept, twice the four keys (qubit and qutrit,
-    real and complex) of a seeded diamond-distance sweep; the cache is
-    bounded because a template grows as (d_in d_out)^4: 0.45 MB for a
+    """Watrous's program without a processor, built once per (d_in, d_out, real).
+    The eight most recently used are kept, twice the four keys (qubit and
+    qutrit, real and complex) of a seeded diamond-distance sweep; the cache
+    is bounded because a template grows as (d_in d_out)^4: 0.45 MB for a
     complex qutrit map, 26 MB for d_in = d_out = 5."""
-    return _watrous_template(np.zeros((d_in * d_out,) * 2), d_in, d_out, real=real)
+    return _watrous_template(None, real, d_in, d_out)
 
 
 def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL) -> float:
@@ -765,6 +789,9 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     agree to ``tol`` (chi_+ has a flat marginal, as for Pauli channels) no
     SDP is solved.
     """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"diamond_distance: tol must be finite and > 0, got {tol!r}")
+    d_in = operator.index(d_in)
     chi = np.asarray(chi_omega, dtype=complex)
     if chi.ndim != 2 or chi.shape[0] != chi.shape[1]:
         raise ValueError(f"diamond_distance: chi_omega has shape {chi.shape}, not square")
@@ -796,15 +823,15 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     return _repaired_value(sol.primal_blocks[tpl.blk], chi, d_in, d_out)
 
 
-def _trace_template(chi: np.ndarray, proc: ProcessorMap) -> _Template:
+def _trace_template(proc: ProcessorMap, real: bool) -> _Template:
     n = proc.d_choi
-    bld = _SdpBuilder(chi, proc)
+    bld = _SdpBuilder(proc, real)
     basis = bld.basis(n)
     p_blk = bld.add_block(n, np.eye(n))
     q_blk = bld.add_block(n, np.eye(n))
     # P - Q + Lambda(pi) = chi   (as <B_a, .> coordinates)
     bld.add_target_group({p_blk: basis, q_blk: -basis,
-                          **bld.terms(proc.dual(basis, blocks=True))}, basis, chi)
+                          **bld.terms(proc.dual(basis, blocks=True))}, basis)
     return bld.template()
 
 
@@ -819,41 +846,11 @@ def optimize_program_trace(proc: ProcessorMap, chi_target,
     trace cost re-evaluated at it.
     """
     chi_e = hermitize(_target(proc, chi_target))
-    tpl = _template(proc, ("trace", _real_data(chi_e, proc)),
-                    lambda: _trace_template(chi_e, proc))
+    real = _real_data(chi_e, proc)
+    tpl = _template(proc, ("trace", real), lambda: _trace_template(proc, real))
     program, _ = tpl.solve(proc, chi_e, tol, "optimize_program_trace")
     value = cost_eval("C1", chi_e, proc.apply_matrix(program))
     return program, value
-
-
-def _watrous_builder(chi: np.ndarray, d_in: int, d_out: int,
-                     proc: Optional[ProcessorMap] = None, real: Optional[bool] = None):
-    """Watrous's diamond-norm program (arXiv:1207.5726) for Delta = chi - Lambda(pi):
-
-        min 2t  s.t.  W = Z - d_in Delta >= 0,  V = t I - Tr_out Z >= 0,  Z >= 0.
-
-    t is a real 1 x 1 block.  Without a processor Delta = chi is fixed; with
-    one, the program blocks of pi are added (``_SdpBuilder.terms``).  Returns
-    the builder and the Z block index.
-    """
-    n = d_in * d_out
-    bld = _SdpBuilder(chi, proc, real)
-    basis = bld.basis(n)
-    z_blk = bld.add_block(n)
-    w_blk = bld.add_block(n)
-    v_blk = bld.add_block(d_in)
-    t_blk = bld.add_block(1, np.array([[2.0]]))
-    # W = Z - d (chi - Lambda(pi))
-    terms = {w_blk: basis, z_blk: -basis}
-    if proc is not None:
-        terms.update(bld.terms(proc.dual(-d_in * basis, blocks=True)))
-    bld.add_target_group(terms, basis, chi, -d_in)
-    # V = t I - Tr_out Z
-    fs = bld.basis(d_in)
-    bld.groups.append(({v_blk: fs, z_blk: np.kron(fs, np.eye(d_out, dtype=fs.dtype)),
-                        t_blk: -np.trace(fs, axis1=1, axis2=2).real.reshape(-1, 1, 1)},
-                       np.zeros(len(fs))))
-    return bld, z_blk
 
 
 def optimize_program_diamond(proc: ProcessorMap, chi_target,
@@ -867,8 +864,8 @@ def optimize_program_diamond(proc: ProcessorMap, chi_target,
     """
     chi_e = hermitize(_target(proc, chi_target))
     d_in, d_out = proc.d_in, proc.d_out
-    tpl = _template(proc, ("diamond", _real_data(chi_e, proc)),
-                    lambda: _watrous_template(chi_e, d_in, d_out, proc))
+    real = _real_data(chi_e, proc)
+    tpl = _template(proc, ("diamond", real), lambda: _watrous_template(proc, real, d_in, d_out))
     program, sol = tpl.solve(proc, chi_e, tol, "optimize_program_diamond")
     delta = hermitize(chi_e - proc.apply_matrix(program))
     value = _repaired_value(sol.primal_blocks[tpl.blk], delta, d_in, d_out)
@@ -879,16 +876,15 @@ def optimize_program_diamond(proc: ProcessorMap, chi_target,
     return program, value
 
 
-def _fidelity_template(chi: np.ndarray, proc: ProcessorMap, d_supp: np.ndarray,
-                       obj: np.ndarray) -> _Template:
-    r, n = d_supp.shape[0], proc.d_choi
-    bld = _SdpBuilder(chi, proc)
-    g_blk = bld.add_block(r + n, obj)
+def _fidelity_template(proc: ProcessorMap, real: bool, r: int) -> _Template:
+    n = proc.d_choi
+    bld = _SdpBuilder(proc, real)
+    g_blk = bld.add_block(r + n)
     # top-left corner = D, bottom-right corner = Lambda(pi)
     top, basis = bld.basis(r), bld.basis(n)
     corner = np.zeros((len(top), r + n, r + n), dtype=top.dtype)
     corner[:, :r, :r] = top
-    bld.add_target_group({g_blk: corner}, top, d_supp)
+    bld.add_target_group({g_blk: corner}, top)
     corner = np.zeros((len(basis), r + n, r + n), dtype=basis.dtype)
     corner[:, r:, r:] = basis
     lam = bld.terms(proc.dual(-basis, blocks=True))
@@ -905,12 +901,17 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     support keeps the feasible set strictly solvable even for pure
     (unitary) targets, where the unrestricted block could never be
     positive definite.  The program's blocks depend on the target only
-    through the support rank r, so its template is kept per r.
+    through the support rank r, so its template is kept per r.  A target
+    that is zero or has an eigenvalue below -``SQRT_NEG_TOL`` (the bound
+    that ``bures_fidelity`` applies) raises ValueError before any solve.
     """
     chi_e = hermitize(_target(proc, chi_target))
     n = proc.d_choi
     real = _real_data(chi_e, proc)
     vals, vecs = np.linalg.eigh(chi_e.real if real else chi_e)
+    if vals[-1] <= 0.0 or vals[0] < -SQRT_NEG_TOL:
+        raise ValueError(f"optimize_program_fidelity: chi_target must be PSD and nonzero, "
+                         f"has eigenvalues in [{vals[0]:.3e}, {vals[-1]:.3e}]")
     support = vals > 1e-12 * float(vals.max())
     d_supp = np.diag(vals[support]).astype(vecs.dtype)
     v_supp = vecs[:, support]
@@ -920,8 +921,7 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     obj = np.zeros((r + n, r + n), dtype=vecs.dtype)
     obj[:r, r:] = -0.5 * v_supp.conj().T
     obj[r:, :r] = -0.5 * v_supp
-    tpl = _template(proc, ("fidelity", real, r),
-                    lambda: _fidelity_template(chi_e, proc, d_supp, obj))
+    tpl = _template(proc, ("fidelity", real, r), lambda: _fidelity_template(proc, real, r))
     program, _ = tpl.solve(proc, d_supp, tol, "optimize_program_fidelity", {tpl.blk: obj})
     value = bures_fidelity(chi_e, proc.apply_matrix(program))
     return program, value

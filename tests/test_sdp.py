@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -334,6 +336,21 @@ def _solves_inside(monkeypatch, call):
     return call(), solves
 
 
+def _fresh_problem(tpl, x, objective=None) -> SdpProblem:
+    """The program of template tpl with the data of target x (and, for the
+    blocks ``objective`` names, its objective), scanned anew from the
+    template's rows rather than made by ``SdpProblem.with_data``."""
+    rows, basis, scale = tpl.target
+    groups, start = [], 0
+    for terms, rhs in tpl.problem.constraints:
+        groups.append((terms, scale * sdp._coords(basis, x) if start == rows.start else rhs))
+        start += rhs.size
+    obj = list(tpl.problem.objective)
+    for blk, c in (objective or {}).items():
+        obj[blk] = c
+    return SdpProblem(obj, groups)
+
+
 def test_diamond_solve_path_is_pinned(monkeypatch):
     rng = np.random.default_rng(64)
     chi = random_choi(2, rng).matrix - random_choi(2, rng).matrix
@@ -455,7 +472,7 @@ def test_program_terms_match_the_isometry_conjugation(key, real):
     # target with an imaginary part asks for the complex basis
     proc = TERMS[key]()
     target = np.eye(proc.d_choi) if real else sdp.hermitian_basis(proc.d_choi)[proc.d_choi + 1]
-    bld = sdp._SdpBuilder(target, proc)
+    bld = sdp._SdpBuilder(proc, sdp._real_data(target, proc))
     assert bld.real == (real and proc.block_coords.real)
     basis = bld.basis(proc.d_choi)
     if proc.program_domain == "choi":
@@ -580,6 +597,24 @@ def test_flat_marginal_certifies_pauli_pairs_without_a_solve(monkeypatch):
         assert abs(value - np.abs(p - r).sum()) <= 1e-12
 
 
+def test_diamond_distance_checks_tol_and_d_in_on_either_path(monkeypatch):
+    # a Pauli pair takes the flat-marginal shortcut, a random pair the SDP;
+    # both reject the same arguments, before either path runs
+    rng = np.random.default_rng(64)
+    p, r = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(4))
+    pauli = choi_of_channel(pauli_channel(p)).matrix - choi_of_channel(pauli_channel(r)).matrix
+    rand = random_choi(2, rng).matrix - random_choi(2, rng).matrix
+    for chi, n_solves in ((pauli, 0), (rand, 1)):
+        _, solves = _solves_inside(monkeypatch, lambda: diamond_distance(chi, 2))
+        assert len(solves) == n_solves
+        for tol in (math.inf, 0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="diamond_distance: tol must be finite and > 0"):
+                diamond_distance(chi, 2, tol=tol)
+        with pytest.raises(TypeError):
+            diamond_distance(chi, 2.0)
+        assert len(solves) == n_solves
+
+
 def test_diamond_value_lies_between_the_watrous_bounds():
     # random pairs fall through to the SDP, Pauli pairs do not; both kinds
     # stay above the maximally entangled input's value and agree with a
@@ -594,8 +629,7 @@ def test_diamond_value_lies_between_the_watrous_bounds():
     for d, chi in pairs:
         value = diamond_distance(chi, d)
         assert value >= np.abs(np.linalg.eigvalsh(chi)).sum() - 1e-12
-        bld, _ = sdp._watrous_builder(chi, d, d)
-        sol = solve_sdp(bld.build())
+        sol = solve_sdp(_fresh_problem(sdp._watrous_template(None, sdp._real_data(chi), d, d), chi))
         assert sol.status == "optimal"
         assert abs(value - sol.primal_objective) <= 1e-6
 
@@ -719,6 +753,26 @@ def test_optimize_fidelity_achievable_target():
     target = TELE.apply_matrix(pi0)
     _, f = optimize_program_fidelity(TELE, target)
     assert f >= 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("target", [np.zeros((4, 4)), -np.eye(4) / 4,
+                                    np.diag([0.6, 0.5, -0.1, 0.0])],
+                         ids=["zero", "negative", "indefinite"])
+def test_optimize_fidelity_rejects_a_target_that_is_not_psd_before_solving(target,
+                                                                             monkeypatch):
+    # an empty support or an eigenvalue below -SQRT_NEG_TOL, which
+    # bures_fidelity would refuse after the solve
+    solves = []
+    monkeypatch.setattr(sdp, "solve_sdp", lambda *args, **kw: solves.append(args))
+    with pytest.raises(ValueError, match="chi_target must be PSD and nonzero"):
+        optimize_program_fidelity(teleportation_processor(2), target)
+    assert not solves
+
+
+def test_optimize_fidelity_accepts_rounding_below_zero():
+    # eigenvalues in [-SQRT_NEG_TOL, 0) are clamped, as bures_fidelity does
+    _, f = optimize_program_fidelity(TELE, np.diag([0.5, 0.5, -1e-11, 0.0]))
+    assert 0.0 < f <= 1.0
 
 
 def test_recover_feasible_target_via_sdp():
@@ -867,14 +921,14 @@ def _count_builds(monkeypatch) -> list:
 @pytest.mark.parametrize("key", list(TEMPLATE_PROCS))
 def test_a_target_sweep_builds_each_program_once(key, program, real, monkeypatch):
     proc = TEMPLATE_PROCS[key]()
-    proc._sdp_templates.clear()
+    sdp._TEMPLATES.pop(proc, None)
     if not real:
         monkeypatch.setattr(sdp, "_real_data", lambda *_: False)
     builds = _count_builds(monkeypatch)
     for chi in AD_SWEEP:
         PROGRAMS[program](proc, chi)
     assert len(builds) == 1
-    [(name, is_real, *_)] = proc._sdp_templates
+    [(name, is_real, *_)] = sdp._TEMPLATES[proc]
     assert (name, is_real) == (program, real)
 
 
@@ -900,22 +954,22 @@ def _assert_identical(cold, warm):
 @pytest.mark.parametrize("key", list(TEMPLATE_PROCS))
 def test_cold_and_warm_solves_are_identical(key, program, monkeypatch):
     proc, chi = TEMPLATE_PROCS[key](), AD_SWEEP[2]
-    proc._sdp_templates.clear()
+    sdp._TEMPLATES.pop(proc, None)
     sdp._free_watrous_template.cache_clear()
     cold = _solutions(monkeypatch, lambda: PROGRAMS[program](proc, chi))
     # a warm solve on the template that another target built
-    proc._sdp_templates.clear()
+    sdp._TEMPLATES.pop(proc, None)
     PROGRAMS[program](proc, AD_SWEEP[0])
     _assert_identical(cold, _solutions(monkeypatch, lambda: PROGRAMS[program](proc, chi)))
-    assert len(proc._sdp_templates) == 1
+    assert len(sdp._TEMPLATES[proc]) == 1
 
 
 def test_diamond_distance_cold_and_warm_solves_are_identical(monkeypatch):
     rng = np.random.default_rng(64)
     chis = [random_choi(2, rng).matrix - random_choi(2, rng).matrix for _ in range(2)]
-    # the template is built on a zero target: solve as a build from chis[0] does
-    bld, _ = sdp._watrous_builder(chis[0], 2, 2)
-    fresh = solve_sdp(bld.build())
+    # the template is built without a target: solve as a fresh build on chis[0] does
+    fresh = solve_sdp(_fresh_problem(sdp._watrous_template(None, sdp._real_data(chis[0]), 2, 2),
+                                     chis[0]))
     sdp._free_watrous_template.cache_clear()
     cold = _solutions(monkeypatch, lambda: diamond_distance(chis[0], 2))
     _assert_identical([fresh], cold)
@@ -923,6 +977,83 @@ def test_diamond_distance_cold_and_warm_solves_are_identical(monkeypatch):
     diamond_distance(chis[1], 2)
     _assert_identical(cold, _solutions(monkeypatch, lambda: diamond_distance(chis[0], 2)))
     assert sdp._free_watrous_template.cache_info().currsize == 1
+
+
+def _template_solves(monkeypatch, call) -> list:
+    """(template, x, objective, tol, solution) of every ``_Template.solve`` inside call()."""
+    seen = []
+    solve = sdp._Template.solve
+
+    def spy(tpl, proc, x, tol, who, objective=None):
+        program, sol = solve(tpl, proc, x, tol, who, objective)
+        seen.append((tpl, x, objective, tol, sol))
+        return program, sol
+
+    monkeypatch.setattr(sdp._Template, "solve", spy)
+    call()
+    return seen
+
+
+def _assert_solved_as_fresh_builds(seen):
+    assert seen
+    for tpl, x, objective, tol, sol in seen:
+        _assert_identical([solve_sdp(_fresh_problem(tpl, x, objective), tol)], [sol])
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("program", list(PROGRAMS))
+@pytest.mark.parametrize("key", list(TEMPLATE_PROCS))
+def test_a_template_solves_each_target_as_a_fresh_build(key, program, real, monkeypatch):
+    # AD_SWEEP[0] builds the template; every other target solves on it
+    # exactly as on its program scanned anew
+    proc = TEMPLATE_PROCS[key]()
+    sdp._TEMPLATES.pop(proc, None)
+    if not real:
+        monkeypatch.setattr(sdp, "_real_data", lambda *_: False)
+    PROGRAMS[program](proc, AD_SWEEP[0])
+    seen = _template_solves(monkeypatch,
+                            lambda: [PROGRAMS[program](proc, chi) for chi in AD_SWEEP[1:]])
+    assert len(seen) >= 4
+    assert all(np.isrealobj(tpl.problem._stacks[0]) == real for tpl, *_ in seen)
+    _assert_solved_as_fresh_builds(seen)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_diamond_distance_template_solves_each_pair_as_a_fresh_build(d, monkeypatch):
+    rng = np.random.default_rng(64)
+    chis = [random_choi(d, rng).matrix - random_choi(d, rng).matrix for _ in range(3)]
+    sdp._free_watrous_template.cache_clear()
+    diamond_distance(chis[0], d)  # builds the template
+    assert sdp._free_watrous_template.cache_info().currsize == 1
+    seen = _template_solves(monkeypatch, lambda: [diamond_distance(chi, d) for chi in chis[1:]])
+    assert len(seen) == 2
+    _assert_solved_as_fresh_builds(seen)
+
+
+def test_templates_live_as_long_as_their_processor(monkeypatch):
+    # a per-call PQC map and its templates are freed by reference counting
+    # alone (the collector is off), so no reference cycle holds them; the
+    # shared PBT map keeps its templates across calls
+    gc.disable()
+    try:
+        proc = pqc_processor(2)
+        optimize_program_trace(proc, AD_SWEEP[1])
+        optimize_program_diamond(proc, AD_SWEEP[1])
+        templates = sdp._TEMPLATES[proc]
+        assert sorted(name for name, *_ in templates) == ["diamond", "trace"]
+        refs = [weakref.ref(proc), *(weakref.ref(tpl.problem) for tpl in templates.values())]
+        entries = len(sdp._TEMPLATES)
+        del proc, templates
+        assert all(ref() is None for ref in refs)
+        assert len(sdp._TEMPLATES) == entries - 1
+    finally:
+        gc.enable()
+    optimize_program_trace(pbt_processor(2), AD_SWEEP[1])
+    tpl = sdp._TEMPLATES[pbt_processor(2)][("trace", True)]
+    builds = _count_builds(monkeypatch)
+    optimize_program_trace(pbt_processor(2), AD_SWEEP[3])
+    assert not builds
+    assert sdp._TEMPLATES[pbt_processor(2)][("trace", True)] is tpl
 
 
 def test_free_watrous_templates_keep_the_eight_most_recently_used(monkeypatch):
@@ -942,12 +1073,12 @@ def test_free_watrous_templates_keep_the_eight_most_recently_used(monkeypatch):
 
 def test_forced_complex_data_get_their_own_template(monkeypatch):
     proc = pbt_processor(2)
-    proc._sdp_templates.clear()
+    sdp._TEMPLATES.pop(proc, None)
     optimize_program_trace(proc, AD_SWEEP[2])
     monkeypatch.setattr(sdp, "_real_data", lambda *_: False)
     _, [sol] = _solves_inside(monkeypatch, lambda: optimize_program_trace(proc, AD_SWEEP[2]))
     assert sol.primal_blocks[0].dtype == complex
-    real, cplx = (proc._sdp_templates[("trace", flag)] for flag in (True, False))
+    real, cplx = (sdp._TEMPLATES[proc][("trace", flag)] for flag in (True, False))
     assert not any(np.iscomplexobj(a) for a in real.problem._stacks)
     assert all(np.iscomplexobj(a) for a in cplx.problem._stacks)
 
@@ -964,7 +1095,7 @@ def _arrays(obj):
 def test_template_arrays_are_read_only():
     proc = pbt_processor(2)
     optimize_program_fidelity(proc, AD_SWEEP[1])
-    tpl = proc._sdp_templates[("fidelity", True, 2)]
+    tpl = sdp._TEMPLATES[proc][("fidelity", True, 2)]
     arrays = [a for a in _arrays([tpl.target, list(vars(tpl.problem).values())]) if a.size]
     assert len(arrays) >= 10
     for a in arrays:
