@@ -24,16 +24,17 @@ There is no real embedding of complex data: a block's dtype follows its data,
 so a block with real data is solved in real arithmetic and a complex
 Hermitian block in complex arithmetic.  Blocks of one size and one dtype of
 objective and of constraints form a class whose X, S, W and S^-1 are one
-(k, d, d) stack, as in SDPT3's grouped blocks: the NT scaling, S^-1, the
-Cholesky factors, the step test over [dX; dS] (primal and dual at once) and
-each inner product (one product and one sum, added up in block order) run
-once per class.  A class of 1 x 1 blocks, such as the t of Watrous's program, is
-SDPT3's linear part: its NT scaling, S^-1, factors and step test are
-elementwise on the real parts, which is what LAPACK computes for 1 x 1
-matrices, bit for bit.  A(X), A*(y) and the Schur sum run block by block, so
-neither the stacks nor the elementwise class change any rounding.  The
-programs below build each group from the Hermitian basis and one
-``proc.dual`` call on it.  When their data (the target, the processor's
+(k, d, d) stack, as in SDPT3's grouped blocks.  Per class and iteration the
+stack [X; S] is checked for non-finite entries once and takes one eigh, whose
+halves give the NT scaling and S^-1, and one Cholesky factorization for the
+step test over [dX; dS] (primal and dual at once); each inner product is one
+product and one sum, added up in block order.  A class of 1 x 1 blocks, such
+as the t of Watrous's program, is SDPT3's linear part: its NT scaling, S^-1,
+factors and step test are elementwise on the real parts, which is what LAPACK
+computes for 1 x 1 matrices, bit for bit.  A(X), A*(y) and the Schur sum run
+block by block, so neither the stacks nor the elementwise class change any
+rounding.  The programs below build each group from the Hermitian basis and
+one ``proc.dual`` call on it.  When their data (the target, the processor's
 transfer and its program blocks) have no imaginary part, the program is
 invariant under entrywise conjugation, so its optimum is attained on real
 symmetric blocks (Gatermann-Parrilo's fixed-point reduction): the groups then
@@ -264,22 +265,20 @@ class _NumericalBreakdown(Exception):
     """Interior-point linear algebra collapsed (indefinite or non-finite)."""
 
 
-def _nt_scaling(x: np.ndarray, s: np.ndarray):
+def _nt_scaling(x: np.ndarray, s: np.ndarray, eig):
     """NT scaling of (k, d, d) stacks of Hermitian positive definite X, S:
     (W, G, lambda) with W S W = X, G = X^1/2 Q Lambda^-1/2 from
     eigh(X^1/2 S X^1/2) = Q Lambda^2 Q^dag, so W = G G^dag and
-    G^-1 X G^-dag = G^dag S G = Lambda = diag(lambda).  For d = 1, W is
+    G^-1 X G^-dag = G^dag S G = Lambda = diag(lambda), from ``eig``, eigh of
+    the finite [X; S], X's k pairs first.  For d = 1 ``eig`` is None, W is
     elementwise on the real parts and G and lambda are None."""
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s))):
-        raise _NumericalBreakdown("non-finite iterate")
-    if x.shape[1] == 1:
-        rx = np.sqrt(np.clip(x.real, 1e-300, None))
-        return (rx * np.clip(rx * s.real * rx, 1e-300, None) ** -0.5) * rx, None, None
-    wx, vx = np.linalg.eigh(x)
-    wx = np.clip(wx, 1e-300, None)
-    rx = (vx * np.sqrt(wx)[:, None]) @ vx.conj().swapaxes(1, 2)
+    if eig is None:
+        rx = np.sqrt(np.maximum(x.real, 1e-300))
+        return (rx * np.maximum(rx * s.real * rx, 1e-300) ** -0.5) * rx, None, None
+    wx, vx = eig[0][:len(x)], eig[1][:len(x)]
+    rx = (vx * np.sqrt(np.maximum(wx, 1e-300))[:, None]) @ vx.conj().swapaxes(1, 2)
     wi, vi = np.linalg.eigh(hermitize(rx @ s @ rx))
-    wi = np.clip(wi, 1e-300, None)
+    wi = np.maximum(wi, 1e-300)
     g = (rx @ vi) * (wi ** -0.25)[:, None]
     return hermitize(g @ g.conj().swapaxes(1, 2)), g, np.sqrt(wi)
 
@@ -300,22 +299,20 @@ def _second_order(g, lam, s, s_inv, dx, ds) -> np.ndarray:
     return hermitize(g @ c @ gh)
 
 
-def _inverse(s: np.ndarray) -> np.ndarray:
+def _inverse(s: np.ndarray, eig) -> np.ndarray:
     """S^-1 of a (k, d, d) stack of Hermitian positive definite S, on eigenvalues
-    clipped at 1e-300; for d = 1, elementwise on the real parts."""
-    if s.shape[1] == 1:
-        return 1.0 / np.clip(s.real, 1e-300, None)
-    ws, vs = np.linalg.eigh(s)
-    ws = np.clip(ws, 1e-300, None)
-    return (vs / ws[:, None]) @ vs.conj().swapaxes(1, 2)
+    clipped at 1e-300, from ``eig``, eigh of the finite stack [X; S], whose last
+    k pairs are S's; for d = 1 (``eig`` None), elementwise on the real parts."""
+    if eig is None:
+        return 1.0 / np.maximum(s.real, 1e-300)
+    ws, vs = eig[0][-len(s):], eig[1][-len(s):]
+    return (vs / np.maximum(ws, 1e-300)[:, None]) @ vs.conj().swapaxes(1, 2)
 
 
 def _chol(x: np.ndarray) -> np.ndarray:
-    """Cholesky factors of a Hermitian matrix, or of a stack, then matrix by
-    matrix if it fails; square roots of the real parts for positive 1 x 1s."""
-    if not np.all(np.isfinite(x)):
-        raise _NumericalBreakdown("non-finite iterate")
-    if x.shape[-1] == 1 and np.all(x.real > 0.0):
+    """Cholesky factors of a finite Hermitian matrix, or of a stack, then matrix
+    by matrix if it fails; square roots of the real parts for positive 1 x 1s."""
+    if x.shape[-1] == 1 and (x.real > 0.0).all():
         return np.sqrt(x.real)
     try:
         return np.linalg.cholesky(x)
@@ -339,7 +336,7 @@ def _steps(tau: float, factors, dx, ds) -> Tuple[float, float]:
     lam_p = lam_d = math.inf
     for l, dxc, dsc in zip(factors, dx, ds):
         d = np.concatenate([dxc, dsc])
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             raise _NumericalBreakdown("non-finite direction")
         if l.shape[-1] == 1:
             lam = (np.conj(d / l) / l).real
@@ -402,8 +399,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
 
     def dots(p, q):
         """<P_b, Q_b> per block, in block order, from one product per class."""
-        per_class = [np.sum(np.conj(pk) * qk, axis=(1, 2)).real.tolist()
-                     for pk, qk in zip(p, q)]
+        per_class = [(pk.conj() * qk).sum(axis=(1, 2)).real.tolist() for pk, qk in zip(p, q)]
         return [per_class[k][j] for k, j in order]
 
     c_cls = [np.array([cmats[b] for b in mem]) for mem in members]
@@ -435,9 +431,6 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         return asy, rp, rd, pobj, dobj, res_p, res_d, gap_rel
 
-    def mean_dot(x, s):
-        return sum(dots(x, s)) / n_total
-
     # iterates are replaced, never written in place, so ``best`` needs no copies
     x = [np.tile(np.eye(d), (k, 1, 1)) for k, d, _ in shapes]
     s = list(x)
@@ -454,7 +447,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, MAX_ITERS + 1):
             asy, rp, rd, pobj, dobj, res_p, res_d, gap_rel = residuals(x, y, s)
-            mu = mean_dot(x, s)
+            mu = sum(dots(x, s)) / n_total
             history.append((pobj, dobj, res_p, res_d, mu))
             merit = max(res_p, res_d, gap_rel)
             if np.isfinite(merit) and (best is None or merit < best[0]):
@@ -485,9 +478,15 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                 break
 
             try:
-                w, g, lam = zip(*(_nt_scaling(xk, sk) for xk, sk in zip(x, s)))
-                s_inv = [_inverse(sk) for sk in s]
-                factors = [_chol(np.concatenate([xk, sk])) for xk, sk in zip(x, s)]
+                # one finite [X; S] per class for one eigh and one Cholesky; LAPACK
+                # decomposes each matrix alone, so the halves are eigh(X), eigh(S)
+                xs = [np.concatenate([xk, sk]) for xk, sk in zip(x, s)]
+                if not all(np.isfinite(a).all() for a in xs):
+                    raise _NumericalBreakdown("non-finite iterate")
+                eigs = [np.linalg.eigh(a) if a.shape[-1] > 1 else None for a in xs]
+                w, g, lam = zip(*map(_nt_scaling, x, s, eigs))
+                s_inv = list(map(_inverse, s, eigs))
+                factors = list(map(_chol, xs))
 
                 schur = np.zeros((m, m))
                 for sq, a, mat, wb, d in zip(squares, stacks, mats, split(w), dims):
@@ -509,16 +508,17 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                 # W R_d W, shared by the predictor and the corrector
                 wrw = [hermitize(wk @ rk @ wk) for wk, rk in zip(w, rd)]
 
-                def newton(sigma_mu, second):
+                def newton(sigma_mu, second=None):
                     """The step with dX + W dS W = sigma_mu S^-1 - X - second."""
-                    base = [sigma_mu * si - xk - v - t
-                            for si, xk, v, t in zip(s_inv, x, wrw, second)]
+                    base = [sigma_mu * si - xk - v for si, xk, v in zip(s_inv, x, wrw)]
+                    if second is not None:
+                        base = [bk - t for bk, t in zip(base, second)]
                     rhs = rp - a_of_x(split(base))
                     if schur_l is not None:
                         dy = np.linalg.solve(schur_l.T, np.linalg.solve(schur_l, rhs))
                     else:
                         dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
-                    if not np.all(np.isfinite(dy)):
+                    if not np.isfinite(dy).all():
                         raise _NumericalBreakdown("non-finite Newton step")
                     asdy = a_star(dy)
                     ds = [rk - ak for rk, ak in zip(rd, asdy)]
@@ -526,12 +526,11 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                     return dx, dy, ds
 
                 # predictor
-                no_term = [0.0] * len(x)
-                dx_a, dy_a, ds_a = newton(0.0, no_term)
+                dx_a, dy_a, ds_a = newton(0.0)
                 ap, ad = _steps(tau, factors, dx_a, ds_a)
                 step_a = min(ap, ad)
-                mu_aff = mean_dot([xk + ap * dk for xk, dk in zip(x, dx_a)],
-                                  [sk + ad * dk for sk, dk in zip(s, ds_a)])
+                mu_aff = sum(dots([xk + ap * dk for xk, dk in zip(x, dx_a)],
+                                  [sk + ad * dk for sk, dk in zip(s, ds_a)])) / n_total
                 ratio = min(max(mu_aff, 0.0) / mu, 1.0)
                 sigma = max(ratio**3, 1e-8)
                 # the centering target, never below the complementarity (half
@@ -544,7 +543,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                 dx, dy, ds = newton(target, second)
                 ap, ad = _steps(tau, factors, dx, ds)
                 if min(ap, ad) < step_a:
-                    dx, dy, ds = newton(target, no_term)
+                    dx, dy, ds = newton(target)
                     ap, ad = _steps(tau, factors, dx, ds)
             except _NumericalBreakdown:
                 status = "breakdown"
@@ -778,16 +777,16 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
     """Diamond norm of the map whose (normalized) Choi matrix is chi_omega.
 
     chi_omega should be the Hermitian difference of two Choi matrices
-    (ordering: input copy, output).  When it is not traceless a warning is
-    emitted and the value is still the optimum of Watrous's program, which
-    is then not the diamond norm: chi = I/4 gives 2.0, where the map
-    rho -> Tr(rho) I/2 has diamond norm 1.  The returned value is certified:
-    it is 2 ||Tr_out Z||_inf for a Z repaired to exact feasibility, an
-    attainable upper bound on the true minimum.  One eigendecomposition
-    gives the lower bound 2 Tr chi_+ (||chi||_1 for traceless chi: the
-    maximally entangled input) and the feasible Z = d_in chi_+; when the two
-    agree to ``tol`` (chi_+ has a flat marginal, as for Pauli channels) no
-    SDP is solved.
+    (ordering: input copy, output), so Tr_out chi = 0.  When it is not, a
+    warning is emitted and the value is still the optimum of Watrous's
+    program, which is then not the diamond norm: chi = (Z x I)/4 and chi = I/4
+    give 2.0, where the maps rho -> Tr(Z rho) I/2 and rho -> Tr(rho) I/2 have
+    diamond norm 1.  The returned value is certified: it is 2 ||Tr_out Z||_inf
+    for a Z repaired to exact feasibility, an attainable upper bound on the
+    true minimum.  One eigendecomposition gives the lower bound 2 Tr chi_+
+    (||chi||_1 for traceless chi: the maximally entangled input) and the
+    feasible Z = d_in chi_+; when the two agree to ``tol`` (chi_+ has a flat
+    marginal, as for Pauli channels) no SDP is solved.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"diamond_distance: tol must be finite and > 0, got {tol!r}")
@@ -804,11 +803,12 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
         raise ValueError(f"diamond_distance: dim {n} not divisible by d_in={d_in}")
     chi = hermitize(chi)
     d_out = n // d_in
-    if abs(np.trace(chi)) > 1e-8:
+    marginal = float(np.abs(partial_trace(chi, [d_in, d_out], keep=[0])).max())
+    if marginal > 1e-8 or abs(np.trace(chi)) > 1e-8:
         warnings.warn(
-            f"diamond_distance: chi has trace {np.trace(chi):.3e}; expected a "
-            f"traceless Choi difference, and the value returned is Watrous's "
-            f"optimum, not the diamond norm",
+            f"diamond_distance: chi has trace {np.trace(chi).real:.3e} and max|Tr_out chi| "
+            f"{marginal:.3e}; expected a traceless Choi difference (Tr_out chi = 0), and "
+            f"the value returned is Watrous's optimum, not the diamond norm",
             stacklevel=2,
         )
     vals, vecs = np.linalg.eigh(chi)

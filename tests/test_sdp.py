@@ -373,6 +373,43 @@ def test_choi_diamond_solve_paths_are_pinned(monkeypatch):
     assert value <= joint.dual_objective + 100 * sdp.DEFAULT_TOL
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("d", [2, 4, 20])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_stacked_eigh_halves_are_the_separate_decompositions(k, d, dtype):
+    # the solver's premise: one eigh of [X; S] per class is eigh(X) and
+    # eigh(S) bit for bit, because LAPACK decomposes each matrix on its own
+    rng = np.random.default_rng(100 * k + d)
+
+    def pd_stack():
+        g = rng.normal(size=(k, d, d)).astype(dtype)
+        if dtype is complex:
+            g += 1j * rng.normal(size=(k, d, d))
+        return g @ g.conj().swapaxes(1, 2) + 0.1 * np.eye(d)
+
+    x, s = pd_stack(), pd_stack()
+    w, v = np.linalg.eigh(np.concatenate([x, s]))
+    wx, vx = np.linalg.eigh(x)
+    ws, vs = np.linalg.eigh(s)
+    assert np.array_equal(w[:k], wx) and np.array_equal(v[:k], vx)
+    assert np.array_equal(w[k:], ws) and np.array_equal(v[k:], vs)
+
+
+def test_each_matrix_class_takes_two_eigh_per_iteration(monkeypatch):
+    # Watrous's program on a complex qubit pair has two matrix classes, Z and
+    # W (4 x 4) and V (2 x 2), and the elementwise 1 x 1 class t; each stepping
+    # iteration decomposes [X; S] and X^1/2 S X^1/2 once per matrix class
+    rng = np.random.default_rng(64)
+    chi = hermitize(random_choi(2, rng).matrix - random_choi(2, rng).matrix)
+    tpl = sdp._free_watrous_template(2, 2, False)
+    shapes, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    _, sol = tpl.solve(None, chi, sdp.DEFAULT_TOL, "diamond_distance")
+    assert (sol.status, sol.iterations) == ("optimal", 13)
+    steps = sol.iterations - 1  # the last iteration stops before its step
+    assert sorted(shapes) == sorted([(4, 4, 4), (2, 4, 4), (2, 2, 2), (1, 2, 2)] * steps)
+
+
 # --- real arithmetic for conjugation-symmetric data ------------------------------
 
 # the slack optimize_program_diamond allows its repaired value over the dual
@@ -560,6 +597,9 @@ def test_diamond_distance_rejects_malformed_input(case):
 def test_diamond_warns_on_trace():
     with pytest.warns(UserWarning, match="traceless"):
         diamond_distance(np.eye(4) * 0.25, 2)
+    # traceless, but Tr_out chi = diag(1, -1) / 2: the program is not the norm
+    with pytest.warns(UserWarning, match="traceless"):
+        diamond_distance(np.kron(np.diag([1.0, -1.0]), np.eye(2)) / 4, 2)
 
 
 def test_diamond_sandwich_random_instances():
