@@ -6,10 +6,10 @@ dimensions ``d_in`` and ``d_out``.  The Weyl frame ``weyl_unitaries`` serves
 the zoo and ``processors``.
 
 The costs C1, CF and C_mu and their gradient observables live here, in the
-one value-and-gradient table ``_COSTS``: from one spectral decomposition, the
-cost and the Choi-space X whose dual L*[X] under a processor map L is the
-gradient in the program.  ``cost_eval`` and ``optim`` read it; F, CR and the
-Schatten-p distance are value-only.
+one value-and-gradient table ``_COSTS``: from one ``eigh``, read reversed in
+place (no copies), the cost and the Choi-space X whose dual L*[X] under a
+processor map L is the gradient in the program.  ``cost_eval`` and ``optim``
+read it; F, CR and the Schatten-p distance are value-only.
 
 Conventions used throughout the package:
 
@@ -344,13 +344,18 @@ def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def huber_penalty(x: np.ndarray, mu: float) -> np.ndarray:
     """Quadratic/absolute penalty: x^2/(2 mu) inside |x| < mu, |x| - mu/2 outside."""
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) < mu, x * x / (2.0 * mu), np.abs(x) - mu / 2.0)
+    return _huber(np.asarray(x, dtype=float), mu)[0]
 
 
 def huber_penalty_deriv(x: np.ndarray, mu: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    return np.where(np.abs(x) < mu, x / mu, np.sign(x))
+    return _huber(np.asarray(x, dtype=float), mu)[1]
+
+
+def _huber(x: np.ndarray, mu: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``huber_penalty`` and ``huber_penalty_deriv`` of a real x, from one abs and one mask."""
+    a = np.abs(x)
+    inside = a < mu
+    return np.where(inside, x * x / (2.0 * mu), a - mu / 2.0), np.where(inside, x / mu, np.sign(x))
 
 
 # --- the value-and-gradient table --------------------------------------------
@@ -361,8 +366,7 @@ def huber_penalty_deriv(x: np.ndarray, mu: float) -> np.ndarray:
 
 def _trace_cost(target: np.ndarray, mu: float) -> Callable:
     def terms(sim):
-        dec = _eigh_desc(hermitize(sim - target))
-        vals, u = dec.eigenvalues, dec.eigenvectors
+        vals, u = _eigh_desc(hermitize(sim - target))
         return float(np.abs(vals).sum()), (u * _sign_values(vals)) @ u.conj().T
     return terms
 
@@ -372,17 +376,15 @@ def _smoothed_cost(target: np.ndarray, mu: float) -> Callable:
         raise ValueError(f"smoothed cost: mu must be positive and finite, got {mu}")
 
     def terms(sim):
-        dec = _eigh_desc(hermitize(sim - target))
-        vals, u = dec.eigenvalues, dec.eigenvectors
-        return (float(huber_penalty(vals, mu).sum()),
-                (u * huber_penalty_deriv(vals, mu)) @ u.conj().T)
+        vals, u = _eigh_desc(hermitize(sim - target))
+        value, deriv = _huber(vals, mu)
+        return float(value.sum()), (u * deriv) @ u.conj().T
     return terms
 
 
 def _fidelity_terms(root: np.ndarray, sim: np.ndarray) -> Tuple[float, np.ndarray]:
     """Fidelity F of ``sim`` to ``root``^2 and X with grad F = L*[X]."""
-    dec = _eigh_desc(hermitize(root @ sim @ root))
-    vals, u = dec.eigenvalues, dec.eigenvectors
+    vals, u = _eigh_desc(hermitize(root @ sim @ root))
     try:
         inv_sqrt = _inv_sqrt_values(vals)
     except ValueError:  # a negative eigenvalue above the support cutoff

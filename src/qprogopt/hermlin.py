@@ -86,14 +86,14 @@ def herm_eig(m: np.ndarray) -> SpectralDecomposition:
 
     Raises ValueError with a symmetry diagnostic on non-Hermitian input.
     """
-    return _eigh_desc(_require_hermitian(m, "herm_eig"))
+    return SpectralDecomposition(*(a.copy() for a in _eigh_desc(_require_hermitian(m, "herm_eig"))))
 
 
-def _eigh_desc(h: np.ndarray) -> SpectralDecomposition:
-    """``herm_eig`` without the check, for h Hermitian by construction (a
-    ``hermitize`` output)."""
+def _eigh_desc(h: np.ndarray) -> tuple:
+    """Descending eigenvalues and eigenvectors of h, Hermitian by construction (a
+    ``hermitize`` output): one ``eigh``, read reversed as views, no copies."""
     vals, vecs = np.linalg.eigh(h)
-    return SpectralDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
+    return vals[::-1], vecs[:, ::-1]
 
 
 def matrix_function(m: np.ndarray, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -27,8 +27,9 @@ The first-order methods iterate in the processor's block coordinates
 block size, which the map cannot tell from the whole program.  The gradient
 of a block-structured program is block-structured, and so is its projection,
 so the iteration is the one on whole programs, with one stacked ``eigh`` per
-size class (none for 1 x 1 blocks) and one simplex projection of the whole
-spectrum, each eigenvalue counted once per copy of its block.  The
+size class and one simplex projection of the whole spectrum, each eigenvalue
+counted once per copy of its block; a class of 1 x 1 blocks (teleportation's
+Bell weights) is its own spectrum, a real vector from end to end.  The
 Frank-Wolfe vertex is the least eigenvector of the gradient's blocks, spread
 evenly over the copies of its block.  A random initial program is replaced by
 its block part, which has the same cost.  Iterates are plain ndarrays; one
@@ -186,27 +187,31 @@ def simplex_project(x: np.ndarray, counts: Optional[np.ndarray] = None) -> np.nd
     x = np.asarray(x, dtype=float)
     w = np.ones(x.size) if counts is None else np.asarray(counts, dtype=float)
     order = x.argsort()[::-1]
-    wu = w[order]
+    wu = w[order].tolist()
 
-    def thresholds(v):
-        u = v[order]
-        t = ((wu * u).cumsum() - 1.0) / wu.cumsum()
-        return t, (u > t).nonzero()[0]
+    def threshold(v):
+        """t_k = (sum_{j<=k} w_j u_j - 1) / sum_{j<=k} w_j over u = v[order], and t_k at
+        the last k with u_k > t_k (None if none): plain floats beat array calls here."""
+        ts, theta, wsum, usum = [], None, 0.0, 0.0
+        for wk, uk in zip(wu, v[order].tolist()):
+            usum, wsum = usum + wk * uk, wsum + wk
+            ts.append((usum - 1.0) / wsum)
+            theta = ts[-1] if uk > ts[-1] else theta
+        return ts, theta
 
-    t, active = thresholds(x)
-    if not active.size and x.size and np.isfinite(t).all():
+    ts, theta = threshold(x)
+    if theta is None and x.size and all(map(math.isfinite, ts)):
         # finite sums too large to hold the 1 (entries from about 2^53 up): the
         # projection is the same for x - max(x), whose sums hold it unless they
         # overflow
         with np.errstate(over="ignore", invalid="ignore"):
             x = x - x.max()
-            t, active = thresholds(x)
-        if not np.isfinite(t).all():
-            active = active[:0]
-    if not active.size:
+        ts, theta = threshold(x)
+        if not all(map(math.isfinite, ts)):
+            theta = None
+    if theta is None:
         raise ValueError("simplex_project: no active threshold; the input is not finite "
                          "or too large to project")
-    theta = t[active[-1]]
     out = np.maximum(x - theta, 0.0)
     return out / (w * out).sum()
 
@@ -240,7 +245,7 @@ def _states_projection(stacks: list, counts: Optional[np.ndarray] = None) -> lis
     for w, u in spectra:
         lk = lam[start:start + w.size].reshape(w.shape)
         start += w.size
-        out.append(lk[:, :, None].astype(complex) if u is None
+        out.append(lk[:, :, None] if u is None
                    else hermitize((u * lk[:, None, :]) @ u.conj().swapaxes(-1, -2)))
     return out
 
@@ -355,7 +360,7 @@ def _initial_program(proc: ProcessorMap, cfg: OptimConfig) -> list:
     its block part, a feasible program with the same cost."""
     coords = proc.block_coords
     if cfg.init == "maximally_mixed":
-        return [np.tile(np.eye(m, dtype=complex) / proc.d_prog, (nb, 1, 1))
+        return [np.tile(np.eye(m, dtype=float if m == 1 else complex) / proc.d_prog, (nb, 1, 1))
                 for nb, m, _ in coords.shapes]
     rng = np.random.default_rng(cfg.seed)
     g = rng.normal(size=(proc.d_prog, proc.d_prog)) + 1j * rng.normal(
@@ -452,11 +457,11 @@ def learn_unitary_program(proc: ProcessorMap, u: np.ndarray) -> DensityMatrix:
     phi = max_entangled(d).matrix
     ext = np.kron(np.eye(d), u)
     chi_u = ext @ phi @ ext.conj().T
-    dec = _eigh_desc(hermitize(proc.dual(chi_u)))
-    if dec.eigenvalues.size > 1 and dec.eigenvalues[0] - dec.eigenvalues[1] < DEGENERACY_TOL:
+    vals, vecs = _eigh_desc(hermitize(proc.dual(chi_u)))
+    if vals.size > 1 and vals[0] - vals[1] < DEGENERACY_TOL:
         warnings.warn(
             "learn_unitary_program: top eigenvalue is degenerate; "
             "returning one maximizer",
             stacklevel=2,
         )
-    return DensityMatrix.pure(dec.eigenvectors[:, 0])
+    return DensityMatrix.pure(vecs[:, 0])

@@ -188,7 +188,8 @@ class ProcessorMap:
         With ``blocks``, the result is the block part of the Hermitian part
         of Lambda*(X) in block coordinates, one (nb, m, m) stack per size
         class, or (k, nb, m, m) for a stack: M_b = sum_c V_c^dag Lambda*(X)
-        V_c / copies, read off (S E)^dag vec(X).
+        V_c / copies, read off (S E)^dag vec(X); a class of 1 x 1 blocks
+        (teleportation's Bell weights) is real, the Hermitian part of each.
         """
         x = np.asarray(x, dtype=complex)
         dc, dp = self.d_choi, self.d_prog
@@ -201,8 +202,9 @@ class ProcessorMap:
         if blocks:
             coords = self.block_coords
             flat = np.conj(x.reshape(-1, dc * dc).conj() @ coords.transfer)
-            return [hermitize(flat[:, sl].reshape(x.shape[:-2] + shape) / copies)
-                    for sl, shape, copies in zip(coords.slices, coords.shapes, coords.copies)]
+            parts = [flat[:, sl].reshape(x.shape[:-2] + shape) / copies
+                     for sl, shape, copies in zip(coords.slices, coords.shapes, coords.copies)]
+            return [p.real if p.shape[-1] == 1 else hermitize(p) for p in parts]
         flat = np.conj(x.reshape(-1, dc * dc).conj() @ self.transfer)
         return flat.reshape(x.shape[:-2] + (dp, dp))
 

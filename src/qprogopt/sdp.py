@@ -684,14 +684,15 @@ class _SdpBuilder:
     def terms(self, parts: list) -> Dict[int, np.ndarray]:
         """Terms on the program blocks of a (k, d_prog, d_prog) stack A from its block
         parts (one (k, nb, m, m) stack per class of ``proc.block_coords``):
-        <A_i, pi> = sum_b <copies_b part_b(A_i), M_b>; real stacks for real data.
+        <A_i, pi> = sum_b <copies_b part_b(A_i), M_b>; real stacks for real data, else
+        complex ones (the dual's real class of 1 x 1 blocks is cast back).
         The first call adds one m x m variable block M_b per program block, by class."""
         coords = self.proc.block_coords
         if not self.pi_blks:
             self.pi_blks = [[self.add_block(m) for _ in range(nb)] for nb, m, _ in coords.shapes]
         terms = {}
         for blks, copies, part in zip(self.pi_blks, coords.copies, parts):
-            stack = hermitize(copies * part)
+            stack = hermitize(copies * part.astype(complex, copy=False))
             terms.update(zip(blks, (stack.real if self.real else stack).swapaxes(0, 1)))
         return terms
 

@@ -10,7 +10,8 @@ out by hand.  PBT programs are permuted port by port and averaged over all
 port orders, random programs are drawn from a processor's program domain,
 the Choi-set projection is Dykstra's alternating scheme instead of a
 Newton method on the dual, and the matrix sign comes from ``np.linalg.eigh``
-and an array loop over eigenvalue clusters.  The dense first-order loop
+and an array loop over eigenvalue clusters.  The simplex projection's
+thresholds are numpy prefix sums, where the library loops over plain floats.  The dense first-order loop
 iterates on whole programs, with its own spectrum-to-simplex projection and
 Frank-Wolfe vertex, where the library iterates on the program blocks.  The
 SDP's program terms conjugate a whole-program stack by every isometry copy,
@@ -361,6 +362,34 @@ def simplex_grid_project(x: np.ndarray, step: float = 2e-3) -> np.ndarray:
         raise ValueError("oracle supports dimensions 2 and 3 only")
     dists = np.sum((pts - x) ** 2, axis=1)
     return pts[np.argmin(dists)]
+
+
+def simplex_project_arrays(x: np.ndarray, counts=None) -> np.ndarray:
+    """``optim.simplex_project`` in array calls: the sorted prefix sums and the
+    thresholds are numpy cumsums and the active set a ``nonzero``, with the same
+    order of operations as the library's plain-float loop, the same retry on
+    x - max(x) and the same ValueError where no threshold is active."""
+    x = np.asarray(x, dtype=float)
+    w = np.ones(x.size) if counts is None else np.asarray(counts, dtype=float)
+    order = x.argsort()[::-1]
+    wu = w[order]
+
+    def thresholds(v):
+        u = v[order]
+        t = ((wu * u).cumsum() - 1.0) / wu.cumsum()
+        return t, (u > t).nonzero()[0]
+
+    t, active = thresholds(x)
+    if not active.size and x.size and np.isfinite(t).all():
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x - x.max()
+            t, active = thresholds(x)
+        if not np.isfinite(t).all():
+            active = active[:0]
+    if not active.size:
+        raise ValueError("simplex_project_arrays: no active threshold")
+    out = np.maximum(x - t[active[-1]], 0.0)
+    return out / (w * out).sum()
 
 
 # --- Choi-set projection oracle ----------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from qprogopt.hermlin import (
     matrix_sqrt,
     partial_trace,
 )
-from qprogopt import optim, sdp
+from qprogopt import hermlin, optim, sdp
 from qprogopt.optim import (
     LearningRate,
     OptimConfig,
@@ -50,7 +51,13 @@ from qprogopt.rand import (
     random_traceless_direction,
 )
 
-from oracles import dense_first_order, matrix_sign, random_program, simplex_grid_project
+from oracles import (
+    dense_first_order,
+    matrix_sign,
+    random_program,
+    simplex_grid_project,
+    simplex_project_arrays,
+)
 
 TELE = teleportation_processor(2)
 PHI = max_entangled(2).matrix
@@ -243,6 +250,55 @@ def test_one_apply_per_iterate(key, method, monkeypatch):
         assert calls == [True] * 13
 
 
+def _count_hermitize(monkeypatch) -> list:
+    """Count hermitize calls through every binding of it in the package, as the
+    bench tracer binds it."""
+    calls, herm = [], hermlin.hermitize
+
+    def counting(a):
+        calls.append(a.shape)
+        return herm(a)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qprogopt" or name.startswith("qprogopt."):
+            for attr, value in list(vars(mod).items()):
+                if value is herm:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("method", ["subgradient", "frank_wolfe"])
+def test_bell_weights_stay_real(method, monkeypatch):
+    # teleportation's Bell weights are one class of 1 x 1 blocks, a real vector:
+    # the dual and the projection return it as float64, with no hermitize
+    rng = np.random.default_rng(62)
+    x = hermitize(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    parts = TELE.dual(x, blocks=True)
+    assert [p.dtype for p in parts] == [np.float64]
+    assert [s.dtype for s in optim._projection(TELE, parts)] == [np.float64]
+    # so an iterate costs two hermitize calls (the apply and the cost table's
+    # difference) and one eigh, of the 4 x 4 simulated channel
+    herm_calls, eigh_shapes, eigh = _count_hermitize(monkeypatch), [], np.linalg.eigh
+
+    def counting_eigh(a):
+        eigh_shapes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    run = projected_subgradient if method == "subgradient" else frank_wolfe
+    chi = random_choi(2, rng).matrix
+    for kind in ("C1", "Cmu"):
+        counts = []
+        for iters in (12, 24):
+            herm_calls.clear()
+            eigh_shapes.clear()
+            res = run(TELE, chi, OptimConfig(max_iters=iters, cost_kind=kind, tolerance=0.0))
+            assert len(res.cost_trace) == iters + 1
+            counts.append((len(herm_calls), len(eigh_shapes), eigh_shapes.count((4, 4))))
+        (h12, e12, f12), (h24, e24, f24) = counts
+        assert (h24 - h12, e24 - e12, f24 - f12) == (2 * 12, 12, 12)
+
+
 def test_grad_smoothed_rejects_bad_mu():
     with pytest.raises(ValueError):
         simulation_gradient(TELE, PHI, PHI, "Cmu", -1.0)
@@ -307,6 +363,28 @@ def test_simplex_project_of_a_huge_finite_input():
     assert np.array_equal(simplex_project(np.array([1e16, 0.0])), [1.0, 0.0])
     assert np.array_equal(simplex_project(np.array([0.0, 1e16]), np.array([2.0, 4.0])),
                           [0.0, 0.25])
+
+
+def test_simplex_project_matches_the_array_oracle():
+    # the plain-float thresholds are the array version's cumsums, bit for bit
+    rng = np.random.default_rng(71)
+    inputs = [(np.array([1e16, 0.0]), None), (np.array([0.0, 1e16]), np.array([2, 4]))]
+    for n in range(1, 65):
+        for _ in range(3):
+            x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            ties = rng.choice([-0.5, 0.0, 0.125, 0.25, 1.0], size=n)  # tied entries
+            counts = rng.integers(1, 5, size=n)  # integer copy counts, as PBT's
+            inputs += [(x, None), (x, counts), (ties, None), (ties, counts)]
+    pbt_counts = pbt_processor(3).block_coords.counts  # copies 1 and 2
+    inputs.append((np.full(pbt_counts.size, 1.0 / 64), pbt_counts))  # maximally mixed: all tied
+    for x, counts in inputs:
+        assert np.array_equal(simplex_project(x, counts), simplex_project_arrays(x, counts))
+    # both raise paths: a non-finite entry, and sums that overflow after the shift
+    for bad in ([0.5, np.nan, 0.2], [9.43e307, -9.43e307, -5e307, -5e307]):
+        with pytest.raises(ValueError, match="no active threshold"):
+            simplex_project_arrays(np.array(bad))
+        with pytest.raises(ValueError, match="no active threshold"):
+            simplex_project(np.array(bad))
 
 
 def test_projection_firmly_nonexpansive():
