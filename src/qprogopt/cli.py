@@ -209,7 +209,7 @@ def _first_order(runner: str, cfg, proc, chi_e, cost_kind, mu, seed, **_):
             file=sys.stderr,
         )
     res = getattr(optim, runner)(proc, chi_e, ocfg)
-    return cost_kind, res.final_cost, res.cost_trace[-1][0], res.program.matrix
+    return cost_kind, res.final_cost, len(res.cost_trace) - 1, res.program.matrix
 
 
 def _sdp_program(name: str, kind: str, proc, chi_e, tol, **_):

@@ -42,15 +42,16 @@ arithmetic is that of the whole-program loop, bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
 from .channels import _COSTS, ChoiMatrix, DensityMatrix, _checked, max_entangled
 from .hermlin import _eigh_desc, hermitize, partial_trace
-from .processors import ProcessorMap
+from .processors import ProcessorMap, _read_only
 
 __all__ = [
     "OptimConfig",
@@ -111,8 +112,15 @@ class OptimConfig:
     init: str = "maximally_mixed"  # maximally_mixed | random
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        try:  # a float would pass the range checks and fail inside the run
+            max_iters, seed = operator.index(self.max_iters), operator.index(self.seed)
+        except TypeError as exc:
+            raise TypeError(f"OptimConfig: max_iters and seed must be integers, got "
+                            f"{self.max_iters!r} and {self.seed!r}") from exc
+        if max_iters < 1:
             raise ValueError("OptimConfig: max_iters must be >= 1")
+        if seed < 0:  # checked for every init, although only 'random' reads it
+            raise ValueError(f"OptimConfig: seed must be >= 0, got {seed}")
         if self.cost_kind not in GRAD_COST_KINDS:
             raise ValueError(
                 f"OptimConfig: cost_kind {self.cost_kind!r} not in {GRAD_COST_KINDS}"
@@ -128,8 +136,16 @@ class OptimConfig:
 
 @dataclass(frozen=True)
 class OptimResult:
+    """A first-order run's best program and its convergence curve.
+
+    ``cost_trace`` is a read-only float64 array of the best cost after each
+    iteration, ``cost_trace[0]`` the initial program's cost, so the run made
+    ``len(cost_trace) - 1`` iterations (the CLI's ``iterations`` column) and
+    ``final_cost == cost_trace[-1]``.
+    """
+
     program: DensityMatrix
-    cost_trace: tuple  # (iteration, best cost so far) pairs
+    cost_trace: np.ndarray
     converged: bool
     final_cost: float
 
@@ -385,7 +401,7 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
     pi = _initial_program(proc, cfg)
     cost, x = terms(proc.apply_matrix(pi, blocks=True))
     best, best_pi = cost, pi
-    trace: List[Tuple[int, float]] = [(0, best)]
+    trace: List[float] = [best]  # the best cost after each iteration
     converged = False
     # a huge step overflows; the projections and the eigen-solvers then raise
     with np.errstate(over="ignore", invalid="ignore"):
@@ -394,11 +410,12 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
             cost, x = terms(proc.apply_matrix(pi, blocks=True))
             if cost < best:
                 best, best_pi = cost, pi
-            trace.append((it, best))
-            if it >= STALL_WINDOW and trace[it - STALL_WINDOW][1] - best < cfg.tolerance:
+            trace.append(best)
+            if it >= STALL_WINDOW and trace[it - STALL_WINDOW] - best < cfg.tolerance:
                 converged = True
                 break
-    return OptimResult(program=_program(proc, best_pi), cost_trace=tuple(trace),
+    return OptimResult(program=_program(proc, best_pi),
+                       cost_trace=_read_only(np.array(trace, dtype=float)),
                        converged=converged, final_cost=best)
 
 
