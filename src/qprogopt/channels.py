@@ -31,11 +31,12 @@ from typing import Callable, Sequence, Tuple, Union
 import numpy as np
 
 from .hermlin import (
+    _checked,
     _eigh_desc,
     _inv_sqrt_values,
     _sign_values,
+    _square,
     hermitize,
-    is_hermitian,
     matrix_sqrt,
     partial_trace,
     schatten_norm,
@@ -57,8 +58,6 @@ __all__ = [
     "rotation",
     "bures_fidelity",
     "relative_entropy_cost",
-    "huber_penalty",
-    "huber_penalty_deriv",
     "cost_eval",
     "COST_KINDS",
 ]
@@ -88,11 +87,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"DensityMatrix: expected square matrix, got {m.shape}")
-        if not is_hermitian(m):
-            raise ValueError("DensityMatrix: matrix is not Hermitian")
+        m = _checked(self.matrix, "DensityMatrix")
         tr = np.trace(m)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"DensityMatrix: trace {tr} differs from 1 beyond {TRACE_TOL}")
@@ -259,7 +254,8 @@ def pauli_channel(probs: Sequence[float]) -> KrausChannel:
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
-    u = np.asarray(u, dtype=complex)
+    """rho -> U rho U^dag; the package's one unitarity test."""
+    u = _square(u, "unitary_channel")
     if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-10:
         raise ValueError("unitary_channel: input is not unitary")
     return KrausChannel((u,), u.shape[1], u.shape[0])
@@ -274,21 +270,9 @@ def rotation(theta: float) -> KrausChannel:
 # --- cost functions --------------------------------------------------------
 
 
-def _checked(x: MatrixLike, who: str) -> np.ndarray:
-    """``x`` as an ndarray, rejected unless it is square, finite and Hermitian."""
-    m = as_matrix(x)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{who}: expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{who}: entries must be finite")
-    if not is_hermitian(m):
-        raise ValueError(f"{who}: matrix is not Hermitian")
-    return m
-
-
 def _pair(target: MatrixLike, sim: MatrixLike):
-    a = _checked(target, "cost: target")
-    b = _checked(sim, "cost: sim")
+    a = _checked(as_matrix(target), "cost: target")
+    b = _checked(as_matrix(sim), "cost: sim")
     if a.shape != b.shape:
         raise ValueError(f"cost: shape mismatch {a.shape} vs {b.shape}")
     return a, b
@@ -342,17 +326,9 @@ def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     return ent - cross
 
 
-def huber_penalty(x: np.ndarray, mu: float) -> np.ndarray:
-    """Quadratic/absolute penalty: x^2/(2 mu) inside |x| < mu, |x| - mu/2 outside."""
-    return _huber(np.asarray(x, dtype=float), mu)[0]
-
-
-def huber_penalty_deriv(x: np.ndarray, mu: float) -> np.ndarray:
-    return _huber(np.asarray(x, dtype=float), mu)[1]
-
-
 def _huber(x: np.ndarray, mu: float) -> Tuple[np.ndarray, np.ndarray]:
-    """``huber_penalty`` and ``huber_penalty_deriv`` of a real x, from one abs and one mask."""
+    """The Huber penalty of a real x, x^2/(2 mu) inside |x| < mu and |x| - mu/2
+    outside, and its derivative, from one abs and one mask."""
     a = np.abs(x)
     inside = a < mu
     return np.where(inside, x * x / (2.0 * mu), a - mu / 2.0), np.where(inside, x / mu, np.sign(x))

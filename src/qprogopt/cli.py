@@ -153,6 +153,14 @@ def _build_channel(spec: dict, value: Optional[float] = None) -> Tuple[ch.KrausC
                        "rotation": ch.rotation}[kind], value), value
 
 
+def _seed(args, cfg: dict) -> Optional[int]:
+    """``--seed``, else the config's ``seed``: None or an integer >= 0, whatever the method."""
+    seed = args.seed if args.seed is not None else cfg.get("seed")
+    if seed is not None and (seed := _number(seed, "seed")) < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _optim_config(cfg: dict, cost: str, mu: float, seed) -> optim.OptimConfig:
     oc = _section(cfg, "optimizer")
     lr = _section(oc, "learning_rate", "optimizer.learning_rate")
@@ -171,7 +179,7 @@ def _optim_config(cfg: dict, cost: str, mu: float, seed) -> optim.OptimConfig:
         tolerance=_number(oc.get("tolerance", config.tolerance), "optimizer.tolerance", float),
         cost_kind=cost,
         mu=mu,
-        seed=0 if seed is None else _number(seed, "seed"),
+        seed=0 if seed is None else seed,
         init=oc.get("init", config.init),
     )
 
@@ -333,7 +341,7 @@ def _grid(cfg: dict) -> tuple:
 
 def cmd_optimize(args) -> int:
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
+    seed = _seed(args, cfg)
     method = _method(cfg.get("method"))
     spec = _section(cfg, "processor")
     n_ports = _number(spec.get("N", 1), "processor.N")
@@ -352,7 +360,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
+    seed = _seed(args, cfg)
     methods = cfg.get("methods") or ([cfg["method"]] if "method" in cfg else None)
     if not methods:
         raise ConfigError("benchmark config needs 'methods' (or 'method')")

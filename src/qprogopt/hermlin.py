@@ -5,6 +5,11 @@ Matrices are dense and sized for dimensions up to ~1024; there is no sparse
 or GPU path.  All functions are pure: inputs are never mutated, so values can
 be shared freely across threads.  Every singular-value norm is a
 ``schatten_norm``; Kronecker products are plain ``np.kron``.
+
+A matrix from outside passes one gate, each defined once here: ``_checked``
+(square, finite and ``is_hermitian``) in ``herm_eig``, ``DensityMatrix``, the
+costs, the search targets and the PQC Hamiltonians; ``_square`` (square and
+finite) in ``unitary_channel`` and ``diamond_distance``.
 """
 
 from __future__ import annotations
@@ -56,17 +61,23 @@ def is_hermitian(m: np.ndarray) -> bool:
     return float(np.abs(m - m.conj().T).max()) <= HERMITICITY_RTOL * scale
 
 
-def _require_hermitian(m: np.ndarray, who: str) -> np.ndarray:
+def _square(m: np.ndarray, who: str) -> np.ndarray:
+    """``m`` as a complex ndarray, rejected unless it is a square, finite matrix."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{who}: expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{who}: entries must be finite")
+    return m
+
+
+def _checked(m: np.ndarray, who: str) -> np.ndarray:
+    """``_square``, and rejected unless Hermitian (``is_hermitian``)."""
+    m = _square(m, who)
     if not is_hermitian(m):
-        dev = float(np.abs(m - m.conj().T).max())
-        scale = float(np.abs(m).max())
-        raise ValueError(
-            f"{who}: matrix is not Hermitian "
-            f"(max |M - M^dag| = {dev:.3e}, max |M| = {scale:.3e})"
-        )
+        dev, scale = float(np.abs(m - m.conj().T).max()), float(np.abs(m).max())
+        raise ValueError(f"{who}: matrix is not Hermitian "
+                         f"(max |M - M^dag| = {dev:.3e}, max |M| = {scale:.3e})")
     return m
 
 
@@ -82,11 +93,8 @@ class SpectralDecomposition(NamedTuple):
 
 
 def herm_eig(m: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Raises ValueError with a symmetry diagnostic on non-Hermitian input.
-    """
-    return SpectralDecomposition(*(a.copy() for a in _eigh_desc(_require_hermitian(m, "herm_eig"))))
+    """Eigendecomposition of a Hermitian matrix (``_checked``), eigenvalues descending."""
+    return SpectralDecomposition(*(a.copy() for a in _eigh_desc(_checked(m, "herm_eig"))))
 
 
 def _eigh_desc(h: np.ndarray) -> tuple:

@@ -49,8 +49,8 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .channels import _COSTS, ChoiMatrix, DensityMatrix, _checked, max_entangled
-from .hermlin import _eigh_desc, hermitize, partial_trace
+from .channels import _COSTS, ChoiMatrix, DensityMatrix, as_matrix, max_entangled, unitary_channel
+from .hermlin import _checked, _eigh_desc, hermitize, partial_trace
 from .processors import ProcessorMap, _read_only
 
 __all__ = [
@@ -161,7 +161,7 @@ def _gradient(proc: ProcessorMap, x: np.ndarray) -> np.ndarray:
 
 def _target(proc: ProcessorMap, chi_target) -> np.ndarray:
     """``chi_target`` as an ndarray, checked once before any cost is made of it."""
-    t = _checked(chi_target, "chi_target")
+    t = _checked(as_matrix(chi_target), "chi_target")
     d = proc.d_choi
     if t.shape != (d, d):
         raise ValueError(f"chi_target: shape {t.shape}, expected ({d}, {d})")
@@ -469,8 +469,7 @@ def learn_unitary_program(proc: ProcessorMap, u: np.ndarray) -> DensityMatrix:
     d = proc.d_in
     if u.shape != (d, d):
         raise ValueError(f"learn_unitary_program: unitary shape {u.shape}, expected ({d}, {d})")
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
-        raise ValueError("learn_unitary_program: input is not unitary")
+    unitary_channel(u)  # the one unitarity test
     phi = max_entangled(d).matrix
     ext = np.kron(np.eye(d), u)
     chi_u = ext @ phi @ ext.conj().T

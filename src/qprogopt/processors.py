@@ -57,8 +57,8 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .channels import _X, _Y, _Z, MatrixLike, as_matrix, max_entangled, weyl_unitaries
-from .hermlin import embed_operator, hermitize, matrix_function, matrix_inv_sqrt
+from .channels import _X, _Y, _Z, MatrixLike, _check_prob, as_matrix, max_entangled, weyl_unitaries
+from .hermlin import _checked, embed_operator, hermitize, matrix_function, matrix_inv_sqrt
 
 __all__ = [
     "CapacityError",
@@ -553,8 +553,7 @@ def default_pqc_hamiltonians() -> tuple:
 
 def amplitude_damping_hamiltonian(p: float) -> np.ndarray:
     """Generator whose exponential is a Stinespring unitary of damping p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"amplitude_damping_hamiltonian: p={p} outside [0, 1]")
+    _check_prob(p, "amplitude_damping_hamiltonian")
     return (math.asin(math.sqrt(p)) / 2.0) * (np.kron(_Y, _X) - np.kron(_X, _Y))
 
 
@@ -575,21 +574,18 @@ def _circuit_processor(kind: str, n_gates: int, cap: int, h0, h1,
                        reg_dim: int) -> ProcessorMap:
     """Shared constructor of ``pqc_processor`` (reg_dim 2) and
     ``mpqc_processor`` (reg_dim 3): checks N, fills in the default
-    Hamiltonians and builds the transfer matrix."""
+    Hamiltonians, checks them (``_checked``) and builds the transfer matrix."""
     if n_gates < 1:
         raise ValueError(f"{kind}_processor: need N >= 1, got {n_gates}")
     if n_gates > cap:
         raise CapacityError(f"{kind}_processor: N = {n_gates} exceeds cap {cap}")
-    if h0 is None or h1 is None:
-        d0, d1 = default_pqc_hamiltonians()
-        h0 = d0 if h0 is None else h0
-        h1 = d1 if h1 is None else h1
-    h0 = np.asarray(h0, dtype=complex)
-    h1 = np.asarray(h1, dtype=complex)
-    if h0.shape != h1.shape or h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
-        raise ValueError("circuit processor: H0 and H1 must be square and same shape")
+    d0, d1 = default_pqc_hamiltonians()
+    h0 = _checked(d0 if h0 is None else h0, f"{kind}_processor: H0")
+    h1 = _checked(d1 if h1 is None else h1, f"{kind}_processor: H1")
+    if h0.shape != h1.shape:
+        raise ValueError(f"{kind}_processor: H0 and H1 must be square and same shape")
     if h0.shape[0] % 2:
-        raise ValueError("circuit processor: Hamiltonians must act on A (x) R0 with a qubit R0")
+        raise ValueError(f"{kind}_processor: Hamiltonians must act on A (x) R0 with a qubit R0")
     d_a = h0.shape[0] // 2
     dims = [d_a, 2] + [reg_dim] * n_gates  # (A, R0, R_1..R_N)
     d_reg = 2 * reg_dim**n_gates

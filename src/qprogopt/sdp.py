@@ -97,7 +97,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .channels import ChoiMatrix, DensityMatrix, bures_fidelity, cost_eval
-from .hermlin import SQRT_NEG_TOL, hermitize, partial_trace, spectral_norm
+from .hermlin import HERMITICITY_RTOL, SQRT_NEG_TOL, _square, hermitize, partial_trace, spectral_norm
 from .optim import _program, _projection, _target
 from .processors import ProcessorMap, _read_only, pbt_reduced_map
 
@@ -155,7 +155,7 @@ def _check_rows(rows: np.ndarray, name) -> None:
     fault = "has a non-finite entry"
     if not bad.size:
         dev = np.abs(rows - rows.conj().swapaxes(1, 2)).max(axis=(1, 2))
-        bad = np.flatnonzero(dev > 1e-12 * np.maximum(1.0, np.abs(rows).max(axis=(1, 2))))
+        bad = np.flatnonzero(dev > HERMITICITY_RTOL * np.maximum(1.0, np.abs(rows).max(axis=(1, 2))))
         fault = "is not Hermitian"
     if bad.size:
         raise ValueError(f"SdpProblem: {name(bad[0])} {fault}")
@@ -777,26 +777,24 @@ def _free_watrous_template(d_in: int, d_out: int, real: bool) -> _Template:
 def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL) -> float:
     """Diamond norm of the map whose (normalized) Choi matrix is chi_omega.
 
-    chi_omega should be the Hermitian difference of two Choi matrices
-    (ordering: input copy, output), so Tr_out chi = 0.  When it is not, a
-    warning is emitted and the value is still the optimum of Watrous's
+    chi_omega should be the Hermitian difference of two Choi matrices (ordering:
+    input copy, output), so Tr_out chi = 0.  It must pass ``_square``; it is
+    hermitized, not rejected, as a difference near 0 needs an absolute floor
+    that the relative test of ``is_hermitian`` lacks.  When Tr_out chi is not 0,
+    a warning is emitted and the value is still the optimum of Watrous's
     program, which is then not the diamond norm: chi = (Z x I)/4 and chi = I/4
     give 2.0, where the maps rho -> Tr(Z rho) I/2 and rho -> Tr(rho) I/2 have
     diamond norm 1.  The returned value is certified: it is 2 ||Tr_out Z||_inf
-    for a Z repaired to exact feasibility, an attainable upper bound on the
-    true minimum.  One eigendecomposition gives the lower bound 2 Tr chi_+
-    (||chi||_1 for traceless chi: the maximally entangled input) and the
-    feasible Z = d_in chi_+; when the two agree to ``tol`` (chi_+ has a flat
-    marginal, as for Pauli channels) no SDP is solved.
+    for a Z repaired to exact feasibility, an attainable upper bound on the true
+    minimum.  One eigendecomposition gives the lower bound 2 Tr chi_+ (||chi||_1
+    for traceless chi: the maximally entangled input) and the feasible Z = d_in
+    chi_+; when the two agree to ``tol`` (chi_+ has a flat marginal, as for
+    Pauli channels) no SDP is solved.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError(f"diamond_distance: tol must be finite and > 0, got {tol!r}")
     d_in = operator.index(d_in)
-    chi = np.asarray(chi_omega, dtype=complex)
-    if chi.ndim != 2 or chi.shape[0] != chi.shape[1]:
-        raise ValueError(f"diamond_distance: chi_omega has shape {chi.shape}, not square")
-    if not np.all(np.isfinite(chi)):
-        raise ValueError("diamond_distance: chi_omega has non-finite entries")
+    chi = _square(chi_omega, "diamond_distance: chi_omega")
     n = chi.shape[0]
     if d_in < 1:
         raise ValueError(f"diamond_distance: need d_in >= 1, got d_in={d_in}")

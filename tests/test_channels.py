@@ -291,12 +291,16 @@ def test_bures_fidelity_symmetric():
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda: DensityMatrix(np.ones((2, 3)) / 2), "expected square matrix"),
+    (lambda: DensityMatrix(np.ones((2, 3)) / 2), "expected a square matrix"),
+    (lambda: DensityMatrix(np.full((2, 2), np.nan)), "DensityMatrix: entries must be finite"),
     (lambda: DensityMatrix(np.array([[0.5, 0.1], [0.0, 0.5]])), "not Hermitian"),
     (lambda: ChoiMatrix(np.eye(4) / 4, 2, 3), r"dim 4 != d_in\*d_out = 6"),
     (lambda: pauli_channel(np.ones(3) / 3), "need d\\^2 probabilities, got 3"),
     (lambda: cost_eval("Cp", np.eye(4) / 4, np.eye(4) / 4), "needs the p parameter"),
-], ids=["density-not-square", "density-not-hermitian", "choi-dims", "pauli-count", "Cp-no-p"])
+    (lambda: unitary_channel(np.eye(4, 2)),
+     r"unitary_channel: expected a square matrix, got shape \(4, 2\)"),
+], ids=["density-not-square", "density-nan", "density-not-hermitian", "choi-dims", "pauli-count",
+        "Cp-no-p", "unitary-not-square"])
 def test_channels_reject_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -288,6 +288,8 @@ _SUBGRADIENT = {"processor": {"kind": "teleportation"}, "channel": _AD, "method"
     ("optimize", _SUBGRADIENT | {"seed": -1, "optimizer": {"max_iters": 5, "init": "random"}},
      "seed must be >= 0, got -1"),
     ("optimize", _SUBGRADIENT | {"seed": -1}, "seed must be >= 0, got -1"),
+    ("optimize", {"processor": {"kind": "teleportation"}, "channel": _AD, "method": "sdp_trace",
+                  "seed": -1}, "seed must be >= 0, got -1"),
     ("optimize", _SUBGRADIENT | {"cost": "F"}, "cost_kind 'F'"),
     ("optimize", {"processor": {"kind": "teleportation"}, "channel": _AD,
                   "method": "choi_baseline", "cost": "Cmu", "mu": -1}, "mu must be positive"),
@@ -352,7 +354,7 @@ _SUBGRADIENT = {"processor": {"kind": "teleportation"}, "channel": _AD, "method"
 ], ids=["p-range", "pqc-N", "teleportation-d", "cost-kind", "benchmark-grid-p", "N-list",
         "N-fraction", "max_iters-string", "max_iters-zero", "max_iters-fraction",
         "learning-rate-kind", "learning-rate-a", "init", "tolerance-string", "mu-string",
-        "mu-negative", "seed-string", "seed-negative-random", "seed-negative",
+        "mu-negative", "seed-string", "seed-negative-random", "seed-negative", "seed-negative-sdp",
         "first-order-cost", "baseline-mu-negative",
         "channel-dimension", "document-type", "processor-type", "channel-type",
         "optimizer-type", "learning-rate-type", "channel-kind-type", "method-type",

@@ -202,13 +202,14 @@ def test_is_hermitian_tolerance():
 @pytest.mark.parametrize("call, match", [
     (lambda: matrix_sqrt(np.diag([1.0, -1.0])), "matrix not PSD"),
     (lambda: herm_eig(np.ones((2, 3))), r"herm_eig: expected a square matrix, got shape \(2, 3\)"),
+    (lambda: herm_eig(np.full((2, 2), np.nan)), "herm_eig: entries must be finite"),
     (lambda: partial_trace(np.eye(2), [2, 0], keep=[0]), "dimensions must be positive"),
     (lambda: partial_trace(np.eye(4), [2, 2], keep=[2]), "keep indices"),
     (lambda: partial_trace(np.eye(1), [1] * 27, keep=[0]), "too many subsystems"),
     (lambda: embed_operator(np.eye(4), [2, 2], targets=[0, 0]), "duplicate target"),
     (lambda: schatten_norm(np.eye(2), 0.5), "p must be >= 1"),
-], ids=["sqrt-not-psd", "eig-not-square", "dims", "keep", "too-many", "duplicate-targets",
-        "schatten-p"])
+], ids=["sqrt-not-psd", "eig-not-square", "eig-nan", "dims", "keep", "too-many",
+        "duplicate-targets", "schatten-p"])
 def test_hermlin_rejects_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()

@@ -837,7 +837,9 @@ def test_reduced_map_loop_is_bit_identical_to_the_dense_loop(n, kind):
 @pytest.mark.parametrize("call, match", [
     (lambda: simulation_cost(TELE, PHI, np.eye(4) / 4, "C2"), "simulation_cost: unknown kind"),
     (lambda: learn_unitary_program(TELE, np.eye(3)), r"unitary shape \(3, 3\), expected"),
-], ids=["cost-kind", "unitary-shape"])
+    # a ValueError naming the fault, not LinAlgError's "Eigenvalues did not converge"
+    (lambda: learn_unitary_program(TELE, np.diag([np.nan, 1.0])), "entries must be finite"),
+], ids=["cost-kind", "unitary-shape", "unitary-nan"])
 def test_optim_rejects_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()

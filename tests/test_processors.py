@@ -711,8 +711,9 @@ def test_program_dimension_mismatch():
     (lambda: amplitude_damping_hamiltonian(1.5), r"outside \[0, 1\]"),
     (lambda: pqc_processor(1, np.eye(4), np.eye(2)), "square and same shape"),
     (lambda: mpqc_processor(1, np.eye(3), np.eye(3)), "with a qubit R0"),
+    (lambda: pqc_processor(1, np.triu(np.ones((4, 4)))), "pqc_processor: H0: matrix is not Hermitian"),
 ], ids=["transfer-shape", "not-trace-preserving", "povm-N", "povm-d", "param-count-N",
-        "damping-p", "hamiltonian-shapes", "hamiltonian-odd"])
+        "damping-p", "hamiltonian-shapes", "hamiltonian-odd", "hamiltonian-not-hermitian"])
 def test_processors_reject_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()

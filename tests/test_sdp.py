@@ -586,10 +586,13 @@ def test_diamond_distance_rejects_malformed_input(case):
     chi, d_in, match = {"d_in_zero": (np.zeros((4, 4)), 0, "need d_in >= 1, got d_in=0"),
                         "d_in_negative": (np.zeros((4, 4)), -2, "need d_in >= 1, got d_in=-2"),
                         "d_in_not_dividing": (np.zeros((4, 4)), 3, "not divisible by d_in=3"),
-                        "chi_not_square": (np.zeros((4, 2)), 2, r"chi_omega has shape \(4, 2\)"),
-                        "chi_nan": (np.diag([np.nan, 0, 0, 0]), 2, "chi_omega has non-finite"),
+                        "chi_not_square": (np.zeros((4, 2)), 2,
+                                           r"chi_omega: expected a square matrix, "
+                                           r"got shape \(4, 2\)"),
+                        "chi_nan": (np.diag([np.nan, 0, 0, 0]), 2,
+                                    "chi_omega: entries must be finite"),
                         "chi_inf": (np.diag([np.inf, 0, 0, -np.inf]), 2,
-                                    "chi_omega has non-finite")}[case]
+                                    "chi_omega: entries must be finite")}[case]
     with pytest.raises(ValueError, match=match):
         diamond_distance(chi, d_in)
 
