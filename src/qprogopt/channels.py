@@ -32,7 +32,9 @@ import numpy as np
 
 from .hermlin import (
     _checked,
+    _eigh,
     _eigh_desc,
+    _eigvalsh,
     _inv_sqrt_values,
     _sign_values,
     _square,
@@ -91,7 +93,7 @@ class DensityMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"DensityMatrix: trace {tr} differs from 1 beyond {TRACE_TOL}")
-        lo = float(np.linalg.eigvalsh(m).min())
+        lo = float(_eigvalsh(m).min())
         if lo < -PSD_TOL:
             raise ValueError(f"DensityMatrix: min eigenvalue {lo:.3e} below -{PSD_TOL}")
         object.__setattr__(self, "matrix", m)
@@ -287,7 +289,7 @@ def bures_fidelity(target: MatrixLike, sim: MatrixLike) -> float:
     """
     a, b = _pair(target, sim)
     ra = matrix_sqrt(a)
-    return _fidelity_of_spectrum(np.linalg.eigvalsh(hermitize(ra @ b @ ra)))
+    return _fidelity_of_spectrum(_eigvalsh(hermitize(ra @ b @ ra)))
 
 
 def _fidelity_of_spectrum(vals: np.ndarray) -> float:
@@ -308,8 +310,8 @@ def relative_entropy_cost(target: MatrixLike, sim: MatrixLike) -> float:
 
 
 def _relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
-    wr, vr = np.linalg.eigh(rho)
-    ws, vs = np.linalg.eigh(sigma)
+    wr, vr = _eigh(rho)
+    ws, vs = _eigh(sigma)
     wr = np.clip(wr, 0.0, None)
     ws = np.clip(ws, 0.0, None)
     # support condition: rho must not overlap the kernel of sigma
@@ -364,7 +366,7 @@ def _fidelity_terms(root: np.ndarray, sim: np.ndarray) -> Tuple[float, np.ndarra
     try:
         inv_sqrt = _inv_sqrt_values(vals)
     except ValueError:  # a negative eigenvalue above the support cutoff
-        lam = float(np.linalg.eigvalsh(sim).min())
+        lam = float(_eigvalsh(sim).min())
         raise ValueError(f"CF: sim is not positive semidefinite on the target's support "
                          f"(lambda_min(sim) = {lam:.6g})") from None
     mid = root @ ((u * inv_sqrt) @ u.conj().T) @ root

@@ -9,7 +9,15 @@ be shared freely across threads.  Every singular-value norm is a
 A matrix from outside passes one gate, each defined once here: ``_checked``
 (square, finite and ``is_hermitian``) in ``herm_eig``, ``DensityMatrix``, the
 costs, the search targets and the PQC Hamiltonians; ``_square`` (square and
-finite) in ``unitary_channel`` and ``diamond_distance``.
+finite) in ``unitary_channel``, ``diamond_distance``, the Schatten norms and
+``project_to_states``.  Checks live at the public boundary, never per iterate.
+
+One LAPACK layer: ``_eigh``, ``_eigvalsh``, ``_solve`` and ``_cholesky`` call
+numpy's gufuncs (``numpy.linalg._umath_linalg``) on float64 or complex128
+operands of one dtype, skipping ``np.linalg``'s per-call wrapper, bit for bit,
+under its error state: a failed factorization or a non-converged ``eigh``
+raises ``LinAlgError``.  Other dtypes, mixed operands or a numpy without that
+private module (``_lapack`` None) take ``np.linalg`` itself.
 """
 
 from __future__ import annotations
@@ -17,6 +25,11 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+
+try:  # private numpy API: the kernels below fall back to np.linalg without it
+    from numpy.linalg import _umath_linalg as _lapack
+except ImportError:
+    _lapack = None
 
 __all__ = [
     "HERMITICITY_RTOL",
@@ -45,6 +58,46 @@ SIGN_CLUSTER_GAP = 1e-10
 SIGN_ZERO_TOL = 1e-10
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_LAPACK_DTYPES = frozenset((np.dtype(float), np.dtype(complex)))
+
+
+def _lapack_errors(message: str) -> np.errstate:
+    """np.linalg's error state for a gufunc: a NaN result raises LinAlgError(message)."""
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+@_lapack_errors("Eigenvalues did not converge")
+def _eigh(a: np.ndarray) -> tuple:
+    """``np.linalg.eigh(a)``: ascending eigenvalues and eigenvectors of a Hermitian stack."""
+    if _lapack is not None and a.dtype in _LAPACK_DTYPES:
+        return _lapack.eigh_lo(a)
+    return np.linalg.eigh(a)
+
+
+@_lapack_errors("Eigenvalues did not converge")
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)``: ascending eigenvalues of a Hermitian matrix or stack."""
+    if _lapack is not None and a.dtype in _LAPACK_DTYPES:
+        return _lapack.eigvalsh_lo(a)
+    return np.linalg.eigvalsh(a)
+
+
+@_lapack_errors("Singular matrix")
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)``: a vector ``b`` is one right-hand side (numpy 2's rule)."""
+    if _lapack is not None and a.dtype in _LAPACK_DTYPES and b.dtype == a.dtype:
+        return (_lapack.solve1 if b.ndim == 1 else _lapack.solve)(a, b)
+    return np.linalg.solve(a, b)
+
+
+@_lapack_errors("Matrix is not positive definite")
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.cholesky(a)``: lower Cholesky factors of a matrix or stack."""
+    if _lapack is not None and a.dtype in _LAPACK_DTYPES:
+        return _lapack.cholesky_lo(a)
+    return np.linalg.cholesky(a)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -100,7 +153,7 @@ def herm_eig(m: np.ndarray) -> SpectralDecomposition:
 def _eigh_desc(h: np.ndarray) -> tuple:
     """Descending eigenvalues and eigenvectors of h, Hermitian by construction (a
     ``hermitize`` output): one ``eigh``, read reversed as views, no copies."""
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = _eigh(h)
     return vals[::-1], vecs[:, ::-1]
 
 
@@ -258,27 +311,25 @@ def embed_operator(op: np.ndarray, dims: Sequence[int], targets: Sequence[int]) 
 
 def trace_norm(m: np.ndarray) -> float:
     """Schatten-1 norm (sum of singular values)."""
-    return schatten_norm(m, 1.0)
+    return _schatten(m, 1.0, "trace_norm")
 
 
 def spectral_norm(m: np.ndarray) -> float:
     """Schatten-inf norm (largest singular value)."""
-    return schatten_norm(m, np.inf)
+    return _schatten(m, np.inf, "spectral_norm")
 
 
 def schatten_norm(m: np.ndarray, p: float) -> float:
-    """Schatten p-norm for real p >= 1, via singular values.
-
-    Hermitian input uses |eigenvalues| instead of a full SVD.
-    """
+    """Schatten p-norm of a square, finite matrix (``_square``) for real p >= 1,
+    via singular values; Hermitian input uses |eigenvalues| instead of a full SVD."""
     if p < 1:
         raise ValueError(f"schatten_norm: p must be >= 1, got {p}")
-    m = np.asarray(m, dtype=complex)
-    if is_hermitian(m):
-        s = np.abs(np.linalg.eigvalsh(m))
-    else:
-        s = np.linalg.svd(m, compute_uv=False)
+    return _schatten(m, p, "schatten_norm")
+
+
+def _schatten(m: np.ndarray, p: float, who: str) -> float:
+    m = _square(m, who)
+    s = np.abs(_eigvalsh(m)) if is_hermitian(m) else np.linalg.svd(m, compute_uv=False)
     if np.isinf(p):
         return float(s.max()) if s.size else 0.0
     return float(np.sum(s**p) ** (1.0 / p))
-

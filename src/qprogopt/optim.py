@@ -50,7 +50,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from .channels import _COSTS, ChoiMatrix, DensityMatrix, as_matrix, max_entangled, unitary_channel
-from .hermlin import _checked, _eigh_desc, hermitize, partial_trace
+from .hermlin import _checked, _eigh, _eigh_desc, _solve, _square, hermitize, partial_trace
 from .processors import ProcessorMap, _read_only
 
 __all__ = [
@@ -75,6 +75,7 @@ CHOI_PROJECTION_MAX_ITERS = 500  # Newton steps; inputs of norm 1e6 take ~100
 CHOI_PROJECTION_RIDGE = 1e-8  # Jacobian ridge, times min(1, residual)
 CHOI_PROJECTION_HALVINGS = 40  # backtracking steps per Newton step
 DEGENERACY_TOL = 1e-10  # learn_unitary_program warns below this top-eigenvalue gap
+_UNIT_VERTEX = _read_only(np.ones(1))  # Frank-Wolfe's vertex in a 1 x 1 block
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,8 @@ def simplex_project(x: np.ndarray, counts: Optional[np.ndarray] = None) -> np.nd
         ts, theta, wsum, usum = [], None, 0.0, 0.0
         for wk, uk in zip(wu, v[order].tolist()):
             usum, wsum = usum + wk * uk, wsum + wk
-            ts.append((usum - 1.0) / wsum)
-            theta = ts[-1] if uk > ts[-1] else theta
+            ts.append(t := (usum - 1.0) / wsum)
+            theta = t if uk > t else theta
         return ts, theta
 
     ts, theta = threshold(x)
@@ -240,7 +241,8 @@ def project_to_states(x: np.ndarray) -> DensityMatrix:
     with theta = (sum_{j<=s} x_j - 1)/s and s the largest k for which
     x_k > (sum_{j<=k} x_j - 1)/k.
     """
-    return DensityMatrix(_states_projection([hermitize(np.asarray(x, dtype=complex))[None]])[0][0])
+    x = hermitize(_square(x, "project_to_states"))
+    return DensityMatrix(_states_projection([x[None]])[0][0])
 
 
 def _spectrum(stack: np.ndarray):
@@ -248,7 +250,7 @@ def _spectrum(stack: np.ndarray):
     a 1 x 1 block is its own spectrum (vectors None)."""
     if stack.shape[-1] == 1:
         return stack[:, :, 0].real, None
-    return np.linalg.eigh(stack)
+    return _eigh(stack)
 
 
 def _states_projection(stacks: list, counts: Optional[np.ndarray] = None) -> list:
@@ -256,7 +258,8 @@ def _states_projection(stacks: list, counts: Optional[np.ndarray] = None) -> lis
     then one simplex projection of the whole spectrum, each eigenvalue counted
     ``counts`` times (once per copy of its block; the identity block by default)."""
     spectra = [_spectrum(st) for st in stacks]
-    lam = simplex_project(np.concatenate([w.ravel() for w, _ in spectra]), counts)
+    lam = simplex_project(spectra[0][0].ravel() if len(spectra) == 1  # no concatenate
+                          else np.concatenate([w.ravel() for w, _ in spectra]), counts)
     out, start = [], 0
     for w, u in spectra:
         lk = lam[start:start + w.size].reshape(w.shape)
@@ -311,7 +314,7 @@ def _choi_projection(x: np.ndarray, d: int) -> np.ndarray:
         return (h[:, None, :, None] * eye_d[:, None, :]).reshape(n, n)
 
     def evaluate(h):
-        lam, u = np.linalg.eigh(x + kron_eye(h))
+        lam, u = _eigh(x + kron_eye(h))
         pos = np.clip(lam, 0.0, None)
         rows = u.reshape(d, d, n)
         g = np.einsum("cmi,emj->ceij", rows, rows.conj())
@@ -334,7 +337,7 @@ def _choi_projection(x: np.ndarray, d: int) -> np.ndarray:
                          (pos[:, None] - pos[None, :]) / np.where(gap == 0, 1.0, gap))
         jac = (pt.g * omega.ravel()) @ pt.g.conj().T
         jac[diag, diag] += CHOI_PROJECTION_RIDGE * min(1.0, pt.res)
-        step = hermitize(np.linalg.solve(jac, -pt.resid.ravel()).reshape(d, d))
+        step = hermitize(_solve(jac, -pt.resid.ravel()).reshape(d, d))
         slope = float(np.vdot(pt.resid, step).real)
         t = 1.0
         for _ in range(CHOI_PROJECTION_HALVINGS):
@@ -344,7 +347,7 @@ def _choi_projection(x: np.ndarray, d: int) -> np.ndarray:
             t *= 0.5
         pt = trial
         steps += 1
-    w, v = np.linalg.eigh(d * (pt.resid + eye_d / d))
+    w, v = _eigh(d * (pt.resid + eye_d / d))
     a = kron_eye((v * w ** -0.5) @ v.conj().T)
     return hermitize(a @ ((pt.u * pt.pos) @ pt.u.conj().T) @ a)
 
@@ -399,15 +402,15 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
     is checked once before the first iterate."""
     terms = _COSTS[cfg.cost_kind](_target(proc, chi_target), cfg.mu)
     pi = _initial_program(proc, cfg)
-    cost, x = terms(proc.apply_matrix(pi, blocks=True))
+    cost, x = terms(proc.apply_matrix(pi, True))
     best, best_pi = cost, pi
     trace: List[float] = [best]  # the best cost after each iteration
     converged = False
     # a huge step overflows; the projections and the eigen-solvers then raise
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
-            pi = step(pi, proc.dual(x, blocks=True), it)
-            cost, x = terms(proc.apply_matrix(pi, blocks=True))
+            pi = step(pi, proc.dual(x, True), it)
+            cost, x = terms(proc.apply_matrix(pi, True))
             if cost < best:
                 best, best_pi = cost, pi
             trace.append(best)
@@ -451,7 +454,7 @@ def frank_wolfe(proc: ProcessorMap, chi_target, cfg: OptimConfig = OptimConfig()
         b, j = divmod(int(lows[k]), vals.shape[1])
         w = 2.0 / (it + 2.0)
         out = [(1.0 - w) * pk for pk in pi]
-        v = vecs[b, :, j] if vecs is not None else np.ones(1)
+        v = vecs[b, :, j] if vecs is not None else _UNIT_VERTEX
         out[k][b] += (w / copies[k][b]) * (v[:, None] * v.conj())
         return out
 

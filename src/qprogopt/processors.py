@@ -58,7 +58,8 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .channels import _X, _Y, _Z, MatrixLike, _check_prob, as_matrix, max_entangled, weyl_unitaries
-from .hermlin import _checked, embed_operator, hermitize, matrix_function, matrix_inv_sqrt
+from .hermlin import (_checked, _cholesky, _eigh, _eigvalsh, embed_operator, hermitize,
+                      matrix_function, matrix_inv_sqrt)
 
 __all__ = [
     "CapacityError",
@@ -139,10 +140,10 @@ class ProcessorMap:
         tau = 0.5e-8 * max(float(diag.real.max()), 1.0)
         np.fill_diagonal(j, diag + tau)
         try:
-            np.linalg.cholesky(j)
+            _cholesky(j)
         except np.linalg.LinAlgError:
             np.fill_diagonal(j, diag)
-            vals = np.linalg.eigvalsh(j)
+            vals = _eigvalsh(j)
             scale = float(np.abs(vals).max())
             if vals[0] < -1e-8 * max(scale, 1.0):
                 raise ValueError(
@@ -190,6 +191,7 @@ class ProcessorMap:
         class, or (k, nb, m, m) for a stack: M_b = sum_c V_c^dag Lambda*(X)
         V_c / copies, read off (S E)^dag vec(X); a class of 1 x 1 blocks
         (teleportation's Bell weights) is real, the Hermitian part of each.
+        Both forms check the observable's shape: ``dual`` is public.
         """
         x = np.asarray(x, dtype=complex)
         dc, dp = self.d_choi, self.d_prog
@@ -202,9 +204,10 @@ class ProcessorMap:
         if blocks:
             coords = self.block_coords
             flat = np.conj(x.reshape(-1, dc * dc).conj() @ coords.transfer)
-            parts = [flat[:, sl].reshape(x.shape[:-2] + shape) / copies
-                     for sl, shape, copies in zip(coords.slices, coords.shapes, coords.copies)]
-            return [p.real if p.shape[-1] == 1 else hermitize(p) for p in parts]
+            parts = [flat[:, sl].reshape(x.shape[:-2] + shape)
+                     for sl, shape in zip(coords.slices, coords.shapes)]
+            return [p.real / c if p.shape[-1] == 1 else hermitize(p / c)
+                    for p, c in zip(parts, coords.copies)]
         flat = np.conj(x.reshape(-1, dc * dc).conj() @ self.transfer)
         return flat.reshape(x.shape[:-2] + (dp, dp))
 
@@ -463,7 +466,7 @@ def _port_blocks(n_ports: int, dim: int) -> tuple:
     for shape, t in tabs.items():
         units = [len(t) / len(group) * sum(rho[shape][c, 0] * u for u, rho in group)
                  for c in range(len(t))]
-        vals, vecs = np.linalg.eigh(units[0])
+        vals, vecs = _eigh(units[0])
         first = vecs[:, vals > 0.5]
         if first.shape[1]:
             blocks.append(np.stack([p @ first for p in units]))

@@ -97,7 +97,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .channels import ChoiMatrix, DensityMatrix, bures_fidelity, cost_eval
-from .hermlin import HERMITICITY_RTOL, SQRT_NEG_TOL, _square, hermitize, partial_trace, spectral_norm
+from .hermlin import (HERMITICITY_RTOL, SQRT_NEG_TOL, _cholesky, _eigh, _eigvalsh, _solve, _square,
+                      hermitize, partial_trace, spectral_norm)
 from .optim import _program, _projection, _target
 from .processors import ProcessorMap, _read_only, pbt_reduced_map
 
@@ -277,7 +278,7 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray, eig):
         return (rx * np.maximum(rx * s.real * rx, 1e-300) ** -0.5) * rx, None, None
     wx, vx = eig[0][:len(x)], eig[1][:len(x)]
     rx = (vx * np.sqrt(np.maximum(wx, 1e-300))[:, None]) @ vx.conj().swapaxes(1, 2)
-    wi, vi = np.linalg.eigh(hermitize(rx @ s @ rx))
+    wi, vi = _eigh(hermitize(rx @ s @ rx))
     wi = np.maximum(wi, 1e-300)
     g = (rx @ vi) * (wi ** -0.25)[:, None]
     return hermitize(g @ g.conj().swapaxes(1, 2)), g, np.sqrt(wi)
@@ -315,14 +316,14 @@ def _chol(x: np.ndarray) -> np.ndarray:
     if x.shape[-1] == 1 and (x.real > 0.0).all():
         return np.sqrt(x.real)
     try:
-        return np.linalg.cholesky(x)
+        return _cholesky(x)
     except np.linalg.LinAlgError:
         if x.ndim == 3:
             return np.array([_chol(xb) for xb in x])
     jitter = 1e-14 * max(1.0, float(np.trace(x).real) / x.shape[0])
     for _ in range(4):
         try:
-            return np.linalg.cholesky(x + jitter * np.eye(x.shape[0]))
+            return _cholesky(x + jitter * np.eye(x.shape[0]))
         except np.linalg.LinAlgError:
             jitter *= 1e3
     raise _NumericalBreakdown("cholesky failed")
@@ -341,8 +342,8 @@ def _steps(tau: float, factors, dx, ds) -> Tuple[float, float]:
         if l.shape[-1] == 1:
             lam = (np.conj(d / l) / l).real
         else:
-            t = np.linalg.solve(l, np.linalg.solve(l, d).conj().swapaxes(1, 2))
-            lam = np.linalg.eigvalsh(hermitize(t))
+            t = _solve(l, _solve(l, d).conj().swapaxes(1, 2))
+            lam = _eigvalsh(hermitize(t))
         lam_p = min(lam_p, float(lam[:len(dxc)].min()))
         lam_d = min(lam_d, float(lam[len(dxc):].min()))
     # sup { a : Z + a dZ >= 0 } is -1 / lam_min, or inf when lam_min >= 0
@@ -483,7 +484,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                 xs = [np.concatenate([xk, sk]) for xk, sk in zip(x, s)]
                 if not all(np.isfinite(a).all() for a in xs):
                     raise _NumericalBreakdown("non-finite iterate")
-                eigs = [np.linalg.eigh(a) if a.shape[-1] > 1 else None for a in xs]
+                eigs = [_eigh(a) if a.shape[-1] > 1 else None for a in xs]
                 w, g, lam = zip(*map(_nt_scaling, x, s, eigs))
                 s_inv = list(map(_inverse, s, eigs))
                 factors = list(map(_chol, xs))
@@ -497,11 +498,11 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                 # are nearly dependent; only then, because A(dX) misses r_p by
                 # ridge * dy, which near the optimum stalls a tight tol
                 try:
-                    schur_l = np.linalg.cholesky(schur)
+                    schur_l = _cholesky(schur)
                 except np.linalg.LinAlgError:
                     schur += (1e-13 * max(1.0, float(np.trace(schur)) / max(m, 1))) * np.eye(m)
                     try:
-                        schur_l = np.linalg.cholesky(schur)
+                        schur_l = _cholesky(schur)
                     except np.linalg.LinAlgError:
                         schur_l = None
 
@@ -515,7 +516,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                         base = [bk - t for bk, t in zip(base, second)]
                     rhs = rp - a_of_x(split(base))
                     if schur_l is not None:
-                        dy = np.linalg.solve(schur_l.T, np.linalg.solve(schur_l, rhs))
+                        dy = _solve(schur_l.T, _solve(schur_l, rhs))
                     else:
                         dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
                     if not np.isfinite(dy).all():
@@ -728,8 +729,8 @@ def _repaired_value(z: np.ndarray, chi: np.ndarray, d_in: int, d_out: int) -> fl
     """2 ||Tr_out Z'||_inf for Z' = Z + shift I, the least shift with Z' >= 0
     and Z' >= d_in chi: Z' is feasible for Watrous's program on chi, so the
     value is an attained upper bound on its optimum."""
-    lo1 = float(np.linalg.eigvalsh(z).min())
-    lo2 = float(np.linalg.eigvalsh(z - d_in * chi).min())
+    lo1 = float(_eigvalsh(z).min())
+    lo2 = float(_eigvalsh(z - d_in * chi).min())
     shift = max(0.0, -lo1, -lo2)
     z = z + shift * np.eye(z.shape[0])
     return 2.0 * spectral_norm(partial_trace(z, [d_in, d_out], keep=[0]))
@@ -810,7 +811,7 @@ def diamond_distance(chi_omega: np.ndarray, d_in: int, tol: float = DEFAULT_TOL)
             f"the value returned is Watrous's optimum, not the diamond norm",
             stacklevel=2,
         )
-    vals, vecs = np.linalg.eigh(chi)
+    vals, vecs = _eigh(chi)
     if np.abs(vals).max() < 1e-14:
         return 0.0
     pos = np.maximum(vals, 0.0)
@@ -907,7 +908,7 @@ def optimize_program_fidelity(proc: ProcessorMap, chi_target,
     chi_e = hermitize(_target(proc, chi_target))
     n = proc.d_choi
     real = _real_data(chi_e, proc)
-    vals, vecs = np.linalg.eigh(chi_e.real if real else chi_e)
+    vals, vecs = _eigh(chi_e.real if real else chi_e)
     if vals[-1] <= 0.0 or vals[0] < -SQRT_NEG_TOL:
         raise ValueError(f"optimize_program_fidelity: chi_target must be PSD and nonzero, "
                          f"has eigenvalues in [{vals[0]:.3e}, {vals[-1]:.3e}]")

@@ -15,7 +15,8 @@ thresholds are numpy prefix sums, where the library loops over plain floats.  Th
 iterates on whole programs, with its own spectrum-to-simplex projection and
 Frank-Wolfe vertex, where the library iterates on the program blocks.  The
 SDP's program terms conjugate a whole-program stack by every isometry copy,
-where the library reads them off the block transfer.
+where the library reads them off the block transfer.  ``count_calls`` is no
+oracle: it spies on a library function through every binding of it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -38,6 +40,23 @@ from qprogopt.hermlin import (
 )
 from qprogopt.processors import ProcessorMap
 from qprogopt.rand import random_choi, random_density
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """The first argument's shape of every call of ``fn`` while the test runs,
+    through every binding of it in the package, as the bench tracer binds it."""
+    calls = []
+
+    def counting(a, *args):
+        calls.append(a.shape)
+        return fn(a, *args)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qprogopt" or name.startswith("qprogopt."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
 
 
 def pbt_apply_dense(n_ports: int, d: int, povm, pi: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qprogopt import hermlin
 from qprogopt.hermlin import (
     _sign_values,
     embed_operator,
@@ -15,6 +16,8 @@ from qprogopt.hermlin import (
     partial_trace,
     permute_subsystems,
     schatten_norm,
+    spectral_norm,
+    trace_norm,
 )
 from qprogopt.channels import max_entangled
 from qprogopt.rand import random_density, random_hermitian
@@ -208,8 +211,85 @@ def test_is_hermitian_tolerance():
     (lambda: partial_trace(np.eye(1), [1] * 27, keep=[0]), "too many subsystems"),
     (lambda: embed_operator(np.eye(4), [2, 2], targets=[0, 0]), "duplicate target"),
     (lambda: schatten_norm(np.eye(2), 0.5), "p must be >= 1"),
+    # a ValueError naming the function, not LinAlgError's "SVD did not converge"
+    (lambda: schatten_norm(np.full((2, 2), np.nan), 1), "schatten_norm: entries must be finite"),
+    (lambda: schatten_norm(np.ones((2, 3)), 2),
+     r"schatten_norm: expected a square matrix, got shape \(2, 3\)"),
+    (lambda: trace_norm(np.full((2, 2), np.nan)), "trace_norm: entries must be finite"),
+    (lambda: spectral_norm(np.ones((3, 2))),
+     r"spectral_norm: expected a square matrix, got shape \(3, 2\)"),
 ], ids=["sqrt-not-psd", "eig-not-square", "eig-nan", "dims", "keep", "too-many",
-        "duplicate-targets", "schatten-p"])
+        "duplicate-targets", "schatten-p", "schatten-nan", "schatten-not-square",
+        "trace-norm-nan", "spectral-norm-not-square"])
 def test_hermlin_rejects_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# --- the LAPACK layer -------------------------------------------------------------
+
+
+def _bits(out) -> list:
+    """dtype, shape and bytes of an array, or of each array of a tuple."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in (out if isinstance(out, tuple) else (out,))]
+
+
+def _random(rng, shape, dtype) -> np.ndarray:
+    a = rng.normal(size=shape)
+    return (a + 1j * rng.normal(size=shape)).astype(dtype) if dtype is complex else a.astype(dtype)
+
+
+def _kernel_cases(rng, lead, dtype) -> list:
+    """(kernel, np.linalg function, arguments) over a Hermitian matrix, a positive
+    definite one, its Cholesky factor and that factor transposed (not contiguous,
+    as the Schur factor's in the Newton step), with vector and matrix right-hand
+    sides."""
+    g = _random(rng, lead + (5, 5), dtype)
+    h = g + g.conj().swapaxes(-1, -2)
+    pd = g @ g.conj().swapaxes(-1, -2) + np.eye(5, dtype=dtype)
+    low = np.linalg.cholesky(pd)
+    up = low.swapaxes(-1, -2)
+    assert not up.flags.c_contiguous
+    vec, mat = _random(rng, (5,), dtype), _random(rng, lead + (5, 2), dtype)
+    return [(hermlin._eigh, np.linalg.eigh, (h,)), (hermlin._eigvalsh, np.linalg.eigvalsh, (h,)),
+            (hermlin._cholesky, np.linalg.cholesky, (pd,))] + [
+        (hermlin._solve, np.linalg.solve, (a, b)) for a in (pd, low, up) for b in (vec, mat)]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
+def test_lapack_kernels_match_numpy_bit_for_bit(dtype, lead):
+    for kernel, numpy_fn, args in _kernel_cases(np.random.default_rng(90), lead, dtype):
+        assert _bits(kernel(*args)) == _bits(numpy_fn(*args)), kernel.__name__
+
+
+@pytest.mark.parametrize("missing, dtype", [(True, float), (True, complex), (False, np.float32)],
+                         ids=["no-gufuncs-real", "no-gufuncs-complex", "float32"])
+def test_lapack_kernels_fall_back_to_numpy(missing, dtype, monkeypatch):
+    # without the private module, and on dtypes the layer does not take (float32,
+    # which np.linalg solves in float64; mixed operands), each kernel is np.linalg
+    if missing:
+        monkeypatch.setattr(hermlin, "_lapack", None)
+    rng = np.random.default_rng(91)
+    cases = _kernel_cases(rng, (2,), dtype)
+    a = cases[2][2][0]  # the positive definite stack
+    cases.append((hermlin._solve, np.linalg.solve, (a.astype(complex), _random(rng, (5,), float))))
+    for kernel, numpy_fn, args in cases:
+        assert _bits(kernel(*args)) == _bits(numpy_fn(*args)), kernel.__name__
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: hermlin._eigh(np.full((3, 3), np.nan)), "Eigenvalues did not converge"),
+    (lambda: hermlin._eigvalsh(np.full((2, 3, 3), np.nan, dtype=complex)),
+     "Eigenvalues did not converge"),
+    (lambda: hermlin._solve(np.ones((3, 3)), np.ones(3)), "Singular matrix"),
+    (lambda: hermlin._cholesky(np.diag([1.0, -1.0, 1.0]).astype(complex)),
+     "Matrix is not positive definite"),
+], ids=["eigh-nan", "eigvalsh-nan", "solve-singular", "cholesky-indefinite"])
+@pytest.mark.parametrize("quiet", [False, True], ids=["default", "loop-errstate"])
+def test_lapack_kernels_raise_linalg_error(call, message, quiet):
+    # as np.linalg does, also under the loops' errstate(invalid="ignore"), so the
+    # solver's Cholesky retries still see the failure
+    with np.errstate(over="ignore", invalid="ignore" if quiet else "warn"):
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            call()

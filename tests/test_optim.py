@@ -1,6 +1,5 @@
 import gc
 import math
-import sys
 import tracemalloc
 import warnings
 
@@ -54,6 +53,7 @@ from qprogopt.rand import (
 )
 
 from oracles import (
+    count_calls,
     dense_first_order,
     matrix_sign,
     random_program,
@@ -252,23 +252,6 @@ def test_one_apply_per_iterate(key, method, monkeypatch):
         assert calls == [True] * 13
 
 
-def _count_hermitize(monkeypatch) -> list:
-    """Count hermitize calls through every binding of it in the package, as the
-    bench tracer binds it."""
-    calls, herm = [], hermlin.hermitize
-
-    def counting(a):
-        calls.append(a.shape)
-        return herm(a)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "qprogopt" or name.startswith("qprogopt."):
-            for attr, value in list(vars(mod).items()):
-                if value is herm:
-                    monkeypatch.setattr(mod, attr, counting)
-    return calls
-
-
 @pytest.mark.parametrize("method", ["subgradient", "frank_wolfe"])
 def test_bell_weights_stay_real(method, monkeypatch):
     # teleportation's Bell weights are one class of 1 x 1 blocks, a real vector:
@@ -280,13 +263,8 @@ def test_bell_weights_stay_real(method, monkeypatch):
     assert [s.dtype for s in optim._projection(TELE, parts)] == [np.float64]
     # so an iterate costs two hermitize calls (the apply and the cost table's
     # difference) and one eigh, of the 4 x 4 simulated channel
-    herm_calls, eigh_shapes, eigh = _count_hermitize(monkeypatch), [], np.linalg.eigh
-
-    def counting_eigh(a):
-        eigh_shapes.append(a.shape)
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    herm_calls = count_calls(monkeypatch, hermlin.hermitize)
+    eigh_shapes = count_calls(monkeypatch, hermlin._eigh)
     run = projected_subgradient if method == "subgradient" else frank_wolfe
     chi = random_choi(2, rng).matrix
     for kind in ("C1", "Cmu"):
@@ -839,7 +817,11 @@ def test_reduced_map_loop_is_bit_identical_to_the_dense_loop(n, kind):
     (lambda: learn_unitary_program(TELE, np.eye(3)), r"unitary shape \(3, 3\), expected"),
     # a ValueError naming the fault, not LinAlgError's "Eigenvalues did not converge"
     (lambda: learn_unitary_program(TELE, np.diag([np.nan, 1.0])), "entries must be finite"),
-], ids=["cost-kind", "unitary-shape", "unitary-nan"])
+    # and not LinAlgError's "Eigenvalues did not converge" or numpy's broadcast error
+    (lambda: project_to_states(np.full((4, 4), np.nan)), "project_to_states: entries must be finite"),
+    (lambda: project_to_states(np.ones((2, 3))),
+     r"project_to_states: expected a square matrix, got shape \(2, 3\)"),
+], ids=["cost-kind", "unitary-shape", "unitary-nan", "states-nan", "states-not-square"])
 def test_optim_rejects_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()

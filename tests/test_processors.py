@@ -14,7 +14,7 @@ from qprogopt.channels import (
     cost_eval,
     max_entangled,
 )
-from qprogopt import processors
+from qprogopt import hermlin, processors
 from qprogopt.hermlin import hermitize, matrix_function
 from qprogopt.processors import (
     CapacityError,
@@ -34,6 +34,7 @@ from qprogopt.processors import (
 from qprogopt.rand import random_choi, random_density, random_hermitian
 
 from oracles import (
+    count_calls,
     pbt_apply_dense,
     pbt_reduced_dense,
     pbt_srm_dense,
@@ -119,9 +120,7 @@ def test_complete_positivity_check(monkeypatch, p, path):
     # (1 - p) |Phi><Phi| + p SWAP has a unit diagonal and lambda_min = -p.  A
     # shifted Cholesky factor accepts small p; the spectrum decides the rest
     swap = np.eye(16).reshape(4, 4, 4, 4).transpose(1, 0, 2, 3).reshape(16, 16)
-    spectra = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a.shape) or eigvalsh(a))
+    spectra = count_calls(monkeypatch, hermlin._eigvalsh)
 
     def make():
         return ProcessorMap((1 - p) * np.eye(16) + p * swap, d_prog=4, d_in=2, d_out=2)
@@ -712,8 +711,11 @@ def test_program_dimension_mismatch():
     (lambda: pqc_processor(1, np.eye(4), np.eye(2)), "square and same shape"),
     (lambda: mpqc_processor(1, np.eye(3), np.eye(3)), "with a qubit R0"),
     (lambda: pqc_processor(1, np.triu(np.ones((4, 4)))), "pqc_processor: H0: matrix is not Hermitian"),
+    # 64 entries would reshape to 4 rows of 16: only the shape test stops it
+    (lambda: pqc_processor(1).dual(np.eye(8), blocks=True), r"observable shape \(8, 8\)"),
 ], ids=["transfer-shape", "not-trace-preserving", "povm-N", "povm-d", "param-count-N",
-        "damping-p", "hamiltonian-shapes", "hamiltonian-odd", "hamiltonian-not-hermitian"])
+        "damping-p", "hamiltonian-shapes", "hamiltonian-odd", "hamiltonian-not-hermitian",
+        "block-dual-shape"])
 def test_processors_reject_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()

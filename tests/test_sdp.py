@@ -27,7 +27,7 @@ from qprogopt.processors import (
     pqc_processor,
     teleportation_processor,
 )
-from qprogopt import processors, sdp
+from qprogopt import hermlin, processors, sdp
 from qprogopt.rand import random_choi, random_density
 from qprogopt.sdp import (
     SdpProblem,
@@ -42,6 +42,7 @@ from qprogopt.sdp import (
 
 from oracles import (
     admm_baseline,
+    count_calls,
     diamond_grid_oracle,
     facial_reduction,
     program_terms,
@@ -402,8 +403,7 @@ def test_each_matrix_class_takes_two_eigh_per_iteration(monkeypatch):
     rng = np.random.default_rng(64)
     chi = hermitize(random_choi(2, rng).matrix - random_choi(2, rng).matrix)
     tpl = sdp._free_watrous_template(2, 2, False)
-    shapes, eigh = [], np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    shapes = count_calls(monkeypatch, hermlin._eigh)
     _, sol = tpl.solve(None, chi, sdp.DEFAULT_TOL, "diamond_distance")
     assert (sol.status, sol.iterations) == ("optimal", 13)
     steps = sol.iterations - 1  # the last iteration stops before its step
