@@ -322,7 +322,7 @@ def spectral_norm(m: np.ndarray) -> float:
 def schatten_norm(m: np.ndarray, p: float) -> float:
     """Schatten p-norm of a square, finite matrix (``_square``) for real p >= 1,
     via singular values; Hermitian input uses |eigenvalues| instead of a full SVD."""
-    if p < 1:
+    if not p >= 1:  # NaN too
         raise ValueError(f"schatten_norm: p must be >= 1, got {p}")
     return _schatten(m, p, "schatten_norm")
 

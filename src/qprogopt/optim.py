@@ -199,9 +199,23 @@ def simplex_project(x: np.ndarray, counts: Optional[np.ndarray] = None) -> np.nd
     sum_i counts_i (x_i - y_i)^2, y_i = max(x_i - theta, 0).  An input for
     which no threshold is active (a non-finite entry, or sums beyond the float
     range) raises ValueError; where only the float precision stops the sums,
-    x - max(x) is projected instead.
+    x - max(x) is projected instead.  ``x`` must be 1-D and ``counts`` of its
+    length, with positive, finite entries.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"simplex_project: x must be 1-D, got shape {x.shape}")
+    if counts is not None:
+        counts = np.asarray(counts, dtype=float)
+        if counts.shape != x.shape or not (np.isfinite(counts).all() and (counts > 0).all()):
+            raise ValueError(f"simplex_project: counts must be {x.size} positive, finite "
+                             f"entries, got {counts}")
+    return _simplex(x, counts)
+
+
+def _simplex(x: np.ndarray, counts: Optional[np.ndarray]) -> np.ndarray:
+    """``simplex_project`` of a float vector without its input checks, for the
+    projections' own spectra."""
     w = np.ones(x.size) if counts is None else np.asarray(counts, dtype=float)
     order = x.argsort()[::-1]
     wu = w[order].tolist()
@@ -258,8 +272,8 @@ def _states_projection(stacks: list, counts: Optional[np.ndarray] = None) -> lis
     then one simplex projection of the whole spectrum, each eigenvalue counted
     ``counts`` times (once per copy of its block; the identity block by default)."""
     spectra = [_spectrum(st) for st in stacks]
-    lam = simplex_project(spectra[0][0].ravel() if len(spectra) == 1  # no concatenate
-                          else np.concatenate([w.ravel() for w, _ in spectra]), counts)
+    lam = _simplex(spectra[0][0].ravel() if len(spectra) == 1  # no concatenate
+                   else np.concatenate([w.ravel() for w, _ in spectra]), counts)
     out, start = [], 0
     for w, u in spectra:
         lk = lam[start:start + w.size].reshape(w.shape)

@@ -14,8 +14,9 @@ predictor-corrector: the corrector aims at sigma mu with sigma = (mu_aff /
 mu)^3, never below the complementarity the stopping test needs, and carries
 Mehrotra's second-order term, the predictor's sym(dX dS) in NT-scaled space
 (Todd-Toh-Tutuncu 1998), unless that term shortens the step below the
-predictor's.  The Schur matrix gets a ridge only when its Cholesky
-factorization fails.  An ``SdpProblem`` takes its
+predictor's.  The Schur matrix and the [X; S] factors share one rule
+(``_chol``): a Cholesky factorization that fails is tried once more, shifted,
+and then the solve ends ``breakdown``.  An ``SdpProblem`` takes its
 constraints in groups of rows, each naming only the blocks it touches, and
 keeps per block the rows with a nonzero entry, flattened, so A(X), A*(y), the
 Newton right-hand side and the Schur matrix sum_b <A_j, W_b A_i W_b> are
@@ -25,7 +26,7 @@ so a block with real data is solved in real arithmetic and a complex
 Hermitian block in complex arithmetic.  Blocks of one size and one dtype of
 objective and of constraints form a class whose X, S, W and S^-1 are one
 (k, d, d) stack, as in SDPT3's grouped blocks.  Per class and iteration the
-stack [X; S] is checked for non-finite entries once and takes one eigh, whose
+stack [X; S], finite once mu is, takes one eigh, whose
 halves give the NT scaling and S^-1, and one Cholesky factorization for the
 step test over [dX; dS] (primal and dual at once); each inner product is one
 product and one sum, added up in block order.  A class of 1 x 1 blocks, such
@@ -310,23 +311,24 @@ def _inverse(s: np.ndarray, eig) -> np.ndarray:
     return (vs / np.maximum(ws, 1e-300)[:, None]) @ vs.conj().swapaxes(1, 2)
 
 
-def _chol(x: np.ndarray) -> np.ndarray:
+def _chol(x: np.ndarray, rel: float) -> np.ndarray:
     """Cholesky factors of a finite Hermitian matrix, or of a stack, then matrix
-    by matrix if it fails; square roots of the real parts for positive 1 x 1s."""
+    by matrix if it fails; square roots of the real parts for positive 1 x 1s.
+    One rule for a matrix that rounding pushed to the edge: a failed factorization
+    is tried once more shifted by rel max(1, mean diagonal) I, then the solve
+    ends ``breakdown`` (_NumericalBreakdown)."""
     if x.shape[-1] == 1 and (x.real > 0.0).all():
         return np.sqrt(x.real)
     try:
         return _cholesky(x)
     except np.linalg.LinAlgError:
         if x.ndim == 3:
-            return np.array([_chol(xb) for xb in x])
-    jitter = 1e-14 * max(1.0, float(np.trace(x).real) / x.shape[0])
-    for _ in range(4):
-        try:
-            return _cholesky(x + jitter * np.eye(x.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter *= 1e3
-    raise _NumericalBreakdown("cholesky failed")
+            return np.array([_chol(xb, rel) for xb in x])
+    try:
+        n = x.shape[0]
+        return _cholesky(x + (rel * max(1.0, float(np.trace(x).real) / n)) * np.eye(n))
+    except np.linalg.LinAlgError:
+        raise _NumericalBreakdown("cholesky failed") from None
 
 
 def _steps(tau: float, factors, dx, ds) -> Tuple[float, float]:
@@ -473,38 +475,29 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                         and pobj / x_norm < -1e-6):
                     status = "unbounded"
                     break
-            # a blow-up without a Farkas ray is a breakdown: keep the best iterate
+            # a blow-up without a Farkas ray is a breakdown: keep the best iterate;
+            # mu, a sum over every entry of X * S, is finite only for finite X, S
             if not np.isfinite(mu) or mu > 1e150 or y_norm > 1e150 or mu <= 0.0:
                 status = "breakdown"
                 break
 
             try:
-                # one finite [X; S] per class for one eigh and one Cholesky; LAPACK
+                # one [X; S] per class for one eigh and one Cholesky; LAPACK
                 # decomposes each matrix alone, so the halves are eigh(X), eigh(S)
                 xs = [np.concatenate([xk, sk]) for xk, sk in zip(x, s)]
-                if not all(np.isfinite(a).all() for a in xs):
-                    raise _NumericalBreakdown("non-finite iterate")
                 eigs = [_eigh(a) if a.shape[-1] > 1 else None for a in xs]
                 w, g, lam = zip(*map(_nt_scaling, x, s, eigs))
                 s_inv = list(map(_inverse, s, eigs))
-                factors = list(map(_chol, xs))
+                factors = [_chol(a, 1e-14) for a in xs]
 
                 schur = np.zeros((m, m))
                 for sq, a, mat, wb, d in zip(squares, stacks, mats, split(w), dims):
                     waw = wb @ mat @ wb
                     schur[sq] += (a @ waw.reshape(len(a), d * d).conj().T).real
-                schur = hermitize(schur)
-                # a small ridge keeps the factorization alive when constraints
-                # are nearly dependent; only then, because A(dX) misses r_p by
-                # ridge * dy, which near the optimum stalls a tight tol
-                try:
-                    schur_l = _cholesky(schur)
-                except np.linalg.LinAlgError:
-                    schur += (1e-13 * max(1.0, float(np.trace(schur)) / max(m, 1))) * np.eye(m)
-                    try:
-                        schur_l = _cholesky(schur)
-                    except np.linalg.LinAlgError:
-                        schur_l = None
+                # the shift keeps the factorization alive when constraints are
+                # nearly dependent; only then, because A(dX) misses r_p by
+                # shift * dy, which near the optimum stalls a tight tol
+                schur_l = _chol(hermitize(schur), 1e-13)
 
                 # W R_d W, shared by the predictor and the corrector
                 wrw = [hermitize(wk @ rk @ wk) for wk, rk in zip(w, rd)]
@@ -514,11 +507,7 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
                     base = [sigma_mu * si - xk - v for si, xk, v in zip(s_inv, x, wrw)]
                     if second is not None:
                         base = [bk - t for bk, t in zip(base, second)]
-                    rhs = rp - a_of_x(split(base))
-                    if schur_l is not None:
-                        dy = _solve(schur_l.T, _solve(schur_l, rhs))
-                    else:
-                        dy = np.linalg.lstsq(schur, rhs, rcond=None)[0]
+                    dy = _solve(schur_l.T, _solve(schur_l, rp - a_of_x(split(base))))
                     if not np.isfinite(dy).all():
                         raise _NumericalBreakdown("non-finite Newton step")
                     asdy = a_star(dy)

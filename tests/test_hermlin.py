@@ -211,6 +211,8 @@ def test_is_hermitian_tolerance():
     (lambda: partial_trace(np.eye(1), [1] * 27, keep=[0]), "too many subsystems"),
     (lambda: embed_operator(np.eye(4), [2, 2], targets=[0, 0]), "duplicate target"),
     (lambda: schatten_norm(np.eye(2), 0.5), "p must be >= 1"),
+    # NaN passed a p < 1 test, and the norm was NaN
+    (lambda: schatten_norm(np.eye(2), np.nan), "p must be >= 1, got nan"),
     # a ValueError naming the function, not LinAlgError's "SVD did not converge"
     (lambda: schatten_norm(np.full((2, 2), np.nan), 1), "schatten_norm: entries must be finite"),
     (lambda: schatten_norm(np.ones((2, 3)), 2),
@@ -219,7 +221,7 @@ def test_is_hermitian_tolerance():
     (lambda: spectral_norm(np.ones((3, 2))),
      r"spectral_norm: expected a square matrix, got shape \(3, 2\)"),
 ], ids=["sqrt-not-psd", "eig-not-square", "eig-nan", "dims", "keep", "too-many",
-        "duplicate-targets", "schatten-p", "schatten-nan", "schatten-not-square",
+        "duplicate-targets", "schatten-p", "schatten-p-nan", "schatten-nan", "schatten-not-square",
         "trace-norm-nan", "spectral-norm-not-square"])
 def test_hermlin_rejects_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):

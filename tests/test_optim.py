@@ -821,7 +821,17 @@ def test_reduced_map_loop_is_bit_identical_to_the_dense_loop(n, kind):
     (lambda: project_to_states(np.full((4, 4), np.nan)), "project_to_states: entries must be finite"),
     (lambda: project_to_states(np.ones((2, 3))),
      r"project_to_states: expected a square matrix, got shape \(2, 3\)"),
-], ids=["cost-kind", "unitary-shape", "unitary-nan", "states-nan", "states-not-square"])
+    # each row raised ZeroDivisionError, IndexError, numpy's broadcast error or
+    # TypeError, or (zero count) returned [1, 1]
+    (lambda: simplex_project(np.eye(2)), r"simplex_project: x must be 1-D, got shape \(2, 2\)"),
+    (lambda: simplex_project([0.5, 0.5], [0, 0]), "simplex_project: counts must be 2 positive"),
+    (lambda: simplex_project([0.5, 0.5], [-1, 1]), "simplex_project: counts must be 2 positive"),
+    (lambda: simplex_project([0.5, 0.5], [0, 1]), "simplex_project: counts must be 2 positive"),
+    (lambda: simplex_project([0.5, 0.5], [1]), "simplex_project: counts must be 2 positive"),
+    (lambda: simplex_project([0.5, 0.5], [1, 1, 1]), "simplex_project: counts must be 2 positive"),
+], ids=["cost-kind", "unitary-shape", "unitary-nan", "states-nan", "states-not-square",
+        "simplex-2d", "simplex-zero-counts", "simplex-negative-count", "simplex-zero-count",
+        "simplex-short-counts", "simplex-long-counts"])
 def test_optim_rejects_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()

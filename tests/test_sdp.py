@@ -261,6 +261,85 @@ def test_solve_sdp_divergence_keeps_best_iterate(seed, block_dims):
     assert abs(sol.primal_objective - ref) <= 1e-6 * max(1.0, abs(ref))
 
 
+# no natural instance reaches the exits below, so each test breaks seed 61's
+# path-pinned instance (optimal after 11 iterations; classes of 4 x 4, 2 x 2 and
+# 1 x 1 blocks, and a 7 x 7 Schur matrix) at iteration 4 with a fake
+def _pinned_instance():
+    return random_sdp(np.random.default_rng(61), block_dims=(4, 4, 2, 1), m=6)
+
+
+def _assert_breakdown(sol, iterations):
+    """Status ``breakdown`` after ``iterations``, with a finite iterate from the
+    history (the best one, not the broken one) returned."""
+    assert (sol.status, sol.iterations) == ("breakdown", iterations)
+    assert all(np.isfinite(x).all() for x in sol.primal_blocks)
+    assert np.isfinite(sol.dual_vector).all()
+    assert (sol.residual_primal, sol.residual_dual) in [(h[2], h[3]) for h in sol.history]
+
+
+@pytest.mark.parametrize("selects, shapes", [
+    # the Schur matrix: its 4th factorization fails, and so does the shifted one
+    (lambda x: x.shape == (7, 7), [(7, 7)] * 5),
+    # the 2 x 2 class: the 4th stack [X; S] fails, then X alone, then X shifted
+    (lambda x: x.shape[-1] == 2, [(2, 2, 2)] * 4 + [(2, 2)] * 2),
+], ids=["schur", "x-s"])
+def test_a_failed_shift_ends_the_solve_as_breakdown(selects, shapes, monkeypatch):
+    calls, cholesky = [], sdp._cholesky
+
+    def failing(x):
+        """Raise on every matrix that ``selects`` picks from the 4th on."""
+        if selects(x):
+            calls.append(x.shape)
+            if len(calls) >= 4:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(x)
+    monkeypatch.setattr(sdp, "_cholesky", failing)
+    sol = solve_sdp(_pinned_instance())
+    # one shift, then breakdown: no least-squares step and no larger shift
+    assert calls == shapes
+    _assert_breakdown(sol, 4)
+
+
+def _steps_at_iteration_4(monkeypatch, fake):
+    """Let ``fake(steps, first, tau, factors, dx, ds)`` answer for ``sdp._steps`` in
+    the 4th iteration, given the real ``steps`` and ``first`` for the predictor's
+    call; each iteration factors anew, so a new ``factors`` starts one."""
+    steps, seen = sdp._steps, []
+
+    def spy(tau, factors, dx, ds):
+        first = not seen or seen[-1] is not factors
+        if first:
+            seen.append(factors)
+        if len(seen) == 4:
+            return fake(steps, first, tau, factors, dx, ds)
+        return steps(tau, factors, dx, ds)
+    monkeypatch.setattr(sdp, "_steps", spy)
+
+
+def test_a_non_finite_direction_ends_the_solve_as_breakdown(monkeypatch):
+    # the real step test, handed a NaN predictor direction
+    _steps_at_iteration_4(monkeypatch, lambda steps, first, tau, factors, dx, ds: steps(
+        tau, factors, [np.full_like(d, np.nan) for d in dx], ds))
+    _assert_breakdown(solve_sdp(_pinned_instance()), 4)
+
+
+@pytest.mark.parametrize("step, blow_up", [
+    # X + inf dX is not finite, and neither is mu
+    ((math.inf, math.inf), math.isnan),
+    # far along dX, <X, S> turns negative; far back along it, it grows past 1e150
+    ((1e160, 1.0), lambda mu: mu <= 0.0),
+    ((-1e160, 1.0), lambda mu: 1e150 < mu < math.inf),
+], ids=["non-finite", "mu-negative", "mu-huge"])
+def test_a_blown_up_iterate_ends_the_solve_as_breakdown(step, blow_up, monkeypatch):
+    # the corrector's step lengths of iteration 4 are replaced, so the 5th
+    # iterate is the blown-up one; the loop head stops before factoring it
+    _steps_at_iteration_4(monkeypatch, lambda steps, first, tau, factors, dx, ds: (
+        steps(tau, factors, dx, ds) if first else step))
+    sol = solve_sdp(_pinned_instance())
+    assert blow_up(sol.history[-1][4])
+    _assert_breakdown(sol, 5)
+
+
 @pytest.mark.parametrize("seed, block_dims, m, cast", [
     (3104, (3, 2), 7, False), (9034, (2, 2, 2), 7, False), (153, (3, 2), 6, True)])
 def test_solve_sdp_former_breakdowns_solve(seed, block_dims, m, cast):
