@@ -9,9 +9,12 @@ verify      run the built-in invariant suite (levels: fast, full)
 channels    list the channel zoo
 processors  list processor kinds and their size caps
 
-Exit codes: 0 ok, 1 validation error (a missing key, a section or value of
-the wrong JSON type, or a value that the library rejects, optimizer settings
-included), 2 numerical failure, 3 verify failure.
+Exit codes: 0 ok, 1 validation error (a missing or unknown key, a section or
+value of the wrong JSON type, or a value that the library rejects, optimizer
+settings included), 2 numerical failure, 3 verify failure.
+
+``main(argv)`` may be called repeatedly in one process: it builds the parser
+once, on the first call.
 
 The config file is a single JSON document; matrices are given as nested
 [re, im] pairs.  CSV cells use 12 significant digits and rows follow grid
@@ -29,7 +32,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,6 +57,17 @@ CHANNEL_KINDS = {
 PROCESSOR_KINDS = ("teleportation", "pbt", "pbt_reduced", "pqc", "mpqc")
 # the channel costs but Cp (its order has no config key), and the diamond cost
 COST_KINDS = tuple(kind for kind in ch.COST_KINDS if kind != "Cp") + ("Cdiamond",)
+
+# the keys a config may hold, per section ("" is the top level), for optimize and
+# benchmark alike; any other key is a ConfigError
+CONFIG_KEYS = {
+    "": {"processor", "channel", "method", "methods", "cost", "mu", "seed", "optimizer",
+         "out", "gnuplot_out", "save_program"},
+    "processor": {"kind", "N", "d", "H0", "H1"},
+    "channel": {"kind", "values", "d", *CHANNEL_KINDS.values()},
+    "optimizer": {"max_iters", "learning_rate", "tolerance", "init"},
+    "optimizer.learning_rate": {"kind", "a", "b"},
+}
 
 
 class ConfigError(ValueError):
@@ -99,11 +113,22 @@ def _construct(make, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
+def _known_keys(spec: dict, name: str) -> None:
+    """A ConfigError naming the first key of section ``name`` not in CONFIG_KEYS."""
+    for key in spec:
+        if key not in CONFIG_KEYS[name]:
+            full = f"{name}.{key}" if name else key
+            raise ConfigError(f"unknown key {full!r}")
+
+
 def _section(cfg: dict, key: str, name: Optional[str] = None) -> dict:
-    """The object under ``key`` (empty if absent), or a ConfigError naming it."""
+    """The object under ``key`` (empty if absent), or a ConfigError naming it or
+    its first unknown key."""
+    name = name or key
     spec = cfg.get(key, {})
     if not isinstance(spec, dict):
-        raise ConfigError(f"{name or key} must be an object, got {spec!r}")
+        raise ConfigError(f"{name} must be an object, got {spec!r}")
+    _known_keys(spec, name)
     return spec
 
 
@@ -310,6 +335,11 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {cfg!r}")
+    _known_keys(cfg, "")
+    # every section is checked here, before any solve runs, whatever the method
+    for key in ("processor", "channel"):
+        _section(cfg, key)
+    _section(_section(cfg, "optimizer"), "learning_rate", "optimizer.learning_rate")
     for key in ("out", "gnuplot_out", "save_program"):
         if key in cfg and not (isinstance(cfg[key], str) and cfg[key]):
             raise ConfigError(f"{key} must be a non-empty file path, got {cfg[key]!r}")
@@ -573,7 +603,9 @@ def cmd_verify(args) -> int:
     return 3 if failures else 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser: built on first use, then kept for the process."""
     parser = argparse.ArgumentParser(
         prog="qprogopt",
         description="Optimize program states of programmable quantum processors.",
@@ -586,13 +618,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         p.add_argument("--gnuplot", default=None,
                        help="two-column (param, cost) export path")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--tol", type=float, default=sdp.DEFAULT_TOL)
+        # None: main reads sdp.DEFAULT_TOL per call, so a changed default holds
+        p.add_argument("--tol", type=float, default=None,
+                       help="SDP tolerance, finite and > 0 "
+                            "(default: qprogopt.sdp.DEFAULT_TOL at call time)")
     p = sub.add_parser("verify")
     p.add_argument("level", nargs="?", default="fast", choices=["fast", "full"])
     sub.add_parser("channels")
     sub.add_parser("processors")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     handlers = {
         "optimize": cmd_optimize,
         "benchmark": cmd_benchmark,
@@ -601,8 +639,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "processors": cmd_processors,
     }
     try:
-        if hasattr(args, "tol") and not (args.tol > 0 and math.isfinite(args.tol)):
-            raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
+        if hasattr(args, "tol"):
+            if args.tol is None:
+                args.tol = sdp.DEFAULT_TOL
+            if not (args.tol > 0 and math.isfinite(args.tol)):
+                raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
         return handlers[args.command](args)
     except (ConfigError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

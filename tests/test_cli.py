@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -118,8 +119,7 @@ def test_optimize_saves_program(tmp_path):
 def test_benchmark_grid_with_baseline(tmp_path, cost, method):
     cfg = {
         "processor": {"kind": "pbt", "N": [2], "d": 2},
-        "channel": {"kind": "amplitude_damping", "param": "p",
-                     "values": [0.3, 0.7]},
+        "channel": {"kind": "amplitude_damping", "values": [0.3, 0.7]},
         "methods": [method, "choi_baseline"],
         "cost": cost,
     }
@@ -143,7 +143,7 @@ def test_benchmark_mpqc_never_worse_than_pqc(tmp_path):
     for kind in ("pqc", "mpqc"):
         cfg = {
             "processor": {"kind": kind, "N": [1, 2]},
-            "channel": {"kind": "amplitude_damping", "param": "p", "values": [0.25]},
+            "channel": {"kind": "amplitude_damping", "values": [0.25]},
             "methods": ["sdp_diamond"],
         }
         path = tmp_path / f"{kind}.csv"
@@ -164,7 +164,7 @@ def test_verify_full_passes(capsys):
 def test_benchmark_gnuplot_export(tmp_path):
     cfg = {
         "processor": {"kind": "teleportation"},
-        "channel": {"kind": "dephasing", "param": "p", "values": [0.2, 0.4]},
+        "channel": {"kind": "dephasing", "values": [0.2, 0.4]},
         "methods": ["sdp_trace"],
     }
     gp = tmp_path / "curve.dat"
@@ -190,13 +190,14 @@ def test_random_init_requires_seed(tmp_path):
     assert main(["optimize", "--config", path, "--seed", "11"]) == 0
 
 
-def test_benchmark_empty_grid_is_validation_error(tmp_path):
+def test_benchmark_empty_grid_is_validation_error(tmp_path, capsys):
     cfg = {
         "processor": {"kind": "teleportation"},
-        "channel": {"kind": "amplitude_damping", "param": "p", "values": []},
+        "channel": {"kind": "amplitude_damping", "values": []},
         "methods": ["sdp_trace"],
     }
     assert main(["benchmark", "--config", _write(tmp_path, cfg)]) == 1
+    assert "channel.values must be a non-empty list" in capsys.readouterr().err
 
 
 def test_unknown_method_is_validation_error(tmp_path):
@@ -351,6 +352,21 @@ _SUBGRADIENT = {"processor": {"kind": "teleportation"}, "channel": _AD, "method"
                    "methods": ["sdp_trace"]}, "processor.N grid is empty"),
     ("benchmark", {"processor": {"kind": "teleportation"}, "channel": _AD},
      "benchmark config needs 'methods'"),
+    # unknown keys, one per section
+    ("benchmark", {"processor": {"kind": "teleportation"}, "channel": _AD,
+                   "methods": ["sdp_trace"], "bogus_top": 1}, "unknown key 'bogus_top'"),
+    ("optimize", {"processor": {"kind": "teleportation", "dd": 3}, "channel": _AD,
+                  "method": "sdp_trace"}, "unknown key 'processor.dd'"),
+    ("benchmark", {"processor": {"kind": "teleportation"},
+                   "channel": {"kind": "amplitude_damping", "p": 0.3, "valuse": [0.1, 0.5, 0.9]},
+                   "methods": ["sdp_trace"]}, "unknown key 'channel.valuse'"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"max_iters": 5, "maxiters": 9}},
+     "unknown key 'optimizer.maxiters'"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"max_iters": 5, "learning_rate": {"c": 1}}},
+     "unknown key 'optimizer.learning_rate.c'"),
+    # sections are checked before any method runs, whichever reads them
+    ("optimize", {"processor": {"kind": "teleportation"}, "channel": _AD, "method": "sdp_trace",
+                  "optimizer": {"maxiters": 9}}, "unknown key 'optimizer.maxiters'"),
 ], ids=["p-range", "pqc-N", "teleportation-d", "cost-kind", "benchmark-grid-p", "N-list",
         "N-fraction", "max_iters-string", "max_iters-zero", "max_iters-fraction",
         "learning-rate-kind", "learning-rate-a", "init", "tolerance-string", "mu-string",
@@ -362,7 +378,8 @@ _SUBGRADIENT = {"processor": {"kind": "teleportation"}, "channel": _AD, "method"
         "save_program-type", "closed-form-non-unitary", "learning-rate-a-inf",
         "harmonic-b-inf", "tolerance-inf", "tolerance-nan", "mu-inf", "baseline-mu-inf",
         "learning-rate-a-nan", "mu-nan", "theta-nan", "processor-kind", "H0-entries",
-        "H0-shape", "no-channel", "N-grid-empty", "no-methods"])
+        "H0-shape", "no-channel", "N-grid-empty", "no-methods", "top-key", "processor-key",
+        "channel-key", "optimizer-key", "learning-rate-key", "optimizer-key-sdp"])
 def test_rejected_config_value_is_validation_error(tmp_path, capsys, command, cfg, message):
     assert main([command, "--config", _write(tmp_path, cfg)]) == 1
     err = capsys.readouterr().err
@@ -618,6 +635,27 @@ def test_successive_calls_share_no_arguments(tmp_path, monkeypatch):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+    # a rejected command line leaves the parser, built once per process, usable
+    assert main(["optimize", "--config", "c.json", "--seed", "5"]) == 0
+    assert seen[2] == {"command": "optimize", "config": "c.json", "out": None,
+                       "gnuplot": None, "seed": 5, "tol": 1e-6}
+
+
+def test_in_process_calls_build_the_parser_once(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(kwargs.get("prog"))
+                        or init(self, *args, **kwargs))
+    cli._parser.cache_clear()
+    cfg = {"processor": {"kind": "teleportation"}, "channel": {"kind": "dephasing", "p": 0.2},
+           "method": "sdp_trace", "methods": ["sdp_trace"]}
+    path = _write(tmp_path, cfg)
+    for argv in (["optimize", "--config", path], ["benchmark", "--config", path],
+                 ["channels"], ["processors"], ["optimize", "--config", path, "--tol", "1e-6"]):
+        assert main(argv) == 0
+    # the top-level parser and its five subparsers
+    assert built.count("qprogopt") == 1 and len(built) == 6
 
 
 def test_reduced_map_dimension_cap_is_validation_error(tmp_path, capsys):
