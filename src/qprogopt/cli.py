@@ -31,7 +31,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import List, Optional, Sequence, Tuple
 
@@ -45,29 +45,35 @@ from .processors import CapacityError, ProcessorMap
 
 CSV_HEADER = "param,method,N,cost_kind,cost,iterations"
 
-CHANNEL_KINDS = {
-    "amplitude_damping": "p",
-    "depolarizing": "p",
-    "dephasing": "p",
-    "pauli": "probs",
-    "rotation": "theta",
-    "unitary": "matrix",
-}
-
-PROCESSOR_KINDS = ("teleportation", "pbt", "pbt_reduced", "pqc", "mpqc")
-# the channel costs but Cp (its order has no config key), and the diamond cost
-COST_KINDS = tuple(kind for kind in ch.COST_KINDS if kind != "Cp") + ("Cdiamond",)
-
 # the keys a config may hold, per section ("" is the top level), for optimize and
-# benchmark alike; any other key is a ConfigError
+# benchmark alike; the processor and channel sections hold, besides "kind", the
+# keys that their kind reads, a channel's scalar or matrix parameter first; any
+# other key is a ConfigError
 CONFIG_KEYS = {
     "": {"processor", "channel", "method", "methods", "cost", "mu", "seed", "optimizer",
          "out", "gnuplot_out", "save_program"},
-    "processor": {"kind", "N", "d", "H0", "H1"},
-    "channel": {"kind", "values", "d", *CHANNEL_KINDS.values()},
+    "processor": {
+        "teleportation": ("d",),
+        "pbt": ("N", "d"),
+        "pbt_reduced": ("N", "d"),
+        "pqc": ("N", "H0", "H1"),
+        "mpqc": ("N", "H0", "H1"),
+    },
+    "channel": {
+        "amplitude_damping": ("p", "values"),
+        "depolarizing": ("p", "d", "values"),
+        "dephasing": ("p", "values"),
+        "pauli": ("probs",),
+        "rotation": ("theta", "values"),
+        "unitary": ("matrix",),
+    },
     "optimizer": {"max_iters", "learning_rate", "tolerance", "init"},
     "optimizer.learning_rate": {"kind", "a", "b"},
 }
+PROCESSOR_KINDS = tuple(CONFIG_KEYS["processor"])
+CHANNEL_KINDS = {kind: keys[0] for kind, keys in CONFIG_KEYS["channel"].items()}
+# the channel costs but Cp (its order has no config key), and the diamond cost
+COST_KINDS = tuple(kind for kind in ch.COST_KINDS if kind != "Cp") + ("Cdiamond",)
 
 
 class ConfigError(ValueError):
@@ -114,11 +120,19 @@ def _construct(make, *args, **kwargs):
 
 
 def _known_keys(spec: dict, name: str) -> None:
-    """A ConfigError naming the first key of section ``name`` not in CONFIG_KEYS."""
+    """A ConfigError naming the first key of section ``name`` not in CONFIG_KEYS, or
+    not among the keys of its kind where they are per kind (for an unknown kind,
+    those of every kind: the kind is its builder's error)."""
+    known, kind, suffix = CONFIG_KEYS[name], spec.get("kind"), ""
+    if isinstance(known, dict):  # keys per kind
+        if isinstance(kind, str) and kind in known:
+            known, suffix = {"kind", *known[kind]}, f" for {name} kind {kind!r}"
+        else:
+            known = {"kind"}.union(*known.values())
     for key in spec:
-        if key not in CONFIG_KEYS[name]:
+        if key not in known:
             full = f"{name}.{key}" if name else key
-            raise ConfigError(f"unknown key {full!r}")
+            raise ConfigError(f"unknown key {full!r}{suffix}")
 
 
 def _section(cfg: dict, key: str, name: Optional[str] = None) -> dict:
@@ -186,7 +200,9 @@ def _seed(args, cfg: dict) -> Optional[int]:
     return seed
 
 
-def _optim_config(cfg: dict, cost: str, mu: float, seed) -> optim.OptimConfig:
+def _optim_config(cfg: dict, seed) -> optim.OptimConfig:
+    """The ``optimizer`` section's settings, checked whatever the methods: the
+    default cost and mu stand in until a first-order method sets the point's."""
     oc = _section(cfg, "optimizer")
     lr = _section(oc, "learning_rate", "optimizer.learning_rate")
     if oc.get("init") == "random" and seed is None:
@@ -202,8 +218,6 @@ def _optim_config(cfg: dict, cost: str, mu: float, seed) -> optim.OptimConfig:
             b=_number(lr.get("b", rate.b), "optimizer.learning_rate.b", float),
         ),
         tolerance=_number(oc.get("tolerance", config.tolerance), "optimizer.tolerance", float),
-        cost_kind=cost,
-        mu=mu,
         seed=0 if seed is None else seed,
         init=oc.get("init", config.init),
     )
@@ -233,8 +247,8 @@ class ResultRow:
         )
 
 
-def _first_order(runner: str, cfg, proc, chi_e, cost_kind, mu, seed, **_):
-    ocfg = _optim_config(cfg, cost_kind, mu, seed)
+def _first_order(runner: str, optimizer, proc, chi_e, cost_kind, mu, **_):
+    ocfg = _construct(replace, optimizer, cost_kind=cost_kind, mu=mu)
     if runner == "frank_wolfe" and cost_kind == "C1":
         print(
             "warning: frank_wolfe with the non-smooth C1 cost may stall; "
@@ -288,7 +302,7 @@ METHODS = {
 
 def _run_point(cfg: dict, method: str, proc: ProcessorMap, n_ports: int,
                channel_spec: dict, value: Optional[float], tol: float,
-               seed: Optional[int]) -> ResultRow:
+               optimizer: optim.OptimConfig) -> ResultRow:
     t0 = time.perf_counter()
     channel, param = _build_channel(channel_spec, value)
     if channel.d_in != proc.d_in:
@@ -302,7 +316,7 @@ def _run_point(cfg: dict, method: str, proc: ProcessorMap, n_ports: int,
     kind, cost, iterations, program = METHODS[method](
         cfg=cfg, proc=proc, n_ports=n_ports, channel=channel,
         chi_e=ch.choi_of_channel(channel).matrix, cost_kind=cost_kind, mu=mu, tol=tol,
-        seed=seed)
+        optimizer=optimizer)
     return ResultRow(param, method, n_ports, kind, cost, iterations, time.perf_counter() - t0,
                      program)
 
@@ -358,8 +372,6 @@ def _grid(cfg: dict) -> tuple:
     values = spec.get("values")
     if values is not None and (not isinstance(values, list) or not values):
         raise ConfigError(f"channel.values must be a non-empty list, got {values!r}")
-    if values is not None and spec.get("kind") in ("pauli", "unitary"):
-        raise ConfigError(f"channel.values grid: kind {spec['kind']!r} has no scalar parameter")
     n_list = _section(cfg, "processor").get("N", 1)
     if isinstance(n_list, list):
         if not n_list:
@@ -371,13 +383,13 @@ def _grid(cfg: dict) -> tuple:
 
 def cmd_optimize(args) -> int:
     cfg = _load_config(args.config)
-    seed = _seed(args, cfg)
+    optimizer = _optim_config(cfg, _seed(args, cfg))
     method = _method(cfg.get("method"))
     spec = _section(cfg, "processor")
     n_ports = _number(spec.get("N", 1), "processor.N")
     proc = _build_processor(spec, n_ports)
     row = _run_point(cfg, method, proc, n_ports, _channel_spec(cfg), None,
-                     args.tol, seed)
+                     args.tol, optimizer)
     print(CSV_HEADER + ",wall_time_s")
     print(row.csv() + "," + _fmt(row.wall_time))
     _write_outputs(args, cfg, [row])
@@ -390,7 +402,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _load_config(args.config)
-    seed = _seed(args, cfg)
+    optimizer = _optim_config(cfg, _seed(args, cfg))
     methods = cfg.get("methods") or ([cfg["method"]] if "method" in cfg else None)
     if not methods:
         raise ConfigError("benchmark config needs 'methods' (or 'method')")
@@ -411,7 +423,7 @@ def cmd_benchmark(args) -> int:
     for pt in points:
         n, v, mth = pt
         try:
-            row = _run_point(cfg, mth, procs[n], n, _channel_spec(cfg), v, args.tol, seed)
+            row = _run_point(cfg, mth, procs[n], n, _channel_spec(cfg), v, args.tol, optimizer)
         except (ConfigError, CapacityError):
             raise
         except Exception as exc:  # recorded per-row, run continues

@@ -9,8 +9,9 @@ be shared freely across threads.  Every singular-value norm is a
 A matrix from outside passes one gate, each defined once here: ``_checked``
 (square, finite and ``is_hermitian``) in ``herm_eig``, ``DensityMatrix``, the
 costs, the search targets and the PQC Hamiltonians; ``_square`` (square and
-finite) in ``unitary_channel``, ``diamond_distance``, the Schatten norms and
-``project_to_states``.  Checks live at the public boundary, never per iterate.
+finite) in ``unitary_channel``, ``diamond_distance``, the Schatten norms,
+``project_to_states`` and ``project_to_choi_set``.  Checks live at the public
+boundary, never per iterate.
 
 One LAPACK layer: ``_eigh``, ``_eigvalsh``, ``_solve`` and ``_cholesky`` call
 numpy's gufuncs (``numpy.linalg._umath_linalg``) on float64 or complex128

@@ -59,7 +59,6 @@ __all__ = [
     "LearningRate",
     "simulation_cost",
     "simulation_gradient",
-    "simplex_project",
     "project_to_states",
     "project_to_choi_set",
     "projected_subgradient",
@@ -191,58 +190,41 @@ def simulation_gradient(proc: ProcessorMap, chi_target, pi, kind: str = "C1",
 # --- projections ------------------------------------------------------------
 
 
-def simplex_project(x: np.ndarray, counts: Optional[np.ndarray] = None) -> np.ndarray:
+def _simplex(x: np.ndarray, counts: Optional[np.ndarray]) -> np.ndarray:
     """Euclidean projection of a real vector onto the probability simplex.
 
     With ``counts``, entry i stands for counts[i] equal entries: the result
     is the y >= 0 with sum_i counts_i y_i = 1 nearest to x in the norm
-    sum_i counts_i (x_i - y_i)^2, y_i = max(x_i - theta, 0).  An input for
-    which no threshold is active (a non-finite entry, or sums beyond the float
-    range) raises ValueError; where only the float precision stops the sums,
-    x - max(x) is projected instead.  ``x`` must be 1-D and ``counts`` of its
-    length, with positive, finite entries.
+    sum_i counts_i (x_i - y_i)^2, y_i = max(x_i - theta, 0).  Every finite
+    input projects; one with no active threshold and an entry that is not
+    finite raises ValueError.  ``x`` is 1-D float and ``counts`` of its
+    length, positive and finite, as the state projection's spectra are: this
+    is their projection, and it checks neither.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"simplex_project: x must be 1-D, got shape {x.shape}")
-    if counts is not None:
-        counts = np.asarray(counts, dtype=float)
-        if counts.shape != x.shape or not (np.isfinite(counts).all() and (counts > 0).all()):
-            raise ValueError(f"simplex_project: counts must be {x.size} positive, finite "
-                             f"entries, got {counts}")
-    return _simplex(x, counts)
-
-
-def _simplex(x: np.ndarray, counts: Optional[np.ndarray]) -> np.ndarray:
-    """``simplex_project`` of a float vector without its input checks, for the
-    projections' own spectra."""
     w = np.ones(x.size) if counts is None else np.asarray(counts, dtype=float)
-    order = x.argsort()[::-1]
-    wu = w[order].tolist()
 
-    def threshold(v):
+    def threshold(v, order):
         """t_k = (sum_{j<=k} w_j u_j - 1) / sum_{j<=k} w_j over u = v[order], and t_k at
         the last k with u_k > t_k (None if none): plain floats beat array calls here."""
-        ts, theta, wsum, usum = [], None, 0.0, 0.0
-        for wk, uk in zip(wu, v[order].tolist()):
+        theta, wsum, usum = None, 0.0, 0.0
+        for wk, uk in zip(w[order].tolist(), v[order].tolist()):
             usum, wsum = usum + wk * uk, wsum + wk
-            ts.append(t := (usum - 1.0) / wsum)
+            t = (usum - 1.0) / wsum
             theta = t if uk > t else theta
-        return ts, theta
+        return theta
 
-    ts, theta = threshold(x)
-    if theta is None and x.size and all(map(math.isfinite, ts)):
-        # finite sums too large to hold the 1 (entries from about 2^53 up): the
-        # projection is the same for x - max(x), whose sums hold it unless they
-        # overflow
-        with np.errstate(over="ignore", invalid="ignore"):
+    order = x.argsort()[::-1]
+    theta = threshold(x, order)
+    if theta is None or theta == -math.inf:  # no finite threshold: the sums lost the 1
+        if not np.isfinite(x).all():
+            raise ValueError("project_to_states: no active threshold; the spectrum has an "
+                             "entry that is not finite")
+        # theta >= max(x) - 1/w of the largest entry, so an entry below
+        # max(x) - 1/min(w) is never active; shifted by max(x), the sums of the
+        # others hold the 1 and stay in range
+        with np.errstate(over="ignore"):
             x = x - x.max()
-        ts, theta = threshold(x)
-        if not all(map(math.isfinite, ts)):
-            theta = None
-    if theta is None:
-        raise ValueError("simplex_project: no active threshold; the input is not finite "
-                         "or too large to project")
+        theta = threshold(x, order[x[order] >= -1.0 / w.min()])
     out = np.maximum(x - theta, 0.0)
     return out / (w * out).sum()
 
@@ -311,15 +293,21 @@ def project_to_choi_set(x: np.ndarray, d: int) -> ChoiMatrix:
     projection H = (I/d - Tr_out x) / d and stops at ||F|| <=
     CHOI_PROJECTION_TOL * max(1, ||x||); a congruence by
     (d Tr_out chi)^(-1/2) (x) I then puts the marginal on I/d to rounding.
+    ``x`` must be a finite (d^2, d^2) matrix and ``d`` an integer >= 1.
     Raises on non-convergence with the residual in the message.
     """
+    d = operator.index(d)
+    if d < 1:
+        raise ValueError(f"project_to_choi_set: need d >= 1, got d={d}")
+    x = _square(x, "project_to_choi_set")
+    if x.shape != (d * d, d * d):
+        raise ValueError(f"project_to_choi_set: shape {x.shape}, expected ({d*d}, {d*d})")
     return ChoiMatrix(_choi_projection(x, d), d, d)
 
 
 def _choi_projection(x: np.ndarray, d: int) -> np.ndarray:
+    """``project_to_choi_set`` of a finite (d^2, d^2) matrix without its input checks."""
     x = hermitize(np.asarray(x, dtype=complex))
-    if x.shape != (d * d, d * d):
-        raise ValueError(f"project_to_choi_set: shape {x.shape}, expected ({d*d}, {d*d})")
     eye_d = np.eye(d)
     n = d * d
     diag = np.arange(n)
@@ -420,7 +408,7 @@ def _run_loop(proc, chi_target, cfg, step) -> OptimResult:
     best, best_pi = cost, pi
     trace: List[float] = [best]  # the best cost after each iteration
     converged = False
-    # a huge step overflows; the projections and the eigen-solvers then raise
+    # a huge step may overflow to inf; the eigen-solvers and the projections then raise
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.max_iters + 1):
             pi = step(pi, proc.dual(x, True), it)

@@ -434,8 +434,10 @@ def solve_sdp(problem: SdpProblem, tol: float = DEFAULT_TOL) -> SdpSolution:
         gap_rel = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         return asy, rp, rd, pobj, dobj, res_p, res_d, gap_rel
 
-    # iterates are replaced, never written in place, so ``best`` needs no copies
-    x = [np.tile(np.eye(d), (k, 1, 1)) for k, d, _ in shapes]
+    # iterates are replaced, never written in place, so ``best`` needs no copies;
+    # each class starts in its dtype, so no kernel meets mixed operands
+    x = [np.tile(np.eye(d, dtype=np.result_type(c, dt)), (k, 1, 1))
+         for (k, d, _), c, dt in zip(shapes, c_cls, asy_dtypes)]
     s = list(x)
     y = np.zeros(m)
 

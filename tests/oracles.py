@@ -384,30 +384,29 @@ def simplex_grid_project(x: np.ndarray, step: float = 2e-3) -> np.ndarray:
 
 
 def simplex_project_arrays(x: np.ndarray, counts=None) -> np.ndarray:
-    """``optim.simplex_project`` in array calls: the sorted prefix sums and the
+    """``optim._simplex`` in array calls: the sorted prefix sums and the
     thresholds are numpy cumsums and the active set a ``nonzero``, with the same
     order of operations as the library's plain-float loop, the same retry on
-    x - max(x) and the same ValueError where no threshold is active."""
+    the entries >= max(x) - 1/min(w), shifted by max(x), where no finite
+    threshold is active, and the same ValueError where an entry is not finite."""
     x = np.asarray(x, dtype=float)
     w = np.ones(x.size) if counts is None else np.asarray(counts, dtype=float)
     order = x.argsort()[::-1]
-    wu = w[order]
 
-    def thresholds(v):
-        u = v[order]
+    def threshold(v, order):
+        u, wu = v[order], w[order]
         t = ((wu * u).cumsum() - 1.0) / wu.cumsum()
-        return t, (u > t).nonzero()[0]
+        active = (u > t).nonzero()[0]
+        return t[active[-1]] if active.size else -np.inf
 
-    t, active = thresholds(x)
-    if not active.size and x.size and np.isfinite(t).all():
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = threshold(x, order)
+        if theta == -np.inf:
+            if not np.isfinite(x).all():
+                raise ValueError("simplex_project_arrays: no active threshold")
             x = x - x.max()
-            t, active = thresholds(x)
-        if not np.isfinite(t).all():
-            active = active[:0]
-    if not active.size:
-        raise ValueError("simplex_project_arrays: no active threshold")
-    out = np.maximum(x - t[active[-1]], 0.0)
+            theta = threshold(x, order[x[order] >= -1.0 / w.min()])
+    out = np.maximum(x - theta, 0.0)
     return out / (w * out).sum()
 
 

@@ -386,6 +386,55 @@ def test_rejected_config_value_is_validation_error(tmp_path, capsys, command, cf
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("command, cfg, message", [
+    # keys that the section's kind does not read: each run used to exit 0
+    ("optimize", {"processor": {"kind": "teleportation", "N": 7, "H0": [[[1, 0]]]},
+                  "channel": _AD, "method": "sdp_trace"},
+     "unknown key 'processor.N' for processor kind 'teleportation'"),
+    ("benchmark", {"processor": {"kind": "teleportation", "N": [1, 7]},
+                   "channel": {"kind": "amplitude_damping", "values": [0.3]},
+                   "methods": ["sdp_trace"]},
+     "unknown key 'processor.N' for processor kind 'teleportation'"),
+    ("optimize", {"processor": {"kind": "teleportation"},
+                  "channel": {"kind": "amplitude_damping", "p": 0.5, "d": 3},
+                  "method": "sdp_trace"}, "unknown key 'channel.d' for channel kind"),
+    ("optimize", {"processor": {"kind": "teleportation"},
+                  "channel": {"kind": "pauli", "probs": [0.7, 0.1, 0.1, 0.1], "p": 0.3,
+                              "theta": 0.1},
+                  "method": "sdp_trace"}, "unknown key 'channel.p' for channel kind 'pauli'"),
+    ("optimize", {"processor": {"kind": "teleportation"},
+                  "channel": {"kind": "pauli", "probs": [0.7, 0.1, 0.1, 0.1], "theta": 0.1},
+                  "method": "sdp_trace"}, "unknown key 'channel.theta' for channel kind"),
+    ("optimize", {"processor": {"kind": "pqc", "N": 1, "d": 2}, "channel": _AD,
+                  "method": "sdp_trace"}, "unknown key 'processor.d' for processor kind 'pqc'"),
+    # optimizer settings, whatever the methods: the first used to exit 0, and the
+    # grid to print its SDP row before it failed at the first-order point
+    ("optimize", {"processor": {"kind": "teleportation"}, "channel": _AD, "method": "sdp_trace",
+                  "optimizer": {"max_iters": 0, "init": "random",
+                                "learning_rate": {"kind": "harmonic", "b": -5}}},
+     "optimizer.init 'random' is stochastic: a seed is mandatory"),
+    ("optimize", {"processor": {"kind": "teleportation"}, "channel": _AD, "method": "sdp_trace",
+                  "seed": 1, "optimizer": {"learning_rate": {"kind": "harmonic", "b": -5}}},
+     "harmonic b must be > -1"),
+    ("benchmark", {"processor": {"kind": "teleportation"},
+                   "channel": {"kind": "amplitude_damping", "values": [0.3, 0.5]},
+                   "methods": ["sdp_trace", "subgradient"], "optimizer": {"max_iters": 0}},
+     "max_iters must be >= 1"),
+], ids=["teleportation-N-H0", "teleportation-N-grid", "amplitude-damping-d", "pauli-p",
+        "pauli-theta", "pqc-d", "sdp-optimizer", "sdp-learning-rate", "grid-max-iters"])
+def test_config_is_checked_before_any_point_runs(tmp_path, capsys, monkeypatch, command, cfg,
+                                                 message):
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(cli, "_run_point", unreachable)
+    out = tmp_path / "rows.csv"
+    assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error:") and message in captured.err
+
+
 @pytest.mark.parametrize("path, message", [
     ("", "--config PATH is required"),
     ("missing.json", "cannot read config"),
@@ -472,15 +521,23 @@ def test_benchmark_point_failure_keeps_other_rows(tmp_path, capsys, monkeypatch)
 @pytest.mark.parametrize("cfg, message", [
     ({"processor": {"kind": "teleportation"}, "channel": _AD, "method": "sdp_trace"},
      "numerical failure: solver broke"),
-    # a finite but huge step overflows the projected spectrum
-    (_SUBGRADIENT | {"optimizer": {"max_iters": 5, "learning_rate": {"a": 1e308}}},
-     "numerical failure: simplex_project"),
-], ids=["sdp-trace", "subgradient-huge-step"])
+], ids=["sdp-trace"])
 def test_optimize_solver_failure_is_numerical_failure(tmp_path, capsys, monkeypatch, cfg,
                                                       message):
     _failing_sdp_trace(monkeypatch, 0.5)
     assert main(["optimize", "--config", _write(tmp_path, cfg)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_optimize_huge_step_projects_back(tmp_path, capsys):
+    # a finite but huge step overflows the sums of the projected spectrum; the
+    # run used to end "numerical failure: simplex_project", and now projects
+    cfg = _SUBGRADIENT | {"optimizer": {"max_iters": 5, "learning_rate": {"a": 1e308}}}
+    out = tmp_path / "row.csv"
+    assert main(["optimize", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    row = out.read_text().strip().splitlines()[1].split(",")
+    assert row[1:6] == ["subgradient", "1", "C1", "0.63507978086", "5"]
 
 
 def test_unitary_channel_is_simulated_exactly(tmp_path):

@@ -28,6 +28,7 @@ from qprogopt.hermlin import (
 )
 from qprogopt import hermlin, optim, sdp
 from qprogopt.optim import (
+    _simplex,
     LearningRate,
     OptimConfig,
     frank_wolfe,
@@ -35,7 +36,6 @@ from qprogopt.optim import (
     project_to_choi_set,
     project_to_states,
     projected_subgradient,
-    simplex_project,
     simulation_cost,
     simulation_gradient,
 )
@@ -320,35 +320,51 @@ def test_project_identity_on_states():
 def test_project_examples_against_grid_oracle():
     x = np.array([0.9, 0.6, -0.1])
     grid = simplex_grid_project(x)
-    analytic = simplex_project(x)
+    analytic = _simplex(x, None)
     assert np.abs(grid - analytic).max() <= 3e-3  # grid resolution
     assert np.allclose(analytic, [0.65, 0.35, 0.0], atol=1e-12)
     out = project_to_states(np.diag(x).astype(complex))
     assert np.allclose(np.diag(out.matrix).real, [0.65, 0.35, 0.0], atol=1e-12)
 
     x2 = np.array([2.0, -1.0])
-    assert np.abs(simplex_grid_project(x2) - simplex_project(x2)).max() <= 3e-3
+    assert np.abs(simplex_grid_project(x2) - _simplex(x2, None)).max() <= 3e-3
     out2 = project_to_states(np.diag(x2).astype(complex))
     assert np.allclose(np.diag(out2.matrix).real, [1.0, 0.0], atol=1e-12)
 
     # no threshold is active on a non-finite input
     for bad in ([np.inf, 0.0], [np.nan, 1.0]):
-        with pytest.raises(ValueError, match="no active threshold"):
-            simplex_project(np.array(bad))
+        with pytest.raises(ValueError, match="project_to_states: no active threshold"):
+            _simplex(np.array(bad), None)
 
 
 def test_simplex_project_of_a_huge_finite_input():
     # the sums of entries from about 2^53 up lose the 1 of every threshold;
     # the projection of x - max(x) is the same and keeps it
-    assert np.array_equal(simplex_project(np.array([1e16, 0.0])), [1.0, 0.0])
-    assert np.array_equal(simplex_project(np.array([0.0, 1e16]), np.array([2.0, 4.0])),
-                          [0.0, 0.25])
+    assert np.array_equal(_simplex(np.array([1e16, 0.0]), None), [1.0, 0.0])
+    assert np.array_equal(_simplex(np.array([0.0, 1e16]), np.array([2.0, 4.0])), [0.0, 0.25])
+
+
+@pytest.mark.parametrize("x, counts, expected", [
+    # the shift by max(x) overflows, or the sums do: each raised or gave NaN
+    ([9.43e307, -9.43e307, -5e307, -5e307], None, [1.0, 0.0, 0.0, 0.0]),
+    ([1e308, -1e308], None, [1.0, 0.0]),
+    ([1e308, 1e308], None, [0.5, 0.5]),
+    ([0.5, -1e308, -1e308], None, [1.0, 0.0, 0.0]),
+    ([0.5, -1e308, -1e308], [2, 1, 3], [0.5, 0.0, 0.0]),
+], ids=["shift-overflows", "two-entries", "sums-overflow", "sums-underflow", "weighted"])
+def test_simplex_projects_every_finite_input(x, counts, expected):
+    x = np.array(x)
+    counts = None if counts is None else np.array(counts)
+    assert np.array_equal(_simplex(x, counts), expected)
+    assert np.array_equal(simplex_project_arrays(x, counts), expected)
 
 
 def test_simplex_project_matches_the_array_oracle():
     # the plain-float thresholds are the array version's cumsums, bit for bit
     rng = np.random.default_rng(71)
-    inputs = [(np.array([1e16, 0.0]), None), (np.array([0.0, 1e16]), np.array([2, 4]))]
+    inputs = [(np.array([1e16, 0.0]), None), (np.array([0.0, 1e16]), np.array([2, 4])),
+              # the shift by max(x) overflows: it raised at first, and now projects
+              (np.array([9.43e307, -9.43e307, -5e307, -5e307]), None)]
     for n in range(1, 65):
         for _ in range(3):
             x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
@@ -358,13 +374,13 @@ def test_simplex_project_matches_the_array_oracle():
     pbt_counts = pbt_processor(3).block_coords.counts  # copies 1 and 2
     inputs.append((np.full(pbt_counts.size, 1.0 / 64), pbt_counts))  # maximally mixed: all tied
     for x, counts in inputs:
-        assert np.array_equal(simplex_project(x, counts), simplex_project_arrays(x, counts))
-    # both raise paths: a non-finite entry, and sums that overflow after the shift
-    for bad in ([0.5, np.nan, 0.2], [9.43e307, -9.43e307, -5e307, -5e307]):
+        assert np.array_equal(_simplex(x, counts), simplex_project_arrays(x, counts))
+    # the raise path: a non-finite entry
+    for bad in ([0.5, np.nan, 0.2], [0.5, np.inf, 0.2], [1e308, -np.inf]):
         with pytest.raises(ValueError, match="no active threshold"):
             simplex_project_arrays(np.array(bad))
         with pytest.raises(ValueError, match="no active threshold"):
-            simplex_project(np.array(bad))
+            _simplex(np.array(bad), None)
 
 
 def test_projection_firmly_nonexpansive():
@@ -420,7 +436,7 @@ def test_learning_rate_validation():
         LearningRate("geometric")
     with pytest.raises(ValueError, match="harmonic b"):
         LearningRate("harmonic", b=-1.0)
-    # a non-finite step size used to reach simplex_project as an IndexError
+    # a non-finite step size used to reach the simplex projection as an IndexError
     for a in (math.inf, math.nan):
         with pytest.raises(ValueError, match="a must be positive and finite"):
             LearningRate("inv_sqrt", a=a)
@@ -821,17 +837,23 @@ def test_reduced_map_loop_is_bit_identical_to_the_dense_loop(n, kind):
     (lambda: project_to_states(np.full((4, 4), np.nan)), "project_to_states: entries must be finite"),
     (lambda: project_to_states(np.ones((2, 3))),
      r"project_to_states: expected a square matrix, got shape \(2, 3\)"),
-    # each row raised ZeroDivisionError, IndexError, numpy's broadcast error or
-    # TypeError, or (zero count) returned [1, 1]
-    (lambda: simplex_project(np.eye(2)), r"simplex_project: x must be 1-D, got shape \(2, 2\)"),
-    (lambda: simplex_project([0.5, 0.5], [0, 0]), "simplex_project: counts must be 2 positive"),
-    (lambda: simplex_project([0.5, 0.5], [-1, 1]), "simplex_project: counts must be 2 positive"),
-    (lambda: simplex_project([0.5, 0.5], [0, 1]), "simplex_project: counts must be 2 positive"),
-    (lambda: simplex_project([0.5, 0.5], [1]), "simplex_project: counts must be 2 positive"),
-    (lambda: simplex_project([0.5, 0.5], [1, 1, 1]), "simplex_project: counts must be 2 positive"),
-], ids=["cost-kind", "unitary-shape", "unitary-nan", "states-nan", "states-not-square",
-        "simplex-2d", "simplex-zero-counts", "simplex-negative-count", "simplex-zero-count",
-        "simplex-short-counts", "simplex-long-counts"])
+], ids=["cost-kind", "unitary-shape", "unitary-nan", "states-nan", "states-not-square"])
 def test_optim_rejects_malformed_input(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("x, d, match", [
+    # each raised LinAlgError's "Eigenvalues did not converge", or ran with
+    # RuntimeWarnings, or was checked only inside the projection
+    (np.full((4, 4), np.nan), 2, "entries must be finite"),
+    (np.full((4, 4), np.inf), 2, "entries must be finite"),
+    (np.eye(9) / 9, 2, r"shape \(9, 9\), expected \(4, 4\)"),
+    (np.ones((4, 2)), 2, r"expected a square matrix, got shape \(4, 2\)"),
+    (np.eye(1), 0, "need d >= 1, got d=0"),
+], ids=["nan", "inf", "shape", "not-square", "d-zero"])
+def test_project_to_choi_set_checks_its_input_before_any_eigh(monkeypatch, x, d, match):
+    eighs = count_calls(monkeypatch, hermlin._eigh)
+    with pytest.raises(ValueError, match="project_to_choi_set: " + match):
+        project_to_choi_set(x, d)
+    assert eighs == []

@@ -489,6 +489,25 @@ def test_each_matrix_class_takes_two_eigh_per_iteration(monkeypatch):
     assert sorted(shapes) == sorted([(4, 4, 4), (2, 4, 4), (2, 2, 2), (1, 2, 2)] * steps)
 
 
+def test_complex_classes_reach_solve_in_one_dtype(monkeypatch):
+    # every class starts X and S in its own dtype: a complex class used to start
+    # them real, and its first step handed _solve float Cholesky factors with a
+    # complex right-hand side, which took np.linalg's casting wrapper
+    rng = np.random.default_rng(64)
+    chi = hermitize(random_choi(2, rng).matrix - random_choi(2, rng).matrix)
+    operands, solve = [], hermlin._solve
+
+    def spy(a, b):
+        operands.append((a.dtype, b.dtype))
+        return solve(a, b)
+
+    monkeypatch.setattr(sdp, "_solve", spy)
+    _, solves = _solves_inside(monkeypatch, lambda: diamond_distance(chi, 2))
+    assert [s.status for s in solves] == ["optimal"]  # the bound did not certify it
+    assert np.dtype(complex) in {x.dtype for x in solves[0].primal_blocks}
+    assert operands and [ab for ab in operands if ab[0] != ab[1]] == []
+
+
 # --- real arithmetic for conjugation-symmetric data ------------------------------
 
 # the slack optimize_program_diamond allows its repaired value over the dual
