@@ -2,12 +2,19 @@
 
 Subcommands
 -----------
-optimize    run one optimization from a JSON config; print result rows and
+optimize    run the one point of a JSON config; print its result row and
             optionally save the optimized program state
-benchmark   sweep a channel-parameter and/or port-count grid, write a CSV
+benchmark   sweep a channel-parameter, port-count and method grid, write a CSV
 verify      run the built-in invariant suite (levels: fast, full)
 channels    list the channel zoo
 processors  list processor kinds and their size caps
+
+``optimize`` and ``benchmark`` share one run path: a config's points are the
+(N, value, method) grid of ``processor.N``, ``channel.values`` and
+``methods``, and ``optimize`` runs a config with exactly one.  Both print the
+CSV header (plus wall time) and a row per point; a point that fails
+numerically is reported and the others run (exit 2).  Each processor and
+channel kind is one entry of ``PROCESSORS`` or ``CHANNELS``.
 
 Exit codes: 0 ok, 1 validation error (a missing or unknown key, a section or
 value of the wrong JSON type, or a value that the library rejects, optimizer
@@ -33,7 +40,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,39 +52,57 @@ from .processors import CapacityError, ProcessorMap
 
 CSV_HEADER = "param,method,N,cost_kind,cost,iterations"
 
-# the keys a config may hold, per section ("" is the top level), for optimize and
-# benchmark alike; the processor and channel sections hold, besides "kind", the
-# keys that their kind reads, a channel's scalar or matrix parameter first; any
-# other key is a ConfigError
+
+class Kind(NamedTuple):
+    make: str  # the library constructor, looked up on its module per call, so patches hold
+    keys: Tuple[str, ...]  # its config keys, in its argument order
+    cap: str = ""  # a processor's size cap, as `qprogopt processors` lists it
+
+
+PROCESSORS = {
+    "teleportation": Kind("teleportation_processor", ("d",),
+                          f"2 <= d <= {processors.TELEPORTATION_MAX_D}"),
+    "pbt": Kind("pbt_processor", ("N", "d"),
+                f"program dim d^(2N) <= {processors.PBT_FULL_MAX_PROG_DIM}"),
+    "pbt_reduced": Kind("pbt_reduced_map", ("N", "d"),
+                        f"N <= {processors.PBT_REDUCED_MAX_PORTS}, "
+                        f"d <= {processors.TELEPORTATION_MAX_D}"),
+    "pqc": Kind("pqc_processor", ("N", "H0", "H1"), f"N <= {processors.PQC_MAX_GATES}"),
+    "mpqc": Kind("mpqc_processor", ("N", "H0", "H1"), f"N <= {processors.MPQC_MAX_GATES}"),
+}
+# a channel's first key is its parameter; a scalar one may be swept by ``values``
+CHANNELS = {
+    "amplitude_damping": Kind("amplitude_damping", ("p",)),
+    "depolarizing": Kind("depolarizing", ("p", "d")),
+    "dephasing": Kind("dephasing", ("p",)),
+    "pauli": Kind("pauli_channel", ("probs",)),
+    "rotation": Kind("rotation", ("theta",)),
+    "unitary": Kind("unitary_channel", ("matrix",)),
+}
+_SCALARS = ("p", "theta")
+
+# the keys a config may hold, per section ("" is the top level) and, for the
+# processor and channel sections, per kind; any other key is a ConfigError
 CONFIG_KEYS = {
     "": {"processor", "channel", "method", "methods", "cost", "mu", "seed", "optimizer",
          "out", "gnuplot_out", "save_program"},
-    "processor": {
-        "teleportation": ("d",),
-        "pbt": ("N", "d"),
-        "pbt_reduced": ("N", "d"),
-        "pqc": ("N", "H0", "H1"),
-        "mpqc": ("N", "H0", "H1"),
-    },
-    "channel": {
-        "amplitude_damping": ("p", "values"),
-        "depolarizing": ("p", "d", "values"),
-        "dephasing": ("p", "values"),
-        "pauli": ("probs",),
-        "rotation": ("theta", "values"),
-        "unitary": ("matrix",),
-    },
+    "processor": {kind: {"kind", *entry.keys} for kind, entry in PROCESSORS.items()},
+    "channel": {kind: {"kind", *entry.keys, *(("values",) if entry.keys[0] in _SCALARS else ())}
+                for kind, entry in CHANNELS.items()},
     "optimizer": {"max_iters", "learning_rate", "tolerance", "init"},
     "optimizer.learning_rate": {"kind", "a", "b"},
 }
-PROCESSOR_KINDS = tuple(CONFIG_KEYS["processor"])
-CHANNEL_KINDS = {kind: keys[0] for kind, keys in CONFIG_KEYS["channel"].items()}
 # the channel costs but Cp (its order has no config key), and the diamond cost
 COST_KINDS = tuple(kind for kind in ch.COST_KINDS if kind != "Cp") + ("Cdiamond",)
 
 
 class ConfigError(ValueError):
     pass
+
+
+# the exceptions reported as a numerical failure (exit 2), but for ConfigError and
+# CapacityError: ValueErrors too, they are validation errors (exit 1)
+_NUMERICAL = (np.linalg.LinAlgError, RuntimeError, ValueError)
 
 
 def _fmt(x: float) -> str:
@@ -119,96 +144,77 @@ def _construct(make, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _known_keys(spec: dict, name: str) -> None:
-    """A ConfigError naming the first key of section ``name`` not in CONFIG_KEYS, or
-    not among the keys of its kind where they are per kind (for an unknown kind,
-    those of every kind: the kind is its builder's error)."""
-    known, kind, suffix = CONFIG_KEYS[name], spec.get("kind"), ""
-    if isinstance(known, dict):  # keys per kind
-        if isinstance(kind, str) and kind in known:
-            known, suffix = {"kind", *known[kind]}, f" for {name} kind {kind!r}"
-        else:
-            known = {"kind"}.union(*known.values())
+def _known_keys(spec: dict, name: str, known, suffix: str = "") -> None:
+    """A ConfigError naming the first key of section ``name`` not in ``known``."""
     for key in spec:
         if key not in known:
             full = f"{name}.{key}" if name else key
             raise ConfigError(f"unknown key {full!r}{suffix}")
 
 
-def _section(cfg: dict, key: str, name: Optional[str] = None) -> dict:
-    """The object under ``key`` (empty if absent), or a ConfigError naming it or
-    its first unknown key."""
-    name = name or key
+def _section(cfg: dict, key: str, name: str) -> dict:
+    """The object under ``key`` (empty if absent), or a ConfigError naming section
+    ``name``, its kind where its keys are per kind, or its first unknown key."""
     spec = cfg.get(key, {})
     if not isinstance(spec, dict):
         raise ConfigError(f"{name} must be an object, got {spec!r}")
-    _known_keys(spec, name)
+    known, suffix = CONFIG_KEYS[name], ""
+    if isinstance(known, dict):  # keys per kind
+        kind = spec.get("kind")
+        if not isinstance(kind, str) or kind not in known:
+            raise ConfigError(f"{name}.kind {kind!r} not one of {list(known)}")
+        known, suffix = known[kind], f" for {name} kind {kind!r}"
+    _known_keys(spec, name, known, suffix)
     return spec
 
 
-def _method(name) -> str:
-    if not isinstance(name, str) or name not in METHODS:
-        raise ConfigError(f"unknown method {name!r}; expected one of {list(METHODS)}")
-    return name
+def _arg(section: str, key: str, value):
+    """The constructor argument of config key ``section.key`` (``value`` None if absent):
+    a matrix from its [re, im] pairs, ``d`` as an integer (2 if absent); N and a scalar
+    channel parameter, parsed with the grid, and pauli's ``probs`` pass as they are."""
+    if key in ("H0", "H1", "matrix"):
+        return None if value is None else _parse_complex_matrix(value)
+    if key == "d":
+        return _number(2 if value is None else value, f"{section}.d")
+    return value
+
+
+def _make(module, entry: Kind, section: str, spec: dict):
+    """``entry``'s constructor, looked up on ``module``, on its keys' arguments in ``spec``."""
+    return _construct(getattr(module, entry.make),
+                      *(_arg(section, key, spec.get(key)) for key in entry.keys))
 
 
 def _build_processor(spec: dict, n: int) -> ProcessorMap:
-    kind = spec.get("kind")
-    if kind not in PROCESSOR_KINDS:
-        raise ConfigError(f"processor.kind {kind!r} not one of {PROCESSOR_KINDS}")
-    d = _number(spec.get("d", 2), "processor.d")
-    if kind == "teleportation":
-        return _construct(processors.teleportation_processor, d)
-    if kind == "pbt":
-        return _construct(processors.pbt_processor, n, d)
-    if kind == "pbt_reduced":
-        return _construct(processors.pbt_reduced_map, n, d)
-    h0 = _parse_complex_matrix(spec["H0"]) if "H0" in spec else None
-    h1 = _parse_complex_matrix(spec["H1"]) if "H1" in spec else None
-    make = processors.pqc_processor if kind == "pqc" else processors.mpqc_processor
-    return _construct(make, n, h0, h1)
+    return _make(processors, PROCESSORS[spec["kind"]], "processor", {**spec, "N": n})
 
 
-def _build_channel(spec: dict, value: Optional[float] = None) -> Tuple[ch.KrausChannel, float]:
-    """The channel of a config's ``channel`` section and its scalar parameter
-    ``p`` or ``theta`` (NaN for pauli and unitary channels); ``value`` (a grid
-    point) replaces that parameter."""
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in CHANNEL_KINDS:
-        raise ConfigError(f"channel.kind {kind!r} not one of {sorted(CHANNEL_KINDS)}")
-    key = CHANNEL_KINDS[kind]
-    if value is None:
-        if key not in spec:
-            raise ConfigError(f"channel.{key} is required for channel kind {kind!r}")
-        value = spec[key]
-    if kind == "pauli":
-        return _construct(ch.pauli_channel, value), math.nan
-    if kind == "unitary":
-        return _construct(ch.unitary_channel, _parse_complex_matrix(value)), math.nan
-    value = _number(value, f"channel.{key}", float)
-    if kind == "depolarizing":
-        return _construct(ch.depolarizing, value, _number(spec.get("d", 2), "channel.d")), value
-    return _construct({"amplitude_damping": ch.amplitude_damping, "dephasing": ch.dephasing,
-                       "rotation": ch.rotation}[kind], value), value
+def _build_channel(spec: dict, value) -> ch.KrausChannel:
+    """The channel of a ``channel`` section with ``value`` for its parameter."""
+    entry = CHANNELS[spec["kind"]]
+    return _make(ch, entry, "channel", {**spec, entry.keys[0]: value})
 
 
-def _seed(args, cfg: dict) -> Optional[int]:
-    """``--seed``, else the config's ``seed``: None or an integer >= 0, whatever the method."""
+def _settings(args, cfg: dict) -> dict:
+    """The settings every point of a run shares, each checked once, whatever the methods:
+    the seed (``--seed``, else ``seed``: None or an integer >= 0), the ``optimizer``
+    section (its default cost and mu stand in until a first-order point sets the
+    run's), ``cost``, ``mu`` and ``--tol``."""
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is not None and (seed := _number(seed, "seed")) < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    return seed
-
-
-def _optim_config(cfg: dict, seed) -> optim.OptimConfig:
-    """The ``optimizer`` section's settings, checked whatever the methods: the
-    default cost and mu stand in until a first-order method sets the point's."""
-    oc = _section(cfg, "optimizer")
-    lr = _section(oc, "learning_rate", "optimizer.learning_rate")
+    cost_kind = cfg.get("cost", "C1")
+    if cost_kind not in COST_KINDS:
+        raise ConfigError(f"cost {cost_kind!r} not one of {COST_KINDS}")
+    mu = _number(cfg.get("mu", optim.OptimConfig.mu), "mu", float)
+    if cost_kind == "Cmu" and not 0 < mu < math.inf:
+        raise ConfigError(f"mu must be positive and finite for cost 'Cmu', got {mu}")
+    oc = cfg.get("optimizer", {})
+    lr = oc.get("learning_rate", {})
     if oc.get("init") == "random" and seed is None:
         raise ConfigError("optimizer.init 'random' is stochastic: a seed is mandatory")
     config, rate = optim.OptimConfig, optim.LearningRate  # their defaults fill absent keys
-    return _construct(
+    optimizer = _construct(
         config,
         max_iters=_number(oc.get("max_iters", config.max_iters), "optimizer.max_iters"),
         learning_rate=_construct(
@@ -221,6 +227,7 @@ def _optim_config(cfg: dict, seed) -> optim.OptimConfig:
         seed=0 if seed is None else seed,
         init=oc.get("init", config.init),
     )
+    return dict(optimizer=optimizer, cost_kind=cost_kind, mu=mu, tol=args.tol)
 
 
 @dataclass
@@ -300,23 +307,19 @@ METHODS = {
 }
 
 
-def _run_point(cfg: dict, method: str, proc: ProcessorMap, n_ports: int,
-               channel_spec: dict, value: Optional[float], tol: float,
-               optimizer: optim.OptimConfig) -> ResultRow:
+def _run_point(cfg: dict, point: tuple, proc: ProcessorMap, **settings) -> ResultRow:
+    """The row of one (N, value, method) point on its processor; ``settings`` (cost_kind,
+    mu, tol, optimizer) hold for the whole run."""
     t0 = time.perf_counter()
-    channel, param = _build_channel(channel_spec, value)
+    n_ports, value, method = point
+    channel = _build_channel(cfg["channel"], value)
     if channel.d_in != proc.d_in:
         raise ConfigError(f"channel dimension {channel.d_in} != processor dimension {proc.d_in}")
-    cost_kind = cfg.get("cost", "C1")
-    if cost_kind not in COST_KINDS:
-        raise ConfigError(f"cost {cost_kind!r} not one of {COST_KINDS}")
-    mu = _number(cfg.get("mu", optim.OptimConfig.mu), "mu", float)
-    if cost_kind == "Cmu" and not 0 < mu < math.inf:
-        raise ConfigError(f"mu must be positive and finite for cost 'Cmu', got {mu}")
     kind, cost, iterations, program = METHODS[method](
         cfg=cfg, proc=proc, n_ports=n_ports, channel=channel,
-        chi_e=ch.choi_of_channel(channel).matrix, cost_kind=cost_kind, mu=mu, tol=tol,
-        optimizer=optimizer)
+        chi_e=ch.choi_of_channel(channel).matrix, **settings)
+    # a pauli or unitary channel's parameter is no number: its rows read nan
+    param = value if isinstance(value, float) else math.nan
     return ResultRow(param, method, n_ports, kind, cost, iterations, time.perf_counter() - t0,
                      program)
 
@@ -338,6 +341,8 @@ def load_program(path: str) -> np.ndarray:
 
 
 def _load_config(path: Optional[str]) -> dict:
+    """The config at ``path``, every section and key of it checked; later code reads
+    the sections directly."""
     if not path:
         raise ConfigError("--config PATH is required for this subcommand")
     try:
@@ -349,91 +354,84 @@ def _load_config(path: Optional[str]) -> dict:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}): {exc.msg}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {cfg!r}")
-    _known_keys(cfg, "")
-    # every section is checked here, before any solve runs, whatever the method
+    _known_keys(cfg, "", CONFIG_KEYS[""])
+    if "channel" not in cfg:
+        raise ConfigError("config needs a 'channel' section")
     for key in ("processor", "channel"):
-        _section(cfg, key)
-    _section(_section(cfg, "optimizer"), "learning_rate", "optimizer.learning_rate")
+        _section(cfg, key, key)
+    _section(_section(cfg, "optimizer", "optimizer"), "learning_rate", "optimizer.learning_rate")
     for key in ("out", "gnuplot_out", "save_program"):
         if key in cfg and not (isinstance(cfg[key], str) and cfg[key]):
             raise ConfigError(f"{key} must be a non-empty file path, got {cfg[key]!r}")
     return cfg
 
 
-def _channel_spec(cfg: dict) -> dict:
-    spec = _section(cfg, "channel")
-    if not spec:
-        raise ConfigError("config needs a 'channel' section")
-    return spec
-
-
-def _grid(cfg: dict) -> tuple:
-    spec = _channel_spec(cfg)
-    values = spec.get("values")
-    if values is not None and (not isinstance(values, list) or not values):
-        raise ConfigError(f"channel.values must be a non-empty list, got {values!r}")
-    n_list = _section(cfg, "processor").get("N", 1)
-    if isinstance(n_list, list):
-        if not n_list:
-            raise ConfigError("processor.N grid is empty")
-    else:
+def _points(cfg: dict) -> List[tuple]:
+    """The (N, value, method) points of a loaded config in grid order: N over
+    ``processor.N`` (default 1), the channel's parameter over ``channel.values``
+    (else its own) and the method over ``methods`` (else ``method``), each a
+    grid where it is a list."""
+    n_list = cfg["processor"].get("N", 1)
+    if not isinstance(n_list, list):
         n_list = [n_list]
-    return values, [_number(n, "processor.N") for n in n_list]
-
-
-def cmd_optimize(args) -> int:
-    cfg = _load_config(args.config)
-    optimizer = _optim_config(cfg, _seed(args, cfg))
-    method = _method(cfg.get("method"))
-    spec = _section(cfg, "processor")
-    n_ports = _number(spec.get("N", 1), "processor.N")
-    proc = _build_processor(spec, n_ports)
-    row = _run_point(cfg, method, proc, n_ports, _channel_spec(cfg), None,
-                     args.tol, optimizer)
-    print(CSV_HEADER + ",wall_time_s")
-    print(row.csv() + "," + _fmt(row.wall_time))
-    _write_outputs(args, cfg, [row])
-    save_path = cfg.get("save_program")
-    if save_path:
-        structure = "choi-power" if proc.program_domain == "choi" else "generic"
-        _save_program(save_path, row.program, structure, cfg)
-    return 0
-
-
-def cmd_benchmark(args) -> int:
-    cfg = _load_config(args.config)
-    optimizer = _optim_config(cfg, _seed(args, cfg))
-    methods = cfg.get("methods") or ([cfg["method"]] if "method" in cfg else None)
-    if not methods:
-        raise ConfigError("benchmark config needs 'methods' (or 'method')")
-    if not isinstance(methods, list):
+    elif not n_list:
+        raise ConfigError("processor.N grid is empty")
+    n_list = [_number(n, "processor.N") for n in n_list]
+    spec = cfg["channel"]
+    key = CHANNELS[spec["kind"]].keys[0]
+    if "values" in spec:
+        values = spec["values"]
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"channel.values must be a non-empty list, got {values!r}")
+    elif key in spec:
+        values = [spec[key]]
+    else:
+        raise ConfigError(f"channel.{key} is required for channel kind {spec['kind']!r}")
+    if key in _SCALARS:
+        values = [_number(value, f"channel.{key}", float) for value in values]
+    methods = cfg.get("methods", [cfg["method"]] if "method" in cfg else None)
+    if methods is None:
+        raise ConfigError("config needs 'methods' (or 'method')")
+    if not isinstance(methods, list) or not methods:
         raise ConfigError(f"methods must be a list of method names, got {methods!r}")
-    methods = [_method(mth) for mth in methods]
-    values, n_list = _grid(cfg)
-    points = []
-    for n in n_list:
-        for v in values if values is not None else [None]:
-            for mth in methods:
-                points.append((n, v, mth))
+    if "method" in cfg and methods != [cfg["method"]]:
+        raise ConfigError(f"method {cfg['method']!r} and methods {methods!r} disagree")
+    for method in methods:
+        if not isinstance(method, str) or method not in METHODS:
+            raise ConfigError(f"unknown method {method!r}; expected one of {list(METHODS)}")
+    return [(n, value, method) for n in n_list for value in values for method in methods]
 
-    procs = {n: _build_processor(_section(cfg, "processor"), n) for n in n_list}
 
-    ok_rows = []
-    failures = 0
-    for pt in points:
-        n, v, mth = pt
+def cmd_run(args) -> int:
+    """``optimize`` and ``benchmark``: run the config's points in grid order, a row per
+    point on stdout, then write the outputs.  A numerical failure at a point is
+    reported and the run goes on (exit 2); any other exception propagates."""
+    cfg = _load_config(args.config)
+    points = _points(cfg)
+    if len(points) != 1 and (args.command == "optimize" or "save_program" in cfg):
+        what = "optimize" if args.command == "optimize" else "save_program"
+        raise ConfigError(f"{what} needs a config with one point, got {len(points)} from "
+                          "processor.N, channel.values and methods")
+    settings = _settings(args, cfg)
+    n_list = dict.fromkeys(n for n, _, _ in points)  # each N once, in grid order
+    procs = {n: _build_processor(cfg["processor"], n) for n in n_list}
+    print(CSV_HEADER + ",wall_time_s")
+    rows = []
+    for point in points:
         try:
-            row = _run_point(cfg, mth, procs[n], n, _channel_spec(cfg), v, args.tol, optimizer)
+            row = _run_point(cfg, point, procs[point[0]], **settings)
         except (ConfigError, CapacityError):
             raise
-        except Exception as exc:  # recorded per-row, run continues
-            failures += 1
-            print(f"point {pt}: failed: {exc}", file=sys.stderr)
+        except _NUMERICAL as exc:  # recorded; the other points still run
+            print(f"numerical failure: {exc} at point {point}", file=sys.stderr)
             continue
-        ok_rows.append(row)
-        print(row.csv() + f",{_fmt(row.wall_time)}")
-    _write_outputs(args, cfg, ok_rows)
-    return 2 if failures else 0
+        rows.append(row)
+        print(row.csv() + "," + _fmt(row.wall_time))
+    _write_outputs(args, cfg, rows)
+    if "save_program" in cfg and rows:
+        structure = "choi-power" if procs[points[0][0]].program_domain == "choi" else "generic"
+        _save_program(cfg["save_program"], rows[0].program, structure, cfg)
+    return 2 if len(rows) < len(points) else 0
 
 
 def _write_outputs(args, cfg: dict, rows: List[ResultRow]) -> None:
@@ -462,22 +460,14 @@ def _write_gnuplot(path: str, rows: List[ResultRow]) -> None:
 
 
 def cmd_channels(_args) -> int:
-    for kind, param in sorted(CHANNEL_KINDS.items()):
-        print(f"{kind:20s} parameter: {param}")
+    for kind, entry in sorted(CHANNELS.items()):
+        print(f"{kind:20s} parameter: {entry.keys[0]}")
     return 0
 
 
 def cmd_processors(_args) -> int:
-    caps = {
-        "teleportation": f"2 <= d <= {processors.TELEPORTATION_MAX_D}",
-        "pbt": f"program dim d^(2N) <= {processors.PBT_FULL_MAX_PROG_DIM}",
-        "pbt_reduced": f"N <= {processors.PBT_REDUCED_MAX_PORTS}, "
-                       f"d <= {processors.TELEPORTATION_MAX_D}",
-        "pqc": f"N <= {processors.PQC_MAX_GATES}",
-        "mpqc": f"N <= {processors.MPQC_MAX_GATES}",
-    }
-    for kind in PROCESSOR_KINDS:
-        print(f"{kind:15s} {caps[kind]}")
+    for kind, entry in PROCESSORS.items():
+        print(f"{kind:15s} {entry.cap}")
     return 0
 
 
@@ -502,8 +492,7 @@ def _verify_checks(level: str):
     yield ("Schatten chain inf<=2<=1", max(0.0, s_inf - s_2, s_2 - s_1), 0.0)
 
     for kind in ("amplitude_damping", "depolarizing", "dephasing"):
-        channel, _ = _build_channel({"kind": kind, "p": 0.35})
-        chi = ch.choi_of_channel(channel)
+        chi = ch.choi_of_channel(_build_channel({"kind": kind}, 0.35))
         marg = partial_trace(chi.matrix, [2, 2], [0])
         yield (f"choi marginal {kind}", float(np.abs(marg - np.eye(2) / 2).max()), 1e-9)
 
@@ -644,8 +633,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     handlers = {
-        "optimize": cmd_optimize,
-        "benchmark": cmd_benchmark,
+        "optimize": cmd_run,
+        "benchmark": cmd_run,
         "verify": cmd_verify,
         "channels": cmd_channels,
         "processors": cmd_processors,
@@ -660,7 +649,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (np.linalg.LinAlgError, RuntimeError, ValueError) as exc:
+    except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

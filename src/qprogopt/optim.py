@@ -195,11 +195,12 @@ def _simplex(x: np.ndarray, counts: Optional[np.ndarray]) -> np.ndarray:
 
     With ``counts``, entry i stands for counts[i] equal entries: the result
     is the y >= 0 with sum_i counts_i y_i = 1 nearest to x in the norm
-    sum_i counts_i (x_i - y_i)^2, y_i = max(x_i - theta, 0).  Every finite
-    input projects; one with no active threshold and an entry that is not
-    finite raises ValueError.  ``x`` is 1-D float and ``counts`` of its
-    length, positive and finite, as the state projection's spectra are: this
-    is their projection, and it checks neither.
+    sum_i counts_i (x_i - y_i)^2, y_i = max(x_i - theta, 0).  Every input
+    with a finite entry and no NaN or +inf projects (a -inf entry is never
+    active); any other with no active threshold raises ValueError.  ``x`` is
+    1-D float and ``counts`` of its length, positive and finite, as the state
+    projection's spectra are: this is their projection, and it checks
+    neither.
     """
     w = np.ones(x.size) if counts is None else np.asarray(counts, dtype=float)
 
@@ -216,12 +217,12 @@ def _simplex(x: np.ndarray, counts: Optional[np.ndarray]) -> np.ndarray:
     order = x.argsort()[::-1]
     theta = threshold(x, order)
     if theta is None or theta == -math.inf:  # no finite threshold: the sums lost the 1
-        if not np.isfinite(x).all():
-            raise ValueError("project_to_states: no active threshold; the spectrum has an "
-                             "entry that is not finite")
+        if not ((x < math.inf).all() and np.isfinite(x).any()):
+            raise ValueError("project_to_states: no active threshold; the spectrum has a "
+                             "NaN or +inf entry, or no finite one")
         # theta >= max(x) - 1/w of the largest entry, so an entry below
-        # max(x) - 1/min(w) is never active; shifted by max(x), the sums of the
-        # others hold the 1 and stay in range
+        # max(x) - 1/min(w), -inf included, is never active; shifted by max(x),
+        # the sums of the others hold the 1 and stay in range
         with np.errstate(over="ignore"):
             x = x - x.max()
         theta = threshold(x, order[x[order] >= -1.0 / w.min()])

@@ -388,7 +388,8 @@ def simplex_project_arrays(x: np.ndarray, counts=None) -> np.ndarray:
     thresholds are numpy cumsums and the active set a ``nonzero``, with the same
     order of operations as the library's plain-float loop, the same retry on
     the entries >= max(x) - 1/min(w), shifted by max(x), where no finite
-    threshold is active, and the same ValueError where an entry is not finite."""
+    threshold is active, and the same ValueError where an entry is NaN or +inf or
+    none is finite."""
     x = np.asarray(x, dtype=float)
     w = np.ones(x.size) if counts is None else np.asarray(counts, dtype=float)
     order = x.argsort()[::-1]
@@ -402,7 +403,7 @@ def simplex_project_arrays(x: np.ndarray, counts=None) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         theta = threshold(x, order)
         if theta == -np.inf:
-            if not np.isfinite(x).all():
+            if not ((x < np.inf).all() and np.isfinite(x).any()):
                 raise ValueError("simplex_project_arrays: no active threshold")
             x = x - x.max()
             theta = threshold(x, order[x[order] >= -1.0 / w.min()])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qprogopt import cli, optim, processors, sdp
+from qprogopt import channels, cli, optim, processors, sdp
 from qprogopt.channels import DensityMatrix, amplitude_damping, choi_of_channel
 from qprogopt.cli import load_program, main
 
@@ -237,8 +237,10 @@ def test_unset_options_take_the_library_defaults(tmp_path, monkeypatch):
     assert tols == [1e-5]
 
 
-def test_internal_key_error_propagates(tmp_path, monkeypatch):
-    # a KeyError from inside the library is a bug, not a config problem
+@pytest.mark.parametrize("command", ["optimize", "benchmark"])
+def test_internal_key_error_propagates(tmp_path, monkeypatch, command):
+    # a KeyError from inside the library is a bug, not a config problem nor a
+    # numerical failure: benchmark used to record it as a failed point
     def broken(*_args, **_kwargs):
         raise KeyError("internal")
 
@@ -249,7 +251,7 @@ def test_internal_key_error_propagates(tmp_path, monkeypatch):
         "method": "sdp_trace",
     }
     with pytest.raises(KeyError, match="internal"):
-        main(["optimize", "--config", _write(tmp_path, cfg)])
+        main([command, "--config", _write(tmp_path, cfg)])
 
 
 _AD = {"kind": "amplitude_damping", "p": 0.5}
@@ -351,7 +353,7 @@ _SUBGRADIENT = {"processor": {"kind": "teleportation"}, "channel": _AD, "method"
     ("benchmark", {"processor": {"kind": "pbt", "N": []}, "channel": _AD,
                    "methods": ["sdp_trace"]}, "processor.N grid is empty"),
     ("benchmark", {"processor": {"kind": "teleportation"}, "channel": _AD},
-     "benchmark config needs 'methods'"),
+     "config needs 'methods' (or 'method')"),
     # unknown keys, one per section
     ("benchmark", {"processor": {"kind": "teleportation"}, "channel": _AD,
                    "methods": ["sdp_trace"], "bogus_top": 1}, "unknown key 'bogus_top'"),
@@ -420,18 +422,37 @@ def test_rejected_config_value_is_validation_error(tmp_path, capsys, command, cf
                    "channel": {"kind": "amplitude_damping", "values": [0.3, 0.5]},
                    "methods": ["sdp_trace", "subgradient"], "optimizer": {"max_iters": 0}},
      "max_iters must be >= 1"),
+    # a grid where one point is run: optimize used to run p = 0.3 and exit 0,
+    # and benchmark to write no program file
+    ("optimize", {"processor": {"kind": "teleportation"},
+                  "channel": {"kind": "amplitude_damping", "p": 0.3, "values": [0.1, 0.9]},
+                  "method": "sdp_trace"},
+     "optimize needs a config with one point, got 2 from processor.N, channel.values and methods"),
+    ("benchmark", {"processor": {"kind": "teleportation"},
+                   "channel": {"kind": "amplitude_damping", "values": [0.1, 0.9]},
+                   "methods": ["sdp_trace"], "save_program": "program.txt"},
+     "save_program needs a config with one point, got 2"),
+    ("optimize", {"processor": {"kind": "teleportation"}, "channel": _AD,
+                  "method": "sdp_trace", "methods": ["sdp_trace", "sdp_diamond"]},
+     "method 'sdp_trace' and methods ['sdp_trace', 'sdp_diamond'] disagree"),
+    ("benchmark", {"processor": {"kind": "teleportation"}, "channel": _AD,
+                   "method": "sdp_trace", "methods": ["sdp_diamond"]},
+     "method 'sdp_trace' and methods ['sdp_diamond'] disagree"),
 ], ids=["teleportation-N-H0", "teleportation-N-grid", "amplitude-damping-d", "pauli-p",
-        "pauli-theta", "pqc-d", "sdp-optimizer", "sdp-learning-rate", "grid-max-iters"])
+        "pauli-theta", "pqc-d", "sdp-optimizer", "sdp-learning-rate", "grid-max-iters",
+        "optimize-values", "grid-save-program", "optimize-methods-disagree",
+        "benchmark-methods-disagree"])
 def test_config_is_checked_before_any_point_runs(tmp_path, capsys, monkeypatch, command, cfg,
                                                  message):
     def unreachable(*_args, **_kwargs):
         raise AssertionError("a point ran")
 
     monkeypatch.setattr(cli, "_run_point", unreachable)
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "rows.csv"
     assert main([command, "--config", _write(tmp_path, cfg), "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "" and not out.exists()
+    assert captured.out == "" and not out.exists() and not (tmp_path / "program.txt").exists()
     assert captured.err.startswith("error:") and message in captured.err
 
 
@@ -503,6 +524,29 @@ def _failing_sdp_trace(monkeypatch, p_fail):
         return orig(proc, chi_target, tol=tol)
 
     monkeypatch.setattr(sdp, "optimize_program_trace", flaky)
+
+
+@pytest.mark.parametrize("p_fail, code, rows", [(None, 0, 8), (0.7, 2, 6)],
+                         ids=["all-points", "failed-points"])
+def test_benchmark_stdout_is_its_csv_and_wall_times(tmp_path, capsys, monkeypatch, p_fail, code,
+                                                    rows):
+    # with the last column cut, stdout is the CSV, the failed points' rows left
+    # out; each N's processor is built once, before any point runs
+    if p_fail is not None:
+        _failing_sdp_trace(monkeypatch, p_fail)
+    builds = []
+    pbt = processors.pbt_processor
+    monkeypatch.setattr(processors, "pbt_processor",
+                        lambda *args: builds.append(args) or pbt(*args))
+    cfg = {"processor": {"kind": "pbt", "N": [1, 2], "d": 2},
+           "channel": {"kind": "amplitude_damping", "values": [0.3, 0.7]},
+           "methods": ["sdp_trace", "choi_baseline"]}
+    out = tmp_path / "grid.csv"
+    assert main(["benchmark", "--config", _write(tmp_path, cfg), "--out", str(out)]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == cli.CSV_HEADER + ",wall_time_s" and len(lines) == 1 + rows
+    assert builds == [(1, 2), (2, 2)]
+    assert "".join(line.rsplit(",", 1)[0] + "\n" for line in lines) == out.read_text()
 
 
 def test_benchmark_point_failure_keeps_other_rows(tmp_path, capsys, monkeypatch):
@@ -606,9 +650,38 @@ def test_listing_commands(capsys):
     assert main(["channels"]) == 0
     out = capsys.readouterr().out
     assert "amplitude_damping" in out and "rotation" in out
+    assert [line.split()[0] for line in out.splitlines()] == sorted(cli.CHANNELS)
     assert main(["processors"]) == 0
     out = capsys.readouterr().out
     assert "pbt_reduced" in out and "teleportation" in out
+    assert [line.split()[0] for line in out.splitlines()] == list(cli.PROCESSORS)
+
+
+# a value for each channel parameter, so that every channel kind builds
+_PARAMETERS = {"p": 0.25, "theta": 0.3, "probs": [0.7, 0.1, 0.1, 0.1],
+               "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}
+
+
+@pytest.mark.parametrize("section, kind", [("processor", kind) for kind in cli.PROCESSORS]
+                         + [("channel", kind) for kind in cli.CHANNELS])
+def test_every_table_kind_builds_from_a_minimal_config(tmp_path, capsys, monkeypatch, section,
+                                                       kind):
+    # each kind's constructor is looked up on its module when called, so a
+    # wrapper put there (as the benchmark's tracer puts one) sees every build
+    module, entry = ((processors, cli.PROCESSORS[kind]) if section == "processor"
+                     else (channels, cli.CHANNELS[kind]))
+    calls = []
+    make = getattr(module, entry.make)
+    monkeypatch.setattr(module, entry.make, lambda *args: calls.append(args) or make(*args))
+    cfg = {"processor": {"kind": "teleportation"}, "channel": _AD, "method": "sdp_trace"}
+    if section == "processor":
+        cfg["processor"] = {"kind": kind}
+    else:
+        key = entry.keys[0]
+        cfg["channel"] = {"kind": kind, key: _PARAMETERS[key]}
+    assert main(["optimize", "--config", _write(tmp_path, cfg)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[1:3] == ["sdp_trace", "1"] and len(calls) == 1
 
 
 def test_choi_baseline_requires_teleportation_or_pbt(tmp_path):
@@ -679,7 +752,7 @@ def test_benchmark_csv_is_identical_cold_warm_and_after_clearing_the_caches(tmp_
 
 def test_successive_calls_share_no_arguments(tmp_path, monkeypatch):
     seen = []
-    monkeypatch.setattr(cli, "cmd_optimize", lambda args: seen.append(vars(args)) or 0)
+    monkeypatch.setattr(cli, "cmd_run", lambda args: seen.append(vars(args)) or 0)
     monkeypatch.setattr(sdp, "DEFAULT_TOL", 1e-6)
     assert main(["optimize", "--config", "a.json", "--out", "a.csv", "--seed", "3",
                  "--tol", "1e-4", "--gnuplot", "a.gp"]) == 0

@@ -375,12 +375,32 @@ def test_simplex_project_matches_the_array_oracle():
     inputs.append((np.full(pbt_counts.size, 1.0 / 64), pbt_counts))  # maximally mixed: all tied
     for x, counts in inputs:
         assert np.array_equal(_simplex(x, counts), simplex_project_arrays(x, counts))
-    # the raise path: a non-finite entry
-    for bad in ([0.5, np.nan, 0.2], [0.5, np.inf, 0.2], [1e308, -np.inf]):
+    # the raise path: a NaN or +inf entry
+    for bad in ([0.5, np.nan, 0.2], [0.5, np.inf, 0.2]):
         with pytest.raises(ValueError, match="no active threshold"):
             simplex_project_arrays(np.array(bad))
         with pytest.raises(ValueError, match="no active threshold"):
             _simplex(np.array(bad), None)
+
+
+@pytest.mark.parametrize("x, expected", [
+    ([0.5, -np.inf], [1.0, 0.0]),  # the first pass finds the finite threshold
+    ([1e308, -np.inf], [1.0, 0.0]),  # only the retry does: it used to raise
+    ([-np.inf, 0.25, -np.inf], [0.0, 1.0, 0.0]),
+    ([0.5, np.nan], ValueError),
+    ([0.5, np.inf], ValueError),
+    ([np.nan, -np.inf], ValueError),
+    ([-np.inf, -np.inf], ValueError),
+], ids=["first-pass", "retry", "middle", "nan", "plus-inf", "nan-minus-inf", "all-minus-inf"])
+def test_simplex_minus_inf_entry_is_never_active(x, expected):
+    x = np.array(x)
+    if expected is ValueError:
+        for project in (lambda: _simplex(x, None), lambda: simplex_project_arrays(x)):
+            with pytest.raises(ValueError, match="no active threshold"):
+                project()
+    else:
+        assert np.array_equal(_simplex(x, None), expected)
+        assert np.array_equal(simplex_project_arrays(x), expected)
 
 
 def test_projection_firmly_nonexpansive():
