@@ -11,14 +11,19 @@ processors  list processor kinds and their size caps
 
 ``optimize`` and ``benchmark`` share one run path: a config's points are the
 (N, value, method) grid of ``processor.N``, ``channel.values`` and
-``methods``, and ``optimize`` runs a config with exactly one.  Both print the
-CSV header (plus wall time) and a row per point; a point that fails
-numerically is reported and the others run (exit 2).  Each processor and
-channel kind is one entry of ``PROCESSORS`` or ``CHANNELS``.
+``methods``, and ``optimize`` runs a config with exactly one.  The run has two
+phases.  Set-up reads the config, builds each N's processor, the run's
+optimizer settings and each point's channel, and checks every point; all of it
+comes before the CSV header, so a validation error prints no row.  The run
+phase only times and calls each point's method, printing the header (plus wall
+time) and a row per point: a point can fail only numerically, which is
+reported while the others run (exit 2).  Each processor and channel kind is one
+entry of ``PROCESSORS`` or ``CHANNELS``.
 
 Exit codes: 0 ok, 1 validation error (a missing or unknown key, a section or
-value of the wrong JSON type, or a value that the library rejects, optimizer
-settings included), 2 numerical failure, 3 verify failure.
+value of the wrong JSON type, a value that the library rejects, optimizer
+settings included, or a method that the point's processor or channel does not
+admit), 2 numerical failure, 3 verify failure.
 
 ``main(argv)`` may be called repeatedly in one process: it builds the parser
 once, on the first call.
@@ -38,8 +43,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
-from functools import cache, partial
+from dataclasses import dataclass
+from functools import cache, partial, reduce
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -195,20 +200,19 @@ def _build_channel(spec: dict, value) -> ch.KrausChannel:
     return _make(ch, entry, "channel", {**spec, entry.keys[0]: value})
 
 
-def _settings(args, cfg: dict) -> dict:
+def _settings(args, cfg: dict, methods) -> dict:
     """The settings every point of a run shares, each checked once, whatever the methods:
-    the seed (``--seed``, else ``seed``: None or an integer >= 0), the ``optimizer``
-    section (its default cost and mu stand in until a first-order point sets the
-    run's), ``cost``, ``mu`` and ``--tol``."""
+    ``cost``, ``mu``, ``--tol`` and the run's one ``OptimConfig``, of the ``optimizer``
+    section, the seed (``--seed``, else ``seed``), ``mu`` and the run's cost where it
+    takes it (else its default cost)."""
     seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is not None and (seed := _number(seed, "seed")) < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     cost_kind = cfg.get("cost", "C1")
     if cost_kind not in COST_KINDS:
         raise ConfigError(f"cost {cost_kind!r} not one of {COST_KINDS}")
     mu = _number(cfg.get("mu", optim.OptimConfig.mu), "mu", float)
-    if cost_kind == "Cmu" and not 0 < mu < math.inf:
-        raise ConfigError(f"mu must be positive and finite for cost 'Cmu', got {mu}")
+    # a first-order method reads the run's cost from the optimizer; a gradient cost goes
+    # there in any case, which checks Cmu's mu for every method
+    gradient = cost_kind in optim.GRAD_COST_KINDS or {"subgradient", "frank_wolfe"} & set(methods)
     oc = cfg.get("optimizer", {})
     lr = oc.get("learning_rate", {})
     if oc.get("init") == "random" and seed is None:
@@ -224,7 +228,9 @@ def _settings(args, cfg: dict) -> dict:
             b=_number(lr.get("b", rate.b), "optimizer.learning_rate.b", float),
         ),
         tolerance=_number(oc.get("tolerance", config.tolerance), "optimizer.tolerance", float),
-        seed=0 if seed is None else seed,
+        cost_kind=cost_kind if gradient else config.cost_kind,
+        mu=mu,
+        seed=0 if seed is None else _number(seed, "seed"),
         init=oc.get("init", config.init),
     )
     return dict(optimizer=optimizer, cost_kind=cost_kind, mu=mu, tol=args.tol)
@@ -254,16 +260,9 @@ class ResultRow:
         )
 
 
-def _first_order(runner: str, optimizer, proc, chi_e, cost_kind, mu, **_):
-    ocfg = _construct(replace, optimizer, cost_kind=cost_kind, mu=mu)
-    if runner == "frank_wolfe" and cost_kind == "C1":
-        print(
-            "warning: frank_wolfe with the non-smooth C1 cost may stall; "
-            "consider cost 'Cmu'",
-            file=sys.stderr,
-        )
-    res = getattr(optim, runner)(proc, chi_e, ocfg)
-    return cost_kind, res.final_cost, len(res.cost_trace) - 1, res.program.matrix
+def _first_order(runner: str, optimizer, proc, chi_e, **_):
+    res = getattr(optim, runner)(proc, chi_e, optimizer)
+    return optimizer.cost_kind, res.final_cost, len(res.cost_trace) - 1, res.program.matrix
 
 
 def _sdp_program(name: str, kind: str, proc, chi_e, tol, **_):
@@ -272,20 +271,13 @@ def _sdp_program(name: str, kind: str, proc, chi_e, tol, **_):
 
 
 def _closed_form_unitary(proc, channel, chi_e, **_):
-    if len(channel.kraus_ops) != 1:
-        raise ConfigError("closed_form_unitary needs a unitary target channel")
     prog = optim.learn_unitary_program(proc, channel.kraus_ops[0])
     return "CF", cost_eval("CF", chi_e, proc.apply_matrix(prog.matrix)), 0, prog.matrix
 
 
 def _choi_baseline(cfg, proc, n_ports, chi_e, cost_kind, mu, tol, **_):
     """``cost_kind`` at the channel's-Choi program: chi, or chi^(tensor N) for PBT."""
-    kind = cfg["processor"]["kind"]
-    if kind not in ("teleportation", "pbt_reduced", "pbt"):
-        raise ConfigError(f"choi_baseline is not defined for processor kind {kind!r}")
-    prog = chi_e
-    for _ in range(n_ports - 1 if kind == "pbt" else 0):
-        prog = np.kron(prog, chi_e)
+    prog = reduce(np.kron, [chi_e] * (n_ports if cfg["processor"]["kind"] == "pbt" else 1))
     chi_pi = proc.apply_matrix(prog)
     if cost_kind == "Cdiamond":
         val = sdp.diamond_distance(chi_e - chi_pi, proc.d_in, tol=tol)
@@ -296,6 +288,8 @@ def _choi_baseline(cfg, proc, n_ports, chi_e, cost_kind, mu, tol, **_):
 
 # Each method takes a grid point's values by keyword and returns (cost kind, cost,
 # iterations, program); it looks library functions up per call, so patches hold.
+# Set-up has checked that the point admits it (``_checked_channel``): it raises no
+# ConfigError.
 METHODS = {
     "subgradient": partial(_first_order, "projected_subgradient"),
     "frank_wolfe": partial(_first_order, "frank_wolfe"),
@@ -307,14 +301,28 @@ METHODS = {
 }
 
 
-def _run_point(cfg: dict, point: tuple, proc: ProcessorMap, **settings) -> ResultRow:
-    """The row of one (N, value, method) point on its processor; ``settings`` (cost_kind,
-    mu, tol, optimizer) hold for the whole run."""
-    t0 = time.perf_counter()
-    n_ports, value, method = point
+def _checked_channel(cfg: dict, value, method: str, proc: ProcessorMap) -> ch.KrausChannel:
+    """The channel of a point's ``value``, or a ConfigError if the channel or the point's
+    method does not fit the point's processor ``proc``."""
     channel = _build_channel(cfg["channel"], value)
     if channel.d_in != proc.d_in:
         raise ConfigError(f"channel dimension {channel.d_in} != processor dimension {proc.d_in}")
+    if method == "closed_form_unitary" and len(channel.kraus_ops) != 1:
+        raise ConfigError("closed_form_unitary needs a unitary target channel")
+    kind = cfg["processor"]["kind"]
+    if method == "choi_baseline" and kind not in ("teleportation", "pbt_reduced", "pbt"):
+        raise ConfigError(f"choi_baseline is not defined for processor kind {kind!r}")
+    if method == "frank_wolfe" and proc.program_domain == "choi":
+        raise ConfigError(f"frank_wolfe is not defined for processor kind {kind!r}, whose "
+                          "programs are Choi matrices; use subgradient")
+    return channel
+
+
+def _run_point(cfg: dict, point: tuple, proc: ProcessorMap, channel, **settings) -> ResultRow:
+    """The row of one checked (N, value, method) point on its processor and channel;
+    ``settings`` (cost_kind, mu, tol, optimizer) hold for the whole run."""
+    t0 = time.perf_counter()
+    n_ports, value, method = point
     kind, cost, iterations, program = METHODS[method](
         cfg=cfg, proc=proc, n_ports=n_ports, channel=channel,
         chi_e=ch.choi_of_channel(channel).matrix, **settings)
@@ -403,25 +411,29 @@ def _points(cfg: dict) -> List[tuple]:
 
 
 def cmd_run(args) -> int:
-    """``optimize`` and ``benchmark``: run the config's points in grid order, a row per
-    point on stdout, then write the outputs.  A numerical failure at a point is
-    reported and the run goes on (exit 2); any other exception propagates."""
+    """``optimize`` and ``benchmark``.  Set-up builds and checks every input of the run;
+    then each point runs in grid order, a row per point on stdout, and the outputs are
+    written.  A numerical failure at a point is reported and the run goes on (exit 2);
+    any other exception propagates."""
     cfg = _load_config(args.config)
     points = _points(cfg)
     if len(points) != 1 and (args.command == "optimize" or "save_program" in cfg):
         what = "optimize" if args.command == "optimize" else "save_program"
         raise ConfigError(f"{what} needs a config with one point, got {len(points)} from "
                           "processor.N, channel.values and methods")
-    settings = _settings(args, cfg)
+    methods = [method for _, _, method in points]
+    settings = _settings(args, cfg, methods)
     n_list = dict.fromkeys(n for n, _, _ in points)  # each N once, in grid order
     procs = {n: _build_processor(cfg["processor"], n) for n in n_list}
+    channels = [_checked_channel(cfg, value, method, procs[n]) for n, value, method in points]
+    if "frank_wolfe" in methods and settings["optimizer"].cost_kind == "C1":
+        print("warning: frank_wolfe with the non-smooth C1 cost may stall; consider cost 'Cmu'",
+              file=sys.stderr)
     print(CSV_HEADER + ",wall_time_s")
     rows = []
-    for point in points:
+    for point, channel in zip(points, channels):
         try:
-            row = _run_point(cfg, point, procs[point[0]], **settings)
-        except (ConfigError, CapacityError):
-            raise
+            row = _run_point(cfg, point, procs[point[0]], channel, **settings)
         except _NUMERICAL as exc:  # recorded; the other points still run
             print(f"numerical failure: {exc} at point {point}", file=sys.stderr)
             continue
@@ -430,7 +442,11 @@ def cmd_run(args) -> int:
     _write_outputs(args, cfg, rows)
     if "save_program" in cfg and rows:
         structure = "choi-power" if procs[points[0][0]].program_domain == "choi" else "generic"
-        _save_program(cfg["save_program"], rows[0].program, structure, cfg)
+        # the flags that change the program are hashed with the config; without them
+        # the hash is the config's own
+        given = {"seed": args.seed, "tol": None if args.tol == sdp.DEFAULT_TOL else args.tol}
+        _save_program(cfg["save_program"], rows[0].program, structure,
+                      cfg | {key: value for key, value in given.items() if value is not None})
     return 2 if len(rows) < len(points) else 0
 
 
@@ -563,9 +579,7 @@ def _verify_checks(level: str):
             full = processors.pbt_processor(n, 2)
             red = processors.pbt_reduced_map(n, 2)
             chi = rand.random_choi(2, rng).matrix
-            prog = chi.copy()
-            for _ in range(n - 1):
-                prog = np.kron(prog, chi)
+            prog = reduce(np.kron, [chi] * n)
             yield (f"pbt reduced == full (N={n})",
                    float(np.abs(full.apply_matrix(prog) - red.apply_matrix(chi)).max()), 1e-8)
 

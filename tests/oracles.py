@@ -15,7 +15,10 @@ thresholds are numpy prefix sums, where the library loops over plain floats.  Th
 iterates on whole programs, with its own spectrum-to-simplex projection and
 Frank-Wolfe vertex, where the library iterates on the program blocks.  The
 SDP's program terms conjugate a whole-program stack by every isometry copy,
-where the library reads them off the block transfer.  ``count_calls`` is no
+where the library reads them off the block transfer.  ``charge_refined``
+rebuilds a PBT processor through the public ``ProcessorMap`` constructor with
+each S_N block split by a conserved charge, a second block structure that the
+program searches must agree with on covariant targets.  ``count_calls`` is no
 oracle: it spies on a library function through every binding of it.
 """
 
@@ -140,6 +143,38 @@ def symmetrize_program(pi: np.ndarray, n_ports: int, d: int) -> DensityMatrix:
     orders = list(itertools.permutations(range(n_ports)))
     acc = sum(permute_ports(m, n_ports, d, order) for order in orders)
     return DensityMatrix(hermitize(acc / len(orders)))
+
+
+def program_charge(n_ports: int, d: int = 2) -> np.ndarray:
+    """The diagonal of the charge Q = sum_i (a_i - b_i) on PBT programs, whose wires
+    are interleaved (A_1, B_1, ..., A_N, B_N) with digits a_i, b_i."""
+    digits = np.indices((d,) * (2 * n_ports)).reshape(2 * n_ports, -1)
+    return (digits[0::2] - digits[1::2]).sum(axis=0)
+
+
+def charge_refined(proc: ProcessorMap) -> ProcessorMap:
+    """``proc``, a ``pbt_processor``, with each S_N block split by the charge Q.
+
+    Q commutes with every port relabeling, so each block's range is Q-invariant:
+    one eigenbasis W of V_1^dag Q V_1 splits the block into one block per charge
+    q, with copies V_c W_q.  The refined map has the same transfer and is built
+    through the public constructor; its blocks admit only programs that commute
+    with Q, which lose nothing on a target whose optimum commutes with Q.
+    """
+    n_ports = round(math.log(proc.d_prog, proc.d_in * proc.d_out))
+    charge = program_charge(n_ports, proc.d_in)
+    blocks = []
+    for members in proc.block_coords.isometries:
+        for v in members:
+            vals, w = np.linalg.eigh(v[0].conj().T @ (charge[:, None] * v[0]))
+            q = np.round(vals)
+            assert np.abs(vals - q).max() < 1e-9, "a block's range is not Q-invariant"
+            for c in np.unique(q):
+                split = v @ w[:, q == c]
+                assert np.abs(charge[:, None] * split - c * split).max() < 1e-9
+                blocks.append(split)
+    return ProcessorMap(proc.transfer, proc.d_prog, proc.d_in, proc.d_out,
+                        label=f"{proc.label}/charge", symmetry=lambda: tuple(blocks))
 
 
 def random_program(proc: ProcessorMap, rng: np.random.Generator) -> DensityMatrix:

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 
@@ -113,6 +114,34 @@ def test_optimize_saves_program(tmp_path):
     prog = load_program(str(save))
     assert prog.shape == (4, 4)
     assert np.isclose(np.trace(prog).real, 1.0, atol=1e-8)
+
+
+def test_saved_program_hash_covers_the_seed_and_tol_flags(tmp_path):
+    save = tmp_path / "program.txt"
+    cfg = {"processor": {"kind": "pqc", "N": 2}, "channel": {"kind": "amplitude_damping", "p": 0.3},
+           "method": "subgradient", "optimizer": {"init": "random", "max_iters": 2}, "seed": 1,
+           "save_program": str(save)}
+    path = _write(tmp_path, cfg)
+
+    def saved(*flags):
+        assert main(["optimize", "--config", path, *flags]) == 0
+        return save.read_bytes()
+
+    def digest(config):
+        text = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        return f"# config-hash: {hashlib.sha256(text.encode()).hexdigest()[:16]}"
+
+    # without flags the hash is the config's own; a flag that repeats the
+    # config's seed or the default tolerance runs, and hashes, the same config
+    plain = saved()
+    assert plain.decode().splitlines()[2] == digest(cfg)
+    assert saved("--seed", "1") == plain
+    assert saved("--tol", repr(sdp.DEFAULT_TOL)) == plain
+    # a flag that changes the program changes the hash
+    other_seed = saved("--seed", "2").decode().splitlines()
+    assert other_seed[2] == digest(cfg | {"seed": 2})
+    assert other_seed[3:] != plain.decode().splitlines()[3:]
+    assert saved("--tol", "1e-6").decode().splitlines()[2] == digest(cfg | {"tol": 1e-6})
 
 
 @pytest.mark.parametrize("cost, method", [("C1", "sdp_trace"), ("Cdiamond", "sdp_diamond")])
@@ -438,10 +467,35 @@ def test_rejected_config_value_is_validation_error(tmp_path, capsys, command, cf
     ("benchmark", {"processor": {"kind": "teleportation"}, "channel": _AD,
                    "method": "sdp_trace", "methods": ["sdp_diamond"]},
      "method 'sdp_trace' and methods ['sdp_diamond'] disagree"),
+    # checks of a point's method and channel: each grid used to print its first
+    # rows before the check failed at a later point, and the last to exit 2
+    ("benchmark", {"processor": {"kind": "teleportation"},
+                   "channel": {"kind": "amplitude_damping", "values": [0.3, 0.5]},
+                   "methods": ["sdp_trace", "subgradient"], "cost": "F"},
+     "OptimConfig: cost_kind 'F' not in"),
+    ("benchmark", {"processor": {"kind": "pqc", "N": 1}, "channel": _AD,
+                   "methods": ["sdp_trace", "choi_baseline"]},
+     "choi_baseline is not defined for processor kind 'pqc'"),
+    ("benchmark", {"processor": {"kind": "teleportation"}, "channel": _AD,
+                   "methods": ["sdp_trace", "closed_form_unitary"]},
+     "closed_form_unitary needs a unitary target channel"),
+    ("benchmark", {"processor": {"kind": "teleportation", "d": 3},
+                   "channel": {"kind": "depolarizing", "p": 0.3, "d": 2},
+                   "methods": ["sdp_trace"]}, "channel dimension 2 != processor dimension 3"),
+    ("benchmark", {"processor": {"kind": "teleportation"},
+                   "channel": {"kind": "amplitude_damping", "values": [0.3, 1.5]},
+                   "methods": ["sdp_trace"]},
+     "amplitude_damping: parameter p=1.5 outside [0, 1]"),
+    ("benchmark", {"processor": {"kind": "pbt_reduced", "N": 2},
+                   "channel": {"kind": "amplitude_damping", "values": [0.3, 0.5]},
+                   "methods": ["sdp_diamond", "frank_wolfe"], "cost": "Cmu"},
+     "frank_wolfe is not defined for processor kind 'pbt_reduced'"),
 ], ids=["teleportation-N-H0", "teleportation-N-grid", "amplitude-damping-d", "pauli-p",
         "pauli-theta", "pqc-d", "sdp-optimizer", "sdp-learning-rate", "grid-max-iters",
         "optimize-values", "grid-save-program", "optimize-methods-disagree",
-        "benchmark-methods-disagree"])
+        "benchmark-methods-disagree", "first-order-cost-grid", "baseline-pqc-grid",
+        "closed-form-non-unitary-grid", "channel-dimension-grid", "p-range-grid",
+        "frank-wolfe-reduced-grid"])
 def test_config_is_checked_before_any_point_runs(tmp_path, capsys, monkeypatch, command, cfg,
                                                  message):
     def unreachable(*_args, **_kwargs):
@@ -620,6 +674,39 @@ def test_closed_form_unitary_method(tmp_path):
     row = out.read_text().strip().splitlines()[1].split(",")
     assert row[3] == "CF"
     assert float(row[4]) <= 1e-8  # covariant unitary simulated perfectly
+
+
+# closed_form_unitary on a PBT or MPQC map warns of a degenerate maximizer and runs
+@pytest.mark.filterwarnings("ignore:learn_unitary_program:UserWarning")
+@pytest.mark.parametrize("cost", ["Cmu", "F"])
+@pytest.mark.parametrize("method", list(cli.METHODS))
+@pytest.mark.parametrize("kind", list(cli.PROCESSORS))
+def test_every_processor_and_method_runs_or_is_rejected_before_any_row(tmp_path, capsys, kind,
+                                                                        method, cost):
+    # a pair that the config's processor, channel or cost does not admit exits 1
+    # in set-up: none prints its header, runs a point and then stops
+    cfg = {"processor": {"kind": kind}, "channel": {"kind": "rotation", "theta": 0.3},
+           "method": method, "cost": cost, "optimizer": {"max_iters": 5}}
+    code = main(["optimize", "--config", _write(tmp_path, cfg)])
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    if code == 1:
+        assert captured.out == "" and captured.err.startswith("error:")
+    else:
+        assert len(captured.out.splitlines()) == 2
+
+
+def test_frank_wolfe_c1_warns_once_per_run(tmp_path, capsys, monkeypatch):
+    runs = []
+    frank_wolfe = optim.frank_wolfe
+    monkeypatch.setattr(optim, "frank_wolfe",
+                        lambda *args: runs.append(args) or frank_wolfe(*args))
+    cfg = {"processor": {"kind": "teleportation"},
+           "channel": {"kind": "amplitude_damping", "values": [0.3, 0.5]},
+           "methods": ["frank_wolfe"], "cost": "C1", "optimizer": {"max_iters": 5}}
+    assert main(["benchmark", "--config", _write(tmp_path, cfg)]) == 0
+    assert len(runs) == 2
+    assert capsys.readouterr().err.count("warning: frank_wolfe with the non-smooth C1") == 1
 
 
 def test_frank_wolfe_c1_warns(tmp_path, capsys):
