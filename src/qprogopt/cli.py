@@ -125,13 +125,13 @@ def _parse_complex_matrix(data) -> np.ndarray:
 
 
 def _number(value, key: str, kind=int):
-    """``kind(value)``, or a ConfigError naming the key if that fails, changes a float or
-    meets NaN."""
+    """``kind(value)``, or a ConfigError naming the key if ``value`` is a bool, if that
+    fails (an infinite int too), changes a float or meets NaN."""
     if isinstance(value, float) and math.isnan(value):
         raise ConfigError(f"{key} must not be NaN")
     try:
-        out = kind(value)
-    except (TypeError, ValueError):
+        out = None if isinstance(value, bool) else kind(value)
+    except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or (isinstance(value, float) and out != value):
         raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")

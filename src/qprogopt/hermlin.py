@@ -13,12 +13,13 @@ finite) in ``unitary_channel``, ``diamond_distance``, the Schatten norms,
 ``project_to_states`` and ``project_to_choi_set``.  Checks live at the public
 boundary, never per iterate.
 
-One LAPACK layer: ``_eigh``, ``_eigvalsh``, ``_solve`` and ``_cholesky`` call
-numpy's gufuncs (``numpy.linalg._umath_linalg``) on float64 or complex128
-operands of one dtype, skipping ``np.linalg``'s per-call wrapper, bit for bit,
-under its error state: a failed factorization or a non-converged ``eigh``
-raises ``LinAlgError``.  Other dtypes, mixed operands or a numpy without that
-private module (``_lapack`` None) take ``np.linalg`` itself.
+One LAPACK layer: ``_eigh``, ``_eigvalsh``, ``_solve`` and ``_cholesky`` are
+each one call of numpy's gufuncs (``numpy.linalg._umath_linalg``, shipped by
+every numpy >= 2.0), skipping ``np.linalg``'s per-call wrapper, under its
+error state: a failed factorization or a non-converged ``eigh`` raises
+``LinAlgError``.  On the float64 and complex128 operands the package passes,
+mixed ones included, the result is ``np.linalg``'s bit for bit; float32 and
+complex64 would be computed in single precision, and no caller passes them.
 """
 
 from __future__ import annotations
@@ -27,10 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-try:  # private numpy API: the kernels below fall back to np.linalg without it
-    from numpy.linalg import _umath_linalg as _lapack
-except ImportError:
-    _lapack = None
+from numpy.linalg import _umath_linalg as _lapack  # private numpy API, numpy >= 2.0
 
 __all__ = [
     "HERMITICITY_RTOL",
@@ -59,7 +57,6 @@ SIGN_CLUSTER_GAP = 1e-10
 SIGN_ZERO_TOL = 1e-10
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-_LAPACK_DTYPES = frozenset((np.dtype(float), np.dtype(complex)))
 
 
 def _lapack_errors(message: str) -> np.errstate:
@@ -71,34 +68,26 @@ def _lapack_errors(message: str) -> np.errstate:
 
 @_lapack_errors("Eigenvalues did not converge")
 def _eigh(a: np.ndarray) -> tuple:
-    """``np.linalg.eigh(a)``: ascending eigenvalues and eigenvectors of a Hermitian stack."""
-    if _lapack is not None and a.dtype in _LAPACK_DTYPES:
-        return _lapack.eigh_lo(a)
-    return np.linalg.eigh(a)
+    """Ascending eigenvalues and eigenvectors of a Hermitian matrix or stack (``eigh``)."""
+    return _lapack.eigh_lo(a)
 
 
 @_lapack_errors("Eigenvalues did not converge")
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh(a)``: ascending eigenvalues of a Hermitian matrix or stack."""
-    if _lapack is not None and a.dtype in _LAPACK_DTYPES:
-        return _lapack.eigvalsh_lo(a)
-    return np.linalg.eigvalsh(a)
+    """Ascending eigenvalues of a Hermitian matrix or stack (``eigvalsh``)."""
+    return _lapack.eigvalsh_lo(a)
 
 
 @_lapack_errors("Singular matrix")
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve(a, b)``: a vector ``b`` is one right-hand side (numpy 2's rule)."""
-    if _lapack is not None and a.dtype in _LAPACK_DTYPES and b.dtype == a.dtype:
-        return (_lapack.solve1 if b.ndim == 1 else _lapack.solve)(a, b)
-    return np.linalg.solve(a, b)
+    """x with a x = b (``solve``): a vector ``b`` is one right-hand side (numpy 2's rule)."""
+    return (_lapack.solve1 if b.ndim == 1 else _lapack.solve)(a, b)
 
 
 @_lapack_errors("Matrix is not positive definite")
 def _cholesky(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.cholesky(a)``: lower Cholesky factors of a matrix or stack."""
-    if _lapack is not None and a.dtype in _LAPACK_DTYPES:
-        return _lapack.cholesky_lo(a)
-    return np.linalg.cholesky(a)
+    """Lower Cholesky factors of a matrix or stack (``cholesky``)."""
+    return _lapack.cholesky_lo(a)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

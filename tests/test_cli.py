@@ -398,6 +398,25 @@ _SUBGRADIENT = {"processor": {"kind": "teleportation"}, "channel": _AD, "method"
     # sections are checked before any method runs, whichever reads them
     ("optimize", {"processor": {"kind": "teleportation"}, "channel": _AD, "method": "sdp_trace",
                   "optimizer": {"maxiters": 9}}, "unknown key 'optimizer.maxiters'"),
+    # a JSON boolean where a number goes: each used to run as 1 (or 1.0)
+    ("optimize", {"processor": {"kind": "pbt", "N": True},
+                  "channel": {"kind": "amplitude_damping", "p": 0.3}, "method": "sdp_trace",
+                  "seed": True}, "processor.N must be int, got True"),
+    ("optimize", {"processor": {"kind": "pbt", "N": 2},
+                  "channel": {"kind": "amplitude_damping", "p": 0.3}, "method": "sdp_trace",
+                  "seed": True}, "seed must be int, got True"),
+    ("optimize", {"processor": {"kind": "teleportation", "d": True}, "channel": _AD,
+                  "method": "sdp_trace"}, "processor.d must be int, got True"),
+    ("benchmark", {"processor": {"kind": "teleportation"},
+                   "channel": {"kind": "amplitude_damping", "values": [True, 0.5]},
+                   "methods": ["sdp_trace"]}, "channel.p must be float, got True"),
+    ("optimize", _SUBGRADIENT | {"cost": "Cmu", "mu": True}, "mu must be float, got True"),
+    # an infinite integer setting (1e400 reads as inf too): each used to end in an
+    # OverflowError traceback
+    ("optimize", {"processor": {"kind": "pbt", "N": math.inf}, "channel": _AD,
+                  "method": "sdp_trace"}, "processor.N must be int, got inf"),
+    ("optimize", _SUBGRADIENT | {"optimizer": {"max_iters": math.inf}},
+     "optimizer.max_iters must be int, got inf"),
 ], ids=["p-range", "pqc-N", "teleportation-d", "cost-kind", "benchmark-grid-p", "N-list",
         "N-fraction", "max_iters-string", "max_iters-zero", "max_iters-fraction",
         "learning-rate-kind", "learning-rate-a", "init", "tolerance-string", "mu-string",
@@ -410,11 +429,13 @@ _SUBGRADIENT = {"processor": {"kind": "teleportation"}, "channel": _AD, "method"
         "harmonic-b-inf", "tolerance-inf", "tolerance-nan", "mu-inf", "baseline-mu-inf",
         "learning-rate-a-nan", "mu-nan", "theta-nan", "processor-kind", "H0-entries",
         "H0-shape", "no-channel", "N-grid-empty", "no-methods", "top-key", "processor-key",
-        "channel-key", "optimizer-key", "learning-rate-key", "optimizer-key-sdp"])
+        "channel-key", "optimizer-key", "learning-rate-key", "optimizer-key-sdp", "N-bool",
+        "seed-bool", "d-bool", "values-bool", "mu-bool", "N-inf", "max_iters-inf"])
 def test_rejected_config_value_is_validation_error(tmp_path, capsys, command, cfg, message):
     assert main([command, "--config", _write(tmp_path, cfg)]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error:") and message in err
+    assert out == ""  # no row
 
 
 @pytest.mark.parametrize("command, cfg, message", [

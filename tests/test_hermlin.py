@@ -261,21 +261,13 @@ def _kernel_cases(rng, lead, dtype) -> list:
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stacked"])
 def test_lapack_kernels_match_numpy_bit_for_bit(dtype, lead):
-    for kernel, numpy_fn, args in _kernel_cases(np.random.default_rng(90), lead, dtype):
-        assert _bits(kernel(*args)) == _bits(numpy_fn(*args)), kernel.__name__
-
-
-@pytest.mark.parametrize("missing, dtype", [(True, float), (True, complex), (False, np.float32)],
-                         ids=["no-gufuncs-real", "no-gufuncs-complex", "float32"])
-def test_lapack_kernels_fall_back_to_numpy(missing, dtype, monkeypatch):
-    # without the private module, and on dtypes the layer does not take (float32,
-    # which np.linalg solves in float64; mixed operands), each kernel is np.linalg
-    if missing:
-        monkeypatch.setattr(hermlin, "_lapack", None)
-    rng = np.random.default_rng(91)
-    cases = _kernel_cases(rng, (2,), dtype)
-    a = cases[2][2][0]  # the positive definite stack
-    cases.append((hermlin._solve, np.linalg.solve, (a.astype(complex), _random(rng, (5,), float))))
+    rng = np.random.default_rng(90)
+    cases = _kernel_cases(rng, lead, dtype)
+    # mixed operands: a positive definite matrix of the other dtype of the two
+    pd = cases[2][2][0]
+    pd = pd.astype(complex) if dtype is float else pd.real
+    cases += [(hermlin._solve, np.linalg.solve, (pd, b))
+              for b in (_random(rng, (5,), dtype), _random(rng, lead + (5, 2), dtype))]
     for kernel, numpy_fn, args in cases:
         assert _bits(kernel(*args)) == _bits(numpy_fn(*args)), kernel.__name__
 
